@@ -340,7 +340,7 @@ let micro () =
       (List.map
          (fun (a : Sched.Allocator.t) ->
            Test.make ~name:a.name
-             (Staged.stage (fun () -> ignore (a.try_alloc st job))))
+             (Staged.stage (fun () -> ignore (a.probe_sized st job))))
          Sched.Allocator.all)
   in
   (* Routing micro-benches: constructing a full-bandwidth routing for a
@@ -442,8 +442,8 @@ let micro () =
 (* BENCH_0006.json: machine-readable perf trajectory across PRs.       *)
 (* ------------------------------------------------------------------ *)
 
-(* Emits allocator micro-latencies (mean try_alloc on a busy radix-24
-   cluster), a "scale" section repeating the same probes on a radix-48
+(* Emits allocator micro-latencies (mean rigid probe_sized on a busy
+   radix-24 cluster), a "scale" section repeating the same probes on a radix-48
    cluster (sizes scaled by the pod-size ratio, so each class keeps its
    meaning), bitset iteration micro-latencies, per-trace scheduler
    costs for the Table 3 traces, a per-scheme profile (probe outcome
@@ -470,14 +470,14 @@ let bench_json () =
   section (Printf.sprintf "%s (machine-readable perf trajectory)" bench_json_file);
   let radix = 24 and target = 0.8 in
   let st = load_cluster ~radix ~seed:77 ~target in
-  let mean_try_alloc_ns ?(iters = 200) st (a : Sched.Allocator.t) size =
+  let mean_probe_ns ?(iters = 200) st (a : Sched.Allocator.t) size =
     let job = Trace.Job.v ~id:999_999 ~size ~runtime:100.0 () in
     for _ = 1 to 5 do
-      ignore (a.try_alloc st job)
+      ignore (a.probe_sized st job)
     done;
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
-      ignore (a.try_alloc st job)
+      ignore (a.probe_sized st job)
     done;
     (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
   in
@@ -487,7 +487,7 @@ let bench_json () =
       (fun (label, size) ->
         List.map
           (fun (a : Sched.Allocator.t) ->
-            (a.name, label, size, mean_try_alloc_ns st a size))
+            (a.name, label, size, mean_probe_ns st a size))
           Sched.Allocator.all)
       classes
   in
@@ -517,7 +517,7 @@ let bench_json () =
               in
               ns
             in
-            let large_ns = mean_try_alloc_ns ~iters:50 st_l a size_l in
+            let large_ns = mean_probe_ns ~iters:50 st_l a size_l in
             (a.name, label, size_l, small_ns, large_ns))
           Sched.Allocator.all)
       classes
@@ -1050,8 +1050,8 @@ let ablation () =
   List.iter
     (fun window ->
       let cfg =
-        Sched.Simulator.default_config Sched.Allocator.jigsaw
-          ~radix:e.cluster_radix
+        Sched.Simulator.Config.make ~radix:e.cluster_radix
+          Sched.Allocator.jigsaw
         |> Sched.Simulator.Config.with_backfill_window (max window 1)
         |> Sched.Simulator.Config.with_backfill (window > 0)
       in
@@ -1074,8 +1074,8 @@ let ablation () =
     (fun factor ->
       let w = Trace.Workload.inflate_estimates e.workload factor in
       let cfg =
-        Sched.Simulator.default_config Sched.Allocator.jigsaw
-          ~radix:e.cluster_radix
+        Sched.Simulator.Config.make ~radix:e.cluster_radix
+          Sched.Allocator.jigsaw
       in
       let m = Sched.Simulator.run cfg w in
       Format.printf "%-10s %11.1f%% %14.0f@."

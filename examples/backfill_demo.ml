@@ -24,7 +24,7 @@ let () =
     |]
   in
   let w = Trace.Workload.create ~name:"demo" ~system_nodes:128 jobs in
-  let cfg = Sched.Simulator.default_config Sched.Allocator.jigsaw ~radix:8 in
+  let cfg = Sched.Simulator.Config.make ~radix:8 Sched.Allocator.jigsaw in
   let m, per_job = Sched.Simulator.run_detailed cfg w in
   let sorted =
     List.sort

@@ -21,7 +21,7 @@ let () =
   let baseline_makespan = ref 0.0 in
   List.iter
     (fun (alloc : Sched.Allocator.t) ->
-      let cfg = Sched.Simulator.default_config alloc ~radix:16 in
+      let cfg = Sched.Simulator.Config.make ~radix:16 alloc in
       (* Assume jobs larger than four nodes run 10% faster in isolation
          (the paper's middle scenario). *)
       let cfg =

@@ -22,11 +22,11 @@ let churn (alloc : Sched.Allocator.t) =
   for id = 0 to 60 do
     let size = 1 + Sim.Prng.int prng ~bound:20 in
     let job = Trace.Job.v ~id ~size ~runtime:1.0 () in
-    (match alloc.try_alloc st job with
-    | Some a ->
+    (match alloc.probe_sized st job with
+    | Sized { alloc = a; _ } ->
         State.claim_exn st a;
         live := a :: !live
-    | None -> ());
+    | Sized_no_fit | Sized_gave_up -> ());
     (* Retire roughly a third of the jobs as we go. *)
     if Sim.Prng.float prng ~bound:1.0 < 0.35 && !live <> [] then begin
       let arr = Array.of_list !live in

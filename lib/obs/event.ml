@@ -379,11 +379,50 @@ let of_jsonl line = of_json_fields (Json.parse_line line)
 (* CSV                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One fixed column set for every event kind; unused cells are empty.
-   [a] and [b] are the two generic numeric columns — the per-kind
-   meaning is in DESIGN.md's schema table (and in [to_csv] below). *)
+(* One fixed column set for every event kind.  Each kind's entry below
+   is written like a CSV row: column by column, the [json_fields] field
+   that goes there (blank: unused).  This table is the whole CSV schema;
+   DESIGN.md's schema table points here.  Columns ctx, outcome and target
+   hold strings; the rest hold numbers.  Unused job, ctx, outcome and
+   target cells are empty, unused numeric cells print 0. *)
 
 let csv_header = "time,event,job,ctx,outcome,target,nodes,leaf_cables,l2_cables,a,b"
+
+let csv_columns =
+  List.map
+    (fun (kind, row) -> (kind, Array.of_list (String.split_on_char ',' row)))
+    [
+      (* kind,            job,ctx,outcome,target,nodes,leaf,l2,a,b *)
+      ("run", ",scheme,scenario,trace,nodes,radix,jobs,,");
+      ("arrival", "job,,,,size,,,,");
+      ("pass_start", ",,,,,,,pending,");
+      ("pass_end", ",,,,,,,started,");
+      ("attempt", "job,ctx,outcome,,nodes,leaf,l2,,");
+      ("start", "job,,,,nodes,leaf,l2,est_end,attempt");
+      ("backfill_start", "job,,,,nodes,leaf,l2,est_end,attempt");
+      ("reservation_set", "job,,,,nodes,leaf,l2,at,");
+      ("reservation_clear", "job,,,,,,,,");
+      ("complete", "job,,,,,,,started,waited");
+      ("reject", "job,,,,,,,,");
+      ("fail", ",,,target,nodes,leaf,l2,id,");
+      ("repair", ",,,target,,,,id,");
+      ("kill", "job,,,,,,,attempt,lost");
+      ("requeue", "job,,,,,,,attempt,resume_at");
+      ("abandon", "job,,,,,,,attempt,");
+      ("resize", "job,,,,from,to,,new_end,");
+      ("shrink_recover", "job,,,,from,to,,attempt,");
+      ("net_route", "job,,,,flows,channels,interfered,,");
+      ("net_retract", "job,,,,flows,channels,interfered,,");
+      ("net_sample", ",,,,max_load,shared,interfered,flows,lb");
+    ]
+
+let columns_of kind =
+  match List.assoc_opt kind csv_columns with
+  | Some cols -> cols
+  | None ->
+      raise (Json.Parse_error (Printf.sprintf "unknown event kind %S" kind))
+
+let string_column i = i >= 1 && i <= 3
 
 let add_float b x =
   if Float.is_integer x && Float.abs x < 1e15 then
@@ -391,179 +430,42 @@ let add_float b x =
   else Buffer.add_string b (Printf.sprintf "%.17g" x)
 
 let to_csv b e =
-  (* job ctx outcome target nodes leaf l2 a b *)
-  let row ?job ?ctx ?outcome ?target ?(counts = (0, 0, 0)) ?(a = 0.0) ?(b = 0.0)
-      () =
-    (job, ctx, outcome, target, counts, a, b)
-  in
-  let job, ctx, outcome, target, (nodes, leaf, l2), a, bb =
-    match e.payload with
-    | Run_meta { trace; scheme; scenario; radix; nodes; jobs } ->
-        row ~ctx:scheme ~outcome:scenario ~target:trace
-          ~counts:(nodes, radix, jobs) ()
-    | Arrival { job; size } -> row ~job ~counts:(size, 0, 0) ()
-    | Pass_start { pending } -> row ~a:(float_of_int pending) ()
-    | Pass_end { started } -> row ~a:(float_of_int started) ()
-    | Attempt { job; ctx; outcome; nodes; leaf_cables; l2_cables } ->
-        row ~job ~ctx:(ctx_name ctx) ~outcome:(outcome_name outcome)
-          ~counts:(nodes, leaf_cables, l2_cables) ()
-    | Start { job; ctx = _; nodes; leaf_cables; l2_cables; est_end; attempt } ->
-        row ~job ~counts:(nodes, leaf_cables, l2_cables) ~a:est_end
-          ~b:(float_of_int attempt) ()
-    | Reservation_set { job; at; nodes; leaf_cables; l2_cables } ->
-        row ~job ~counts:(nodes, leaf_cables, l2_cables) ~a:at ()
-    | Reservation_clear { job } -> row ~job ()
-    | Complete { job; started; waited } -> row ~job ~a:started ~b:waited ()
-    | Reject { job } -> row ~job ()
-    | Fail { target; id; nodes; leaf_cables; l2_cables } ->
-        row ~target ~counts:(nodes, leaf_cables, l2_cables)
-          ~a:(float_of_int id) ()
-    | Repair { target; id } -> row ~target ~a:(float_of_int id) ()
-    | Kill { job; attempt; lost } ->
-        row ~job ~a:(float_of_int attempt) ~b:lost ()
-    | Requeue { job; attempt; resume_at } ->
-        row ~job ~a:(float_of_int attempt) ~b:resume_at ()
-    | Abandon { job; attempt } -> row ~job ~a:(float_of_int attempt) ()
-    | Resize { job; from_size; to_size; new_end } ->
-        row ~job ~counts:(from_size, to_size, 0) ~a:new_end ()
-    | Shrink_recover { job; attempt; from_size; to_size } ->
-        row ~job ~counts:(from_size, to_size, 0) ~a:(float_of_int attempt) ()
-    | Net_route { job; retract = _; flows; channels; interfered } ->
-        row ~job ~counts:(flows, channels, interfered) ()
-    | Net_congestion_sample
-        { max_load; shared; interfered; total_flows; lower_bound } ->
-        row
-          ~counts:(max_load, shared, interfered)
-          ~a:(float_of_int total_flows)
-          ~b:(float_of_int lower_bound) ()
-  in
+  let fields = json_fields e in
+  let kind = kind_name e.payload in
   add_float b e.time;
   Buffer.add_char b ',';
-  Buffer.add_string b (kind_name e.payload);
-  Buffer.add_char b ',';
-  (match job with Some j -> Buffer.add_string b (string_of_int j) | None -> ());
-  Buffer.add_char b ',';
-  (match ctx with Some c -> Buffer.add_string b c | None -> ());
-  Buffer.add_char b ',';
-  (match outcome with Some o -> Buffer.add_string b o | None -> ());
-  Buffer.add_char b ',';
-  (match target with Some t -> Buffer.add_string b t | None -> ());
-  Buffer.add_char b ',';
-  Buffer.add_string b (string_of_int nodes);
-  Buffer.add_char b ',';
-  Buffer.add_string b (string_of_int leaf);
-  Buffer.add_char b ',';
-  Buffer.add_string b (string_of_int l2);
-  Buffer.add_char b ',';
-  add_float b a;
-  Buffer.add_char b ',';
-  add_float b bb;
+  Buffer.add_string b kind;
+  Array.iteri
+    (fun i name ->
+      Buffer.add_char b ',';
+      match List.assoc_opt name fields with
+      | Some (Json.Num x) -> add_float b x
+      | Some (Json.Str v) -> Buffer.add_string b v
+      | None -> if i > 3 then Buffer.add_char b '0')
+    (columns_of kind);
   Buffer.add_char b '\n'
 
 let of_csv line =
-  let cells = String.split_on_char ',' line in
-  match cells with
-  | [ time; event; job; ctx; outcome; target; nodes; leaf; l2; a; b ] ->
-      let fail fmt =
-        Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
-      in
-      let flt name v =
+  match String.split_on_char ',' line with
+  | time :: kind :: cells when List.length cells = 9 ->
+      let number name v =
         match float_of_string_opt v with
-        | Some x -> x
-        | None -> fail "column %s: malformed number %S" name v
+        | Some x -> Json.Num x
+        | None ->
+            raise
+              (Json.Parse_error
+                 (Printf.sprintf "column %s: malformed number %S" name v))
       in
-      let int_of name v =
-        let x = flt name v in
-        let i = int_of_float x in
-        if float_of_int i <> x then fail "column %s: not an integer (%s)" name v;
-        i
+      let cell i (name, v) =
+        if name = "" then []
+        else [ (name, if string_column i then Json.Str v else number name v) ]
       in
-      let time = flt "time" time in
-      let job () =
-        if job = "" then fail "column job: empty" else int_of "job" job
+      let fields =
+        List.combine (Array.to_list (columns_of kind)) cells
+        |> List.mapi cell |> List.concat
       in
-      let counts () = (int_of "nodes" nodes, int_of "leaf" leaf, int_of "l2" l2) in
-      let a_f () = flt "a" a and b_f () = flt "b" b in
-      let a_i () = int_of "a" a and b_i () = int_of "b" b in
-      let payload =
-        match event with
-        | "run" ->
-            let nodes, radix, jobs = counts () in
-            Run_meta
-              { trace = target; scheme = ctx; scenario = outcome; radix; nodes; jobs }
-        | "arrival" ->
-            let size, _, _ = counts () in
-            Arrival { job = job (); size }
-        | "pass_start" -> Pass_start { pending = a_i () }
-        | "pass_end" -> Pass_end { started = a_i () }
-        | "attempt" ->
-            let nodes, leaf_cables, l2_cables = counts () in
-            Attempt
-              {
-                job = job ();
-                ctx = ctx_of_name ctx;
-                outcome = outcome_of_name outcome;
-                nodes;
-                leaf_cables;
-                l2_cables;
-              }
-        | "start" | "backfill_start" ->
-            let nodes, leaf_cables, l2_cables = counts () in
-            Start
-              {
-                job = job ();
-                ctx = (if event = "start" then Head else Backfill);
-                nodes;
-                leaf_cables;
-                l2_cables;
-                est_end = a_f ();
-                attempt = b_i ();
-              }
-        | "reservation_set" ->
-            let nodes, leaf_cables, l2_cables = counts () in
-            Reservation_set
-              { job = job (); at = a_f (); nodes; leaf_cables; l2_cables }
-        | "reservation_clear" -> Reservation_clear { job = job () }
-        | "complete" ->
-            Complete { job = job (); started = a_f (); waited = b_f () }
-        | "reject" -> Reject { job = job () }
-        | "fail" ->
-            let nodes, leaf_cables, l2_cables = counts () in
-            Fail { target; id = a_i (); nodes; leaf_cables; l2_cables }
-        | "repair" -> Repair { target; id = a_i () }
-        | "kill" -> Kill { job = job (); attempt = a_i (); lost = b_f () }
-        | "requeue" ->
-            Requeue { job = job (); attempt = a_i (); resume_at = b_f () }
-        | "abandon" -> Abandon { job = job (); attempt = a_i () }
-        | "resize" ->
-            let from_size, to_size, _ = counts () in
-            Resize { job = job (); from_size; to_size; new_end = a_f () }
-        | "shrink_recover" ->
-            let from_size, to_size, _ = counts () in
-            Shrink_recover { job = job (); attempt = a_i (); from_size; to_size }
-        | "net_route" | "net_retract" ->
-            let flows, channels, interfered = counts () in
-            Net_route
-              {
-                job = job ();
-                retract = event = "net_retract";
-                flows;
-                channels;
-                interfered;
-              }
-        | "net_sample" ->
-            let max_load, shared, interfered = counts () in
-            Net_congestion_sample
-              {
-                max_load;
-                shared;
-                interfered;
-                total_flows = a_i ();
-                lower_bound = b_i ();
-              }
-        | k -> fail "unknown event kind %S" k
-      in
-      { time; payload }
+      of_json_fields
+        (("t", number "time" time) :: ("ev", Json.Str kind) :: fields)
   | cells ->
       raise
         (Json.Parse_error

@@ -10,9 +10,10 @@
     Serialization formats (one event per line, both lossless):
     - JSONL: [{"t":…,"ev":"…", …}] with per-kind fields;
     - CSV: one fixed 11-column row
-      ([time,event,job,ctx,outcome,target,nodes,leaf_cables,l2_cables,a,b])
-      where [a]/[b] are generic numeric cells whose per-kind meaning is
-      documented in DESIGN.md §10. *)
+      ([time,event,job,ctx,outcome,target,nodes,leaf_cables,l2_cables,a,b]),
+      derived from the JSON fields: one table in event.ml names, per
+      kind, the JSON field each generic cell carries, and decoding
+      rebuilds the field list and reuses the JSON decoder. *)
 
 type probe_outcome =
   | Fit  (** The allocator proposed a claimable allocation. *)

@@ -18,8 +18,6 @@ type t = {
   name : string;
   isolating : bool;
   budgeted : bool;
-  try_alloc : State.t -> Trace.Job.t -> Alloc.t option;
-  probe : State.t -> Trace.Job.t -> verdict;
   probe_sized : State.t -> Trace.Job.t -> sized_verdict;
   try_resize :
     State.t -> Trace.Job.t -> current:Alloc.t -> target:int -> resize_verdict;
@@ -156,21 +154,20 @@ let grow_within_leaves st (current : Alloc.t) ~target =
    resources, then restore it exactly.  Relocation is the point: the
    non-partition schemes have no cable set to grow within, so molding
    up means re-placing the job at the larger size. *)
-let grow_by_reprobe try_alloc st (j : Trace.Job.t) ~(current : Alloc.t) ~target =
+let grow_by_reprobe probe st (j : Trace.Job.t) ~(current : Alloc.t) ~target =
   if not (alloc_healthy st current) then No_resize
   else begin
     State.release st current;
-    let cand = try_alloc st (Trace.Job.at_size j target) in
+    let cand = probe st (Trace.Job.at_size j target) in
     State.claim_exn ~validate:false st current;
-    match cand with Some a -> Resized a | None -> No_resize
+    match cand with Alloc a -> Resized a | No_fit | Gave_up -> No_resize
   end
 
-let derived_try_resize try_alloc st (j : Trace.Job.t) ~(current : Alloc.t)
-    ~target =
+let derived_try_resize probe st (j : Trace.Job.t) ~(current : Alloc.t) ~target =
   if target < 1 then No_resize
   else if target = current.size then Resized current
   else if target < current.size then shrink_in_place st current ~target
-  else grow_by_reprobe try_alloc st j ~current ~target
+  else grow_by_reprobe probe st j ~current ~target
 
 (* Native resize for the partition schemes (Jigsaw, LC, LC+S): shrink
    in place, grow strictly within the partition's own leaves. *)
@@ -185,17 +182,12 @@ let resize_within_partition st (_ : Trace.Job.t) ~(current : Alloc.t) ~target =
 (* ------------------------------------------------------------------ *)
 
 let make ~name ~isolating ?(budgeted = false) ?try_resize probe =
-  let try_alloc st j =
-    match probe st j with Alloc a -> Some a | No_fit | Gave_up -> None
-  in
   {
     name;
     isolating;
     budgeted;
-    probe;
-    try_alloc;
     probe_sized = derived_probe_sized probe;
-    try_resize = Option.value try_resize ~default:(derived_try_resize try_alloc);
+    try_resize = Option.value try_resize ~default:(derived_try_resize probe);
   }
 
 let of_partition st ~bw p =

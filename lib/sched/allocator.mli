@@ -57,20 +57,14 @@ type t = {
           reservation search minimizes {e probe count} for budgeted
           allocators and {e state-rebuild count} for the cheap definitive
           ones; both orders return the same reservation. *)
-  try_alloc : Fattree.State.t -> Trace.Job.t -> Fattree.Alloc.t option;
-      (** Pure probe; must not mutate the state. *)
-  probe : Fattree.State.t -> Trace.Job.t -> verdict;
-      (** Like [try_alloc] with failure provenance.  [try_alloc] is
-          always [probe] with both failure verdicts collapsed to [None]
-          — enforced by a qcheck property over every scheme, not just
-          prose. *)
   probe_sized : Fattree.State.t -> Trace.Job.t -> sized_verdict;
-      (** Size-negotiating probe.  Rigid jobs behave exactly like
-          {!field-probe}; moldable jobs are probed at their preference
-          first, then (on failure) at their minimum — whose definitive
-          failure alone justifies [Sized_no_fit] — and finally the
-          largest feasible size in between is binary-searched.  Pure in
-          the same sense as [try_alloc]. *)
+      (** Size-negotiating probe; pure — it must not mutate the state.
+          Rigid jobs get the scheme's {!type-verdict} at their size
+          ([granted = size]); moldable jobs are probed at their
+          preference first, then (on failure) at their minimum — whose
+          definitive failure alone justifies [Sized_no_fit] — and
+          finally the largest feasible size in between is
+          binary-searched. *)
   try_resize :
     Fattree.State.t ->
     Trace.Job.t ->
@@ -100,10 +94,12 @@ val make :
     resize_verdict) ->
   (Fattree.State.t -> Trace.Job.t -> verdict) ->
   t
-(** [make ~name ~isolating probe] derives [try_alloc] (failure verdicts
-    collapsed), [probe_sized] (preference/minimum/binary-search molding)
-    and — unless a native one is supplied — [try_resize] from the probe,
-    so a new scheme gets the full sized API for free. *)
+(** [make ~name ~isolating probe] derives [probe_sized]
+    (preference/minimum/binary-search molding) and — unless a native one
+    is supplied — [try_resize] from a pure per-size [probe], so a new
+    scheme gets the full sized API for free.  On rigid jobs
+    [probe_sized] is [probe] with the granted size attached — a qcheck
+    law over arbitrary probe functions. *)
 
 val baseline : t
 (** Traditional unconstrained scheduling (nodes only, links shared). *)

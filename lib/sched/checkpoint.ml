@@ -43,6 +43,71 @@ let nofit_str a =
   |> List.map (fun (size, bw) -> Printf.sprintf "%d:%h" size bw)
   |> String.concat " "
 
+(* The "acc" row, in file order: the simulator's scalar accumulators,
+   then the state's operation tallies.  Each entry is the field's name
+   in the file, how to read it from a snapshot, and how to store it into
+   a snapshot being loaded.  [~v1] is the value a version-1 file implies
+   for a field it does not carry: those files predate molding (shrunk,
+   grown) and the daemon (cancelled). *)
+let acc_row =
+  let int_field ?v1 name get set =
+    ( name,
+      (fun s -> int_ (get s)),
+      fun s f ->
+        set s
+          (match v1 with
+          | Some d when not (Obs.Json.mem f name) -> d
+          | _ -> Obs.Json.int f name) )
+  and float_field name get set =
+    (name, (fun s -> num (get s)), fun s f -> set s (Obs.Json.num f name))
+  in
+  let acc_int ?v1 name get set =
+    int_field ?v1 name (fun s -> get s.acc) (fun s -> set s.acc)
+  and acc_float name get set =
+    float_field name (fun s -> get s.acc) (fun s -> set s.acc)
+  in
+  Accumulators.
+    [
+      acc_float "sched_clock" (fun a -> a.sched_clock) (fun a v ->
+          a.sched_clock <- v);
+      acc_int "alloc_busy" (fun a -> a.alloc_busy) (fun a v ->
+          a.alloc_busy <- v);
+      acc_int "req_busy" (fun a -> a.req_busy) (fun a v -> a.req_busy <- v);
+      acc_float "last_start" (fun a -> a.last_start_time) (fun a v ->
+          a.last_start_time <- v);
+      acc_float "first_start" (fun a -> a.first_start_time) (fun a v ->
+          a.first_start_time <- v);
+      acc_float "first_blocked" (fun a -> a.first_blocked_time) (fun a v ->
+          a.first_blocked_time <- v);
+      acc_int "rejected" (fun a -> a.rejected) (fun a v -> a.rejected <- v);
+      acc_int "pending_repairs" (fun a -> a.pending_repairs) (fun a v ->
+          a.pending_repairs <- v);
+      acc_int "fault_count" (fun a -> a.fault_events) (fun a v ->
+          a.fault_events <- v);
+      acc_int "interrupted" (fun a -> a.interrupted) (fun a v ->
+          a.interrupted <- v);
+      acc_int "requeued" (fun a -> a.requeued) (fun a v -> a.requeued <- v);
+      acc_int "abandoned" (fun a -> a.abandoned) (fun a v -> a.abandoned <- v);
+      acc_float "lost_node_time" (fun a -> a.lost_node_time) (fun a v ->
+          a.lost_node_time <- v);
+      acc_int ~v1:0 "shrunk" (fun a -> a.shrunk) (fun a v -> a.shrunk <- v);
+      acc_int ~v1:0 "grown" (fun a -> a.grown) (fun a v -> a.grown <- v);
+      acc_int "started_total" (fun a -> a.started_total) (fun a v ->
+          a.started_total <- v);
+      acc_int ~v1:0 "cancelled" (fun a -> a.cancelled) (fun a v ->
+          a.cancelled <- v);
+      int_field "st_claims" (fun s -> s.st_claims) (fun s v ->
+          s.st_claims <- v);
+      int_field "st_releases" (fun s -> s.st_releases) (fun s v ->
+          s.st_releases <- v);
+      int_field "st_failures" (fun s -> s.st_failures) (fun s v ->
+          s.st_failures <- v);
+      int_field "st_repairs" (fun s -> s.st_repairs) (fun s v ->
+          s.st_repairs <- v);
+      int_field "st_clones" (fun s -> s.st_clones) (fun s v ->
+          s.st_clones <- v);
+    ]
+
 (* Durability helpers.  [fsync_dir] is best-effort: directory fsync is
    the POSIX way to persist a rename, but some filesystems reject fsync
    on a directory fd — a failure there must not fail the save. *)
@@ -188,31 +253,8 @@ let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
         ])
     s.samples;
   line
-    ([
-       ("record", str "acc");
-       ("sched_clock", num s.sched_clock);
-       ("alloc_busy", int_ s.alloc_busy);
-       ("req_busy", int_ s.req_busy);
-       ("last_start", num s.last_start_time);
-       ("first_start", num s.first_start_time);
-       ("first_blocked", num s.first_blocked_time);
-       ("rejected", int_ s.rejected);
-       ("pending_repairs", int_ s.pending_repairs);
-       ("fault_count", int_ s.fault_count);
-       ("interrupted", int_ s.interrupted);
-       ("requeued", int_ s.requeued);
-       ("abandoned", int_ s.abandoned);
-       ("lost_node_time", num s.lost_node_time);
-       ("shrunk", int_ s.shrunk);
-       ("grown", int_ s.grown);
-       ("started_total", int_ s.started_total);
-       ("cancelled", int_ s.cancelled);
-       ("st_claims", int_ s.st_claims);
-       ("st_releases", int_ s.st_releases);
-       ("st_failures", int_ s.st_failures);
-       ("st_repairs", int_ s.st_repairs);
-       ("st_clones", int_ s.st_clones);
-     ]
+    ((("record", str "acc")
+     :: List.map (fun (name, get, _) -> (name, get s)) acc_row)
     @
     match s.reserved with
     | None -> []
@@ -489,35 +531,17 @@ let load_ext ~path =
           (if Obs.Json.mem acc "reserved_id" then
              Some (jint acc "reserved_id", jnum acc "reserved_at")
            else None);
-        sched_clock = jnum acc "sched_clock";
+        acc = Accumulators.create ~pending_repairs:0;
         samples = arr "sample" "samples" !samples;
-        alloc_busy = jint acc "alloc_busy";
-        req_busy = jint acc "req_busy";
         finished = arr "finished" "finished" !finished;
-        last_start_time = jnum acc "last_start";
-        first_start_time = jnum acc "first_start";
-        first_blocked_time = jnum acc "first_blocked";
-        rejected = jint acc "rejected";
-        pending_repairs = jint acc "pending_repairs";
-        fault_count = jint acc "fault_count";
-        interrupted = jint acc "interrupted";
-        requeued = jint acc "requeued";
-        abandoned = jint acc "abandoned";
-        lost_node_time = jnum acc "lost_node_time";
-        (* Absent in version-1 files: molding did not exist. *)
-        shrunk = (if Obs.Json.mem acc "shrunk" then jint acc "shrunk" else 0);
-        grown = (if Obs.Json.mem acc "grown" then jint acc "grown" else 0);
-        started_total = jint acc "started_total";
-        (* Absent in pre-daemon checkpoint files: no cancellations. *)
-        cancelled =
-          (if Obs.Json.mem acc "cancelled" then jint acc "cancelled" else 0);
-        st_claims = jint acc "st_claims";
-        st_releases = jint acc "st_releases";
-        st_failures = jint acc "st_failures";
-        st_repairs = jint acc "st_repairs";
-        st_clones = jint acc "st_clones";
+        st_claims = 0;
+        st_releases = 0;
+        st_failures = 0;
+        st_repairs = 0;
+        st_clones = 0;
       }
     in
+    List.iter (fun (_, _, set) -> set s acc) acc_row;
     Ok (s, header)
   with
   | Bad m -> Error m

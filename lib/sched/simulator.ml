@@ -60,20 +60,12 @@ module Config = struct
       net;
     }
 
-  let with_allocator allocator cfg = { cfg with allocator }
-  let with_radix radix cfg = { cfg with radix }
   let with_scenario scenario cfg = { cfg with scenario }
-  let with_scenario_seed scenario_seed cfg = { cfg with scenario_seed }
   let with_backfill_window backfill_window cfg = { cfg with backfill_window }
   let with_backfill backfill cfg = { cfg with backfill }
-  let with_faults faults cfg = { cfg with faults }
-  let with_resilience resilience cfg = { cfg with resilience }
   let with_sink sink cfg = { cfg with sink }
   let with_prof prof cfg = { cfg with prof }
-  let with_net net cfg = { cfg with net }
 end
-
-let default_config allocator ~radix = Config.make ~radix allocator
 
 type running = {
   r_job : Trace.Job.t;
@@ -110,29 +102,12 @@ type sim = {
   nofit : (int * float, unit) Hashtbl.t;
   mutable nofit_release_gen : int;
   mutable pass_scheduled : bool;
-  mutable sched_clock : float; (* wall time spent deciding *)
+  acc : Accumulators.t;
   (* step function samples: (time, allocated_busy, requested_busy,
      pending_count, failed_nodes) recorded at every change *)
   mutable samples : (float * int * int * int * int) list;
-  mutable alloc_busy : int;
-  mutable req_busy : int;
   mutable finished : Metrics.per_job list;
-  mutable last_start_time : float;
-  mutable first_start_time : float;
-  mutable first_blocked_time : float;
-  mutable rejected : int;
-  (* resilience accounting *)
   kills : (int, int) Hashtbl.t; (* job id -> attempts killed so far *)
-  mutable pending_repairs : int; (* repair events not yet applied *)
-  mutable fault_events : int;
-  mutable interrupted : int;
-  mutable requeued : int;
-  mutable abandoned : int;
-  mutable lost_node_time : float;
-  mutable shrunk : int; (* fault recoveries by in-place shrink *)
-  mutable grown : int; (* idle-capacity grows of moldable jobs *)
-  (* observability *)
-  mutable started_total : int; (* jobs started, for Pass_end deltas *)
   mutable reserved : (int * float) option; (* live head reservation *)
   (* Reservation scratch arena: one lazily-created state reused by every
      reservation probe, refreshed from [st] by an allocation-free
@@ -141,12 +116,10 @@ type sim = {
   (* Online front-end (daemon) state: every job the simulation knows,
      plus jobs and fault events accepted after [start] (newest first).
      Snapshots append the dynamic lists to the static workload/trace so
-     a restore sees one merged history; [cancelled] counts pending jobs
-     withdrawn before they started. *)
+     a restore sees one merged history. *)
   jobs_by_id : (int, Trace.Job.t) Hashtbl.t;
   mutable dyn_jobs : Trace.Job.t list;
   mutable dyn_faults : Trace.Faults.event list;
-  mutable cancelled : int;
   (* Network telemetry (cfg.net): live congestion index over the running
      jobs' routed flows.  Pure observer — it never feeds back into
      scheduling or metrics, so telemetry-off runs are bit-identical. *)
@@ -156,8 +129,8 @@ type sim = {
 let record sim =
   sim.samples <-
     ( Sim.Engine.now sim.engine,
-      sim.alloc_busy,
-      sim.req_busy,
+      sim.acc.alloc_busy,
+      sim.acc.req_busy,
       Hashtbl.length sim.pending,
       Fattree.State.failed_node_count sim.st )
     :: sim.samples
@@ -185,7 +158,7 @@ let job_estimate (j : Trace.Job.t) ~granted =
 let timed sim f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  sim.sched_clock <- sim.sched_clock +. (Unix.gettimeofday () -. t0);
+  sim.acc.sched_clock <- sim.acc.sched_clock +. (Unix.gettimeofday () -. t0);
   r
 
 (* Emit one trace event.  The payload is a thunk so disabled tracing
@@ -291,8 +264,8 @@ let net_retract sim job =
    (same blit), so verdicts and fingerprints are unchanged. *)
 let reservation (alloc : Allocator.t) ~scratch ~running ~job =
   (* Size-negotiating probe with failure provenance collapsed: for rigid
-     jobs this is exactly [try_alloc], so pre-molding reservations are
-     unchanged; a moldable head reserves the largest grant its
+     jobs this is the scheme's plain probe, so pre-molding reservations
+     are unchanged; a moldable head reserves the largest grant its
      [min_size, pref] range admits at each candidate instant. *)
   let try_sized st j =
     match alloc.Allocator.probe_sized st j with
@@ -436,11 +409,11 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
   Hashtbl.replace sim.running j.id
     { r_job = j; r_alloc = alloc; r_start = now; r_end;
       r_est_end = est_end; r_attempt = attempt; r_epoch = 0 };
-  sim.alloc_busy <- sim.alloc_busy + Array.length alloc.nodes;
-  sim.req_busy <- sim.req_busy + granted;
-  sim.last_start_time <- now;
-  sim.started_total <- sim.started_total + 1;
-  if sim.first_start_time < 0.0 then sim.first_start_time <- now;
+  sim.acc.alloc_busy <- sim.acc.alloc_busy + Array.length alloc.nodes;
+  sim.acc.req_busy <- sim.acc.req_busy + granted;
+  sim.acc.last_start_time <- now;
+  sim.acc.started_total <- sim.acc.started_total + 1;
+  if sim.acc.first_start_time < 0.0 then sim.acc.first_start_time <- now;
   (match sim.reserved with
   | Some (id, _) when id = j.id ->
       sim.reserved <- None;
@@ -479,8 +452,8 @@ and complete_job sim id ~attempt ~epoch =
   | Some r ->
       Hashtbl.remove sim.running id;
       State.release sim.st r.r_alloc;
-      sim.alloc_busy <- sim.alloc_busy - Array.length r.r_alloc.nodes;
-      sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size;
+      sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
+      sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
       sim.finished <-
         { Metrics.job = r.r_job; start_time = r.r_start; end_time = r.r_end }
         :: sim.finished;
@@ -507,9 +480,10 @@ and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
   let now = Sim.Engine.now sim.engine in
   State.release sim.st r.r_alloc;
   State.claim_exn ~validate:false sim.st new_alloc;
-  sim.alloc_busy <-
-    sim.alloc_busy - Array.length r.r_alloc.nodes + Array.length new_alloc.nodes;
-  sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size + new_alloc.Alloc.size;
+  let acc = sim.acc in
+  acc.alloc_busy <-
+    acc.alloc_busy - Array.length r.r_alloc.nodes + Array.length new_alloc.nodes;
+  acc.req_busy <- acc.req_busy - r.r_alloc.Alloc.size + new_alloc.Alloc.size;
   let scale t =
     now
     +. (t -. now)
@@ -595,7 +569,7 @@ and grow_pass sim =
           | None -> ()
           | Some (target, new_alloc) ->
               let r' = swap_alloc sim r new_alloc in
-              sim.grown <- sim.grown + 1;
+              sim.acc.grown <- sim.acc.grown + 1;
               emit sim (fun () ->
                   Obs.Event.Resize
                     {
@@ -654,10 +628,10 @@ and schedule_pass sim =
   emit sim (fun () ->
       Obs.Event.Pass_start { pending = Hashtbl.length sim.pending });
   prof_incr sim "sched/passes";
-  let started_before = sim.started_total in
+  let started_before = sim.acc.started_total in
   run_pass sim;
   emit sim (fun () ->
-      Obs.Event.Pass_end { started = sim.started_total - started_before })
+      Obs.Event.Pass_end { started = sim.acc.started_total - started_before })
 
 and run_pass sim =
   (* A queue entry is live iff the job is still pending AND the entry
@@ -701,33 +675,33 @@ and run_pass sim =
       (* Plain FIFO: the head simply waits for resources.  Oversized
          requests must still be rejected, or they would wedge the queue
          forever. *)
-      if sim.first_blocked_time < 0.0 then
-        sim.first_blocked_time <- Sim.Engine.now sim.engine;
+      if sim.acc.first_blocked_time < 0.0 then
+        sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
       if Trace.Job.min_size head > Fattree.Topology.num_nodes (State.topo sim.st)
       then begin
         ignore (Queue.pop sim.pending_ids);
         Hashtbl.remove sim.pending head.id;
-        sim.rejected <- sim.rejected + 1;
+        sim.acc.rejected <- sim.acc.rejected + 1;
         emit sim (fun () -> Obs.Event.Reject { job = head.id });
         request_pass sim
       end
   | Some head -> (
-      if sim.first_blocked_time < 0.0 then
-        sim.first_blocked_time <- Sim.Engine.now sim.engine;
+      if sim.acc.first_blocked_time < 0.0 then
+        sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
       (* Phase 2: reservation for the head... *)
       match timed sim (fun () -> compute_reservation sim head) with
       | None
         when Trace.Job.min_size head
              > Fattree.Topology.num_nodes (State.topo sim.st)
              || (not (State.has_failures sim.st))
-             || sim.pending_repairs = 0 ->
+             || sim.acc.pending_repairs = 0 ->
           (* Definitively impossible: the job exceeds nameplate capacity,
              or even the fully drained machine — healthy, or degraded
              with no repair left to ever enlarge it.  Reject and continue
              with the rest. *)
           ignore (Queue.pop sim.pending_ids);
           Hashtbl.remove sim.pending head.id;
-          sim.rejected <- sim.rejected + 1;
+          sim.acc.rejected <- sim.acc.rejected + 1;
           (match sim.reserved with
           | Some (id, _) when id = head.id ->
               sim.reserved <- None;
@@ -838,9 +812,9 @@ let arrive sim (j : Trace.Job.t) =
 let kill_job sim (r : running) =
   Hashtbl.remove sim.running r.r_job.id;
   State.release sim.st r.r_alloc;
-  sim.alloc_busy <- sim.alloc_busy - Array.length r.r_alloc.nodes;
-  sim.req_busy <- sim.req_busy - r.r_alloc.Alloc.size;
-  sim.interrupted <- sim.interrupted + 1;
+  sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
+  sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
+  sim.acc.interrupted <- sim.acc.interrupted + 1;
   let now = Sim.Engine.now sim.engine in
   let kills =
     1 + Option.value (Hashtbl.find_opt sim.kills r.r_job.id) ~default:0
@@ -854,12 +828,12 @@ let kill_job sim (r : running) =
      per second, not its nominal request.  Equal for rigid jobs. *)
   let lost = (now -. r.r_start) *. float_of_int r.r_alloc.Alloc.size in
   if sim.cfg.resilience.charge_lost_work || not requeue then
-    sim.lost_node_time <- sim.lost_node_time +. lost;
+    sim.acc.lost_node_time <- sim.acc.lost_node_time +. lost;
   emit sim (fun () ->
       Obs.Event.Kill { job = r.r_job.id; attempt = r.r_attempt; lost });
   net_retract sim r.r_job.id;
   if requeue then begin
-    sim.requeued <- sim.requeued + 1;
+    sim.acc.requeued <- sim.acc.requeued + 1;
     let resume_at = now +. sim.cfg.resilience.resubmit_delay in
     emit sim (fun () ->
         Obs.Event.Requeue { job = r.r_job.id; attempt = kills; resume_at });
@@ -868,7 +842,7 @@ let kill_job sim (r : running) =
       (fun _ -> arrive sim r.r_job)
   end
   else begin
-    sim.abandoned <- sim.abandoned + 1;
+    sim.acc.abandoned <- sim.acc.abandoned + 1;
     emit sim (fun () ->
         Obs.Event.Abandon { job = r.r_job.id; attempt = r.r_attempt })
   end
@@ -909,7 +883,7 @@ let shrink_or_kill sim (r : running) =
     with
     | Allocator.No_resize -> kill_job sim r
     | Allocator.Resized new_alloc ->
-        sim.shrunk <- sim.shrunk + 1;
+        sim.acc.shrunk <- sim.acc.shrunk + 1;
         emit sim (fun () ->
             Obs.Event.Shrink_recover
               {
@@ -926,7 +900,7 @@ let fault_event sim (e : Trace.Faults.event) =
       (* Behaves like a release: bumps the state's release generation,
          which invalidates the no-fit memo, and may unblock the queue. *)
       Trace.Faults.revert sim.st e.target;
-      sim.pending_repairs <- sim.pending_repairs - 1;
+      sim.acc.pending_repairs <- sim.acc.pending_repairs - 1;
       emit sim (fun () ->
           Obs.Event.Repair
             {
@@ -937,7 +911,7 @@ let fault_event sim (e : Trace.Faults.event) =
       request_pass sim
   | Trace.Faults.Fail ->
       Trace.Faults.apply sim.st e.target;
-      sim.fault_events <- sim.fault_events + 1;
+      sim.acc.fault_events <- sim.acc.fault_events + 1;
       let topo = State.topo sim.st in
       let nodes, leaf_cables, l2_cables =
         Trace.Faults.resources topo e.target
@@ -1038,7 +1012,7 @@ let cancel sim id =
     (* Dropping the generation kills the queue entry lazily, exactly
        like a requeue invalidates a backfilled job's stale entry. *)
     Hashtbl.remove sim.pending_gen id;
-    sim.cancelled <- sim.cancelled + 1;
+    sim.acc.cancelled <- sim.acc.cancelled + 1;
     (match sim.reserved with
     | Some (rid, _) when rid = id ->
         sim.reserved <- None;
@@ -1114,7 +1088,7 @@ let inject_fault sim (e : Trace.Faults.event) =
         in
         sim.dyn_faults <- e :: sim.dyn_faults;
         if e.kind = Trace.Faults.Repair then
-          sim.pending_repairs <- sim.pending_repairs + 1;
+          sim.acc.pending_repairs <- sim.acc.pending_repairs + 1;
         Sim.Engine.schedule sim.engine ~time:e.time ~priority:0
           ~tag:(Printf.sprintf "f:%d" idx)
           (fun _ -> fault_event sim e);
@@ -1123,8 +1097,8 @@ let inject_fault sim (e : Trace.Faults.event) =
 let pending_count sim = Hashtbl.length sim.pending
 let running_count sim = Hashtbl.length sim.running
 let finished_count sim = List.length sim.finished
-let cancelled_count sim = sim.cancelled
-let rejected_count sim = sim.rejected
+let cancelled_count sim = sim.acc.cancelled
+let rejected_count sim = sim.acc.rejected
 let known_job sim id = Hashtbl.mem sim.jobs_by_id id
 
 let net_summary sim =
@@ -1137,6 +1111,30 @@ let fault_log sim =
   Array.append
     (Trace.Faults.events sim.cfg.faults)
     (Array.of_list (List.rev sim.dyn_faults))
+
+(* Shared by [start] and [of_snapshot]: hook the engine's queue gauge
+   into the profiler and emit the run header, so every trace segment —
+   a resumed one too — opens self-describing.  Neither touches
+   simulator state, so metrics are unaffected. *)
+let open_run sim =
+  Option.iter
+    (fun p ->
+      Sim.Engine.set_on_step sim.engine
+        (Some
+           (fun e ->
+             Obs.Prof.sample p "gauge/event_queue"
+               (float_of_int (Sim.Engine.pending e)))))
+    sim.cfg.prof;
+  emit sim (fun () ->
+      Obs.Event.Run_meta
+        {
+          trace = sim.workload.name;
+          scheme = sim.cfg.allocator.name;
+          scenario = Trace.Scenario.name sim.cfg.scenario;
+          radix = sim.cfg.radix;
+          nodes = Fattree.Topology.num_nodes (State.topo sim.st);
+          jobs = Array.length sim.workload.jobs;
+        })
 
 let start cfg (w : Trace.Workload.t) =
   let topo = Fattree.Topology.of_radix cfg.radix in
@@ -1153,36 +1151,22 @@ let start cfg (w : Trace.Workload.t) =
       nofit = Hashtbl.create 64;
       nofit_release_gen = 0;
       pass_scheduled = false;
-      sched_clock = 0.0;
+      acc =
+        Accumulators.create
+          ~pending_repairs:
+            (Array.fold_left
+               (fun n (e : Trace.Faults.event) ->
+                 if e.kind = Trace.Faults.Repair then n + 1 else n)
+               0
+               (Trace.Faults.events cfg.faults));
       samples = [];
-      alloc_busy = 0;
-      req_busy = 0;
       finished = [];
-      last_start_time = 0.0;
-      first_start_time = -1.0;
-      first_blocked_time = -1.0;
-      rejected = 0;
       kills = Hashtbl.create 64;
-      pending_repairs =
-        Array.fold_left
-          (fun acc (e : Trace.Faults.event) ->
-            if e.kind = Trace.Faults.Repair then acc + 1 else acc)
-          0
-          (Trace.Faults.events cfg.faults);
-      fault_events = 0;
-      interrupted = 0;
-      requeued = 0;
-      abandoned = 0;
-      lost_node_time = 0.0;
-      shrunk = 0;
-      grown = 0;
-      started_total = 0;
       reserved = None;
       scratch = None;
       jobs_by_id = Hashtbl.create (max 16 (Array.length w.jobs));
       dyn_jobs = [];
       dyn_faults = [];
-      cancelled = 0;
       net =
         Option.map
           (fun (policy, shape) ->
@@ -1193,16 +1177,7 @@ let start cfg (w : Trace.Workload.t) =
   Array.iter
     (fun (j : Trace.Job.t) -> Hashtbl.replace sim.jobs_by_id j.id j)
     w.jobs;
-  emit sim (fun () ->
-      Obs.Event.Run_meta
-        {
-          trace = w.name;
-          scheme = cfg.allocator.name;
-          scenario = Trace.Scenario.name cfg.scenario;
-          radix = cfg.radix;
-          nodes = Fattree.Topology.num_nodes topo;
-          jobs = Array.length w.jobs;
-        });
+  open_run sim;
   Array.iter
     (fun (j : Trace.Job.t) ->
       Sim.Engine.schedule sim.engine ~time:j.arrival ~priority:1
@@ -1219,14 +1194,6 @@ let start cfg (w : Trace.Workload.t) =
         ~tag:(Printf.sprintf "f:%d" i)
         (fun _ -> fault_event sim e))
     (Trace.Faults.events cfg.faults);
-  (match cfg.prof with
-  | Some p ->
-      Sim.Engine.set_on_step sim.engine
-        (Some
-           (fun e ->
-             Obs.Prof.sample p "gauge/event_queue"
-               (float_of_int (Sim.Engine.pending e))))
-  | None -> ());
   sim
 
 let now sim = Sim.Engine.now sim.engine
@@ -1263,10 +1230,10 @@ let finish sim =
      cold-start ramp and the final drain (paper section 5).  Traces that
      never saturate fall back to the first job start. *)
   let steady_start =
-    if sim.first_blocked_time >= 0.0 then sim.first_blocked_time
-    else Float.max 0.0 sim.first_start_time
+    if sim.acc.first_blocked_time >= 0.0 then sim.acc.first_blocked_time
+    else Float.max 0.0 sim.acc.first_start_time
   in
-  let steady_end = sim.last_start_time in
+  let steady_end = sim.acc.last_start_time in
   let alloc_area = ref 0.0 and req_area = ref 0.0 and healthy_area = ref 0.0 in
   let hist = Sim.Stats.Hist.create ~boundaries:Metrics.table2_boundaries in
   let prev_t = ref steady_start
@@ -1320,7 +1287,7 @@ let finish sim =
       scenario_name = Trace.Scenario.name cfg.scenario;
       cluster_nodes = n_nodes;
       num_jobs = n_all;
-      rejected = sim.rejected;
+      rejected = sim.acc.rejected;
       stuck_pending = Hashtbl.length sim.pending;
       avg_utilization;
       alloc_utilization;
@@ -1329,18 +1296,18 @@ let finish sim =
       avg_turnaround_all = tat_all;
       avg_turnaround_large = tat_large;
       num_large = n_large;
-      sched_time_total = sim.sched_clock;
+      sched_time_total = sim.acc.sched_clock;
       sched_time_per_job =
-        (if n_all > 0 then sim.sched_clock /. float_of_int n_all else 0.0);
+        (if n_all > 0 then sim.acc.sched_clock /. float_of_int n_all else 0.0);
       steady_start;
       steady_end;
-      fault_events = sim.fault_events;
-      interrupted = sim.interrupted;
-      requeued = sim.requeued;
-      abandoned = sim.abandoned;
-      lost_node_time = sim.lost_node_time;
-      shrunk = sim.shrunk;
-      grown = sim.grown;
+      fault_events = sim.acc.fault_events;
+      interrupted = sim.acc.interrupted;
+      requeued = sim.acc.requeued;
+      abandoned = sim.acc.abandoned;
+      lost_node_time = sim.acc.lost_node_time;
+      shrunk = sim.acc.shrunk;
+      grown = sim.acc.grown;
       healthy_fraction;
       util_vs_healthy;
       series =
@@ -1404,32 +1371,16 @@ module Snapshot = struct
     nofit_release_gen : int;
     kills : (int * int) array;  (** [(id, kills)], ascending id. *)
     reserved : (int * float) option;
-    (* accumulators *)
-    sched_clock : float;
+    acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
-    alloc_busy : int;
-    req_busy : int;
     finished : finished_job array;  (** Completion order. *)
-    last_start_time : float;
-    first_start_time : float;
-    first_blocked_time : float;
-    rejected : int;
-    pending_repairs : int;
-    fault_count : int;
-    interrupted : int;
-    requeued : int;
-    abandoned : int;
-    lost_node_time : float;
-    shrunk : int;
-    grown : int;
-    started_total : int;
-    cancelled : int;
-    (* state operation counters *)
-    st_claims : int;
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    (* state operation counters; mutable so a checkpoint loader can
+       fill them from its field table *)
+    mutable st_claims : int;
+    mutable st_releases : int;
+    mutable st_failures : int;
+    mutable st_repairs : int;
+    mutable st_clones : int;
   }
 end
 
@@ -1521,25 +1472,9 @@ let snapshot sim : Snapshot.t =
     nofit_release_gen = sim.nofit_release_gen;
     kills = sorted_pairs sim.kills;
     reserved = sim.reserved;
-    sched_clock = sim.sched_clock;
+    acc = Accumulators.copy sim.acc;
     samples = Array.of_list (List.rev sim.samples);
-    alloc_busy = sim.alloc_busy;
-    req_busy = sim.req_busy;
     finished;
-    last_start_time = sim.last_start_time;
-    first_start_time = sim.first_start_time;
-    first_blocked_time = sim.first_blocked_time;
-    rejected = sim.rejected;
-    pending_repairs = sim.pending_repairs;
-    fault_count = sim.fault_events;
-    interrupted = sim.interrupted;
-    requeued = sim.requeued;
-    abandoned = sim.abandoned;
-    lost_node_time = sim.lost_node_time;
-    shrunk = sim.shrunk;
-    grown = sim.grown;
-    started_total = sim.started_total;
-    cancelled = sim.cancelled;
     st_claims = State.claim_count sim.st;
     st_releases = State.release_count sim.st;
     st_failures = State.failure_count sim.st;
@@ -1682,10 +1617,8 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         nofit = Hashtbl.create 64;
         nofit_release_gen = s.nofit_release_gen;
         pass_scheduled = false;
-        sched_clock = s.sched_clock;
+        acc = Accumulators.copy s.acc;
         samples = List.rev (Array.to_list s.samples);
-        alloc_busy = s.alloc_busy;
-        req_busy = s.req_busy;
         finished =
           Array.fold_left
             (fun acc (f : Snapshot.finished_job) ->
@@ -1696,26 +1629,12 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
               }
               :: acc)
             [] s.finished;
-        last_start_time = s.last_start_time;
-        first_start_time = s.first_start_time;
-        first_blocked_time = s.first_blocked_time;
-        rejected = s.rejected;
         kills = Hashtbl.create 64;
-        pending_repairs = s.pending_repairs;
-        fault_events = s.fault_count;
-        interrupted = s.interrupted;
-        requeued = s.requeued;
-        abandoned = s.abandoned;
-        lost_node_time = s.lost_node_time;
-        shrunk = s.shrunk;
-        grown = s.grown;
-        started_total = s.started_total;
         reserved = s.reserved;
         scratch = None;
         jobs_by_id = job_tbl;
         dyn_jobs = [];
         dyn_faults = [];
-        cancelled = s.cancelled;
         net = net_state;
       }
     in
@@ -1764,27 +1683,7 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         | () -> ()
         | exception Invalid_argument m -> restore_fail "%s" m)
       s.events;
-    (match prof with
-    | Some p ->
-        Sim.Engine.set_on_step sim.engine
-          (Some
-             (fun e ->
-               Obs.Prof.sample p "gauge/event_queue"
-                 (float_of_int (Sim.Engine.pending e))))
-    | None -> ());
-    (* Re-emit the run header so a trace of the resumed segment is
-       self-describing; emission never touches simulator state, so
-       metrics are unaffected. *)
-    emit sim (fun () ->
-        Obs.Event.Run_meta
-          {
-            trace = w.name;
-            scheme = cfg.allocator.Allocator.name;
-            scenario = Trace.Scenario.name cfg.scenario;
-            radix = cfg.radix;
-            nodes = Fattree.Topology.num_nodes topo;
-            jobs = Array.length w.jobs;
-          });
+    open_run sim;
     Ok sim
   with
   | Restore_error m -> Error m

@@ -111,24 +111,12 @@ module Config : sig
       on, no faults, {!no_resilience}, null sink, no profiling, no
       network telemetry. *)
 
-  val with_allocator : Allocator.t -> t -> t
-  val with_radix : int -> t -> t
   val with_scenario : Trace.Scenario.t -> t -> t
-  val with_scenario_seed : int -> t -> t
   val with_backfill_window : int -> t -> t
   val with_backfill : bool -> t -> t
-  val with_faults : Trace.Faults.t -> t -> t
-  val with_resilience : resilience -> t -> t
   val with_sink : Obs.Sink.t -> t -> t
   val with_prof : Obs.Prof.t option -> t -> t
-
-  val with_net :
-    (Routing.Telemetry.policy * Routing.Telemetry.shape) option -> t -> t
 end
-
-val default_config : Allocator.t -> radix:int -> config
-(** Thin alias for [Config.make ~radix allocator] — behaviourally
-    identical to the pre-fault simulator. *)
 
 val reservation :
   Allocator.t ->
@@ -330,30 +318,16 @@ module Snapshot : sig
     nofit_release_gen : int;
     kills : (int * int) array;  (** [(id, kills)], ascending id. *)
     reserved : (int * float) option;
-    sched_clock : float;
+    acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
-    alloc_busy : int;
-    req_busy : int;
     finished : finished_job array;  (** Completion order. *)
-    last_start_time : float;
-    first_start_time : float;
-    first_blocked_time : float;
-    rejected : int;
-    pending_repairs : int;
-    fault_count : int;
-    interrupted : int;
-    requeued : int;
-    abandoned : int;
-    lost_node_time : float;
-    shrunk : int;
-    grown : int;
-    started_total : int;
-    cancelled : int;
-    st_claims : int;
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    mutable st_claims : int;
+        (** The state's operation tallies; mutable so a checkpoint
+            loader can fill them from its field table. *)
+    mutable st_releases : int;
+    mutable st_failures : int;
+    mutable st_repairs : int;
+    mutable st_clones : int;
   }
 end
 

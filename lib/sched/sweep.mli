@@ -64,7 +64,7 @@ val cell :
   Allocator.t ->
   Trace.Workload.t ->
   cell
-(** Defaults mirror {!Simulator.default_config}: scenario [No_speedup],
+(** Defaults mirror {!Simulator.Config.make}: scenario [No_speedup],
     seed 1, window 50, backfilling on, no faults, no resilience, no
     profiling.  The [id] field is filled in from the other fields. *)
 

@@ -154,9 +154,9 @@ let prop_all_allocators_place_on_empty =
         (fun (a : Sched.Allocator.t) ->
           let st = State.create topo in
           let job = Trace.Job.v ~id:0 ~size ~runtime:1.0 () in
-          match a.try_alloc st job with
-          | Some alloc -> Result.is_ok (State.claim st alloc)
-          | None ->
+          match a.probe_sized st job with
+          | Sized { alloc; _ } -> Result.is_ok (State.claim st alloc)
+          | Sized_no_fit | Sized_gave_up ->
               (* LaaS legitimately fails when padding exceeds the
                  machine. *)
               a.name = "LaaS" && (size + 3) / 4 * 4 > 128)

@@ -336,6 +336,77 @@ let test_sweep_manifest_rejects_foreign_file () =
       | _ -> Alcotest.fail "run accepted a foreign manifest"
       | exception Invalid_argument _ -> ())
 
+(* Files written by earlier builds must keep loading and restoring.
+   Both fixtures are Jigsaw checkpoints taken at t = 1000 of the
+   24-job workload [Synthetic.synth ~mean_size:16 ~n_jobs:24 ~seed:42
+   ~max_size:128] on a radix-8 machine (retries: up to 2, 30 s apart),
+   written by the build that introduced them.  Each is paired with the
+   fingerprint its uninterrupted run printed.
+   - ckpt-v1-rigid.jsonl: rigid jobs; leaf switch 0 down over
+     [300, 1400] and node 77 over [900, 2100].  Saved as version 2 and
+     then turned into a version-1 file by hand: "version" set to 1, the
+     "shrunk", "grown" and "cancelled" fields dropped from the acc row,
+     and the trailer's MD5 recomputed over the edited body.
+   - ckpt-v2-moldable.jsonl: the same jobs made moldable
+     ([Workload.moldable], default range) with shrink recovery on;
+     nodes 3, 40, 70, 100 and 17 fail at t = 200, 350, 500, 650, 800,
+     each for 1500 s, so the file carries five in-place shrinks. *)
+let fixtures =
+  [
+    ("ckpt-v1-rigid.jsonl", 1, "aafac0e5c7aac4b51c501da70726ff32");
+    ("ckpt-v2-moldable.jsonl", 2, "f887c7ba903e2e0645176be7aab314cc");
+  ]
+
+let fixture_path name =
+  (* The suite runs from test/ under runtest and from the build root
+     under @validate. *)
+  List.find Sys.file_exists
+    [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let saved_bytes snap =
+  with_temp (fun path ->
+      Sched.Checkpoint.save ~path snap;
+      read_file path)
+
+let reload bytes =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bytes);
+      match Sched.Checkpoint.load ~path with
+      | Ok s -> s
+      | Error m -> Alcotest.failf "reload: %s" m)
+
+let test_old_versions_load () =
+  List.iter
+    (fun (name, version, expected) ->
+      let path = fixture_path name in
+      match Sched.Checkpoint.load_ext ~path with
+      | Error m -> Alcotest.failf "%s: %s" name m
+      | Ok (snap, header) ->
+          Alcotest.(check int)
+            (name ^ " version") version
+            (Obs.Json.int header "version");
+          (match Sched.Simulator.of_snapshot snap with
+          | Error m -> Alcotest.failf "%s restore: %s" name m
+          | Ok sim ->
+              let m, _ = Sched.Simulator.finish sim in
+              Alcotest.(check string)
+                (name ^ " fingerprint") expected
+                (Sched.Metrics.fingerprint m));
+          let once = saved_bytes snap in
+          Alcotest.(check string)
+            (name ^ " save→load→save") once
+            (saved_bytes (reload once));
+          if version = Sched.Checkpoint.version then
+            Alcotest.(check string)
+              (name ^ " re-saved byte for byte") (read_file path) once)
+    fixtures;
+  match Sched.Checkpoint.load ~path:(fixture_path "ckpt-v2-moldable.jsonl") with
+  | Error m -> Alcotest.fail m
+  | Ok snap -> Alcotest.(check int) "shrinks carried" 5 snap.acc.shrunk
+
 let suite =
   [
     Alcotest.test_case "healthy: checkpoint at random times" `Quick
@@ -355,4 +426,6 @@ let suite =
       test_sweep_manifest_resume;
     Alcotest.test_case "manifest rejects foreign files" `Quick
       test_sweep_manifest_rejects_foreign_file;
+    Alcotest.test_case "version-1 and version-2 files load" `Quick
+      test_old_versions_load;
   ]

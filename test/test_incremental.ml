@@ -301,9 +301,9 @@ let reference_reservation (alloc : Sched.Allocator.t) st ~running ~job =
       for i = 0 to k do
         List.iter (fun a -> State.release probe a) (snd groups.(i))
       done;
-      match alloc.try_alloc probe job with
-      | Some a -> Some (fst groups.(k), a)
-      | None -> try_prefix (k + 1)
+      match alloc.probe_sized probe job with
+      | Sized { alloc = a; _ } -> Some (fst groups.(k), a)
+      | Sized_no_fit | Sized_gave_up -> try_prefix (k + 1)
     end
   in
   try_prefix 0

@@ -82,6 +82,27 @@ let specimen_events =
     { time = 10.0; payload = Kill { job = 4; attempt = 1; lost = 640.5 } };
     { time = 10.0; payload = Requeue { job = 4; attempt = 2; resume_at = 15.0 } };
     { time = 10.0; payload = Abandon { job = 21; attempt = 3 } };
+    { time = 11.0;
+      payload =
+        Resize { job = 4; from_size = 8; to_size = 12; new_end = 20.125 } };
+    { time = 12.0;
+      payload =
+        Shrink_recover { job = 9; attempt = 1; from_size = 16; to_size = 15 } };
+    { time = 13.0;
+      payload =
+        Net_route
+          { job = 4; retract = false; flows = 56; channels = 24;
+            interfered = 0 } };
+    { time = 14.0;
+      payload =
+        Net_route
+          { job = 4; retract = true; flows = 56; channels = 24;
+            interfered = 3 } };
+    { time = 15.0;
+      payload =
+        Net_congestion_sample
+          { max_load = 7; shared = 2; interfered = 5; total_flows = 90;
+            lower_bound = 4 } };
   ]
 
 let test_jsonl_roundtrip () =
@@ -115,6 +136,20 @@ let test_parse_errors () =
   (match Obs.Event.of_csv "1,2,3" with
   | _ -> Alcotest.fail "short csv row accepted"
   | exception Obs.Json.Parse_error _ -> ());
+  List.iter
+    (fun (what, row) ->
+      match Obs.Event.of_csv row with
+      | _ -> Alcotest.failf "%s accepted: %s" what row
+      | exception Obs.Json.Parse_error _ -> ())
+    [
+      ("unknown csv kind", "1,no_such_kind,,,,,0,0,0,0,0");
+      ("empty job cell", "1,arrival,,,,,5,0,0,0,0");
+      ("malformed count", "1,arrival,3,,,,five,0,0,0,0");
+      ("fractional count", "1,arrival,3,,,,5.5,0,0,0,0");
+      ("malformed time", "soon,arrival,3,,,,5,0,0,0,0");
+      ("unknown ctx", "1,attempt,3,sideways,fit,,5,0,0,0,0");
+      ("malformed a cell", "1,kill,3,,,,0,0,0,x,1");
+    ];
   match Obs.Event.of_jsonl {|{"t":1,"ev":"no_such_kind"}|} with
   | _ -> Alcotest.fail "unknown kind accepted"
   | exception Obs.Json.Parse_error _ -> ()
@@ -215,7 +250,7 @@ let test_null_sink_changes_nothing () =
       List.iter
         (fun alloc ->
           let cfg =
-            Sched.Simulator.default_config alloc ~radix:entry.cluster_radix
+            Sched.Simulator.Config.make ~radix:entry.cluster_radix alloc
           in
           let plain = Sched.Simulator.run cfg w in
           let sink, _ = Obs.Sink.memory () in

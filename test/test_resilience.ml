@@ -273,7 +273,10 @@ let test_zero_fault_metrics_are_clean () =
     | None -> Alcotest.fail "preset missing"
   in
   let w = Trace.Workload.truncate entry.workload 80 in
-  let cfg = Sched.Simulator.default_config Sched.Allocator.jigsaw ~radix:entry.cluster_radix in
+  let cfg =
+    Sched.Simulator.Config.make ~radix:entry.cluster_radix
+      Sched.Allocator.jigsaw
+  in
   let m = Sched.Simulator.run cfg w in
   Alcotest.(check int) "no fault events" 0 m.fault_events;
   Alcotest.(check int) "no interruptions" 0 m.interrupted;

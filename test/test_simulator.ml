@@ -10,7 +10,7 @@ let workload jobs =
   Trace.Workload.create ~name:"micro" ~system_nodes:128 (Array.of_list jobs)
 
 let run ?(alloc = Sched.Allocator.baseline) ?scenario w =
-  let cfg = Sched.Simulator.default_config alloc ~radix in
+  let cfg = Sched.Simulator.Config.make ~radix alloc in
   let cfg =
     match scenario with
     | None -> cfg
@@ -142,7 +142,7 @@ let test_fifo_mode_blocks_strictly () =
   let w = workload [ job 0 100 100.0; job 1 100 100.0; job 2 5 10.0 ] in
   let cfg =
     Sched.Simulator.Config.with_backfill false
-      (Sched.Simulator.default_config Sched.Allocator.baseline ~radix)
+      (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline)
   in
   let _, jobs = Sched.Simulator.run_detailed cfg w in
   Alcotest.(check (float 1e-9)) "small job waits behind head" 100.0
@@ -152,7 +152,7 @@ let test_fifo_mode_rejects_oversized () =
   let w = workload [ job 0 129 10.0; job 1 5 10.0 ] in
   let cfg =
     Sched.Simulator.Config.with_backfill false
-      (Sched.Simulator.default_config Sched.Allocator.baseline ~radix)
+      (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline)
   in
   let m, jobs = Sched.Simulator.run_detailed cfg w in
   Alcotest.(check int) "rejected" 1 m.rejected;
@@ -167,14 +167,14 @@ let test_window_one_limits_backfill () =
   in
   let narrow =
     Sched.Simulator.Config.with_backfill_window 1
-      (Sched.Simulator.default_config Sched.Allocator.baseline ~radix)
+      (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline)
   in
   let _, jobs = Sched.Simulator.run_detailed narrow w in
   Alcotest.(check bool) "short job not reached" true
     ((find jobs 3).start_time > 0.0);
   let wide =
     Sched.Simulator.Config.with_backfill_window 50
-      (Sched.Simulator.default_config Sched.Allocator.baseline ~radix)
+      (Sched.Simulator.Config.make ~radix Sched.Allocator.baseline)
   in
   let _, jobs = Sched.Simulator.run_detailed wide w in
   Alcotest.(check (float 1e-9)) "wide window backfills it" 0.0
