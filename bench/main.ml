@@ -439,7 +439,7 @@ let micro () =
     groups
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_0006.json: machine-readable perf trajectory across PRs.       *)
+(* BENCH_0007.json: machine-readable perf trajectory across PRs.       *)
 (* ------------------------------------------------------------------ *)
 
 (* Emits allocator micro-latencies (mean rigid probe_sized on a busy
@@ -456,15 +456,15 @@ let micro () =
    flows, pigeonhole lower bound) plus the telemetry on/off overhead
    and per-event route/retract span costs, so regressions show up as
    a diff of this file rather than a human re-reading bench output.
-   New this revision: a "molding" section racing moldable Jigsaw
-   against rigid on every Table 3 trace (with live telemetry, so the
-   interference-free headline is re-checked under molding) plus a
-   shrink-vs-kill fault recovery comparison, each with built-in
-   regression guards.  Traces are truncated in default mode to
+   A "molding" section races moldable Jigsaw against rigid on every
+   Table 3 trace (with live telemetry, so the interference-free
+   headline is re-checked under molding) plus a shrink-vs-kill fault
+   recovery comparison.  The scale, bitset, net and molding sections
+   each carry a built-in regression guard.  Traces are truncated in default mode to
    keep the target in the ~minute range; REPRO_FULL=1 uses paper
    scale.  BENCH_SCALE=N overrides the scale section's large radix. *)
 
-let bench_json_file = "BENCH_0006.json"
+let bench_json_file = "BENCH_0007.json"
 
 let bench_json () =
   section (Printf.sprintf "%s (machine-readable perf trajectory)" bench_json_file);
@@ -497,13 +497,11 @@ let bench_json () =
      and "multi-pod" still spans pods.  Fewer timing iterations — the
      large machine's probes are individually slower and this section
      tracks scaling trends, not ns-level noise. *)
+  let ratio = max 1 (scale_radix * scale_radix / (radix * radix)) in
   let scale_rows =
     Format.printf "  loading radix-%d cluster for the scale section...@."
       scale_radix;
     let st_l = load_cluster ~radix:scale_radix ~seed:77 ~target in
-    let ratio =
-      max 1 (scale_radix * scale_radix / (radix * radix))
-    in
     List.concat_map
       (fun (label, size) ->
         let size_l = size * ratio in
@@ -522,6 +520,23 @@ let bench_json () =
           Sched.Allocator.all)
       classes
   in
+  (* Regression guard for the scaling cliff: radix 24 to 48 multiplies
+     the pod count and the nodes per pod by 2 each, and every allocator's
+     per-probe cost grows ~4-6x with it.  A leaf-subset search that stops
+     bounding itself by the candidates left shows up as a ratio in the
+     hundreds (LC+S on multi-pod requests once hit 246x).  The bound is
+     twice the pod-size ratio: 8x at radix 48. *)
+  let scale_bound = 2.0 *. float_of_int ratio in
+  List.iter
+    (fun (name, label, _, small_ns, large_ns) ->
+      if small_ns > 0.0 && large_ns /. small_ns > scale_bound then
+        failwith
+          (Printf.sprintf
+             "scale regression: %s %s probes %.1fx slower at radix %d than \
+              at radix %d (%.1f vs %.1f ns)"
+             name label (large_ns /. small_ns) scale_radix radix large_ns
+             small_ns))
+    scale_rows;
   (* Bitset iteration: the word-skipping [iter_set] against the per-bit
      membership loop it replaced; ns per full 4096-bit pass. *)
   let bitset_rows =
@@ -877,7 +892,7 @@ let bench_json () =
   let oc = open_out bench_json_file in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"bench_id\": \"BENCH_0006\",\n";
+  out "  \"bench_id\": \"BENCH_0007\",\n";
   out "  \"repro_scale\": \"%s\",\n" (if full then "full" else "default");
   out "  \"host_domains\": %d,\n" host_domains;
   out "  \"micro_try_alloc\": {\n";

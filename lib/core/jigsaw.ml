@@ -3,38 +3,6 @@ open Fattree
 let default_budget = 100_000
 
 (* ------------------------------------------------------------------ *)
-(* Two-level search: first shape that fits in any single pod.          *)
-(* ------------------------------------------------------------------ *)
-
-let try_two_level st ~job ~size ~alloc_size ~demand =
-  let topo = State.topo st in
-  let shapes = Shapes.two_level topo ~size:alloc_size in
-  let m3 = Topology.m3 topo in
-  let rec over_shapes = function
-    | [] -> None
-    | shape :: rest ->
-        let rec over_pods pod =
-          if pod >= m3 then None
-          else begin
-            match Search.find_two_level st ~job ~pod ~shape ~demand with
-            | Some tree ->
-                Some
-                  {
-                    Partition.job;
-                    size;
-                    full_trees = [| tree |];
-                    rem_tree = None;
-                  }
-            | None -> over_pods (pod + 1)
-          end
-        in
-        (match over_pods 0 with
-        | Some _ as ok -> ok
-        | None -> over_shapes rest)
-  in
-  over_shapes shapes
-
-(* ------------------------------------------------------------------ *)
 (* Three-level search with the full-leaf restriction.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -306,7 +274,7 @@ let allocate ?(demand = 1.0) ?(budget = default_budget) ?(two_level_only = false
     || State.total_free_nodes st < alloc_size
   then Partition.Infeasible
   else begin
-    match try_two_level st ~job ~size ~alloc_size ~demand with
+    match Search.two_level st ~job ~size ~alloc_size ~demand with
     | Some p -> Partition.Found p
     | None ->
         if two_level_only then Partition.Infeasible

@@ -50,11 +50,14 @@ let cached_find_all st ~pod ~l_t ~n_l ~demand ~budget =
    nodes uplinked to the common set [s]; spine sets attach to the indices
    of [s]. *)
 let materialize_tree st ~pod ~(sol : Search.pod_solution) ~n_l ~s ~spine_sets =
+  let topo = State.topo st in
   let leaves =
     Array.map
-      (fun leaf ->
-        Search.materialize_leaf st ~leaf ~take:n_l ~l2_indices:(Array.copy s))
-      sol.leaf_set
+      (fun l ->
+        Search.materialize_leaf st
+          ~leaf:(Topology.leaf_of_coords topo ~pod ~leaf:l)
+          ~take:n_l ~l2_indices:(Array.copy s))
+      (Mask.to_array sol.leaf_mask)
   in
   { Partition.pod; full_leaves = leaves; rem_leaf = None; spine_sets }
 
@@ -161,7 +164,7 @@ let try_three_level st ~job ~size ~demand ~budget =
                   if not (List.mem q chosen_pods) then begin
                     let q_sols =
                       if l_rt = 0 then
-                        [ { Search.leaf_set = [||]; cap_mask = lnot 0 } ]
+                        [ { Search.leaf_mask = 0; cap_mask = lnot 0 } ]
                       else
                         cached_find_all st ~pod:q ~l_t:l_rt ~n_l ~demand ~budget
                     in
@@ -202,8 +205,7 @@ let try_three_level st ~job ~size ~demand ~budget =
                     if l >= m2 || !result <> None then ()
                     else begin
                       let leaf = Topology.leaf_of_coords topo ~pod:q ~leaf:l in
-                      let in_sol = Array.exists (fun x -> x = leaf) qsol.leaf_set in
-                      if not in_sol then begin
+                      if not (Mask.mem qsol.leaf_mask l) then begin
                         let free = State.free_nodes_on_leaf st leaf in
                         let up = State.leaf_up_mask st ~leaf ~demand in
                         if free >= n_rl then begin
@@ -278,15 +280,10 @@ let try_three_level st ~job ~size ~demand ~budget =
                 in
                 let rem_tree =
                   {
-                    Partition.pod = q;
-                    full_leaves =
-                      Array.map
-                        (fun leaf ->
-                          Search.materialize_leaf st ~leaf ~take:n_l
-                            ~l2_indices:(Array.copy s))
-                        qsol.leaf_set;
+                    (materialize_tree st ~pod:q ~sol:qsol ~n_l ~s
+                       ~spine_sets:rem_spine_sets)
+                    with
                     rem_leaf = rem_leaf_alloc;
-                    spine_sets = rem_spine_sets;
                   }
                 in
                 result :=
@@ -334,45 +331,12 @@ let try_three_level st ~job ~size ~demand ~budget =
   in
   over_shapes shapes
 
-let try_two_level st ~job ~size ~demand =
-  let topo = State.topo st in
-  let m3 = Topology.m3 topo in
-  let shapes = Shapes.two_level topo ~size in
-  (* Necessary-condition precheck from the cached candidate counts: a
-     pod lacking l_t leaves able to carry n_l nodes cannot host the
-     shape's full leaves, so the O(m2) backtracking setup is skipped.
-     The remainder leaf's needs are weaker than n_l, so the precheck
-     never rejects a feasible pod. *)
-  let pod_may_fit (shape : Shapes.two_level) pod =
-    shape.l_t = 0
-    || (State.pod_candidates st ~pod ~demand).(shape.n_l - 1) >= shape.l_t
-  in
-  let rec over_shapes = function
-    | [] -> None
-    | (shape : Shapes.two_level) :: rest ->
-        let rec over_pods pod =
-          if pod >= m3 then None
-          else if not (pod_may_fit shape pod) then over_pods (pod + 1)
-          else begin
-            match Search.find_two_level st ~job ~pod ~shape ~demand with
-            | Some tree ->
-                Some
-                  { Partition.job; size; full_trees = [| tree |]; rem_tree = None }
-            | None -> over_pods (pod + 1)
-          end
-        in
-        (match over_pods 0 with
-        | Some _ as ok -> ok
-        | None -> over_shapes rest)
-  in
-  over_shapes shapes
-
 let probe ?(demand = 1.0) ?(budget = default_budget) st ~job ~size =
   let topo = State.topo st in
   if size <= 0 || size > Topology.num_nodes topo || State.total_free_nodes st < size
   then Partition.Infeasible
   else begin
-    match try_two_level st ~job ~size ~demand with
+    match Search.two_level st ~job ~size ~alloc_size:size ~demand with
     | Some p -> Partition.Found p
     | None -> (
         let budget = ref budget in

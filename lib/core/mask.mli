@@ -1,8 +1,9 @@
 (** Small-integer bitmask helpers.
 
-    Allocation search state is kept as OCaml-int bitmasks over switch
-    indices (at most [m1] or [m2] bits — 14 for the largest radix-28
-    clusters in the paper, always well under the 63 available). *)
+    Allocation search state is kept as OCaml-int bitmasks over slot,
+    leaf and L2 indices: at most [m1] or [m2] bits (24 on the radix-48
+    tier), which {!Fattree.Topology.create} caps at 62 so every mask
+    fits the 63-bit int. *)
 
 val popcount : int -> int
 val full : int -> int

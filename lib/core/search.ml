@@ -13,7 +13,7 @@ let pod_leaf_infos st ~pod ~demand =
         up_mask = State.leaf_up_mask st ~leaf ~demand;
       })
 
-type pod_solution = { leaf_set : int array; cap_mask : int }
+type pod_solution = { leaf_mask : int; cap_mask : int }
 
 let materialize_leaf st ~leaf ~take ~l2_indices =
   if Array.length l2_indices <> take then
@@ -25,126 +25,141 @@ let materialize_leaf st ~leaf ~take ~l2_indices =
   let nodes = Array.map (fun s -> first + s) (Mask.to_array chosen) in
   { Partition.leaf = leaf; nodes; l2_indices }
 
+(* [left.(l)] counts the candidate leaves among [l .. m2-1] (so leaf [l]
+   is a candidate iff [left.(l) > left.(l+1)]).  A search still needing
+   [k] leaves never descends into leaf [l] once [left.(l) < k]: no
+   completion exists there, so the bound changes neither the order of
+   the search nor what it finds, only how many steps it takes. *)
+let candidates_left infos ~n_l =
+  let m2 = Array.length infos in
+  let left = Array.make (m2 + 1) 0 in
+  for l = m2 - 1 downto 0 do
+    let info = infos.(l) in
+    let c = if info.free >= n_l && Mask.popcount info.up_mask >= n_l then 1 else 0 in
+    left.(l) <- left.(l + 1) + c
+  done;
+  left
+
 (* Backtracking over the pod's leaves in index order, mirroring find_L2 of
    Algorithm 1: each recursive level picks the next full leaf strictly
    after the previous one and narrows the running uplink-capability
    intersection.  At the base case we look for the remainder leaf among
-   leaves not already used. *)
+   leaves not already used.  A pod with fewer than [l_t] candidate leaves
+   is rejected from the state's cached counts before its leaf infos are
+   built. *)
 let find_two_level st ~job ~pod ~(shape : Shapes.two_level) ~demand =
-  let infos = pod_leaf_infos st ~pod ~demand in
-  let m2 = Array.length infos in
   let { Shapes.n_l; l_t; n_rl } = shape in
-  let candidate info = info.free >= n_l && Mask.popcount info.up_mask >= n_l in
-  let used = Array.make m2 false in
-  let find_remainder cap_mask =
-    (* A remainder leaf needs n_rl free nodes and n_rl available uplinks
-       whose indices can be covered by a choice of S inside cap_mask. *)
-    let rec go l =
-      if l >= m2 then None
-      else begin
-        let info = infos.(l) in
-        let overlap = info.up_mask land cap_mask in
-        if
-          (not used.(l))
-          && info.free >= n_rl
-          && Mask.popcount overlap >= n_rl
-        then Some (l, overlap)
-        else go (l + 1)
-      end
-    in
-    go 0
-  in
-  let chosen = ref [] in
-  let rec pick start taken cap_mask =
-    if taken = l_t then begin
-      (* Base case: fix S and, if needed, the remainder leaf. *)
-      if n_rl = 0 then begin
-        let s = Mask.take_lowest cap_mask n_l in
-        Some (s, None)
-      end
-      else begin
-        match find_remainder cap_mask with
-        | None -> None
-        | Some (l, overlap) ->
-            (* Choose S within cap_mask preferring indices reachable by the
-               remainder leaf, then Sr inside S ∩ overlap. *)
-            let s = Mask.take_preferring cap_mask ~prefer:overlap n_l in
-            let sr = Mask.take_lowest (s land overlap) n_rl in
-            Some (s, Some (l, sr))
-      end
-    end
-    else begin
-      let rec try_leaf l =
+  if (State.pod_candidates st ~pod ~demand).(n_l - 1) < l_t then None
+  else begin
+    let infos = pod_leaf_infos st ~pod ~demand in
+    let m2 = Array.length infos in
+    let left = candidates_left infos ~n_l in
+    let find_remainder chosen cap_mask =
+      (* A remainder leaf needs n_rl free nodes and n_rl available uplinks
+         whose indices can be covered by a choice of S inside cap_mask. *)
+      let rec go l =
         if l >= m2 then None
         else begin
           let info = infos.(l) in
-          let cap' = cap_mask land info.up_mask in
-          if candidate info && Mask.popcount cap' >= n_l then begin
-            used.(l) <- true;
-            chosen := l :: !chosen;
-            match pick (l + 1) (taken + 1) cap' with
-            | Some _ as ok -> ok
-            | None ->
-                used.(l) <- false;
-                chosen := List.tl !chosen;
-                try_leaf (l + 1)
-          end
-          else try_leaf (l + 1)
+          let overlap = info.up_mask land cap_mask in
+          if
+            (not (Mask.mem chosen l))
+            && info.free >= n_rl
+            && Mask.popcount overlap >= n_rl
+          then Some (l, overlap)
+          else go (l + 1)
         end
       in
-      try_leaf start
-    end
+      go 0
+    in
+    (* [chosen]: in-pod mask of the full leaves picked so far. *)
+    let rec pick start taken chosen cap_mask =
+      if taken = l_t then begin
+        (* Base case: fix S and, if needed, the remainder leaf. *)
+        if n_rl = 0 then Some (chosen, Mask.take_lowest cap_mask n_l, None)
+        else begin
+          match find_remainder chosen cap_mask with
+          | None -> None
+          | Some (l, overlap) ->
+              (* Choose S within cap_mask preferring indices reachable by
+                 the remainder leaf, then Sr inside S ∩ overlap. *)
+              let s = Mask.take_preferring cap_mask ~prefer:overlap n_l in
+              let sr = Mask.take_lowest (s land overlap) n_rl in
+              Some (chosen, s, Some (l, sr))
+        end
+      end
+      else begin
+        let rec try_leaf l =
+          if left.(l) < l_t - taken then None
+          else begin
+            let cap' = cap_mask land infos.(l).up_mask in
+            let found =
+              if left.(l) > left.(l + 1) && Mask.popcount cap' >= n_l then
+                pick (l + 1) (taken + 1) (chosen lor (1 lsl l)) cap'
+              else None
+            in
+            match found with Some _ -> found | None -> try_leaf (l + 1)
+          end
+        in
+        try_leaf start
+      end
+    in
+    match pick 0 0 0 (lnot 0) with
+    | None -> None
+    | Some (chosen, s_mask, rem) ->
+        let s = Mask.to_array s_mask in
+        let full_leaves =
+          Array.map
+            (fun l ->
+              materialize_leaf st ~leaf:infos.(l).leaf ~take:n_l
+                ~l2_indices:(Array.copy s))
+            (Mask.to_array chosen)
+        in
+        let rem_leaf =
+          Option.map
+            (fun (l, sr_mask) ->
+              materialize_leaf st ~leaf:infos.(l).leaf ~take:n_rl
+                ~l2_indices:(Mask.to_array sr_mask))
+            rem
+        in
+        ignore job;
+        Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
+  end
+
+let two_level st ~job ~size ~alloc_size ~demand =
+  let topo = State.topo st in
+  let m3 = Topology.m3 topo in
+  let rec over_pods shape pod =
+    if pod >= m3 then None
+    else
+      match find_two_level st ~job ~pod ~shape ~demand with
+      | Some tree ->
+          Some { Partition.job; size; full_trees = [| tree |]; rem_tree = None }
+      | None -> over_pods shape (pod + 1)
   in
-  match pick 0 0 (lnot 0) with
-  | None -> None
-  | Some (s_mask, rem) ->
-      let s = Mask.to_array s_mask in
-      let full_leaves =
-        List.rev !chosen
-        |> List.map (fun l ->
-               materialize_leaf st ~leaf:infos.(l).leaf ~take:n_l
-                 ~l2_indices:(Array.copy s))
-        |> Array.of_list
-      in
-      let rem_leaf =
-        Option.map
-          (fun (l, sr_mask) ->
-            materialize_leaf st ~leaf:infos.(l).leaf ~take:n_rl
-              ~l2_indices:(Mask.to_array sr_mask))
-          rem
-      in
-      ignore job;
-      Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
+  List.find_map
+    (fun shape -> over_pods shape 0)
+    (Shapes.two_level topo ~size:alloc_size)
 
 let find_all st ~pod ~l_t ~n_l ~demand ~budget =
   let infos = pod_leaf_infos st ~pod ~demand in
-  let m2 = Array.length infos in
-  let candidate info = info.free >= n_l && Mask.popcount info.up_mask >= n_l in
+  let left = candidates_left infos ~n_l in
   let sols = ref [] in
-  let chosen = ref [] in
-  let rec pick start taken cap_mask =
+  let rec pick start taken leaf_mask cap_mask =
     if !budget <= 0 then ()
     else begin
       decr budget;
-      if taken = l_t then
-        sols :=
-          {
-            leaf_set =
-              Array.of_list (List.rev_map (fun l -> infos.(l).leaf) !chosen);
-            cap_mask;
-          }
-          :: !sols
-      else
-        for l = start to m2 - 1 do
-          let info = infos.(l) in
-          let cap' = cap_mask land info.up_mask in
-          if candidate info && Mask.popcount cap' >= n_l then begin
-            chosen := l :: !chosen;
-            pick (l + 1) (taken + 1) cap';
-            chosen := List.tl !chosen
-          end
+      if taken = l_t then sols := { leaf_mask; cap_mask } :: !sols
+      else begin
+        let l = ref start in
+        while left.(!l) >= l_t - taken do
+          let cap' = cap_mask land infos.(!l).up_mask in
+          if left.(!l) > left.(!l + 1) && Mask.popcount cap' >= n_l then
+            pick (!l + 1) (taken + 1) (leaf_mask lor (1 lsl !l)) cap';
+          incr l
         done
+      end
     end
   in
-  pick 0 0 (lnot 0);
+  pick 0 0 0 (lnot 0);
   List.rev !sols

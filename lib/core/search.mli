@@ -22,7 +22,7 @@ val pod_leaf_infos :
 (** Per-leaf availability for every leaf of [pod], in leaf order. *)
 
 type pod_solution = {
-  leaf_set : int array;  (** Global leaf ids, ascending. *)
+  leaf_mask : int;  (** In-pod leaf indices (bitmask over [0..m2)). *)
   cap_mask : int;  (** Intersection of the leaves' uplink masks. *)
 }
 
@@ -36,7 +36,22 @@ val find_two_level :
 (** First single-pod allocation matching [shape] (backtracking over leaves
     in index order), or [None].  The returned tree allocation carries
     concrete nodes, L2 index sets (including the remainder leaf's
-    [Sr ⊂ S]) and no spine sets. *)
+    [Sr ⊂ S]) and no spine sets.  Never descends into a leaf once fewer
+    candidate leaves remain from it onwards than the shape still needs,
+    and rejects a pod without [l_t] candidate leaves from
+    {!Fattree.State.pod_candidates} before reading its leaves. *)
+
+val two_level :
+  Fattree.State.t ->
+  job:int ->
+  size:int ->
+  alloc_size:int ->
+  demand:float ->
+  Partition.t option
+(** First single-pod partition of [alloc_size] nodes for a job of [size]
+    nodes: {!find_two_level} over {!Shapes.two_level} shapes dense-first,
+    and pods in index order within each shape.  The search is exhaustive
+    and carries no budget. *)
 
 val find_all :
   Fattree.State.t ->
@@ -49,7 +64,9 @@ val find_all :
 (** Every set of [l_t] candidate leaves (for [n_l] nodes each) whose masks
     intersect in >= [n_l] indices.  Decrements [budget] per search step
     and stops early (returning the solutions found so far) when it
-    reaches zero.  Solutions are emitted in lexicographic leaf order. *)
+    reaches zero.  Solutions are emitted in lexicographic leaf order.
+    Like {!find_two_level} it never descends into a leaf from which too
+    few candidate leaves remain to reach [l_t]. *)
 
 val materialize_leaf :
   Fattree.State.t ->

@@ -1,14 +1,20 @@
 type t = { m1 : int; m2 : int; m3 : int }
 
+(* Allocation search keeps sets of slots, leaves and L2 indices as
+   OCaml-int bitmasks over [0 .. m1) or [0 .. m2), which have 63 bits. *)
+let max_mask_width = 62
+
 let create ~nodes_per_leaf ~leaves_per_pod ~pods =
   if nodes_per_leaf < 1 || leaves_per_pod < 1 || pods < 1 then
     invalid_arg "Topology.create: parameters must be >= 1";
+  if nodes_per_leaf > max_mask_width || leaves_per_pod > max_mask_width then
+    invalid_arg "Topology.create: nodes_per_leaf and leaves_per_pod must be <= 62";
   { m1 = nodes_per_leaf; m2 = leaves_per_pod; m3 = pods }
 
 let of_radix k =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Topology.of_radix: radix must be even and >= 2";
-  { m1 = k / 2; m2 = k / 2; m3 = k }
+  create ~nodes_per_leaf:(k / 2) ~leaves_per_pod:(k / 2) ~pods:k
 
 let radix t = if t.m1 = t.m2 && t.m3 = 2 * t.m1 then Some (2 * t.m1) else None
 let m1 t = t.m1

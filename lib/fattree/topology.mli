@@ -39,11 +39,14 @@ type t
 val create : nodes_per_leaf:int -> leaves_per_pod:int -> pods:int -> t
 (** [create ~nodes_per_leaf ~leaves_per_pod ~pods] is a full-bandwidth
     three-level fat-tree with the given XGFT parameters [m1, m2, m3].  All
-    parameters must be >= 1.  Raises [Invalid_argument] otherwise. *)
+    parameters must be >= 1, and [m1] and [m2] at most 62 (allocation
+    search keeps slot, leaf and L2-index sets in OCaml-int bitmasks).
+    Raises [Invalid_argument] otherwise. *)
 
 val of_radix : int -> t
 (** [of_radix k] is the maximal three-level fat-tree built from radix-[k]
-    switches: [m1 = m2 = k/2], [m3 = k].  [k] must be even and >= 2. *)
+    switches: [m1 = m2 = k/2], [m3 = k].  [k] must be even, >= 2 and at
+    most 124 (see {!create}). *)
 
 val radix : t -> int option
 (** [radix t] is [Some k] if [t] has the maximal radix-[k] shape, [None]

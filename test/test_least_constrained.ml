@@ -62,6 +62,19 @@ let test_budget_exhaustion_returns_none () =
   Alcotest.(check bool) "gives up gracefully" true
     (Least_constrained.get_allocation ~budget:1 st ~job:0 ~size:100 = None)
 
+let test_multi_pod_radix48_within_budget () =
+  (* 800 nodes span two radix-48 pods; the dense-first shape wants a
+     full 24-leaf pod, which the remaining-candidates bound finds in a
+     few dozen steps instead of walking all 2^24 leaf subsets. *)
+  let topo = Topology.of_radix 48 in
+  let st = State.create topo in
+  match Least_constrained.probe ~budget:10_000 st ~job:0 ~size:800 with
+  | Partition.Found p ->
+      Alcotest.(check int) "exact" 800 (Partition.node_count p);
+      Alcotest.(check bool) "legal" true (Conditions.is_legal topo p)
+  | Partition.Exhausted -> Alcotest.fail "gave up"
+  | Partition.Infeasible -> Alcotest.fail "infeasible on an empty machine"
+
 let test_rejects_oversize () =
   let st = State.create topo in
   Alcotest.(check bool) "too big" true
@@ -96,5 +109,7 @@ let suite =
     Alcotest.test_case "fractional demands share links" `Quick test_fractional_demand_shares_links;
     Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion_returns_none;
     Alcotest.test_case "oversize rejected" `Quick test_rejects_oversize;
+    Alcotest.test_case "radix-48 multi-pod within 10k steps" `Quick
+      test_multi_pod_radix48_within_budget;
     QCheck_alcotest.to_alcotest prop_lc_superset_of_jigsaw;
   ]

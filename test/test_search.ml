@@ -95,7 +95,7 @@ let test_find_all_enumerates () =
   Alcotest.(check int) "C(4,2) solutions" 6 (List.length sols);
   List.iter
     (fun (s : Search.pod_solution) ->
-      Alcotest.(check int) "two leaves" 2 (Array.length s.leaf_set);
+      Alcotest.(check int) "two leaves" 2 (Mask.popcount s.leaf_mask);
       Alcotest.(check int) "full capability" 0b1111 (s.cap_mask land 0b1111))
     sols
 
@@ -142,6 +142,170 @@ let test_materialize_leaf () =
   Alcotest.(check (array int)) "skips busy slot" [| 0; 2 |] la.nodes;
   Alcotest.(check (array int)) "uplinks recorded" [| 0; 2 |] la.l2_indices
 
+(* ------------------------------------------------------------------ *)
+(* The remaining-candidates bound: the pruned searches must agree with
+   unpruned reference searches (the leaf loops before the bound) and
+   never spend more budget.                                           *)
+(* ------------------------------------------------------------------ *)
+
+let ref_candidate ~n_l (i : Search.leaf_info) =
+  i.free >= n_l && Mask.popcount i.up_mask >= n_l
+
+let ref_find_all st ~pod ~l_t ~n_l ~demand ~budget =
+  let infos = Search.pod_leaf_infos st ~pod ~demand in
+  let m2 = Array.length infos in
+  let sols = ref [] in
+  let rec pick start taken leaf_mask cap_mask =
+    if !budget > 0 then begin
+      decr budget;
+      if taken = l_t then sols := { Search.leaf_mask; cap_mask } :: !sols
+      else
+        for l = start to m2 - 1 do
+          let cap' = cap_mask land infos.(l).up_mask in
+          if ref_candidate ~n_l infos.(l) && Mask.popcount cap' >= n_l then
+            pick (l + 1) (taken + 1) (leaf_mask lor (1 lsl l)) cap'
+        done
+    end
+  in
+  pick 0 0 0 (lnot 0);
+  List.rev !sols
+
+let ref_find_two_level st ~pod ~(shape : Shapes.two_level) ~demand =
+  let { Shapes.n_l; l_t; n_rl } = shape in
+  let infos = Search.pod_leaf_infos st ~pod ~demand in
+  let m2 = Array.length infos in
+  let rec find_rem chosen cap l =
+    if l >= m2 then None
+    else begin
+      let overlap = infos.(l).up_mask land cap in
+      if
+        (not (Mask.mem chosen l))
+        && infos.(l).free >= n_rl
+        && Mask.popcount overlap >= n_rl
+      then Some (l, overlap)
+      else find_rem chosen cap (l + 1)
+    end
+  in
+  let rec pick start taken chosen cap =
+    if taken = l_t then
+      if n_rl = 0 then Some (chosen, Mask.take_lowest cap n_l, None)
+      else
+        Option.map
+          (fun (l, overlap) ->
+            let s = Mask.take_preferring cap ~prefer:overlap n_l in
+            (chosen, s, Some (l, Mask.take_lowest (s land overlap) n_rl)))
+          (find_rem chosen cap 0)
+    else begin
+      let rec try_leaf l =
+        if l >= m2 then None
+        else begin
+          let cap' = cap land infos.(l).up_mask in
+          let found =
+            if ref_candidate ~n_l infos.(l) && Mask.popcount cap' >= n_l then
+              pick (l + 1) (taken + 1) (chosen lor (1 lsl l)) cap'
+            else None
+          in
+          match found with Some _ -> found | None -> try_leaf (l + 1)
+        end
+      in
+      try_leaf start
+    end
+  in
+  Option.map
+    (fun (chosen, s_mask, rem) ->
+      let s = Mask.to_array s_mask in
+      let leaf l take l2_indices =
+        Search.materialize_leaf st ~leaf:infos.(l).leaf ~take ~l2_indices
+      in
+      {
+        Partition.pod;
+        full_leaves =
+          Array.map (fun l -> leaf l n_l (Array.copy s)) (Mask.to_array chosen);
+        rem_leaf = Option.map (fun (l, sr) -> leaf l n_rl (Mask.to_array sr)) rem;
+        spine_sets = [||];
+      })
+    (pick 0 0 0 (lnot 0))
+
+(* A random pod 0: each node busy with probability [p_node], each leaf
+   uplink claimed at a random bandwidth with probability [p_cable]. *)
+let random_pod_state ~radix ~seed =
+  let topo = Topology.of_radix radix in
+  let st = State.create topo in
+  let prng = Sim.Prng.create ~seed in
+  let p_node = Sim.Prng.float prng ~bound:0.6 in
+  let p_cable = Sim.Prng.float prng ~bound:0.5 in
+  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
+  let job = ref 0 in
+  for l = 0 to m2 - 1 do
+    let leaf = Topology.leaf_of_coords topo ~pod:0 ~leaf:l in
+    let first = Topology.leaf_first_node topo leaf in
+    for slot = 0 to m1 - 1 do
+      if Sim.Prng.float prng ~bound:1.0 < p_node then begin
+        incr job;
+        State.claim_exn st (Alloc.nodes_only ~job:!job ~size:1 [| first + slot |])
+      end;
+      if Sim.Prng.float prng ~bound:1.0 < p_cable then begin
+        incr job;
+        let bw = if Sim.Prng.int_in prng ~lo:0 ~hi:1 = 0 then 0.5 else 1.0 in
+        State.claim_exn st
+          {
+            Alloc.job = !job;
+            size = 0;
+            nodes = [||];
+            leaf_cables = [| Topology.leaf_l2_cable topo ~leaf ~l2_index:slot |];
+            l2_cables = [||];
+            bw;
+          }
+      end
+    done
+  done;
+  (st, prng)
+
+let gen_bound_case =
+  QCheck2.Gen.(
+    triple (oneofl [ 8; 12 ]) (oneofl [ 1.0; 0.5 ]) (int_range 0 1_000_000))
+
+let print_bound_case (radix, demand, seed) =
+  Printf.sprintf "radix %d demand %.1f seed %d" radix demand seed
+
+let prop_find_all_matches_reference =
+  QCheck2.Test.make ~name:"pruned find_all == unpruned, within its budget"
+    ~count:200 ~print:print_bound_case gen_bound_case
+    (fun (radix, demand, seed) ->
+      let st, prng = random_pod_state ~radix ~seed in
+      let m = radix / 2 in
+      let n_l = Sim.Prng.int_in prng ~lo:1 ~hi:m in
+      let l_t = Sim.Prng.int_in prng ~lo:1 ~hi:m in
+      let budget = ref 1_000_000 and ref_budget = ref 1_000_000 in
+      let got = Search.find_all st ~pod:0 ~l_t ~n_l ~demand ~budget in
+      let want = ref_find_all st ~pod:0 ~l_t ~n_l ~demand ~budget:ref_budget in
+      got = want && !budget >= !ref_budget)
+
+let prop_find_two_level_matches_reference =
+  QCheck2.Test.make ~name:"pruned find_two_level == unpruned" ~count:200
+    ~print:print_bound_case gen_bound_case
+    (fun (radix, demand, seed) ->
+      let st, prng = random_pod_state ~radix ~seed in
+      let m = radix / 2 in
+      let n_l = Sim.Prng.int_in prng ~lo:1 ~hi:m in
+      let n_rl = Sim.Prng.int_in prng ~lo:0 ~hi:(n_l - 1) in
+      let l_t =
+        Sim.Prng.int_in prng ~lo:1 ~hi:(if n_rl > 0 then m - 1 else m)
+      in
+      let shape = { Shapes.n_l; l_t; n_rl } in
+      Search.find_two_level st ~job:0 ~pod:0 ~shape ~demand
+      = ref_find_two_level st ~pod:0 ~shape ~demand)
+
+let test_find_all_radix48_bounded () =
+  (* One solution (all 24 leaves); unpruned, the index-order walk visits
+     every subset of the 24 leaves on the way. *)
+  let st = State.create (Topology.of_radix 48) in
+  let budget = ref 100 in
+  let sols = Search.find_all st ~pod:0 ~l_t:24 ~n_l:24 ~demand:1.0 ~budget in
+  Alcotest.(check int) "one solution" 1 (List.length sols);
+  Alcotest.(check int) "every leaf" (Mask.full 24) (List.hd sols).leaf_mask;
+  Alcotest.(check bool) "budget left" true (!budget > 0)
+
 let suite =
   [
     Alcotest.test_case "fresh pod infos" `Quick test_pod_leaf_infos_fresh;
@@ -153,4 +317,8 @@ let suite =
     Alcotest.test_case "find_all respects budget" `Quick test_find_all_budget;
     Alcotest.test_case "fractional demand honoured" `Quick test_fractional_demand_search;
     Alcotest.test_case "materialize_leaf picks free slots" `Quick test_materialize_leaf;
+    Alcotest.test_case "find_all radix-48 pod within 100 steps" `Quick
+      test_find_all_radix48_bounded;
+    QCheck_alcotest.to_alcotest prop_find_all_matches_reference;
+    QCheck_alcotest.to_alcotest prop_find_two_level_matches_reference;
   ]

@@ -40,6 +40,19 @@ let test_invalid_params () =
     (Invalid_argument "Topology.create: parameters must be >= 1") (fun () ->
       ignore (Topology.create ~nodes_per_leaf:0 ~leaves_per_pod:1 ~pods:1))
 
+let test_mask_width_guard () =
+  let too_wide = "Topology.create: nodes_per_leaf and leaves_per_pod must be <= 62" in
+  Alcotest.check_raises "m1 = 63" (Invalid_argument too_wide) (fun () ->
+      ignore (Topology.create ~nodes_per_leaf:63 ~leaves_per_pod:1 ~pods:1));
+  Alcotest.check_raises "m2 = 63" (Invalid_argument too_wide) (fun () ->
+      ignore (Topology.create ~nodes_per_leaf:1 ~leaves_per_pod:63 ~pods:1));
+  Alcotest.check_raises "radix 126" (Invalid_argument too_wide) (fun () ->
+      ignore (Topology.of_radix 126));
+  let t = Topology.create ~nodes_per_leaf:62 ~leaves_per_pod:62 ~pods:1 in
+  Alcotest.(check int) "62 fits" 62 (Topology.m2 t);
+  Alcotest.(check (option int)) "radix 124" (Some 124)
+    (Topology.radix (Topology.of_radix 124))
+
 let test_node_coords_roundtrip () =
   let t = Topology.create ~nodes_per_leaf:3 ~leaves_per_pod:4 ~pods:5 in
   for n = 0 to Topology.num_nodes t - 1 do
@@ -130,6 +143,7 @@ let suite =
     Alcotest.test_case "structure counts" `Quick test_structure_counts;
     Alcotest.test_case "radix detection" `Quick test_radix_detection;
     Alcotest.test_case "invalid parameters" `Quick test_invalid_params;
+    Alcotest.test_case "mask width guard" `Quick test_mask_width_guard;
     Alcotest.test_case "node coords roundtrip" `Quick test_node_coords_roundtrip;
     Alcotest.test_case "leaf/node relation" `Quick test_leaf_node_relation;
     Alcotest.test_case "cable id roundtrips" `Quick test_cable_roundtrips;
