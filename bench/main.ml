@@ -439,13 +439,13 @@ let micro () =
     groups
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_0007.json: machine-readable perf trajectory across PRs.       *)
+(* BENCH_0008.json: machine-readable perf trajectory across PRs.       *)
 (* ------------------------------------------------------------------ *)
 
 (* Emits allocator micro-latencies (mean rigid probe_sized on a busy
    radix-24 cluster), a "scale" section repeating the same probes on a radix-48
    cluster (sizes scaled by the pod-size ratio, so each class keeps its
-   meaning), bitset iteration micro-latencies, per-trace scheduler
+   meaning) plus a multi-pod request on empty radix-24/48 machines, bitset iteration micro-latencies, per-trace scheduler
    costs for the Table 3 traces, a per-scheme profile (probe outcome
    counters incl. memo hit rate, state clone/claim tallies, span
    totals) from an instrumented Synth-16 run, and a parallel-sweep
@@ -464,7 +464,7 @@ let micro () =
    keep the target in the ~minute range; REPRO_FULL=1 uses paper
    scale.  BENCH_SCALE=N overrides the scale section's large radix. *)
 
-let bench_json_file = "BENCH_0007.json"
+let bench_json_file = "BENCH_0008.json"
 
 let bench_json () =
   section (Printf.sprintf "%s (machine-readable perf trajectory)" bench_json_file);
@@ -519,12 +519,29 @@ let bench_json () =
             (a.name, label, size_l, small_ns, large_ns))
           Sched.Allocator.all)
       classes
+    @
+    (* The same multi-pod request on empty machines, where every leaf is
+       a candidate and a search that lists a pod's leaf sets before
+       trying the first pays for all C(m2, l) of them. *)
+    let empty r = Fattree.State.create (Fattree.Topology.of_radix r) in
+    let st_s = empty radix and st_l = empty scale_radix in
+    let size = 200 in
+    List.map
+      (fun (a : Sched.Allocator.t) ->
+        ( a.name,
+          "empty-multi-pod",
+          size * ratio,
+          mean_probe_ns st_s a size,
+          mean_probe_ns ~iters:50 st_l a (size * ratio) ))
+      Sched.Allocator.all
   in
   (* Regression guard for the scaling cliff: radix 24 to 48 multiplies
      the pod count and the nodes per pod by 2 each, and every allocator's
      per-probe cost grows ~4-6x with it.  A leaf-subset search that stops
      bounding itself by the candidates left shows up as a ratio in the
-     hundreds (LC+S on multi-pod requests once hit 246x).  The bound is
+     hundreds (LC+S on multi-pod requests once hit 246x, and 259x on
+     the empty machines while it listed every leaf set of the remainder
+     pod before trying the first).  The bound is
      twice the pod-size ratio: 8x at radix 48. *)
   let scale_bound = 2.0 *. float_of_int ratio in
   List.iter
@@ -892,7 +909,7 @@ let bench_json () =
   let oc = open_out bench_json_file in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"bench_id\": \"BENCH_0007\",\n";
+  out "  \"bench_id\": \"BENCH_0008\",\n";
   out "  \"repro_scale\": \"%s\",\n" (if full then "full" else "default");
   out "  \"host_domains\": %d,\n" host_domains;
   out "  \"micro_try_alloc\": {\n";
