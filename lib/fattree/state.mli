@@ -105,7 +105,11 @@ val node_utilization : t -> float
     repairs only add them back. *)
 
 val generation : t -> int
-(** Total claims + releases + failures + repairs since creation. *)
+(** Total claims + releases + failures + repairs since creation.  It
+    strictly increases on every claim, release, fail and repair, so an
+    unchanged value means an unchanged state; only {!set_op_counters}
+    rewinds it, at checkpoint restore.  The scheduler's head-reservation
+    memo is keyed on it. *)
 
 val claim_generation : t -> int
 (** Resource-removing mutations: successful claims + fail operations. *)
@@ -190,6 +194,11 @@ val claim : ?validate:bool -> t -> Alloc.t -> (unit, string) result
     environment variable [JIGSAW_VALIDATE=1] re-enables validation
     everywhere, turning any illegal unchecked claim back into an
     error. *)
+
+val forced_validation : bool
+(** Whether [JIGSAW_VALIDATE=1] is set: checked paths everywhere, and
+    caches above the state (the scheduler's reservation memo) cross-check
+    each reuse against a fresh computation. *)
 
 val claim_exn : ?validate:bool -> t -> Alloc.t -> unit
 (** Like {!claim} but raises [Invalid_argument] on failure. *)

@@ -6,25 +6,36 @@
 
 type value = Num of float | Str of string
 
-let escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* %.17g round-trips every float exactly through float_of_string. *)
+let escape b s =
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\r' -> Buffer.add_string b "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+
+(* The primitive [Printf]'s [%.17g] ends in, without the format
+   interpretation in front of it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Byte-identical to [Printf.sprintf "%.0f"] for integral values below
+   1e15 (exact in an int, and -0.0 prints "-0") and to ["%.17g"], which
+   round-trips every float exactly through float_of_string, otherwise. *)
 let add_num b x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" x)
-  else Buffer.add_string b (Printf.sprintf "%.17g" x)
+    if x = 0.0 && Float.sign_bit x then Buffer.add_string b "-0"
+    else Buffer.add_string b (string_of_int (int_of_float x))
+  else Buffer.add_string b (format_float "%.17g" x)
 
 let add_field b ~first key v =
   if not first then Buffer.add_char b ',';

@@ -109,6 +109,13 @@ type sim = {
   mutable finished : Metrics.per_job list;
   kills : (int, int) Hashtbl.t; (* job id -> attempts killed so far *)
   mutable reserved : (int * float) option; (* live head reservation *)
+  (* Head-reservation memo: the head record, [State.generation st] and
+     answer of the last real search.  The answer is a pure function of
+     the machine, the running set and the head; every running-set change
+     claims or releases, and every machine change bumps [generation], so
+     a pass with the same head ([==]) at the same generation may reuse
+     it.  Not checkpointed: a restored sim searches once. *)
+  mutable res_memo : (Trace.Job.t * int * (float * Alloc.t) option) option;
   (* Reservation scratch arena: one lazily-created state reused by every
      reservation probe, refreshed from [st] by an allocation-free
      [State.copy_into] instead of a clone per probe. *)
@@ -594,7 +601,7 @@ and request_pass sim =
 (* Earliest future completion time at which the head job could be placed,
    together with the concrete allocation it would get then.  Returns
    [None] if the job cannot be placed even on the fully drained
-   machine. *)
+   machine.  Memoized in [sim.res_memo]. *)
 and compute_reservation sim (head : Trace.Job.t) =
   (* The scheduler plans against ESTIMATED completions — it cannot know
      actual runtimes.  Since estimates are >= actuals, the reservation is
@@ -620,9 +627,27 @@ and compute_reservation sim (head : Trace.Job.t) =
     in
     reservation sim.cfg.allocator ~scratch ~running ~job:head
   in
-  match sim.cfg.prof with
-  | Some p -> Obs.Prof.time p "sched/reservation" search
-  | None -> search ()
+  let gen = State.generation sim.st in
+  match sim.res_memo with
+  | Some (h, g, answer) when h == head && g = gen ->
+      prof_incr sim "sched/reservation_reused";
+      (* JIGSAW_VALIDATE=1 re-derives every reused answer. *)
+      if State.forced_validation && search () <> answer then
+        failwith
+          (Printf.sprintf
+             "Simulator: reused reservation for job %d at generation %d \
+              differs from a fresh search"
+             head.id gen);
+      answer
+  | _ ->
+      let answer =
+        match sim.cfg.prof with
+        | Some p ->
+            Obs.Prof.time p "sched/reservation" (fun () -> timed sim search)
+        | None -> timed sim search
+      in
+      sim.res_memo <- Some (head, gen, answer);
+      answer
 
 and schedule_pass sim =
   emit sim (fun () ->
@@ -689,7 +714,7 @@ and run_pass sim =
       if sim.acc.first_blocked_time < 0.0 then
         sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
       (* Phase 2: reservation for the head... *)
-      match timed sim (fun () -> compute_reservation sim head) with
+      match compute_reservation sim head with
       | None
         when Trace.Job.min_size head
              > Fattree.Topology.num_nodes (State.topo sim.st)
@@ -1163,6 +1188,7 @@ let start cfg (w : Trace.Workload.t) =
       finished = [];
       kills = Hashtbl.create 64;
       reserved = None;
+      res_memo = None;
       scratch = None;
       jobs_by_id = Hashtbl.create (max 16 (Array.length w.jobs));
       dyn_jobs = [];
@@ -1631,6 +1657,7 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
             [] s.finished;
         kills = Hashtbl.create 64;
         reserved = s.reserved;
+        res_memo = None;
         scratch = None;
         jobs_by_id = job_tbl;
         dyn_jobs = [];

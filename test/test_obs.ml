@@ -154,6 +154,65 @@ let test_parse_errors () =
   | _ -> Alcotest.fail "unknown kind accepted"
   | exception Obs.Json.Parse_error _ -> ()
 
+(* The writer's fast paths against the [Printf] formatting they replace:
+   the JSONL traces and checkpoints must stay byte-identical. *)
+let printf_num x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let printf_escape s =
+  let b = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let gen_writer_float =
+  QCheck2.Gen.(
+    oneof
+      [
+        float;
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        map float_of_int (int_range (-(1 lsl 54)) (1 lsl 54));
+        map (fun x -> x *. 1e-310) float;
+        oneofl
+          [
+            0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15;
+            2.0 ** 53.0; -.(2.0 ** 53.0); 5e-324; -5e-324;
+            Float.min_float /. 3.0; nan; -.nan; infinity; neg_infinity;
+            0.1; 1e-7; 123.5;
+          ];
+      ])
+
+let gen_writer_string =
+  QCheck2.Gen.(
+    oneof
+      [
+        string;
+        string_printable;
+        oneofl [ ""; "a\"b"; "\\"; "\x01\x1f\x7f" ];
+      ])
+
+let prop_writer_matches_printf =
+  QCheck2.Test.make ~name:"json writer == Printf reference" ~count:2000
+    ~print:(fun (x, k, v) -> Printf.sprintf "%h %S %S" x k v)
+    QCheck2.Gen.(triple gen_writer_float gen_writer_string gen_writer_string)
+    (fun (x, k, v) ->
+      let b = Buffer.create 64 in
+      Obs.Json.write b [ (k, Obs.Json.Str v); ("x", Obs.Json.Num x) ];
+      Buffer.contents b
+      = Printf.sprintf "{\"%s\":\"%s\",\"x\":%s}" (printf_escape k)
+          (printf_escape v) (printf_num x))
+
 (* A small workload exercising every simulator path: saturating head,
    reservation + backfill, a fault kill with requeue, and a repair. *)
 let rich_workload () =
@@ -533,6 +592,7 @@ let suite =
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    QCheck_alcotest.to_alcotest prop_writer_matches_printf;
     Alcotest.test_case "trace deterministic" `Quick test_trace_deterministic;
     Alcotest.test_case "multi-victim kill order" `Quick
       test_multi_victim_kill_order;

@@ -242,6 +242,238 @@ let test_series_exposed () =
     (fun (_, u) -> Alcotest.(check bool) "fraction" true (u >= 0.0 && u <= 1.0))
     m.series
 
+(* ---- head-reservation memo ---------------------------------------- *)
+
+(* (real searches, reuses) so far. *)
+let reservation_counts p =
+  ( (match Obs.Prof.find_span p "sched/reservation" with
+    | Some s -> s.Obs.Prof.sp_count
+    | None -> 0),
+    Obs.Prof.counter p "sched/reservation_reused" )
+
+let test_reservation_memo () =
+  let p = Obs.Prof.create () in
+  let cfg =
+    Sched.Simulator.Config.make ~prof:p ~radix Sched.Allocator.baseline
+  in
+  let sim = Sched.Simulator.start cfg (workload []) in
+  let now () = Sched.Simulator.now sim in
+  let submit j =
+    (match Sched.Simulator.submit sim { j with Trace.Job.arrival = now () } with
+    | Ok () -> ()
+    | Error m -> Alcotest.fail m);
+    Sched.Simulator.run_until sim (now ())
+  in
+  (* 112 of 128 nodes busy: a long rigid job, a moldable one, and one
+     that completes at t=50. *)
+  submit (job 0 64 1000.0);
+  submit
+    (Trace.Job.v ~id:1 ~size:32
+       ~spec:(Trace.Job.Moldable { min_size = 16; max_size = 32; pref = 32 })
+       ~runtime:1000.0 ());
+  submit (job 2 16 50.0);
+  Alcotest.(check (pair int int)) "no blocked head yet" (0, 0)
+    (reservation_counts p);
+  (* Every later job needs 100 nodes: none can start or backfill, so
+     only the events below change the machine. *)
+  let next_id = ref 10 in
+  let submit_blocked () =
+    submit (job !next_id 100 100.0);
+    incr next_id
+  in
+  let n = 5 in
+  for _ = 1 to n do
+    submit_blocked ()
+  done;
+  Alcotest.(check (pair int int))
+    "N submits at one stamp: one search" (1, n - 1) (reservation_counts p);
+  let forces name event =
+    let s0, _ = reservation_counts p in
+    event ();
+    submit_blocked ();
+    let s1, r1 = reservation_counts p in
+    Alcotest.(check int) (name ^ ": one fresh search") (s0 + 1) s1;
+    submit_blocked ();
+    Alcotest.(check (pair int int))
+      (name ^ ": then reused again") (s1, r1 + 1) (reservation_counts p)
+  in
+  forces "cancel of the head" (fun () ->
+      match Sched.Simulator.cancel sim 10 with
+      | Sched.Simulator.Cancelled -> Sched.Simulator.run_until sim (now ())
+      | _ -> Alcotest.fail "head not cancelled");
+  forces "completion" (fun () ->
+      Sched.Simulator.run_until sim 50.0;
+      Alcotest.(check int) "job 2 done" 1
+        (Sched.Simulator.finished_count sim));
+  forces "resize" (fun () ->
+      match Sched.Simulator.resize sim 1 ~size:16 with
+      | Sched.Simulator.Resized_to _ -> Sched.Simulator.run_until sim (now ())
+      | Sched.Simulator.Resize_refused m -> Alcotest.fail m);
+  forces "fault" (fun () ->
+      (match
+         Sched.Simulator.inject_fault sim
+           { Trace.Faults.time = now (); kind = Fail; target = Node 127 }
+       with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      Sched.Simulator.run_until sim (now ()));
+  let m, _ = Sched.Simulator.finish sim in
+  (* The three first jobs and the blocked ones, less the cancelled head. *)
+  Alcotest.(check int) "every job ran" (3 + (!next_id - 10) - 1) m.num_jobs
+
+(* A random daemon session: ops at non-decreasing stamps, several per
+   stamp. *)
+type op =
+  | Submit of Trace.Job.t
+  | Cancel of int
+  | Resize of int * int
+  | Fault of int * float (* node, repair delay *)
+
+let random_session ~seed ~mixed =
+  let g = Sim.Prng.create ~seed in
+  let t = ref 0.0 and next = ref 0 in
+  List.init 40 (fun _ ->
+      if Sim.Prng.float g ~bound:1.0 < 0.3 then
+        t := !t +. Sim.Prng.float_in g ~lo:1.0 ~hi:60.0;
+      let r = Sim.Prng.float g ~bound:1.0 in
+      let op =
+        if mixed && r < 0.15 then Cancel (Sim.Prng.int g ~bound:(!next + 2))
+        else if mixed && r < 0.25 then
+          Resize
+            (Sim.Prng.int g ~bound:(!next + 1), Sim.Prng.int_in g ~lo:1 ~hi:64)
+        else if r < 0.35 then
+          Fault
+            ( Sim.Prng.int g ~bound:128,
+              Sim.Prng.float_in g ~lo:10.0 ~hi:300.0 )
+        else begin
+          let id = !next in
+          incr next;
+          let size = Sim.Prng.int_in g ~lo:1 ~hi:128 in
+          let runtime = Sim.Prng.float_in g ~lo:10.0 ~hi:500.0 in
+          let est_runtime = runtime *. Sim.Prng.float_in g ~lo:1.0 ~hi:2.0 in
+          let spec =
+            if mixed && Sim.Prng.float g ~bound:1.0 < 0.3 then
+              Some
+                (Trace.Job.Moldable
+                   {
+                     min_size = max 1 (size / 2);
+                     max_size = min 128 (size * 2);
+                     pref = size;
+                   })
+            else None
+          in
+          Submit
+            (Trace.Job.v ~id ~size ?spec ~runtime ~est_runtime ~arrival:!t ())
+        end
+      in
+      (!t, op))
+
+let fault_events (t, op) =
+  match op with
+  | Fault (n, d) ->
+      [
+        { Trace.Faults.time = t; kind = Fail; target = Node n };
+        { Trace.Faults.time = t +. d; kind = Repair; target = Node n };
+      ]
+  | _ -> []
+
+(* [run_until t; ops; run_until t], the order the daemon applies an op
+   in, for a batch of ops at stamp [t]. *)
+let apply_ops sim t ops =
+  Sched.Simulator.run_until sim t;
+  List.iter
+    (fun op ->
+      match op with
+      | Submit j -> ignore (Sched.Simulator.submit sim j)
+      | Cancel id -> ignore (Sched.Simulator.cancel sim id)
+      | Resize (id, size) -> ignore (Sched.Simulator.resize sim id ~size)
+      | Fault _ ->
+          List.iter
+            (fun e -> ignore (Sched.Simulator.inject_fault sim e))
+            (fault_events (t, op)))
+    ops;
+  Sched.Simulator.run_until sim t
+
+let apply_op sim (t, op) = apply_ops sim t [ op ]
+
+let requeue_policy =
+  { Sched.Simulator.requeue = true; resubmit_delay = 30.0; max_retries = 2;
+    charge_lost_work = true; shrink = false }
+
+let session_cfg alloc =
+  Sched.Simulator.Config.make ~resilience:requeue_policy ~radix alloc
+
+let drained sim = Sched.Metrics.fingerprint (fst (Sched.Simulator.finish sim))
+
+let gen_session_case =
+  QCheck2.Gen.(pair (oneofl Sched.Allocator.all) (int_range 0 1_000_000))
+
+let print_session_case ((a : Sched.Allocator.t), seed) =
+  Printf.sprintf "%s seed %d" a.name seed
+
+(* Reused reservations change nothing: the live session drains to the
+   fingerprint of the same session restored from a snapshot (which
+   starts with an empty memo) before every op. *)
+let prop_memo_matches_restored =
+  QCheck2.Test.make ~name:"memoized session == restore before every op"
+    ~count:30 ~print:print_session_case gen_session_case
+    (fun (alloc, seed) ->
+      let ops = random_session ~seed ~mixed:true in
+      let live = Sched.Simulator.start (session_cfg alloc) (workload []) in
+      List.iter (apply_op live) ops;
+      let restored =
+        List.fold_left
+          (fun sim op ->
+            match
+              Sched.Simulator.of_snapshot (Sched.Simulator.snapshot sim)
+            with
+            | Ok sim' ->
+                apply_op sim' op;
+                sim'
+            | Error m -> QCheck2.Test.fail_report m)
+          (Sched.Simulator.start (session_cfg alloc) (workload []))
+          ops
+      in
+      drained live = drained restored)
+
+(* Submits and faults alone are expressible offline: the session drains
+   to the fingerprint of the same jobs and faults run as a trace.  A
+   trace fires all of a stamp's faults, then all its arrivals, before
+   the stamp's pass, so the session sends each stamp's ops as one batch,
+   faults first. *)
+let prop_session_matches_offline =
+  QCheck2.Test.make ~name:"memoized session == same jobs run offline"
+    ~count:30 ~print:print_session_case gen_session_case
+    (fun (alloc, seed) ->
+      let ops = random_session ~seed ~mixed:false in
+      let faults_first (t, op) =
+        (t, match op with Fault _ -> 0 | _ -> 1)
+      in
+      let ops =
+        List.stable_sort
+          (fun a b -> compare (faults_first a) (faults_first b))
+          ops
+      in
+      let live = Sched.Simulator.start (session_cfg alloc) (workload []) in
+      let rec batches = function
+        | [] -> ()
+        | (t, _) :: _ as ops ->
+            let now, later = List.partition (fun (t', _) -> t' = t) ops in
+            apply_ops live t (List.map snd now);
+            batches later
+      in
+      batches ops;
+      let jobs =
+        List.filter_map (function _, Submit j -> Some j | _ -> None) ops
+      in
+      let faults = Trace.Faults.scripted (List.concat_map fault_events ops) in
+      let cfg =
+        Sched.Simulator.Config.make ~faults ~resilience:requeue_policy ~radix
+          alloc
+      in
+      drained live
+      = Sched.Metrics.fingerprint (Sched.Simulator.run cfg (workload jobs)))
+
 let suite =
   [
     Alcotest.test_case "single job" `Quick test_single_job;
@@ -265,4 +497,8 @@ let suite =
     Alcotest.test_case "estimates gate backfill" `Quick test_estimates_gate_backfill;
     Alcotest.test_case "reservations use estimates, starts use actuals" `Quick
       test_estimates_keep_reservations_conservative;
+    Alcotest.test_case "reservation reused until head or machine changes"
+      `Quick test_reservation_memo;
+    QCheck_alcotest.to_alcotest prop_memo_matches_restored;
+    QCheck_alcotest.to_alcotest prop_session_matches_offline;
   ]
