@@ -1,0 +1,103 @@
+(* A row is its field names, an encoder that prepends the row's fields
+   onto a tail (n fields cost n conses: no reversal, no append) and a
+   decoder.  Conversions signal a malformed value with [Failure reason];
+   the field turns that into a [Parse_error] naming itself. *)
+
+type 'a conv = { to_json : 'a -> Json.value; of_json : Json.value -> 'a }
+
+let num =
+  let of_json = function
+    | Json.Num x -> x
+    | Json.Str _ -> failwith "is a string, expected a number"
+  in
+  { to_json = (fun x -> Json.Num x); of_json }
+
+let int =
+  let of_json v =
+    let x = num.of_json v in
+    let i = int_of_float x in
+    if float_of_int i <> x then
+      failwith (Printf.sprintf "is not an integer (%g)" x);
+    i
+  in
+  { to_json = (fun i -> Json.Num (float_of_int i)); of_json }
+
+let str =
+  let of_json = function
+    | Json.Str s -> s
+    | Json.Num _ -> failwith "is a number, expected a string"
+  in
+  { to_json = (fun s -> Json.Str s); of_json }
+
+let bool =
+  let to_json b = Json.Num (if b then 1.0 else 0.0) in
+  { to_json; of_json = (fun v -> int.of_json v <> 0) }
+
+let option c =
+  let to_json = function
+    | Some x -> c.to_json x
+    | None -> invalid_arg "Row.option: None is only ever omitted"
+  in
+  { to_json; of_json = (fun v -> Some (c.of_json v)) }
+
+let conv c write read =
+  let to_json a = c.to_json (write a) in
+  { to_json; of_json = (fun v -> read (c.of_json v)) }
+
+type fields = (string * Json.value) list
+
+type ('r, 'a) t = {
+  names : string list;
+  write : 'r -> fields -> fields;
+  read : fields -> 'a;
+}
+
+let error fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
+
+let field ?absent ?omit name c get =
+  let write =
+    match omit with
+    | None -> fun r tl -> (name, c.to_json (get r)) :: tl
+    | Some d ->
+        fun r tl ->
+          let v = get r in
+          if v = d then tl else (name, c.to_json v) :: tl
+  in
+  let default = if Option.is_some omit then omit else absent in
+  let read fields =
+    match (List.assoc_opt name fields, default) with
+    | Some v, _ -> (
+        try c.of_json v with Failure reason -> error "field %S %s" name reason)
+    | None, Some d -> d
+    | None, None -> error "missing field %S" name
+  in
+  { names = [ name ]; write; read }
+
+let ( let+ ) t f = { t with read = (fun fields -> f (t.read fields)) }
+
+let ( and+ ) a b =
+  let write r tl = a.write r (b.write r tl) in
+  let read fields =
+    let x = a.read fields in
+    (x, b.read fields)
+  in
+  { names = a.names @ b.names; write; read }
+
+let on get t = { t with write = (fun r tl -> t.write (get r) tl) }
+
+let list rows =
+  let write r tl = List.fold_right (fun t tl -> t.write r tl) rows tl in
+  let read fields = List.map (fun t -> t.read fields) rows in
+  { names = List.concat_map (fun t -> t.names) rows; write; read }
+
+let optional get t =
+  let write r tl = match get r with None -> tl | Some s -> t.write s tl in
+  let read fields =
+    if List.exists (fun n -> List.mem_assoc n fields) t.names then
+      Some (t.read fields)
+    else None
+  in
+  { names = t.names; write; read }
+
+let fields ?(tail = []) t r = t.write r tail
+let decode t fields = t.read fields

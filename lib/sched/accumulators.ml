@@ -1,8 +1,9 @@
 (* The simulator's scalar accumulators, declared once: the live
    simulation mutates one of these records, a snapshot carries a copy,
-   and the checkpoint's "acc" row is written and read through a table
-   over its fields.  There is no .mli on purpose — the record below is
-   the whole interface, and an interface file would repeat it. *)
+   and the checkpoint's "acc" row declares each field once as an
+   [Obs.Row] field, which both writes it and reads it back into a fresh
+   record.  There is no .mli on purpose — the record below is the whole
+   interface, and an interface file would repeat it. *)
 
 type t = {
   mutable sched_clock : float; (* wall time spent deciding *)

@@ -23,90 +23,261 @@ let oldest_readable_version = 1
 let magic = "jigsaw-checkpoint"
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
+(* Rows                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let num x = Obs.Json.Num x
-let int_ i = Obs.Json.Num (float_of_int i)
-let str s = Obs.Json.Str s
-let bool_ b = int_ (if b then 1 else 0)
-let ints_str a = Array.to_list a |> List.map string_of_int |> String.concat " "
+(* One [Obs.Row] per record kind: each field is declared once, and the
+   declaration both writes and reads it.  Rows of the kinds that occur
+   once read back as an update of the snapshot being loaded; rows of
+   the repeated kinds read back as one array element. *)
 
-let pairs_str a =
-  Array.to_list a
-  |> List.map (fun (a, b) -> Printf.sprintf "%d:%d" a b)
-  |> String.concat " "
+open Obs.Row
+
+(* Arrays ride in one string of space-separated entries. *)
+let packed print parse =
+  conv str
+    (fun a -> String.concat " " (Array.to_list (Array.map print a)))
+    (fun s ->
+      if s = "" then [||]
+      else
+        String.split_on_char ' ' s
+        |> List.map (fun e ->
+               match parse e with
+               | Some x -> x
+               | None ->
+                   failwith (Printf.sprintf "holds a malformed entry %S" e))
+        |> Array.of_list)
+
+let ints = packed string_of_int int_of_string_opt
+
+let pairs_of print parse =
+  packed
+    (fun (a, b) -> string_of_int a ^ ":" ^ print b)
+    (fun e ->
+      match String.split_on_char ':' e with
+      | [ a; b ] -> (
+          match (int_of_string_opt a, parse b) with
+          | Some a, Some b -> Some (a, b)
+          | _ -> None)
+      | _ -> None)
+
+let pairs = pairs_of string_of_int int_of_string_opt
 
 (* Hex floats round-trip exactly and contain no ':' or ' '. *)
-let nofit_str a =
-  Array.to_list a
-  |> List.map (fun (size, bw) -> Printf.sprintf "%d:%h" size bw)
-  |> String.concat " "
+let nofit_entries = pairs_of (Printf.sprintf "%h") float_of_string_opt
 
-(* The "acc" row, in file order: the simulator's scalar accumulators,
-   then the state's operation tallies.  Each entry is the field's name
-   in the file, how to read it from a snapshot, and how to store it into
-   a snapshot being loaded.  [~v1] is the value a version-1 file implies
-   for a field it does not carry: those files predate molding (shrunk,
-   grown) and the daemon (cancelled). *)
-let acc_row =
-  let int_field ?v1 name get set =
-    ( name,
-      (fun s -> int_ (get s)),
-      fun s f ->
-        set s
-          (match v1 with
-          | Some d when not (Obs.Json.mem f name) -> d
-          | _ -> Obs.Json.int f name) )
-  and float_field name get set =
-    (name, (fun s -> num (get s)), fun s f -> set s (Obs.Json.num f name))
+let resilience =
+  let open Simulator in
+  let+ requeue = field "requeue" bool (fun r -> r.requeue)
+  and+ resubmit_delay = field "resubmit_delay" num (fun r -> r.resubmit_delay)
+  and+ max_retries = field "max_retries" int (fun r -> r.max_retries)
+  and+ charge_lost_work =
+    field "charge_lost_work" bool (fun r -> r.charge_lost_work)
+  and+ shrink = field ~omit:false "shrink" bool (fun r -> r.shrink) in
+  { requeue; resubmit_delay; max_retries; charge_lost_work; shrink }
+
+(* The run's configuration, then how many rows of each repeated kind
+   follow.  Reads back as the configuration over an empty body, and the
+   row count of each repeated kind. *)
+let header =
+  let count name get = field name int (fun s -> Array.length (get s)) in
+  let+ _ = field "version" int (fun _ -> version)
+  and+ scheme = field "scheme" str (fun s -> s.scheme)
+  and+ trace_name = field "trace" str (fun s -> s.trace_name)
+  and+ scenario = field "scenario" str (fun s -> s.scenario)
+  and+ radix = field "radix" int (fun s -> s.radix)
+  and+ system_nodes = field "system_nodes" int (fun s -> s.system_nodes)
+  and+ scenario_seed = field "scenario_seed" int (fun s -> s.scenario_seed)
+  and+ backfill_window =
+    field "backfill_window" int (fun s -> s.backfill_window)
+  and+ backfill = field "backfill" bool (fun s -> s.backfill)
+  and+ resilience = on (fun s -> s.resilience) resilience
+  and+ jobs = count "jobs" (fun s -> s.jobs)
+  and+ faults = count "faults" (fun s -> s.faults)
+  and+ events = count "events" (fun s -> s.events)
+  and+ running = count "running" (fun s -> s.running)
+  and+ finished = count "finished" (fun s -> s.finished)
+  and+ samples = count "samples" (fun s -> s.samples) in
+  ( {
+      scheme; radix; scenario; scenario_seed; backfill_window; backfill;
+      resilience; trace_name; system_nodes; jobs = [||]; faults = [||];
+      clock = 0.0; steps = 0; next_seq = 0; events = [||]; queue = [||];
+      pending_live = [||]; pending_gens = [||]; running = [||];
+      nofit = [||]; nofit_release_gen = 0; kills = [||]; reserved = None;
+      acc = Accumulators.create ~pending_repairs:0; samples = [||];
+      finished = [||]; st_claims = 0; st_releases = 0; st_failures = 0;
+      st_repairs = 0; st_clones = 0;
+    },
+    [ ("job", jobs); ("fault", faults); ("ev", events); ("run", running);
+      ("fin", finished); ("smp", samples) ] )
+
+(* A job's size flexibility: "min"/"max", written only for moldable
+   jobs, so rigid rows keep the version-1 shape.  Reads back as a
+   function of the job's size, which a moldable job prefers. *)
+let spec =
+  let open Trace.Job in
+  let range j =
+    match j.spec with
+    | Rigid _ -> None
+    | Moldable { min_size; max_size; pref = _ } -> Some (min_size, max_size)
   in
-  let acc_int ?v1 name get set =
-    int_field ?v1 name (fun s -> get s.acc) (fun s -> set s.acc)
-  and acc_float name get set =
-    float_field name (fun s -> get s.acc) (fun s -> set s.acc)
+  let+ range =
+    optional range
+      (let+ min = field "min" int fst and+ max = field "max" int snd in
+       (min, max))
   in
-  Accumulators.
-    [
-      acc_float "sched_clock" (fun a -> a.sched_clock) (fun a v ->
-          a.sched_clock <- v);
-      acc_int "alloc_busy" (fun a -> a.alloc_busy) (fun a v ->
-          a.alloc_busy <- v);
-      acc_int "req_busy" (fun a -> a.req_busy) (fun a v -> a.req_busy <- v);
-      acc_float "last_start" (fun a -> a.last_start_time) (fun a v ->
-          a.last_start_time <- v);
-      acc_float "first_start" (fun a -> a.first_start_time) (fun a v ->
-          a.first_start_time <- v);
-      acc_float "first_blocked" (fun a -> a.first_blocked_time) (fun a v ->
-          a.first_blocked_time <- v);
-      acc_int "rejected" (fun a -> a.rejected) (fun a v -> a.rejected <- v);
-      acc_int "pending_repairs" (fun a -> a.pending_repairs) (fun a v ->
-          a.pending_repairs <- v);
-      acc_int "fault_count" (fun a -> a.fault_events) (fun a v ->
-          a.fault_events <- v);
-      acc_int "interrupted" (fun a -> a.interrupted) (fun a v ->
-          a.interrupted <- v);
-      acc_int "requeued" (fun a -> a.requeued) (fun a v -> a.requeued <- v);
-      acc_int "abandoned" (fun a -> a.abandoned) (fun a v -> a.abandoned <- v);
-      acc_float "lost_node_time" (fun a -> a.lost_node_time) (fun a v ->
-          a.lost_node_time <- v);
-      acc_int ~v1:0 "shrunk" (fun a -> a.shrunk) (fun a v -> a.shrunk <- v);
-      acc_int ~v1:0 "grown" (fun a -> a.grown) (fun a v -> a.grown <- v);
-      acc_int "started_total" (fun a -> a.started_total) (fun a v ->
-          a.started_total <- v);
-      acc_int ~v1:0 "cancelled" (fun a -> a.cancelled) (fun a v ->
-          a.cancelled <- v);
-      int_field "st_claims" (fun s -> s.st_claims) (fun s v ->
-          s.st_claims <- v);
-      int_field "st_releases" (fun s -> s.st_releases) (fun s v ->
-          s.st_releases <- v);
-      int_field "st_failures" (fun s -> s.st_failures) (fun s v ->
-          s.st_failures <- v);
-      int_field "st_repairs" (fun s -> s.st_repairs) (fun s v ->
-          s.st_repairs <- v);
-      int_field "st_clones" (fun s -> s.st_clones) (fun s v ->
-          s.st_clones <- v);
-    ]
+  fun size ->
+    match range with
+    | None -> Rigid size
+    | Some (min_size, max_size) -> Moldable { min_size; max_size; pref = size }
+
+let job =
+  let open Trace.Job in
+  let+ id = field "id" int (fun j -> j.id)
+  and+ size = field "size" int (fun j -> j.size)
+  and+ runtime = field "runtime" num (fun j -> j.runtime)
+  and+ est_runtime = field "est" num (fun j -> j.est_runtime)
+  and+ arrival = field "arrival" num (fun j -> j.arrival)
+  and+ bw_class = field "bw" num (fun j -> j.bw_class)
+  and+ spec = spec in
+  { id; size; spec = spec size; runtime; est_runtime; arrival; bw_class }
+
+let fault =
+  let open Trace.Faults in
+  let kind =
+    conv str
+      (function Fail -> "fail" | Repair -> "repair")
+      (function
+        | "fail" -> Fail
+        | "repair" -> Repair
+        | k -> failwith (Printf.sprintf "names an unknown fault kind %S" k))
+  in
+  let+ time = field "t" num (fun e -> e.time)
+  and+ kind = field "kind" kind (fun e -> e.kind)
+  and+ target = field "target" str (fun e -> target_name e.target)
+  and+ id = field "id" int (fun e -> target_id e.target) in
+  match target_of_name target id with
+  | Ok target -> { time; kind; target }
+  | Error m -> raise (Obs.Json.Parse_error m)
+
+let engine =
+  let+ clock = field "clock" num (fun s -> s.clock)
+  and+ steps = field "steps" int (fun s -> s.steps)
+  and+ next_seq = field "next_seq" int (fun s -> s.next_seq) in
+  fun s -> { s with clock; steps; next_seq }
+
+let ev =
+  let+ ev_time = field "t" num (fun e -> e.ev_time)
+  and+ ev_priority = field "prio" int (fun e -> e.ev_priority)
+  and+ ev_seq = field "seq" int (fun e -> e.ev_seq)
+  and+ ev_tag = field "tag" str (fun e -> e.ev_tag) in
+  { ev_time; ev_priority; ev_seq; ev_tag }
+
+let queue =
+  let+ queue = field "entries" pairs (fun s -> s.queue) in
+  fun s -> { s with queue }
+
+let pending =
+  let+ pending_live = field "ids" ints (fun s -> s.pending_live) in
+  fun s -> { s with pending_live }
+
+let gens =
+  let+ pending_gens = field "entries" pairs (fun s -> s.pending_gens) in
+  fun s -> { s with pending_gens }
+
+let nofit =
+  let+ nofit_release_gen = field "gen" int (fun s -> s.nofit_release_gen)
+  and+ nofit = field "entries" nofit_entries (fun s -> s.nofit) in
+  fun s -> { s with nofit_release_gen; nofit }
+
+let kills =
+  let+ kills = field "entries" pairs (fun s -> s.kills) in
+  fun s -> { s with kills }
+
+let run =
+  let+ rs_job = field "id" int (fun r -> r.rs_job)
+  and+ rs_attempt = field "attempt" int (fun r -> r.rs_attempt)
+  and+ rs_epoch = field ~omit:0 "epoch" int (fun r -> r.rs_epoch)
+  and+ rs_start = field "start" num (fun r -> r.rs_start)
+  and+ rs_end = field "end" num (fun r -> r.rs_end)
+  and+ rs_est_end = field "est_end" num (fun r -> r.rs_est_end)
+  and+ rs_size = field "size" int (fun r -> r.rs_size)
+  and+ rs_bw = field "bw" num (fun r -> r.rs_bw)
+  and+ rs_nodes = field "nodes" ints (fun r -> r.rs_nodes)
+  and+ rs_leaf_cables = field "leaf" ints (fun r -> r.rs_leaf_cables)
+  and+ rs_l2_cables = field "l2" ints (fun r -> r.rs_l2_cables) in
+  { rs_job; rs_attempt; rs_epoch; rs_start; rs_end; rs_est_end; rs_size;
+    rs_bw; rs_nodes; rs_leaf_cables; rs_l2_cables }
+
+let fin =
+  let+ fs_job = field "id" int (fun f -> f.fs_job)
+  and+ fs_start = field "start" num (fun f -> f.fs_start)
+  and+ fs_end = field "end" num (fun f -> f.fs_end) in
+  { fs_job; fs_start; fs_end }
+
+let smp =
+  let+ t = field "t" num (fun (t, _, _, _, _) -> t)
+  and+ ab = field "ab" int (fun (_, ab, _, _, _) -> ab)
+  and+ rb = field "rb" int (fun (_, _, rb, _, _) -> rb)
+  and+ p = field "p" int (fun (_, _, _, p, _) -> p)
+  and+ f = field "f" int (fun (_, _, _, _, f) -> f) in
+  (t, ab, rb, p, f)
+
+(* The simulator's scalar accumulators.  Version-1 files predate molding
+   (shrunk, grown) and the daemon (cancelled). *)
+let accumulators =
+  let open Accumulators in
+  let+ sched_clock = field "sched_clock" num (fun a -> a.sched_clock)
+  and+ alloc_busy = field "alloc_busy" int (fun a -> a.alloc_busy)
+  and+ req_busy = field "req_busy" int (fun a -> a.req_busy)
+  and+ last_start_time = field "last_start" num (fun a -> a.last_start_time)
+  and+ first_start_time = field "first_start" num (fun a -> a.first_start_time)
+  and+ first_blocked_time =
+    field "first_blocked" num (fun a -> a.first_blocked_time)
+  and+ rejected = field "rejected" int (fun a -> a.rejected)
+  and+ pending_repairs =
+    field "pending_repairs" int (fun a -> a.pending_repairs)
+  and+ fault_events = field "fault_count" int (fun a -> a.fault_events)
+  and+ interrupted = field "interrupted" int (fun a -> a.interrupted)
+  and+ requeued = field "requeued" int (fun a -> a.requeued)
+  and+ abandoned = field "abandoned" int (fun a -> a.abandoned)
+  and+ lost_node_time = field "lost_node_time" num (fun a -> a.lost_node_time)
+  and+ shrunk = field ~absent:0 "shrunk" int (fun a -> a.shrunk)
+  and+ grown = field ~absent:0 "grown" int (fun a -> a.grown)
+  and+ started_total = field "started_total" int (fun a -> a.started_total)
+  and+ cancelled = field ~absent:0 "cancelled" int (fun a -> a.cancelled) in
+  { sched_clock; alloc_busy; req_busy; last_start_time; first_start_time;
+    first_blocked_time; rejected; pending_repairs; fault_events; interrupted;
+    requeued; abandoned; lost_node_time; shrunk; grown; started_total;
+    cancelled }
+
+(* The accumulators, then the state's operation tallies and the head
+   reservation. *)
+let acc =
+  let+ acc = on (fun s -> s.acc) accumulators
+  and+ st_claims = field "st_claims" int (fun s -> s.st_claims)
+  and+ st_releases = field "st_releases" int (fun s -> s.st_releases)
+  and+ st_failures = field "st_failures" int (fun s -> s.st_failures)
+  and+ st_repairs = field "st_repairs" int (fun s -> s.st_repairs)
+  and+ st_clones = field "st_clones" int (fun s -> s.st_clones)
+  and+ reserved =
+    optional
+      (fun s -> s.reserved)
+      (let+ id = field "reserved_id" int fst
+       and+ at = field "reserved_at" num snd in
+       (id, at))
+  in
+  fun s ->
+    { s with acc; st_claims; st_releases; st_failures; st_repairs; st_clones;
+      reserved }
+
+let singletons =
+  [ ("engine", engine); ("queue", queue); ("pending", pending); ("gens", gens);
+    ("nofit", nofit); ("kills", kills); ("acc", acc) ]
+
+let trailer =
+  let+ lines = field "lines" int fst and+ md5 = field "md5" str snd in
+  (lines, md5)
 
 (* Durability helpers.  [fsync_dir] is best-effort: directory fsync is
    the POSIX way to persist a rename, but some filesystems reject fsync
@@ -121,156 +292,30 @@ let fsync_dir dir =
 
 let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
   let buf = Buffer.create 65536 in
-  let line fields =
-    Obs.Json.write buf fields;
+  let line ?tail kind row x =
+    Obs.Json.write buf (("record", Obs.Json.Str kind) :: fields ?tail row x);
     Buffer.add_char buf '\n'
   in
-  let r = s.resilience in
-  line
-    ([
-      ("record", str magic);
-      ("version", int_ version);
-      ("scheme", str s.scheme);
-      ("trace", str s.trace_name);
-      ("scenario", str s.scenario);
-      ("radix", int_ s.radix);
-      ("system_nodes", int_ s.system_nodes);
-      ("scenario_seed", int_ s.scenario_seed);
-      ("backfill_window", int_ s.backfill_window);
-      ("backfill", bool_ s.backfill);
-      ("requeue", bool_ r.Simulator.requeue);
-      ("resubmit_delay", num r.Simulator.resubmit_delay);
-      ("max_retries", int_ r.Simulator.max_retries);
-      ("charge_lost_work", bool_ r.Simulator.charge_lost_work);
-    ]
-    @ (if r.Simulator.shrink then [ ("shrink", bool_ true) ] else [])
-    @ [
-      ("jobs", int_ (Array.length s.jobs));
-      ("faults", int_ (Array.length s.faults));
-      ("events", int_ (Array.length s.events));
-      ("running", int_ (Array.length s.running));
-      ("finished", int_ (Array.length s.finished));
-      ("samples", int_ (Array.length s.samples));
-    ]
-    @ meta);
-  Array.iter
-    (fun (j : Trace.Job.t) ->
-      line
-        ([
-           ("record", str "job");
-           ("id", int_ j.id);
-           ("size", int_ j.size);
-           ("runtime", num j.runtime);
-           ("est", num j.est_runtime);
-           ("arrival", num j.arrival);
-           ("bw", num j.bw_class);
-         ]
-        @
-        match j.spec with
-        | Trace.Job.Rigid _ -> []
-        | Trace.Job.Moldable { min_size; max_size; pref = _ } ->
-            [ ("min", int_ min_size); ("max", int_ max_size) ]))
-    s.jobs;
-  Array.iter
-    (fun (e : Trace.Faults.event) ->
-      line
-        [
-          ("record", str "fault");
-          ("t", num e.time);
-          ("kind", str (match e.kind with Fail -> "fail" | Repair -> "repair"));
-          ("target", str (Trace.Faults.target_name e.target));
-          ("id", int_ (Trace.Faults.target_id e.target));
-        ])
-    s.faults;
-  line
-    [
-      ("record", str "engine");
-      ("clock", num s.clock);
-      ("steps", int_ s.steps);
-      ("next_seq", int_ s.next_seq);
-    ];
-  Array.iter
-    (fun (ev : event) ->
-      line
-        [
-          ("record", str "ev");
-          ("t", num ev.ev_time);
-          ("prio", int_ ev.ev_priority);
-          ("seq", int_ ev.ev_seq);
-          ("tag", str ev.ev_tag);
-        ])
-    s.events;
-  line [ ("record", str "queue"); ("entries", str (pairs_str s.queue)) ];
-  line [ ("record", str "pending"); ("ids", str (ints_str s.pending_live)) ];
-  line [ ("record", str "gens"); ("entries", str (pairs_str s.pending_gens)) ];
-  line
-    [
-      ("record", str "nofit");
-      ("gen", int_ s.nofit_release_gen);
-      ("entries", str (nofit_str s.nofit));
-    ];
-  line [ ("record", str "kills"); ("entries", str (pairs_str s.kills)) ];
-  Array.iter
-    (fun (rj : running_job) ->
-      line
-        ([
-           ("record", str "run");
-           ("id", int_ rj.rs_job);
-           ("attempt", int_ rj.rs_attempt);
-         ]
-        @ (if rj.rs_epoch > 0 then [ ("epoch", int_ rj.rs_epoch) ] else [])
-        @ [
-            ("start", num rj.rs_start);
-            ("end", num rj.rs_end);
-            ("est_end", num rj.rs_est_end);
-            ("size", int_ rj.rs_size);
-            ("bw", num rj.rs_bw);
-            ("nodes", str (ints_str rj.rs_nodes));
-            ("leaf", str (ints_str rj.rs_leaf_cables));
-            ("l2", str (ints_str rj.rs_l2_cables));
-          ]))
-    s.running;
-  Array.iter
-    (fun (f : finished_job) ->
-      line
-        [
-          ("record", str "fin");
-          ("id", int_ f.fs_job);
-          ("start", num f.fs_start);
-          ("end", num f.fs_end);
-        ])
-    s.finished;
-  Array.iter
-    (fun (t, ab, rb, p, fl) ->
-      line
-        [
-          ("record", str "smp");
-          ("t", num t);
-          ("ab", int_ ab);
-          ("rb", int_ rb);
-          ("p", int_ p);
-          ("f", int_ fl);
-        ])
-    s.samples;
-  line
-    ((("record", str "acc")
-     :: List.map (fun (name, get, _) -> (name, get s)) acc_row)
-    @
-    match s.reserved with
-    | None -> []
-    | Some (id, at) -> [ ("reserved_id", int_ id); ("reserved_at", num at) ]);
+  line ~tail:meta magic header s;
+  Array.iter (line "job" job) s.jobs;
+  Array.iter (line "fault" fault) s.faults;
+  line "engine" engine s;
+  Array.iter (line "ev" ev) s.events;
+  line "queue" queue s;
+  line "pending" pending s;
+  line "gens" gens s;
+  line "nofit" nofit s;
+  line "kills" kills s;
+  Array.iter (line "run" run) s.running;
+  Array.iter (line "fin" fin) s.finished;
+  Array.iter (line "smp" smp) s.samples;
+  line "acc" acc s;
   (* Integrity trailer: line count and MD5 of everything above it. *)
   let body = Buffer.contents buf in
   let lines =
     String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 body
   in
-  Obs.Json.write buf
-    [
-      ("record", str "end");
-      ("lines", int_ lines);
-      ("md5", str (Digest.to_hex (Digest.string body)));
-    ];
-  Buffer.add_char buf '\n';
+  line "end" trailer (lines, Digest.to_hex (Digest.string body));
   let tmp = path ^ ".tmp" in
   (* Crash-ordering discipline: the bytes must be durable before the
      rename publishes them (or a crash after the rename could expose an
@@ -291,42 +336,6 @@ exception Bad of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let parse_pairs what s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun entry ->
-           match String.split_on_char ':' entry with
-           | [ a; b ] -> (
-               match (int_of_string_opt a, int_of_string_opt b) with
-               | Some a, Some b -> (a, b)
-               | _ -> fail "malformed %s entry %S" what entry)
-           | _ -> fail "malformed %s entry %S" what entry)
-    |> Array.of_list
-
-let parse_ints what s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun v ->
-           match int_of_string_opt v with
-           | Some i -> i
-           | None -> fail "malformed %s entry %S" what v)
-    |> Array.of_list
-
-let parse_nofit s =
-  if s = "" then [||]
-  else
-    String.split_on_char ' ' s
-    |> List.map (fun entry ->
-           match String.split_on_char ':' entry with
-           | [ size; bw ] -> (
-               match (int_of_string_opt size, float_of_string_opt bw) with
-               | Some size, Some bw -> (size, bw)
-               | _ -> fail "malformed nofit entry %S" entry)
-           | _ -> fail "malformed nofit entry %S" entry)
-    |> Array.of_list
-
 (* Split off the integrity trailer and verify it against the body bytes
    before any record parsing. *)
 let verify_integrity path content =
@@ -339,18 +348,18 @@ let verify_integrity path content =
     | None -> fail "%s: missing integrity trailer (truncated?)" path
   in
   let trailer_line = String.sub content trailer_start (len - 1 - trailer_start) in
-  let trailer =
+  let trailer_fields =
     try Obs.Json.parse_line trailer_line
     with Obs.Json.Parse_error m ->
       fail "%s: unparseable integrity trailer: %s" path m
   in
   (try
-     if Obs.Json.str trailer "record" <> "end" then
+     if Obs.Json.str trailer_fields "record" <> "end" then
        fail "%s: last record is not the integrity trailer (truncated?)" path
    with Obs.Json.Parse_error _ ->
      fail "%s: last record is not the integrity trailer (truncated?)" path);
   let body = String.sub content 0 trailer_start in
-  let md5 = Obs.Json.str trailer "md5" in
+  let expected, md5 = decode trailer trailer_fields in
   let actual = Digest.to_hex (Digest.string body) in
   if not (String.equal md5 actual) then
     fail "%s: integrity check failed: checksum %s does not match contents (%s)"
@@ -358,7 +367,6 @@ let verify_integrity path content =
   let lines =
     String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 body
   in
-  let expected = Obs.Json.int trailer "lines" in
   if lines <> expected then
     fail "%s: integrity check failed: %d records, trailer says %d" path lines
       expected;
@@ -376,173 +384,44 @@ let load_ext ~path =
       | Ok r -> r
       | Error m -> fail "%s: %s" path m
     in
-    let header, rest =
+    let first, rest =
       match records with
       | h :: rest -> (h, rest)
       | [] -> fail "%s: empty checkpoint" path
     in
-    let jstr = Obs.Json.str and jnum = Obs.Json.num and jint = Obs.Json.int in
-    if jstr header "record" <> magic then
+    if Obs.Json.str first "record" <> magic then
       fail "%s: not a checkpoint file (bad magic)" path;
-    let v = jint header "version" in
+    let v = Obs.Json.int first "version" in
     if v < oldest_readable_version || v > version then
       fail "%s: unsupported checkpoint version %d (this build reads %d-%d)"
         path v oldest_readable_version version;
-    let jobs = ref [] and faults = ref [] and events = ref [] in
-    let running = ref [] and finished = ref [] and samples = ref [] in
-    let engine = ref None and acc = ref None in
-    let queue = ref None and pending = ref None and gens = ref None in
-    let nofit = ref None and kills = ref None in
+    let s, counts = decode header first in
+    let kind f = Obs.Json.str f "record" in
     List.iter
       (fun f ->
-        match jstr f "record" with
-        | "job" ->
-            let size = jint f "size" in
-            let spec =
-              (* v1 rows (and v2 rigid rows) carry no size-spec fields. *)
-              if Obs.Json.mem f "min" then
-                Trace.Job.Moldable
-                  {
-                    min_size = jint f "min";
-                    max_size = jint f "max";
-                    pref = size;
-                  }
-              else Trace.Job.Rigid size
-            in
-            jobs :=
-              {
-                Trace.Job.id = jint f "id";
-                size;
-                spec;
-                runtime = jnum f "runtime";
-                est_runtime = jnum f "est";
-                arrival = jnum f "arrival";
-                bw_class = jnum f "bw";
-              }
-              :: !jobs
-        | "fault" ->
-            let kind =
-              match jstr f "kind" with
-              | "fail" -> Trace.Faults.Fail
-              | "repair" -> Trace.Faults.Repair
-              | k -> fail "%s: unknown fault kind %S" path k
-            in
-            let target =
-              match Trace.Faults.target_of_name (jstr f "target") (jint f "id")
-              with
-              | Ok t -> t
-              | Error m -> fail "%s: %s" path m
-            in
-            faults := { Trace.Faults.time = jnum f "t"; kind; target } :: !faults
-        | "engine" -> engine := Some f
-        | "ev" ->
-            events :=
-              {
-                ev_time = jnum f "t";
-                ev_priority = jint f "prio";
-                ev_seq = jint f "seq";
-                ev_tag = jstr f "tag";
-              }
-              :: !events
-        | "queue" -> queue := Some (parse_pairs "queue" (jstr f "entries"))
-        | "pending" -> pending := Some (parse_ints "pending" (jstr f "ids"))
-        | "gens" -> gens := Some (parse_pairs "gens" (jstr f "entries"))
-        | "nofit" -> nofit := Some (jint f "gen", parse_nofit (jstr f "entries"))
-        | "kills" -> kills := Some (parse_pairs "kills" (jstr f "entries"))
-        | "run" ->
-            running :=
-              {
-                rs_job = jint f "id";
-                rs_attempt = jint f "attempt";
-                rs_epoch = (if Obs.Json.mem f "epoch" then jint f "epoch" else 0);
-                rs_start = jnum f "start";
-                rs_end = jnum f "end";
-                rs_est_end = jnum f "est_end";
-                rs_size = jint f "size";
-                rs_bw = jnum f "bw";
-                rs_nodes = parse_ints "nodes" (jstr f "nodes");
-                rs_leaf_cables = parse_ints "leaf" (jstr f "leaf");
-                rs_l2_cables = parse_ints "l2" (jstr f "l2");
-              }
-              :: !running
-        | "fin" ->
-            finished :=
-              {
-                fs_job = jint f "id";
-                fs_start = jnum f "start";
-                fs_end = jnum f "end";
-              }
-              :: !finished
-        | "smp" ->
-            samples :=
-              (jnum f "t", jint f "ab", jint f "rb", jint f "p", jint f "f")
-              :: !samples
-        | "acc" -> acc := Some f
-        | r -> fail "%s: unknown record type %S" path r)
+        let k = kind f in
+        if not (List.mem_assoc k counts || List.mem_assoc k singletons) then
+          fail "%s: unknown record type %S" path k)
       rest;
-    let require what = function
-      | Some v -> v
-      | None -> fail "%s: missing %s record" path what
+    let one s (k, row) =
+      match List.find_opt (fun f -> kind f = k) rest with
+      | Some f -> decode row f s
+      | None -> fail "%s: missing %s record" path k
     in
-    let engine = require "engine" !engine in
-    let acc = require "acc" !acc in
-    let nofit_gen, nofit = require "nofit" !nofit in
-    let arr what counted got =
-      let a = Array.of_list (List.rev got) in
-      let expected = jint header counted in
-      if Array.length a <> expected then
-        fail "%s: %d %s records, header says %d" path (Array.length a) what
+    let many k row =
+      let rows = List.filter (fun f -> kind f = k) rest in
+      let expected = List.assoc k counts in
+      if List.length rows <> expected then
+        fail "%s: %d %s records, header says %d" path (List.length rows) k
           expected;
-      a
+      Array.of_list (List.map (decode row) rows)
     in
-    let s =
-      {
-        scheme = jstr header "scheme";
-        radix = jint header "radix";
-        scenario = jstr header "scenario";
-        scenario_seed = jint header "scenario_seed";
-        backfill_window = jint header "backfill_window";
-        backfill = jint header "backfill" <> 0;
-        resilience =
-          {
-            Simulator.requeue = jint header "requeue" <> 0;
-            resubmit_delay = jnum header "resubmit_delay";
-            max_retries = jint header "max_retries";
-            charge_lost_work = jint header "charge_lost_work" <> 0;
-            shrink =
-              Obs.Json.mem header "shrink" && jint header "shrink" <> 0;
-          };
-        trace_name = jstr header "trace";
-        system_nodes = jint header "system_nodes";
-        jobs = arr "job" "jobs" !jobs;
-        faults = arr "fault" "faults" !faults;
-        clock = jnum engine "clock";
-        steps = jint engine "steps";
-        next_seq = jint engine "next_seq";
-        events = arr "event" "events" !events;
-        queue = require "queue" !queue;
-        pending_live = require "pending" !pending;
-        pending_gens = require "gens" !gens;
-        running = arr "running" "running" !running;
-        nofit;
-        nofit_release_gen = nofit_gen;
-        kills = require "kills" !kills;
-        reserved =
-          (if Obs.Json.mem acc "reserved_id" then
-             Some (jint acc "reserved_id", jnum acc "reserved_at")
-           else None);
-        acc = Accumulators.create ~pending_repairs:0;
-        samples = arr "sample" "samples" !samples;
-        finished = arr "finished" "finished" !finished;
-        st_claims = 0;
-        st_releases = 0;
-        st_failures = 0;
-        st_repairs = 0;
-        st_clones = 0;
-      }
-    in
-    List.iter (fun (_, _, set) -> set s acc) acc_row;
-    Ok (s, header)
+    let s = List.fold_left one s singletons in
+    Ok
+      ( { s with jobs = many "job" job; faults = many "fault" fault;
+          events = many "ev" ev; running = many "run" run;
+          finished = many "fin" fin; samples = many "smp" smp },
+        first )
   with
   | Bad m -> Error m
   | Obs.Json.Parse_error m -> Error (Printf.sprintf "%s: %s" path m)

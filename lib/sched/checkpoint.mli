@@ -27,6 +27,13 @@
 val version : int
 (** Format version written by {!save}; {!load} rejects others. *)
 
+(** Rows the daemon's WAL shares: the fault-recovery policy ("shrink"
+    only when set), and a job's size range ("min"/"max" only for
+    moldable jobs), which reads back as a function of the job's size. *)
+
+val resilience : (Simulator.resilience, Simulator.resilience) Obs.Row.t
+val spec : (Trace.Job.t, int -> Trace.Job.spec) Obs.Row.t
+
 val save :
   ?meta:(string * Obs.Json.value) list ->
   path:string ->

@@ -52,63 +52,84 @@ let mean_turnaround jobs ~large_only =
 (* Machine-readable output                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Flat key/value view of a result row, shared by the JSON encoder and
-   the fingerprint below.  The histogram is flattened to [inst_hist_<i>]
+(* A result row as one flat record, shared by the JSON encoder, the
+   manifest decoder and the fingerprint below, whose digest depends on
+   this field order.  The histogram is flattened to [inst_hist_<i>]
    keys so the line stays parseable by the flat [Obs.Json] reader; the
-   (long) series is exported separately as CSV. *)
-let json_fields m =
-  let open Obs.Json in
-  let n name v = (name, Num v) in
-  let i name v = (name, Num (float_of_int v)) in
-  [
-    ("trace", Str m.trace_name);
-    ("sched", Str m.sched_name);
-    ("scenario", Str m.scenario_name);
-    i "cluster_nodes" m.cluster_nodes;
-    i "num_jobs" m.num_jobs;
-    i "rejected" m.rejected;
-    i "stuck_pending" m.stuck_pending;
-    n "avg_utilization" m.avg_utilization;
-    n "alloc_utilization" m.alloc_utilization;
-  ]
-  @ List.mapi (fun idx c -> i (Printf.sprintf "inst_hist_%d" idx) c)
-      (Array.to_list m.inst_hist)
-  @ [
-      n "makespan" m.makespan;
-      n "avg_turnaround_all" m.avg_turnaround_all;
-      n "avg_turnaround_large" m.avg_turnaround_large;
-      i "num_large" m.num_large;
-      n "sched_time_total" m.sched_time_total;
-      n "sched_time_per_job" m.sched_time_per_job;
-      n "steady_start" m.steady_start;
-      n "steady_end" m.steady_end;
-      i "fault_events" m.fault_events;
-      i "interrupted" m.interrupted;
-      i "requeued" m.requeued;
-      i "abandoned" m.abandoned;
-      n "lost_node_time" m.lost_node_time;
-    ]
+   (long) series is exported separately as CSV, and the row reads back
+   as a function of it. *)
+let row =
+  let open Obs.Row in
+  let+ trace_name = field "trace" str (fun m -> m.trace_name)
+  and+ sched_name = field "sched" str (fun m -> m.sched_name)
+  and+ scenario_name = field "scenario" str (fun m -> m.scenario_name)
+  and+ cluster_nodes = field "cluster_nodes" int (fun m -> m.cluster_nodes)
+  and+ num_jobs = field "num_jobs" int (fun m -> m.num_jobs)
+  and+ rejected = field "rejected" int (fun m -> m.rejected)
+  and+ stuck_pending = field "stuck_pending" int (fun m -> m.stuck_pending)
+  and+ avg_utilization =
+    field "avg_utilization" num (fun m -> m.avg_utilization)
+  and+ alloc_utilization =
+    field "alloc_utilization" num (fun m -> m.alloc_utilization)
+  and+ inst_hist =
+    list
+      (List.init
+         (Array.length table2_boundaries + 1)
+         (fun i ->
+           field (Printf.sprintf "inst_hist_%d" i) int (fun m ->
+               m.inst_hist.(i))))
+  and+ makespan = field "makespan" num (fun m -> m.makespan)
+  and+ avg_turnaround_all =
+    field "avg_turnaround_all" num (fun m -> m.avg_turnaround_all)
+  and+ avg_turnaround_large =
+    field "avg_turnaround_large" num (fun m -> m.avg_turnaround_large)
+  and+ num_large = field "num_large" int (fun m -> m.num_large)
+  and+ sched_time_total =
+    field "sched_time_total" num (fun m -> m.sched_time_total)
+  and+ sched_time_per_job =
+    field "sched_time_per_job" num (fun m -> m.sched_time_per_job)
+  and+ steady_start = field "steady_start" num (fun m -> m.steady_start)
+  and+ steady_end = field "steady_end" num (fun m -> m.steady_end)
+  and+ fault_events = field "fault_events" int (fun m -> m.fault_events)
+  and+ interrupted = field "interrupted" int (fun m -> m.interrupted)
+  and+ requeued = field "requeued" int (fun m -> m.requeued)
+  and+ abandoned = field "abandoned" int (fun m -> m.abandoned)
+  and+ lost_node_time = field "lost_node_time" num (fun m -> m.lost_node_time)
   (* The molding counters appear only when molding actually happened, so
      every pre-molding row (and its fingerprint) is byte-identical. *)
-  @ (if m.shrunk > 0 then [ i "shrunk" m.shrunk ] else [])
-  @ (if m.grown > 0 then [ i "grown" m.grown ] else [])
-  @ [
-      n "healthy_fraction" m.healthy_fraction;
-      n "util_vs_healthy" m.util_vs_healthy;
-      i "series_points" (Array.length m.series);
-    ]
+  and+ shrunk = field ~omit:0 "shrunk" int (fun m -> m.shrunk)
+  and+ grown = field ~omit:0 "grown" int (fun m -> m.grown)
+  and+ healthy_fraction =
+    field "healthy_fraction" num (fun m -> m.healthy_fraction)
+  and+ util_vs_healthy =
+    field "util_vs_healthy" num (fun m -> m.util_vs_healthy)
+  and+ series_points =
+    field "series_points" int (fun m -> Array.length m.series)
+  in
+  fun series ->
+    if Array.length series <> series_points then
+      Error
+        (Printf.sprintf "series has %d points, row says %d"
+           (Array.length series) series_points)
+    else
+      Ok
+        { trace_name; sched_name; scenario_name; cluster_nodes; num_jobs;
+          rejected; stuck_pending; avg_utilization; alloc_utilization;
+          inst_hist = Array.of_list inst_hist; makespan; avg_turnaround_all;
+          avg_turnaround_large; num_large; sched_time_total;
+          sched_time_per_job; steady_start; steady_end; fault_events;
+          interrupted; requeued; abandoned; lost_node_time; shrunk; grown;
+          healthy_fraction; util_vs_healthy; series }
 
+let json_fields m = Obs.Row.fields row m
+
+(* Extras (wall-clock, domain count, ...) go last so the simulated
+   fields keep their historical positions; the fingerprint never sees
+   them — it reads [json_fields] directly. *)
 let to_json_string ?(extra = []) m =
   let b = Buffer.create 512 in
-  (* Extras (wall-clock, domain count, ...) go last so the simulated
-     fields keep their historical positions; the fingerprint never sees
-     them — it reads [json_fields] directly. *)
-  Obs.Json.write b (json_fields m @ extra);
-  (* [Obs.Json.write] ends the line; callers print the bare object. *)
-  let s = Buffer.contents b in
-  if String.length s > 0 && s.[String.length s - 1] = '\n' then
-    String.sub s 0 (String.length s - 1)
-  else s
+  Obs.Json.write b (Obs.Row.fields ~tail:extra row m);
+  Buffer.contents b
 
 (* The behavioural digest: every simulated quantity, including the full
    utilization series, but nothing wall-clock — [sched_time_*] vary
@@ -163,55 +184,11 @@ let series_decode s =
       Error "malformed series string (expected space-separated t:u pairs)"
 
 let of_json ~series fields =
-  try
-    let str = Obs.Json.str fields
-    and num = Obs.Json.num fields
-    and int = Obs.Json.int fields in
-    let inst_hist =
-      Array.init
-        (Array.length table2_boundaries + 1)
-        (fun idx -> int (Printf.sprintf "inst_hist_%d" idx))
-    in
-    match series_decode series with
-    | Error m -> Error m
-    | Ok series ->
-        if Array.length series <> int "series_points" then
-          Error
-            (Printf.sprintf "series has %d points, row says %d"
-               (Array.length series) (int "series_points"))
-        else
-          Ok
-            {
-              trace_name = str "trace";
-              sched_name = str "sched";
-              scenario_name = str "scenario";
-              cluster_nodes = int "cluster_nodes";
-              num_jobs = int "num_jobs";
-              rejected = int "rejected";
-              stuck_pending = int "stuck_pending";
-              avg_utilization = num "avg_utilization";
-              alloc_utilization = num "alloc_utilization";
-              inst_hist;
-              makespan = num "makespan";
-              avg_turnaround_all = num "avg_turnaround_all";
-              avg_turnaround_large = num "avg_turnaround_large";
-              num_large = int "num_large";
-              sched_time_total = num "sched_time_total";
-              sched_time_per_job = num "sched_time_per_job";
-              steady_start = num "steady_start";
-              steady_end = num "steady_end";
-              fault_events = int "fault_events";
-              interrupted = int "interrupted";
-              requeued = int "requeued";
-              abandoned = int "abandoned";
-              lost_node_time = num "lost_node_time";
-              shrunk = (if Obs.Json.mem fields "shrunk" then int "shrunk" else 0);
-              grown = (if Obs.Json.mem fields "grown" then int "grown" else 0);
-              healthy_fraction = num "healthy_fraction";
-              util_vs_healthy = num "util_vs_healthy";
-              series;
-            }
-  with Obs.Json.Parse_error m -> Error m
+  match series_decode series with
+  | Error m -> Error m
+  | Ok series -> (
+      try Obs.Row.decode row fields series
+      with Obs.Json.Parse_error m -> Error m)
 
 let write_series_csv oc m =
   output_string oc "time,utilization\n";

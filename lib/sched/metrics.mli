@@ -104,8 +104,8 @@ val pp : format:format -> Format.formatter -> t -> unit
 val json_fields : t -> (string * Obs.Json.value) list
 (** The flat key/value view behind the [Json] face and {!fingerprint}:
     every simulated scalar, the histogram flattened to [inst_hist_<i>]
-    keys, and the series by length only ([series_points]).  Sweep
-    manifests persist rows through this view. *)
+    keys, and the series by length only ([series_points]): the
+    fields of {!row}, in the order the fingerprint digests them. *)
 
 val to_json_string : ?extra:(string * Obs.Json.value) list -> t -> string
 (** The [Json] face as a string.  [extra] fields (e.g. [wall_clock_s],
@@ -135,6 +135,11 @@ val series_encode : t -> string
     floats (exact round-trip). *)
 
 val series_decode : string -> ((float * float) array, string) result
+
+val row : (t, (float * float) array -> (t, string) result) Obs.Row.t
+(** The row behind {!json_fields} and {!of_json}.  It reads back as a
+    function of the decoded series, which must have [series_points]
+    points. *)
 
 val of_json :
   series:string -> (string * Obs.Json.value) list -> (t, string) result

@@ -1400,13 +1400,12 @@ module Snapshot = struct
     acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
     finished : finished_job array;  (** Completion order. *)
-    (* state operation counters; mutable so a checkpoint loader can
-       fill them from its field table *)
-    mutable st_claims : int;
-    mutable st_releases : int;
-    mutable st_failures : int;
-    mutable st_repairs : int;
-    mutable st_clones : int;
+    (* state operation counters *)
+    st_claims : int;
+    st_releases : int;
+    st_failures : int;
+    st_repairs : int;
+    st_clones : int;
   }
 end
 

@@ -321,13 +321,11 @@ module Snapshot : sig
     acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
     finished : finished_job array;  (** Completion order. *)
-    mutable st_claims : int;
-        (** The state's operation tallies; mutable so a checkpoint
-            loader can fill them from its field table. *)
-    mutable st_releases : int;
-    mutable st_failures : int;
-    mutable st_repairs : int;
-    mutable st_clones : int;
+    st_claims : int;  (** The state's operation tallies. *)
+    st_releases : int;
+    st_failures : int;
+    st_repairs : int;
+    st_clones : int;
   }
 end
 

@@ -141,35 +141,37 @@ let manifest_version = 1
 
 type manifest = { rows : (string * result) list; corrupt : int }
 
-let manifest_header () =
-  let b = Buffer.create 64 in
-  Obs.Json.write b
-    [
-      ("record", Str manifest_magic);
-      ("version", Num (float_of_int manifest_version));
-    ];
+let manifest_line kind row x =
+  let b = Buffer.create 4096 in
+  Obs.Json.write b (("record", Obs.Json.Str kind) :: Obs.Row.fields row x);
   Buffer.add_char b '\n';
   Buffer.contents b
 
-let manifest_row c r =
-  let b = Buffer.create 4096 in
-  let fields =
-    [
-      ("record", Obs.Json.Str "cell");
-      ("id", Obs.Json.Str c.id);
-      ("fingerprint", Obs.Json.Str (Metrics.fingerprint r.metrics));
-      ("wall_s", Obs.Json.Num r.wall_s);
-    ]
-    @ Metrics.json_fields r.metrics
-    @ [ ("series", Obs.Json.Str (Metrics.series_encode r.metrics)) ]
-    @
-    match r.prof with
-    | None -> []
-    | Some p -> [ ("prof", Obs.Json.Str (Obs.Prof.encode p)) ]
-  in
-  Obs.Json.write b fields;
-  Buffer.add_char b '\n';
-  Buffer.contents b
+let manifest_header = Obs.Row.(field "version" int Fun.id)
+
+(* A finished cell: its id, the fingerprint a resume re-verifies, the
+   wall clock, the metrics row and its series, and the profile if one
+   was taken.  Reads back as the restored result, or [None] when the
+   fingerprint does not match the row's own data. *)
+let manifest_cell =
+  let open Obs.Row in
+  let prof = option (conv str Obs.Prof.encode Obs.Prof.decode) in
+  let+ id = field "id" str fst
+  and+ fingerprint =
+    field "fingerprint" str (fun (_, r) -> Metrics.fingerprint r.metrics)
+  and+ wall_s = field "wall_s" num (fun (_, r) -> r.wall_s)
+  and+ metrics = on (fun (_, r) -> r.metrics) Metrics.row
+  and+ series =
+    field "series" str (fun (_, r) -> Metrics.series_encode r.metrics)
+  and+ prof = field ~omit:None "prof" prof (fun (_, r) -> r.prof) in
+  match Result.bind (Metrics.series_decode series) metrics with
+  | Ok metrics when Metrics.fingerprint metrics = fingerprint ->
+      (* Telemetry summaries are not journaled — fingerprints do not
+         cover them. *)
+      Some (id, { metrics; prof; net = None; wall_s; restored = true })
+  | _ -> None
+
+let manifest_row c r = manifest_line "cell" manifest_cell (c.id, r)
 
 (* Manifests are append-only journals written by possibly-killed
    processes, so loading is deliberately tolerant: a half-written or
@@ -193,7 +195,7 @@ let load_manifest path =
               (try
                  if Obs.Json.str h "record" <> manifest_magic then
                    failwith "not a sweep manifest";
-                 if Obs.Json.int h "version" <> manifest_version then
+                 if Obs.Row.decode manifest_header h <> manifest_version then
                    failwith "unsupported manifest version"
                with
               | Obs.Json.Parse_error _ | Failure _ ->
@@ -207,34 +209,7 @@ let load_manifest path =
                 | f -> (
                     try
                       if Obs.Json.str f "record" <> "cell" then None
-                      else
-                        let id = Obs.Json.str f "id" in
-                        let series = Obs.Json.str f "series" in
-                        match Metrics.of_json ~series f with
-                        | Error _ -> None
-                        | Ok metrics ->
-                            if
-                              Metrics.fingerprint metrics
-                              <> Obs.Json.str f "fingerprint"
-                            then None
-                            else
-                              let prof =
-                                if Obs.Json.mem f "prof" then
-                                  Some (Obs.Prof.decode (Obs.Json.str f "prof"))
-                                else None
-                              in
-                              Some
-                                ( id,
-                                  {
-                                    metrics;
-                                    prof;
-                                    (* Telemetry summaries are not
-                                       journaled — fingerprints do not
-                                       cover them. *)
-                                    net = None;
-                                    wall_s = Obs.Json.num f "wall_s";
-                                    restored = true;
-                                  } )
+                      else Obs.Row.decode manifest_cell f
                     with Obs.Json.Parse_error _ | Invalid_argument _ -> None)
               in
               let rows, corrupt =
@@ -264,7 +239,8 @@ let journaling_runner manifest_path =
   | Some path ->
       if not (Sys.file_exists path) then
         Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (manifest_header ()));
+            Out_channel.output_string oc
+              (manifest_line manifest_magic manifest_header manifest_version));
       let m = Mutex.create () in
       fun c ->
         let r = run_cell c in

@@ -17,9 +17,6 @@
    whole) the daemon sees faults one at a time, so the pairing check
    must happen at admission. *)
 
-let num_i i = Obs.Json.Num (float_of_int i)
-let num_b b = Obs.Json.Num (if b then 1.0 else 0.0)
-
 type params = {
   scheme : string;
   radix : int;
@@ -32,49 +29,25 @@ type params = {
   system_nodes : int;
 }
 
-let params_to_fields p =
-  [
-    ("scheme", Obs.Json.Str p.scheme);
-    ("radix", num_i p.radix);
-    ("scenario", Obs.Json.Str p.scenario);
-    ("scenario_seed", num_i p.scenario_seed);
-    ("backfill_window", num_i p.backfill_window);
-    ("backfill", num_b p.backfill);
-    ("requeue", num_b p.resilience.requeue);
-    ("resubmit_delay", Obs.Json.Num p.resilience.resubmit_delay);
-    ("max_retries", num_i p.resilience.max_retries);
-    ("charge_lost_work", num_b p.resilience.charge_lost_work);
-  ]
-  @ (if p.resilience.shrink then [ ("shrink", num_b true) ] else [])
-  @ [
-    ("trace_name", Obs.Json.Str p.trace_name);
-    ("system_nodes", num_i p.system_nodes);
-  ]
+let params_row =
+  let open Obs.Row in
+  let+ scheme = field "scheme" str (fun p -> p.scheme)
+  and+ radix = field "radix" int (fun p -> p.radix)
+  and+ scenario = field "scenario" str (fun p -> p.scenario)
+  and+ scenario_seed = field "scenario_seed" int (fun p -> p.scenario_seed)
+  and+ backfill_window =
+    field "backfill_window" int (fun p -> p.backfill_window)
+  and+ backfill = field "backfill" bool (fun p -> p.backfill)
+  and+ resilience = on (fun p -> p.resilience) Sched.Checkpoint.resilience
+  and+ trace_name = field "trace_name" str (fun p -> p.trace_name)
+  and+ system_nodes = field "system_nodes" int (fun p -> p.system_nodes) in
+  { scheme; radix; scenario; scenario_seed; backfill_window; backfill;
+    resilience; trace_name; system_nodes }
+
+let params_to_fields p = Obs.Row.fields params_row p
 
 let params_of_fields fields =
-  try
-    Ok
-      {
-        scheme = Obs.Json.str fields "scheme";
-        radix = Obs.Json.int fields "radix";
-        scenario = Obs.Json.str fields "scenario";
-        scenario_seed = Obs.Json.int fields "scenario_seed";
-        backfill_window = Obs.Json.int fields "backfill_window";
-        backfill = Obs.Json.int fields "backfill" <> 0;
-        resilience =
-          {
-            requeue = Obs.Json.int fields "requeue" <> 0;
-            resubmit_delay = Obs.Json.num fields "resubmit_delay";
-            max_retries = Obs.Json.int fields "max_retries";
-            charge_lost_work = Obs.Json.int fields "charge_lost_work" <> 0;
-            (* Absent in configs written before molding existed. *)
-            shrink =
-              Obs.Json.mem fields "shrink"
-              && Obs.Json.int fields "shrink" <> 0;
-          };
-        trace_name = Obs.Json.str fields "trace_name";
-        system_nodes = Obs.Json.int fields "system_nodes";
-      }
+  try Ok (Obs.Row.decode params_row fields)
   with Obs.Json.Parse_error m -> Error ("bad config fields: " ^ m)
 
 type t = {
@@ -187,7 +160,7 @@ let checkpoint t ~path =
   | Some _ -> false  (* the WAL'd drain op re-derives everything *)
   | None ->
       Sched.Checkpoint.save
-        ~meta:[ ("x_svc_seq", num_i t.last_seq) ]
+        ~meta:[ ("x_svc_seq", Obs.Json.Num (float t.last_seq)) ]
         ~path
         (Sched.Simulator.snapshot t.sim);
       Crash.hit "ckpt-post-save";
@@ -270,106 +243,80 @@ let admit t ~stamp (req : Protocol.request) =
       | Protocol.Drain -> Ok Drain
       | _ -> Error "not a journaled operation")
 
+(* WAL entries: an envelope row (op name, stamp, request id), then the
+   op's own row. *)
+let envelope =
+  let open Obs.Row in
+  let+ name = field "op" str (fun (name, _, _) -> name)
+  and+ stamp = field "at" num (fun (_, stamp, _) -> stamp)
+  and+ rid = field ~omit:None "rid" (option str) (fun (_, _, rid) -> rid) in
+  (name, stamp, rid)
+
+(* A submitted job; it reads back as a function of its arrival, which
+   is the entry's stamp. *)
+let submit =
+  let open Obs.Row in
+  let open Trace.Job in
+  let+ id = field "id" int (fun j -> j.id)
+  and+ size = field "size" int (fun j -> j.size)
+  and+ spec = Sched.Checkpoint.spec
+  and+ runtime = field "runtime" num (fun j -> j.runtime)
+  and+ est_runtime = field "est" num (fun j -> j.est_runtime)
+  and+ bw_class = field "bw" num (fun j -> j.bw_class) in
+  fun arrival ->
+    v ~arrival ~bw_class ~est_runtime ~spec:(spec size) ~id ~size ~runtime ()
+
+let cancel = Obs.Row.(field "id" int Fun.id)
+
+let resize =
+  let open Obs.Row in
+  let+ id = field "id" int fst and+ size = field "size" int snd in
+  (id, size)
+
+let target_row =
+  let open Obs.Row in
+  let+ name = field "target" str Trace.Faults.target_name
+  and+ index = field "index" int Trace.Faults.target_id in
+  match Trace.Faults.target_of_name name index with
+  | Ok target -> target
+  | Error m -> raise (Obs.Json.Parse_error m)
+
 let fields_of_op ~stamp ~rid op =
-  let envelope rest =
-    ("at", Obs.Json.Num stamp)
-    :: (match rid with
-       | None -> rest
-       | Some r -> ("rid", Obs.Json.Str r) :: rest)
+  let name, tail =
+    match op with
+    | Submit j -> ("submit", Obs.Row.fields submit j)
+    | Cancel id -> ("cancel", Obs.Row.fields cancel id)
+    | Resize (id, size) -> ("resize", Obs.Row.fields resize (id, size))
+    | Fault { kind; target; _ } ->
+        ( (match kind with Fail -> "fail" | Repair -> "repair"),
+          Obs.Row.fields target_row target )
+    | Drain -> ("drain", [])
   in
-  match op with
-  | Submit j ->
-      ("op", Obs.Json.Str "submit")
-      :: envelope
-           ([
-              ("id", num_i j.id);
-              ("size", num_i j.size);
-            ]
-           @ (match j.spec with
-             | Trace.Job.Rigid _ -> []  (* keep rigid entries v1-shaped *)
-             | Trace.Job.Moldable { min_size; max_size; _ } ->
-                 [ ("min", num_i min_size); ("max", num_i max_size) ])
-           @ [
-               ("runtime", Obs.Json.Num j.runtime);
-               ("est", Obs.Json.Num j.est_runtime);
-               ("bw", Obs.Json.Num j.bw_class);
-             ])
-  | Cancel id -> ("op", Obs.Json.Str "cancel") :: envelope [ ("id", num_i id) ]
-  | Resize (id, size) ->
-      ("op", Obs.Json.Str "resize")
-      :: envelope [ ("id", num_i id); ("size", num_i size) ]
-  | Fault e ->
-      ( "op",
-        Obs.Json.Str
-          (match e.kind with
-          | Trace.Faults.Fail -> "fail"
-          | Trace.Faults.Repair -> "repair") )
-      :: envelope
-           [
-             ("target", Obs.Json.Str (Trace.Faults.target_name e.target));
-             ("index", num_i (Trace.Faults.target_id e.target));
-           ]
-  | Drain -> ("op", Obs.Json.Str "drain") :: envelope []
+  Obs.Row.fields ~tail envelope (name, stamp, rid)
 
 let op_of_fields fields =
   try
-    let stamp = Obs.Json.num fields "at" in
-    let rid =
-      if Obs.Json.mem fields "rid" then Some (Obs.Json.str fields "rid")
-      else None
+    let name, stamp, rid = Obs.Row.decode envelope fields in
+    let fault kind =
+      let target = Obs.Row.decode target_row fields in
+      Ok (Fault { time = stamp; kind; target })
     in
-    match Obs.Json.str fields "op" with
-    | "submit" -> (
-        let size = Obs.Json.int fields "size" in
-        let spec =
-          if Obs.Json.mem fields "min" || Obs.Json.mem fields "max" then
-            Some
-              (Trace.Job.Moldable
-                 {
-                   min_size =
-                     (if Obs.Json.mem fields "min" then
-                        Obs.Json.int fields "min"
-                      else size);
-                   max_size =
-                     (if Obs.Json.mem fields "max" then
-                        Obs.Json.int fields "max"
-                      else size);
-                   pref = size;
-                 })
-          else None
-        in
-        match
-          Trace.Job.v ~arrival:stamp
-            ~bw_class:(Obs.Json.num fields "bw")
-            ~est_runtime:(Obs.Json.num fields "est")
-            ?spec
-            ~id:(Obs.Json.int fields "id")
-            ~size
-            ~runtime:(Obs.Json.num fields "runtime")
-            ()
-        with
-        | j -> Ok (stamp, rid, Submit j)
-        | exception Invalid_argument m -> Error ("bad submit entry: " ^ m))
-    | "cancel" -> Ok (stamp, rid, Cancel (Obs.Json.int fields "id"))
-    | "resize" ->
-        Ok
-          ( stamp,
-            rid,
-            Resize (Obs.Json.int fields "id", Obs.Json.int fields "size") )
-    | ("fail" | "repair") as op -> (
-        match
-          Trace.Faults.target_of_name
-            (Obs.Json.str fields "target")
-            (Obs.Json.int fields "index")
-        with
-        | Error m -> Error m
-        | Ok target ->
-            let kind =
-              if op = "fail" then Trace.Faults.Fail else Trace.Faults.Repair
-            in
-            Ok (stamp, rid, Fault { time = stamp; kind; target }))
-    | "drain" -> Ok (stamp, rid, Drain)
-    | op -> Error (Printf.sprintf "unknown WAL op %S" op)
+    let op =
+      match name with
+      | "submit" -> (
+          match Obs.Row.decode submit fields stamp with
+          | j -> Ok (Submit j)
+          | exception Invalid_argument m -> Error ("bad submit entry: " ^ m))
+      | "cancel" -> Ok (Cancel (Obs.Row.decode cancel fields))
+      | "resize" ->
+          let id, size = Obs.Row.decode resize fields in
+          Ok (Resize (id, size))
+      | "fail" -> fault Trace.Faults.Fail
+      | "repair" -> fault Trace.Faults.Repair
+      | "drain" -> Ok Drain
+      | op -> Error (Printf.sprintf "unknown WAL op %S" op)
+    in
+    Result.map (fun op -> (stamp, rid, op)) op
   with Obs.Json.Parse_error m -> Error ("bad WAL entry: " ^ m)
 
 (* Infallible for ops [admit] issued against this exact state; an
@@ -387,7 +334,7 @@ let apply t ~seq ~rid ~stamp op =
         | Ok () -> ()
         | Error m -> svc_invariant m);
         if j.id >= t.next_job_id then t.next_job_id <- j.id + 1;
-        [ ("id", num_i j.id) ]
+        [ ("id", Obs.Json.Num (float j.id)) ]
     | Cancel id ->
         let outcome =
           match Sched.Simulator.cancel sim id with
@@ -399,7 +346,10 @@ let apply t ~seq ~rid ~stamp op =
     | Resize (id, size) -> (
         match Sched.Simulator.resize sim id ~size with
         | Sched.Simulator.Resized_to n ->
-            [ ("outcome", Obs.Json.Str "resized"); ("size", num_i n) ]
+            [
+              ("outcome", Obs.Json.Str "resized");
+              ("size", Obs.Json.Num (float n));
+            ]
         | Sched.Simulator.Resize_refused m ->
             [
               ("outcome", Obs.Json.Str "refused");
@@ -435,16 +385,17 @@ let apply_entry t (e : Wal.entry) =
 
 let status t =
   let sim = t.sim in
-  [
-    ("clock", Obs.Json.Num (Sched.Simulator.now sim));
-    ("seq", num_i t.last_seq);
-    ("pending", num_i (Sched.Simulator.pending_count sim));
-    ("running", num_i (Sched.Simulator.running_count sim));
-    ("finished", num_i (Sched.Simulator.finished_count sim));
-    ("cancelled", num_i (Sched.Simulator.cancelled_count sim));
-    ("rejected", num_i (Sched.Simulator.rejected_count sim));
-    ("drained", num_b (t.drained <> None));
-  ]
+  Obs.Json.
+    [
+      ("clock", Num (Sched.Simulator.now sim));
+      ("seq", Num (float t.last_seq));
+      ("pending", Num (float (Sched.Simulator.pending_count sim)));
+      ("running", Num (float (Sched.Simulator.running_count sim)));
+      ("finished", Num (float (Sched.Simulator.finished_count sim)));
+      ("cancelled", Num (float (Sched.Simulator.cancelled_count sim)));
+      ("rejected", Num (float (Sched.Simulator.rejected_count sim)));
+      ("drained", Num (if t.drained = None then 0.0 else 1.0));
+    ]
 
 let advance t upto =
   let upto = Float.max upto (Sched.Simulator.now t.sim) in

@@ -172,14 +172,10 @@ let recover ?sink ?prof ?params ~dir () =
                         List.iter
                           (fun (e : Wal.entry) ->
                             if e.seq <= last then (
-                              match
-                                if Obs.Json.mem e.fields "rid" then
-                                  Some (Obs.Json.str e.fields "rid")
-                                else None
-                              with
-                              | Some rid -> Core.note_rid core rid e.seq
-                              | None -> ()
-                              | exception Obs.Json.Parse_error _ -> ())
+                              match Core.op_of_fields e.fields with
+                              | Ok (_, Some rid, _) ->
+                                  Core.note_rid core rid e.seq
+                              | Ok (_, None, _) | Error _ -> ())
                             else
                               match Core.apply_entry core e with
                               | Ok _ -> incr replayed

@@ -337,7 +337,7 @@ let test_sweep_manifest_rejects_foreign_file () =
       | exception Invalid_argument _ -> ())
 
 (* Files written by earlier builds must keep loading and restoring.
-   Both fixtures are Jigsaw checkpoints taken at t = 1000 of the
+   All fixtures are Jigsaw checkpoints taken at t = 1000 of the
    24-job workload [Synthetic.synth ~mean_size:16 ~n_jobs:24 ~seed:42
    ~max_size:128] on a radix-8 machine (retries: up to 2, 30 s apart),
    written by the build that introduced them.  Each is paired with the
@@ -347,6 +347,9 @@ let test_sweep_manifest_rejects_foreign_file () =
      then turned into a version-1 file by hand: "version" set to 1, the
      "shrunk", "grown" and "cancelled" fields dropped from the acc row,
      and the trailer's MD5 recomputed over the edited body.
+   - ckpt-v2-rigid.jsonl: ckpt-v1-rigid.jsonl loaded and saved again as
+     version 2, which pins the rigid row shapes (no "min"/"max", no
+     "epoch", no "shrink").
    - ckpt-v2-moldable.jsonl: the same jobs made moldable
      ([Workload.moldable], default range) with shrink recovery on;
      nodes 3, 40, 70, 100 and 17 fail at t = 200, 350, 500, 650, 800,
@@ -355,6 +358,7 @@ let fixtures =
   [
     ("ckpt-v1-rigid.jsonl", 1, "aafac0e5c7aac4b51c501da70726ff32");
     ("ckpt-v2-moldable.jsonl", 2, "f887c7ba903e2e0645176be7aab314cc");
+    ("ckpt-v2-rigid.jsonl", 2, "aafac0e5c7aac4b51c501da70726ff32");
   ]
 
 let fixture_path name =

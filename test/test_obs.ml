@@ -587,12 +587,85 @@ let test_null_sink_is_disabled () =
     && Obs.Sink.format_of_path "x/y.jsonl" = Obs.Sink.Jsonl
     && Obs.Sink.format_of_path "plain" = Obs.Sink.Jsonl)
 
+(* The row codec, on a record with one field of each kind: required,
+   [~omit] (an int and an option), [~absent], and an [optional] group. *)
+type row_sample = {
+  id : int;
+  x : float;
+  name : string;
+  flag : bool;
+  epoch : int;
+  note : string option;
+  since_v2 : int;
+  range : (int * int) option;
+}
+
+let sample_row =
+  let open Obs.Row in
+  let+ id = field "id" int (fun r -> r.id)
+  and+ x = field "x" num (fun r -> r.x)
+  and+ name = field "name" str (fun r -> r.name)
+  and+ flag = field "flag" bool (fun r -> r.flag)
+  and+ epoch = field ~omit:0 "epoch" int (fun r -> r.epoch)
+  and+ note = field ~omit:None "note" (option str) (fun r -> r.note)
+  and+ since_v2 = field ~absent:7 "since_v2" int (fun r -> r.since_v2)
+  and+ range =
+    optional
+      (fun r -> r.range)
+      (let+ lo = field "lo" int fst and+ hi = field "hi" int snd in
+       (lo, hi))
+  in
+  { id; x; name; flag; epoch; note; since_v2; range }
+
+let gen_row_sample =
+  QCheck2.Gen.(
+    (* Integers travel as JSON numbers, exact up to 2^53. *)
+    let exact = int_range (-(1 lsl 53)) (1 lsl 53) in
+    let small = oneof [ pure 0; int_range (-1000) 1000; exact ] in
+    let* id = exact and* x = gen_writer_float and* name = gen_writer_string in
+    let* flag = bool and* epoch = small and* note = option gen_writer_string in
+    let* since_v2 = small and* range = option (pair small small) in
+    pure { id; x; name; flag; epoch; note; since_v2; range })
+
+let prop_row_codec =
+  QCheck2.Test.make ~name:"row codec round-trips in declaration order"
+    ~count:1000
+    ~print:(fun r ->
+      let b = Buffer.create 64 in
+      Obs.Json.write b (Obs.Row.fields sample_row r);
+      Buffer.contents b)
+    (QCheck2.Gen.map
+       (fun r -> if Float.is_finite r.x then r else { r with x = 0.5 })
+       gen_row_sample)
+    (fun r ->
+      let fields = Obs.Row.fields sample_row r in
+      let b = Buffer.create 64 in
+      Obs.Json.write b fields;
+      let decode fields = Obs.Row.decode sample_row fields in
+      let missing name =
+        match decode (List.remove_assoc name fields) with
+        | _ -> false
+        | exception Obs.Json.Parse_error m ->
+            m = Printf.sprintf "missing field %S" name
+      in
+      decode (Obs.Json.parse_line (Buffer.contents b)) = r
+      && List.map fst fields
+         = [ "id"; "x"; "name"; "flag" ]
+           @ (if r.epoch = 0 then [] else [ "epoch" ])
+           @ (if r.note = None then [] else [ "note" ])
+           @ [ "since_v2" ]
+           @ (if r.range = None then [] else [ "lo"; "hi" ])
+      && decode (List.remove_assoc "since_v2" fields) = { r with since_v2 = 7 }
+      && List.for_all missing [ "id"; "x"; "name"; "flag" ]
+      && (r.range = None || (missing "lo" && missing "hi")))
+
 let suite =
   [
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "csv round-trip" `Quick test_csv_roundtrip;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     QCheck_alcotest.to_alcotest prop_writer_matches_printf;
+    QCheck_alcotest.to_alcotest prop_row_codec;
     Alcotest.test_case "trace deterministic" `Quick test_trace_deterministic;
     Alcotest.test_case "multi-victim kill order" `Quick
       test_multi_victim_kill_order;

@@ -831,6 +831,94 @@ let test_sweep_interrupt_resume () =
         resumed)
 
 (* ------------------------------------------------------------------ *)
+(* A state directory written by an earlier daemon build                  *)
+(* ------------------------------------------------------------------ *)
+
+(* fixtures/svc-state: a radix-8 Jigsaw daemon with shrink recovery
+   (--requeue shrink:2), fed raw request lines over its socket — rigid
+   and moldable submits, a cancel of a pending job and of an unknown id,
+   a refused and a granted resize, fail and repair of a node and of a
+   leaf switch, and a drain — alternately with and without a request
+   id.  It was killed right after checkpointing at seq 8 and restarted
+   for seqs 9-13, so the directory holds that checkpoint and two WAL
+   segments.  The drain replied with [svc_fixture_fingerprint]. *)
+let svc_fixture_fingerprint = "2af205fa199b42c5977094b2bcd2c597"
+
+let svc_fixture () =
+  (* The suite runs from test/ under runtest and from the build root
+     under @validate. *)
+  List.find Sys.file_exists [ "fixtures/svc-state"; "test/fixtures/svc-state" ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let fixture_files prefix =
+  let dir = svc_fixture () in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (String.starts_with ~prefix)
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+let test_fixture_state_dir () =
+  (* Recovery opens a fresh WAL segment, so it runs on a copy. *)
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun path ->
+          Out_channel.with_open_bin
+            (Filename.concat dir (Filename.basename path))
+            (fun oc -> output_string oc (read_file path)))
+        (fixture_files "");
+      match Svc.Daemon.recover ~dir () with
+      | Error m -> Alcotest.failf "recover: %s" m
+      | Ok (core, wal, _) ->
+          Svc.Wal.close wal;
+          Alcotest.(check string)
+            "recovered fingerprint" svc_fixture_fingerprint
+            (drained_fingerprint core));
+  (* Every WAL line re-encodes byte for byte: segment headers through
+     the config row, op lines through the op rows. *)
+  let ops = ref 0 in
+  List.iter
+    (fun path ->
+      List.iter
+        (fun line ->
+          let fields = Obs.Json.parse_line line in
+          let first n = List.filteri (fun i _ -> i < n) fields in
+          let reencoded =
+            match Obs.Json.str fields "record" with
+            | "jigsaw-wal" -> (
+                match Svc.Core.params_of_fields fields with
+                | Ok p -> first 3 @ Svc.Core.params_to_fields p
+                | Error m -> Alcotest.failf "%s: %s" path m)
+            | _ -> (
+                incr ops;
+                match Svc.Core.op_of_fields fields with
+                | Ok (stamp, rid, op) ->
+                    first 2 @ Svc.Core.fields_of_op ~stamp ~rid op
+                | Error m -> Alcotest.failf "%s: %s" path m)
+          in
+          Alcotest.(check string)
+            (Filename.basename path ^ " line") (line ^ "\n")
+            (Svc.Wal.line_of reencoded))
+        (In_channel.with_open_bin path In_channel.input_lines))
+    (fixture_files "wal-");
+  Alcotest.(check int) "op lines" 14 !ops;
+  (* The daemon checkpoint re-saves byte for byte, header meta included. *)
+  List.iter
+    (fun path ->
+      match Sched.Checkpoint.load_ext ~path with
+      | Error m -> Alcotest.fail m
+      | Ok (snap, header) ->
+          with_tmpdir (fun dir ->
+              let copy = Filename.concat dir "ckpt.jsonl" in
+              Sched.Checkpoint.save
+                ~meta:[ ("x_svc_seq", List.assoc "x_svc_seq" header) ]
+                ~path:copy snap;
+              Alcotest.(check string)
+                "checkpoint re-saved byte for byte" (read_file path)
+                (read_file copy)))
+    (fixture_files "ckpt-")
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -862,4 +950,6 @@ let suite =
     Alcotest.test_case "daemon rid dedup" `Quick test_daemon_rid_dedup;
     Alcotest.test_case "sweep interrupt + resume" `Quick
       test_sweep_interrupt_resume;
+    Alcotest.test_case "state dir from an earlier build" `Quick
+      test_fixture_state_dir;
   ]
