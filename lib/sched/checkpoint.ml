@@ -166,12 +166,48 @@ let engine =
   and+ next_seq = field "next_seq" int (fun s -> s.next_seq) in
   fun s -> { s with clock; steps; next_seq }
 
+(* A pending event's name: "a:<job>" arrival, "c:<job>:<attempt>"
+   completion ("c:<job>:<attempt>:<epoch>" once the attempt has been
+   resized in place), "f:<index>" fault.  A scheduling pass is never
+   pending between events, so it has no name. *)
+let tag =
+  let open Simulator in
+  conv str
+    (function
+      | Arrive job -> "a:" ^ string_of_int job
+      | Complete { job; attempt; epoch } ->
+          let c = "c:" ^ string_of_int job ^ ":" ^ string_of_int attempt in
+          if epoch = 0 then c else c ^ ":" ^ string_of_int epoch
+      | Fault i -> "f:" ^ string_of_int i
+      | Pass -> invalid_arg "Checkpoint: a scheduling pass is in flight")
+    (fun t ->
+      let int p =
+        match int_of_string_opt p with
+        | Some n -> n
+        | None -> failwith (Printf.sprintf "%S has a non-integer part" t)
+      in
+      match String.split_on_char ':' t with
+      | [ "a"; job ] -> Arrive (int job)
+      | [ "c"; job; attempt ] ->
+          Complete { job = int job; attempt = int attempt; epoch = 0 }
+      | [ "c"; job; attempt; epoch ] ->
+          Complete { job = int job; attempt = int attempt; epoch = int epoch }
+      | [ "f"; i ] -> Fault (int i)
+      | _ -> failwith (Printf.sprintf "names no event: %S" t))
+
+(* "prio" is redundant with the tag; a row whose two disagree is
+   corrupt. *)
 let ev =
   let+ ev_time = field "t" num (fun e -> e.ev_time)
-  and+ ev_priority = field "prio" int (fun e -> e.ev_priority)
+  and+ prio = field "prio" int (fun e -> Simulator.event_priority e.ev)
   and+ ev_seq = field "seq" int (fun e -> e.ev_seq)
-  and+ ev_tag = field "tag" str (fun e -> e.ev_tag) in
-  { ev_time; ev_priority; ev_seq; ev_tag }
+  and+ ev = field "tag" tag (fun e -> e.ev) in
+  if prio <> Simulator.event_priority ev then
+    raise
+      (Obs.Json.Parse_error
+         (Printf.sprintf "event %d has priority %d, but its tag runs at %d"
+            ev_seq prio (Simulator.event_priority ev)));
+  { ev_time; ev_seq; ev }
 
 let queue =
   let+ queue = field "entries" pairs (fun s -> s.queue) in

@@ -77,11 +77,27 @@ type running = {
   r_epoch : int; (* +1 per in-place resize of this attempt *)
 }
 
+(* What the engine queues.  A completion names the attempt and resize
+   epoch it was scheduled under, so a killed or resized attempt's stale
+   completion is dropped; a fault indexes the run's fault log. *)
+type event =
+  | Arrive of int
+  | Complete of { job : int; attempt : int; epoch : int }
+  | Fault of int
+  | Pass
+
+(* Same-instant order: completions and faults free or withdraw resources
+   before arrivals queue, and the scheduling pass sees all of them. *)
+let event_priority = function
+  | Complete _ | Fault _ -> 0
+  | Arrive _ -> 1
+  | Pass -> 2
+
 type sim = {
   cfg : config;
   workload : Trace.Workload.t;
   st : State.t;
-  engine : Sim.Engine.t;
+  engine : event Sim.Engine.t;
   (* FIFO pending queue with lazy deletion: ids in arrival order plus a
      live-job table.  Each queue entry is stamped with a per-job
      enqueue generation; the entry is live only while [pending_gen]
@@ -107,6 +123,7 @@ type sim = {
      pending_count, failed_nodes) recorded at every change *)
   mutable samples : (float * int * int * int * int) list;
   mutable finished : Metrics.per_job list;
+  mutable finished_count : int;
   kills : (int, int) Hashtbl.t; (* job id -> attempts killed so far *)
   mutable reserved : (int * float) option; (* live head reservation *)
   (* Head-reservation memo: the head record, [State.generation st] and
@@ -121,12 +138,15 @@ type sim = {
      [State.copy_into] instead of a clone per probe. *)
   mutable scratch : State.t option;
   (* Online front-end (daemon) state: every job the simulation knows,
-     plus jobs and fault events accepted after [start] (newest first).
-     Snapshots append the dynamic lists to the static workload/trace so
-     a restore sees one merged history. *)
+     plus jobs accepted after [start] (newest first), which snapshots
+     append to the static workload so a restore sees one merged
+     history. *)
   jobs_by_id : (int, Trace.Job.t) Hashtbl.t;
   mutable dyn_jobs : Trace.Job.t list;
-  mutable dyn_faults : Trace.Faults.event list;
+  (* The static fault trace followed by the injected events, in
+     injection order: [Fault i] runs [faults.(i)].  Injection replaces
+     the array, never mutates it, so snapshots may share it. *)
+  mutable faults : Trace.Faults.event array;
   (* Network telemetry (cfg.net): live congestion index over the running
      jobs' routed flows.  Pure observer — it never feeds back into
      scheduling or metrics, so telemetry-off runs are bit-identical. *)
@@ -398,6 +418,13 @@ let probe_job sim ~ctx (j : Trace.Job.t) =
       Obs.Event.Attempt { job = j.id; ctx; outcome; nodes; leaf_cables; l2_cables });
   alloc
 
+let clear_reservation sim id =
+  match sim.reserved with
+  | Some (rid, _) when rid = id ->
+      sim.reserved <- None;
+      emit sim (fun () -> Obs.Event.Reservation_clear { job = id })
+  | _ -> ()
+
 (* Start a job now: claim its allocation and schedule its completion.
    The allocation came from a pure probe against this same state, so the
    expensive claim validation is skipped (JIGSAW_VALIDATE=1 re-enables
@@ -421,11 +448,7 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
   sim.acc.last_start_time <- now;
   sim.acc.started_total <- sim.acc.started_total + 1;
   if sim.acc.first_start_time < 0.0 then sim.acc.first_start_time <- now;
-  (match sim.reserved with
-  | Some (id, _) when id = j.id ->
-      sim.reserved <- None;
-      emit sim (fun () -> Obs.Event.Reservation_clear { job = j.id })
-  | _ -> ());
+  clear_reservation sim j.id;
   prof_incr sim
     (match ctx with
     | Obs.Event.Head -> "sched/starts"
@@ -442,14 +465,8 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
           attempt;
         });
   net_install sim alloc;
-  (* The attempt number guards against a stale completion: a killed and
-     requeued job must not be finished by its first attempt's event.
-     Likewise the epoch (suffixed only when non-zero, so pre-resize tags
-     are byte-identical): a resized attempt must not be finished by its
-     pre-resize completion event. *)
-  Sim.Engine.schedule sim.engine ~time:r_end ~priority:0
-    ~tag:(Printf.sprintf "c:%d:%d" j.id attempt)
-    (fun _ -> complete_job sim j.id ~attempt ~epoch:0);
+  Sim.Engine.schedule sim.engine ~time:r_end
+    (Complete { job = j.id; attempt; epoch = 0 });
   record sim
 
 and complete_job sim id ~attempt ~epoch =
@@ -464,6 +481,7 @@ and complete_job sim id ~attempt ~epoch =
       sim.finished <-
         { Metrics.job = r.r_job; start_time = r.r_start; end_time = r.r_end }
         :: sim.finished;
+      sim.finished_count <- sim.finished_count + 1;
       emit sim (fun () ->
           Obs.Event.Complete
             {
@@ -481,8 +499,7 @@ and complete_job sim id ~attempt ~epoch =
    remaining node-seconds are conserved, so the time left scales by
    [old/new].  The epoch bump strands the superseded completion event —
    its guard in [complete_job] drops it — and a fresh one is scheduled
-   under the epoch-suffixed tag, which checkpoints serialize like any
-   other pending event. *)
+   under the new epoch. *)
 and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
   let now = Sim.Engine.now sim.engine in
   State.release sim.st r.r_alloc;
@@ -509,9 +526,8 @@ and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
   Hashtbl.replace sim.running r.r_job.id r';
   net_retract sim r.r_job.id;
   net_install sim new_alloc;
-  Sim.Engine.schedule sim.engine ~time:r'.r_end ~priority:0
-    ~tag:(Printf.sprintf "c:%d:%d:%d" r.r_job.id r.r_attempt r'.r_epoch)
-    (fun _ -> complete_job sim r.r_job.id ~attempt:r.r_attempt ~epoch:r'.r_epoch);
+  Sim.Engine.schedule sim.engine ~time:r'.r_end
+    (Complete { job = r.r_job.id; attempt = r.r_attempt; epoch = r'.r_epoch });
   record sim;
   r'
 
@@ -590,12 +606,9 @@ and grow_pass sim =
 and request_pass sim =
   if not sim.pass_scheduled then begin
     sim.pass_scheduled <- true;
-    (* Tagged "p" but never checkpointed: passes always run at the
-       current instant, so [run_until] drains them before a snapshot. *)
-    Sim.Engine.schedule sim.engine ~time:(Sim.Engine.now sim.engine) ~priority:2
-      ~tag:"p" (fun _ ->
-        sim.pass_scheduled <- false;
-        schedule_pass sim)
+    (* Never checkpointed: passes always run at the current instant, so
+       [run_until] drains them before a snapshot. *)
+    Sim.Engine.schedule sim.engine ~time:(Sim.Engine.now sim.engine) Pass
   end
 
 (* Earliest future completion time at which the head job could be placed,
@@ -696,125 +709,120 @@ and run_pass sim =
          offer it to the running moldable jobs.  A no-op on rigid
          traces. *)
       grow_pass sim
-  | Some head when not sim.cfg.backfill ->
-      (* Plain FIFO: the head simply waits for resources.  Oversized
-         requests must still be rejected, or they would wedge the queue
-         forever. *)
-      if sim.acc.first_blocked_time < 0.0 then
-        sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
-      if Trace.Job.min_size head > Fattree.Topology.num_nodes (State.topo sim.st)
-      then begin
-        ignore (Queue.pop sim.pending_ids);
-        Hashtbl.remove sim.pending head.id;
-        sim.acc.rejected <- sim.acc.rejected + 1;
-        emit sim (fun () -> Obs.Event.Reject { job = head.id });
-        request_pass sim
-      end
   | Some head -> (
       if sim.acc.first_blocked_time < 0.0 then
         sim.acc.first_blocked_time <- Sim.Engine.now sim.engine;
-      (* Phase 2: reservation for the head... *)
-      match compute_reservation sim head with
-      | None
-        when Trace.Job.min_size head
-             > Fattree.Topology.num_nodes (State.topo sim.st)
-             || (not (State.has_failures sim.st))
-             || sim.acc.pending_repairs = 0 ->
-          (* Definitively impossible: the job exceeds nameplate capacity,
-             or even the fully drained machine — healthy, or degraded
-             with no repair left to ever enlarge it.  Reject and continue
-             with the rest. *)
-          ignore (Queue.pop sim.pending_ids);
-          Hashtbl.remove sim.pending head.id;
-          sim.acc.rejected <- sim.acc.rejected + 1;
-          (match sim.reserved with
-          | Some (id, _) when id = head.id ->
-              sim.reserved <- None;
-              emit sim (fun () -> Obs.Event.Reservation_clear { job = head.id })
-          | _ -> ());
-          emit sim (fun () -> Obs.Event.Reject { job = head.id });
-          request_pass sim
-      | None ->
-          (* The head only exceeds *currently surviving* capacity: a
-             scheduled repair may make it feasible, so leave it blocked.
-             Each repair bumps [release_generation] and requests a pass,
-             which retries this reservation. *)
-          ()
-      | Some (res_time, res_alloc) ->
-          if sim.reserved <> Some (head.id, res_time) then begin
-            sim.reserved <- Some (head.id, res_time);
-            emit sim (fun () ->
-                Obs.Event.Reservation_set
-                  {
-                    job = head.id;
-                    at = res_time;
-                    nodes = Array.length res_alloc.nodes;
-                    leaf_cables = Array.length res_alloc.leaf_cables;
-                    l2_cables = Array.length res_alloc.l2_cables;
-                  })
-          end;
-          (* ...phase 3: EASY backfill within the lookahead window.  The
-             reserved resources become bitsets so each candidate's
-             disjointness test is an O(1)-per-element membership probe
-             with no per-pass set construction. *)
-          let topo = State.topo sim.st in
-          let res_nodes =
-            Sim.Bitset.of_array (Fattree.Topology.num_nodes topo)
-              res_alloc.nodes
-          in
-          let res_leaf =
-            Sim.Bitset.of_array
-              (Fattree.Topology.num_leaf_l2_cables topo)
-              res_alloc.leaf_cables
-          in
-          let res_l2 =
-            Sim.Bitset.of_array
-              (Fattree.Topology.num_l2_spine_cables topo)
-              res_alloc.l2_cables
-          in
-          let disjoint_from_reservation (a : Alloc.t) =
-            (not (Sim.Bitset.intersects_array res_nodes a.nodes))
-            && (not (Sim.Bitset.intersects_array res_leaf a.leaf_cables))
-            && not (Sim.Bitset.intersects_array res_l2 a.l2_cables)
-          in
-          let candidates =
-            let acc = ref [] and count = ref 0 in
-            (try
-               Queue.iter
-                 (fun ((id, _) as entry) ->
-                   if !count >= sim.cfg.backfill_window then raise Exit;
-                   if live entry && id <> head.id then begin
-                     incr count;
-                     acc := Hashtbl.find sim.pending id :: !acc
-                   end)
-                 sim.pending_ids
-             with Exit -> ());
-            List.rev !acc
-          in
-          List.iter
-            (fun (j : Trace.Job.t) ->
-              (* Membership is re-checked at start time, not just at
-                 collection time: stamped entries make duplicates
-                 impossible today, but a double start would silently
-                 leak an allocation, so the guard is cheap insurance. *)
-              if
-                Hashtbl.mem sim.pending j.id
-                && State.total_free_nodes sim.st >= Trace.Job.min_size j
-              then begin
-                match probe_job sim ~ctx:Obs.Event.Backfill j with
-                | Some alloc ->
-                    let now = Sim.Engine.now sim.engine in
-                    let fits_before =
-                      now +. job_estimate j ~granted:alloc.Alloc.size
-                      <= res_time
-                    in
-                    if fits_before || disjoint_from_reservation alloc then begin
-                      Hashtbl.remove sim.pending j.id;
-                      start_job sim ~ctx:Obs.Event.Backfill j alloc
-                    end
-                | None -> ()
-              end)
-            candidates)
+      let oversized =
+        Trace.Job.min_size head > Fattree.Topology.num_nodes (State.topo sim.st)
+      in
+      (* Reject the head and continue with the rest. *)
+      let reject () =
+        ignore (Queue.pop sim.pending_ids);
+        Hashtbl.remove sim.pending head.id;
+        sim.acc.rejected <- sim.acc.rejected + 1;
+        clear_reservation sim head.id;
+        emit sim (fun () -> Obs.Event.Reject { job = head.id });
+        request_pass sim
+      in
+      if not sim.cfg.backfill then begin
+        (* Plain FIFO: the head simply waits for resources.  Oversized
+           requests must still be rejected, or they would wedge the
+           queue forever. *)
+        if oversized then reject ()
+      end
+      else
+        (* Phase 2: reservation for the head... *)
+        match compute_reservation sim head with
+        | None
+          when oversized
+               || (not (State.has_failures sim.st))
+               || sim.acc.pending_repairs = 0 ->
+            (* Definitively impossible: the job exceeds nameplate
+               capacity, or even the fully drained machine — healthy, or
+               degraded with no repair left to ever enlarge it. *)
+            reject ()
+        | None ->
+            (* The head only exceeds *currently surviving* capacity: a
+               scheduled repair may make it feasible, so leave it blocked.
+               Each repair bumps [release_generation] and requests a pass,
+               which retries this reservation. *)
+            ()
+        | Some (res_time, res_alloc) ->
+            if sim.reserved <> Some (head.id, res_time) then begin
+              sim.reserved <- Some (head.id, res_time);
+              emit sim (fun () ->
+                  Obs.Event.Reservation_set
+                    {
+                      job = head.id;
+                      at = res_time;
+                      nodes = Array.length res_alloc.nodes;
+                      leaf_cables = Array.length res_alloc.leaf_cables;
+                      l2_cables = Array.length res_alloc.l2_cables;
+                    })
+            end;
+            (* ...phase 3: EASY backfill within the lookahead window.  The
+               reserved resources become bitsets so each candidate's
+               disjointness test is an O(1)-per-element membership probe
+               with no per-pass set construction. *)
+            let topo = State.topo sim.st in
+            let res_nodes =
+              Sim.Bitset.of_array (Fattree.Topology.num_nodes topo)
+                res_alloc.nodes
+            in
+            let res_leaf =
+              Sim.Bitset.of_array
+                (Fattree.Topology.num_leaf_l2_cables topo)
+                res_alloc.leaf_cables
+            in
+            let res_l2 =
+              Sim.Bitset.of_array
+                (Fattree.Topology.num_l2_spine_cables topo)
+                res_alloc.l2_cables
+            in
+            let disjoint_from_reservation (a : Alloc.t) =
+              (not (Sim.Bitset.intersects_array res_nodes a.nodes))
+              && (not (Sim.Bitset.intersects_array res_leaf a.leaf_cables))
+              && not (Sim.Bitset.intersects_array res_l2 a.l2_cables)
+            in
+            let candidates =
+              let acc = ref [] and count = ref 0 in
+              (try
+                 Queue.iter
+                   (fun ((id, _) as entry) ->
+                     if !count >= sim.cfg.backfill_window then raise Exit;
+                     if live entry && id <> head.id then begin
+                       incr count;
+                       acc := Hashtbl.find sim.pending id :: !acc
+                     end)
+                   sim.pending_ids
+               with Exit -> ());
+              List.rev !acc
+            in
+            List.iter
+              (fun (j : Trace.Job.t) ->
+                (* Membership is re-checked at start time, not just at
+                   collection time: stamped entries make duplicates
+                   impossible today, but a double start would silently
+                   leak an allocation, so the guard is cheap insurance. *)
+                if
+                  Hashtbl.mem sim.pending j.id
+                  && State.total_free_nodes sim.st >= Trace.Job.min_size j
+                then begin
+                  match probe_job sim ~ctx:Obs.Event.Backfill j with
+                  | Some alloc ->
+                      let now = Sim.Engine.now sim.engine in
+                      let fits_before =
+                        now +. job_estimate j ~granted:alloc.Alloc.size
+                        <= res_time
+                      in
+                      if fits_before || disjoint_from_reservation alloc
+                      then begin
+                        Hashtbl.remove sim.pending j.id;
+                        start_job sim ~ctx:Obs.Event.Backfill j alloc
+                      end
+                  | None -> ()
+                end)
+              candidates)
 
 let arrive sim (j : Trace.Job.t) =
   (* A fresh stamp per (re-)arrival: any stale queue entry left behind
@@ -862,9 +870,7 @@ let kill_job sim (r : running) =
     let resume_at = now +. sim.cfg.resilience.resubmit_delay in
     emit sim (fun () ->
         Obs.Event.Requeue { job = r.r_job.id; attempt = kills; resume_at });
-    Sim.Engine.schedule sim.engine ~time:resume_at ~priority:1
-      ~tag:(Printf.sprintf "a:%d" r.r_job.id)
-      (fun _ -> arrive sim r.r_job)
+    Sim.Engine.schedule sim.engine ~time:resume_at (Arrive r.r_job.id)
   end
   else begin
     sim.acc.abandoned <- sim.acc.abandoned + 1;
@@ -998,6 +1004,20 @@ let fault_event sim (e : Trace.Faults.event) =
          frees nothing healthy, but a pass is still harmless). *)
       if victims <> [] then request_pass sim
 
+let dispatch sim ev =
+  (match ev with
+  | Arrive id -> arrive sim (Hashtbl.find sim.jobs_by_id id)
+  | Complete { job; attempt; epoch } -> complete_job sim job ~attempt ~epoch
+  | Fault i -> fault_event sim sim.faults.(i)
+  | Pass ->
+      sim.pass_scheduled <- false;
+      schedule_pass sim);
+  match sim.cfg.prof with
+  | Some p ->
+      Obs.Prof.sample p "gauge/event_queue"
+        (float_of_int (Sim.Engine.pending sim.engine))
+  | None -> ()
+
 (* ---- online operations (daemon front-end) -------------------------- *)
 
 (* The three mutators below are the daemon's write surface.  Each one
@@ -1018,9 +1038,7 @@ let submit sim (j : Trace.Job.t) =
   else begin
     Hashtbl.replace sim.jobs_by_id j.id j;
     sim.dyn_jobs <- j :: sim.dyn_jobs;
-    Sim.Engine.schedule sim.engine ~time:j.arrival ~priority:1
-      ~tag:(Printf.sprintf "a:%d" j.id)
-      (fun _ -> arrive sim j);
+    Sim.Engine.schedule sim.engine ~time:j.arrival (Arrive j.id);
     Ok ()
   end
 
@@ -1038,11 +1056,7 @@ let cancel sim id =
        like a requeue invalidates a backfilled job's stale entry. *)
     Hashtbl.remove sim.pending_gen id;
     sim.acc.cancelled <- sim.acc.cancelled + 1;
-    (match sim.reserved with
-    | Some (rid, _) when rid = id ->
-        sim.reserved <- None;
-        emit sim (fun () -> Obs.Event.Reservation_clear { job = id })
-    | _ -> ());
+    clear_reservation sim id;
     record sim;
     (* The head (or its reservation) may have been the cancelled job;
        re-run the pass so the queue reflects the withdrawal. *)
@@ -1103,25 +1117,20 @@ let inject_fault sim (e : Trace.Faults.event) =
     match Trace.Faults.resources (State.topo sim.st) e.target with
     | exception Invalid_argument m -> Error m
     | _ ->
-        (* The tag index continues past the static trace; [of_snapshot]
-           rebuilds the merged array with [Faults.of_ordered], so the
-           index keeps naming this event across a restore even though
-           its time may precede later-positioned static events. *)
-        let idx =
-          Array.length (Trace.Faults.events sim.cfg.faults)
-          + List.length sim.dyn_faults
-        in
-        sim.dyn_faults <- e :: sim.dyn_faults;
+        (* Appended, not merged in time order: [of_snapshot] rebuilds the
+           log with [Faults.of_ordered], so the index keeps naming this
+           event across a restore even though its time may precede
+           later-positioned static events. *)
+        sim.faults <- Array.append sim.faults [| e |];
         if e.kind = Trace.Faults.Repair then
           sim.acc.pending_repairs <- sim.acc.pending_repairs + 1;
-        Sim.Engine.schedule sim.engine ~time:e.time ~priority:0
-          ~tag:(Printf.sprintf "f:%d" idx)
-          (fun _ -> fault_event sim e);
+        Sim.Engine.schedule sim.engine ~time:e.time
+          (Fault (Array.length sim.faults - 1));
         Ok ()
 
 let pending_count sim = Hashtbl.length sim.pending
 let running_count sim = Hashtbl.length sim.running
-let finished_count sim = List.length sim.finished
+let finished_count sim = sim.finished_count
 let cancelled_count sim = sim.acc.cancelled
 let rejected_count sim = sim.acc.rejected
 let known_job sim id = Hashtbl.mem sim.jobs_by_id id
@@ -1132,24 +1141,11 @@ let net_summary sim =
     sim.net
 let max_job_id sim = Hashtbl.fold (fun id _ acc -> max id acc) sim.jobs_by_id (-1)
 
-let fault_log sim =
-  Array.append
-    (Trace.Faults.events sim.cfg.faults)
-    (Array.of_list (List.rev sim.dyn_faults))
+let fault_log sim = sim.faults
 
-(* Shared by [start] and [of_snapshot]: hook the engine's queue gauge
-   into the profiler and emit the run header, so every trace segment —
-   a resumed one too — opens self-describing.  Neither touches
-   simulator state, so metrics are unaffected. *)
+(* Shared by [start] and [of_snapshot]: emit the run header, so every
+   trace segment — a resumed one too — opens self-describing. *)
 let open_run sim =
-  Option.iter
-    (fun p ->
-      Sim.Engine.set_on_step sim.engine
-        (Some
-           (fun e ->
-             Obs.Prof.sample p "gauge/event_queue"
-               (float_of_int (Sim.Engine.pending e)))))
-    sim.cfg.prof;
   emit sim (fun () ->
       Obs.Event.Run_meta
         {
@@ -1168,7 +1164,7 @@ let start cfg (w : Trace.Workload.t) =
       cfg;
       workload = w;
       st = State.create topo;
-      engine = Sim.Engine.create ();
+      engine = Sim.Engine.create ~priority:event_priority;
       pending_ids = Queue.create ();
       pending = Hashtbl.create 1024;
       pending_gen = Hashtbl.create 1024;
@@ -1186,13 +1182,14 @@ let start cfg (w : Trace.Workload.t) =
                (Trace.Faults.events cfg.faults));
       samples = [];
       finished = [];
+      finished_count = 0;
       kills = Hashtbl.create 64;
       reserved = None;
       res_memo = None;
       scratch = None;
       jobs_by_id = Hashtbl.create (max 16 (Array.length w.jobs));
       dyn_jobs = [];
-      dyn_faults = [];
+      faults = Trace.Faults.events cfg.faults;
       net =
         Option.map
           (fun (policy, shape) ->
@@ -1206,27 +1203,19 @@ let start cfg (w : Trace.Workload.t) =
   open_run sim;
   Array.iter
     (fun (j : Trace.Job.t) ->
-      Sim.Engine.schedule sim.engine ~time:j.arrival ~priority:1
-        ~tag:(Printf.sprintf "a:%d" j.id)
-        (fun _ -> arrive sim j))
+      Sim.Engine.schedule sim.engine ~time:j.arrival (Arrive j.id))
     w.jobs;
-  (* Fault events run at completion priority: a failure at instant [t]
-     lands before [t]'s arrivals and scheduling passes.  The tag indexes
-     into the (immutable, sorted) fault trace so a checkpoint can name
-     the event without serializing its closure. *)
   Array.iteri
     (fun i (e : Trace.Faults.event) ->
-      Sim.Engine.schedule sim.engine ~time:e.time ~priority:0
-        ~tag:(Printf.sprintf "f:%d" i)
-        (fun _ -> fault_event sim e))
-    (Trace.Faults.events cfg.faults);
+      Sim.Engine.schedule sim.engine ~time:e.time (Fault i))
+    sim.faults;
   sim
 
 let now sim = Sim.Engine.now sim.engine
 let is_finished sim = Sim.Engine.pending sim.engine = 0
 
 let run_until sim horizon =
-  Sim.Engine.run_until sim.engine horizon;
+  Sim.Engine.run_until sim.engine (dispatch sim) horizon;
   (* [run_until] drains every event at or before the horizon, so any
      same-instant scheduling pass has run too. *)
   assert (not sim.pass_scheduled)
@@ -1235,7 +1224,7 @@ let finish sim =
   let cfg = sim.cfg in
   let w = sim.workload in
   let topo = State.topo sim.st in
-  Sim.Engine.run sim.engine;
+  Sim.Engine.run sim.engine (dispatch sim);
   (* Import the externally maintained tallies so the profile report is
      self-contained: one registry holds the whole run's cost picture. *)
   (match cfg.prof with
@@ -1352,7 +1341,7 @@ let run cfg w = fst (run_detailed cfg w)
 (* ---- checkpoint snapshots ------------------------------------------ *)
 
 module Snapshot = struct
-  type event = { ev_time : float; ev_priority : int; ev_seq : int; ev_tag : string }
+  type nonrec event = { ev_time : float; ev_seq : int; ev : event }
 
   type running_job = {
     rs_job : int;
@@ -1420,13 +1409,7 @@ let snapshot sim : Snapshot.t =
        after run_until";
   let events =
     Sim.Engine.pending_events sim.engine
-    |> List.map (fun (t, p, s, tag) ->
-           if tag = "" || tag = "p" then
-             invalid_arg
-               (Printf.sprintf
-                  "Simulator.snapshot: unserializable pending event (tag %S)"
-                  tag);
-           { Snapshot.ev_time = t; ev_priority = p; ev_seq = s; ev_tag = tag })
+    |> List.map (fun (ev_time, ev_seq, ev) -> { Snapshot.ev_time; ev_seq; ev })
     |> Array.of_list
   in
   let running =
@@ -1526,9 +1509,9 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
     in
     let cfg =
       (* [of_ordered], not [scripted]: the array's positions are the
-         [f:<idx>] event tags, and a daemon-injected event may sit after
-         a static event it precedes in time — re-sorting would silently
-         retarget every pending fault tag. *)
+         [Fault] events' indices, and a daemon-injected event may sit
+         after a static event it precedes in time — re-sorting would
+         silently retarget every pending fault event. *)
       Config.make ~scenario ~scenario_seed:s.scenario_seed
         ~backfill_window:s.backfill_window ~backfill:s.backfill
         ~faults:(Trace.Faults.of_ordered (Array.to_list s.faults))
@@ -1627,7 +1610,8 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         s.nofit_release_gen
         (State.release_generation st);
     let engine =
-      Sim.Engine.restore ~clock:s.clock ~steps:s.steps ~next_seq:s.next_seq
+      Sim.Engine.restore ~priority:event_priority ~clock:s.clock ~steps:s.steps
+        ~next_seq:s.next_seq
     in
     let sim =
       {
@@ -1654,13 +1638,14 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
               }
               :: acc)
             [] s.finished;
+        finished_count = Array.length s.finished;
         kills = Hashtbl.create 64;
         reserved = s.reserved;
         res_memo = None;
         scratch = None;
         jobs_by_id = job_tbl;
         dyn_jobs = [];
-        dyn_faults = [];
+        faults = s.faults;
         net = net_state;
       }
     in
@@ -1673,41 +1658,20 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
       s.pending_gens;
     Array.iter (fun key -> Hashtbl.replace sim.nofit key ()) s.nofit;
     Array.iter (fun (id, k) -> Hashtbl.replace sim.kills id k) s.kills;
-    (* Re-materialize the event heap from the tags, preserving exact
-       sequence numbers so same-instant tie-breaking (and therefore
-       every float summation order downstream) is unchanged. *)
-    let fault_arr = Trace.Faults.events cfg.faults in
+    (* Re-queue the pending events with their exact sequence numbers, so
+       same-instant tie-breaking (and therefore every float summation
+       order downstream) is unchanged. *)
     Array.iter
-      (fun (ev : Snapshot.event) ->
-        let action =
-          match String.split_on_char ':' ev.ev_tag with
-          | [ "a"; id ] ->
-              let j = find_job (int_of_string id) in
-              fun _ -> arrive sim j
-          | [ "c"; id; attempt ] ->
-              let id = int_of_string id and attempt = int_of_string attempt in
-              fun _ -> complete_job sim id ~attempt ~epoch:0
-          | [ "c"; id; attempt; epoch ] ->
-              let id = int_of_string id
-              and attempt = int_of_string attempt
-              and epoch = int_of_string epoch in
-              fun _ -> complete_job sim id ~attempt ~epoch
-          | [ "f"; idx ] ->
-              let i = int_of_string idx in
-              if i < 0 || i >= Array.length fault_arr then
-                restore_fail "checkpoint references fault event %d of %d" i
-                  (Array.length fault_arr);
-              fun _ -> fault_event sim fault_arr.(i)
-          | _ -> restore_fail "unknown event tag %S" ev.ev_tag
-          | exception Failure _ ->
-              restore_fail "malformed event tag %S" ev.ev_tag
-        in
-        match
-          Sim.Engine.schedule_restored sim.engine ~time:ev.ev_time
-            ~priority:ev.ev_priority ~seq:ev.ev_seq ~tag:ev.ev_tag action
-        with
-        | () -> ()
-        | exception Invalid_argument m -> restore_fail "%s" m)
+      (fun (e : Snapshot.event) ->
+        (match e.ev with
+        | Arrive id -> ignore (find_job id)
+        | Fault i when i < 0 || i >= Array.length s.faults ->
+            restore_fail "checkpoint references fault event %d of %d" i
+              (Array.length s.faults)
+        | Pass -> restore_fail "checkpoint holds a scheduling pass"
+        | Complete _ | Fault _ -> ());
+        Sim.Engine.schedule_restored sim.engine ~time:e.ev_time ~seq:e.ev_seq
+          e.ev)
       s.events;
     open_run sim;
     Ok sim

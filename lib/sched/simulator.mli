@@ -247,12 +247,30 @@ val max_job_id : t -> int
 
 val fault_log : t -> Trace.Faults.event array
 (** Static trace followed by dynamically injected events, in injection
-    order — index [i] is the event tagged [f:<i>]. *)
+    order — index [i] is the fault that the event [Fault i] runs.  Do
+    not mutate it. *)
 
 val net_summary : t -> Routing.Telemetry.summary option
 (** Telemetry summary up to the current clock ([None] when telemetry is
     off).  Kept out of {!Metrics.t} on purpose: fingerprints must not
     depend on whether telemetry ran. *)
+
+(** What the simulation's engine queues: plain data, so a snapshot
+    holds the pending queue as it is. *)
+type event =
+  | Arrive of int  (** The job with this id (re-)enters the queue. *)
+  | Complete of { job : int; attempt : int; epoch : int }
+      (** The job finishes — unless it was killed since ([attempt]
+          moved on) or resized in place since ([epoch] moved on). *)
+  | Fault of int  (** Index into {!fault_log}. *)
+  | Pass  (** A scheduling pass; always runs at the instant it was
+              requested, so never pending between {!run_until} slices. *)
+
+val event_priority : event -> int
+(** Same-instant order, lowest first: completions and faults (0), then
+    arrivals (1), then the scheduling pass (2) — freed and withdrawn
+    resources are visible to the jobs that arrive with them, and the
+    pass sees every change of its instant. *)
 
 (** A serializable snapshot of a mid-flight simulation, taken between
     events.  Self-contained: carries the full workload and fault trace
@@ -261,18 +279,10 @@ val net_summary : t -> Routing.Telemetry.summary option
     are wall-clock observers, not simulation state; {!of_snapshot}
     accepts fresh ones. *)
 module Snapshot : sig
-  type event = {
-    ev_time : float;
-    ev_priority : int;
-    ev_seq : int;
-    ev_tag : string;
-  }
-  (** One pending engine event, serialized logically: the tag names the
-      closure (["a:<job>"] arrival, ["c:<job>:<attempt>"] completion —
-      with an extra [":<epoch>"] part once the attempt has been resized
-      in place — ["f:<index>"] fault event) and the exact sequence
-      number preserves same-instant FIFO tie-breaking across the
-      restore. *)
+  type nonrec event = { ev_time : float; ev_seq : int; ev : event }
+  (** One pending engine event.  The exact sequence number preserves
+      same-instant FIFO tie-breaking across the restore; the priority
+      is {!event_priority}[ ev]. *)
 
   type running_job = {
     rs_job : int;
@@ -344,9 +354,10 @@ val of_snapshot :
     scenario by name, replay the executed fault prefix against a fresh
     cluster state, re-claim the running allocations (bit-exact — demands
     are dyadic and live faults never intersect running jobs), restore
-    the operation counters, and re-materialize the event heap from the
-    tags with original sequence numbers.  [Error] on an unknown scheme,
-    scenario or job id, a malformed tag, or an inconsistent snapshot.
+    the operation counters, and re-queue the pending events with their
+    original sequence numbers.  [Error] on an unknown scheme, scenario
+    or job id (an [Arrive] included), a [Fault] index outside the fault
+    log, a pending [Pass], or an inconsistent snapshot.
     The restored run's sink and profiling registry default to off;
     profile spans cover only the post-restore segment (wall-clock is not
     simulation state), while the end-of-run [state/*] and

@@ -1,87 +1,67 @@
 (** A minimal discrete-event simulation engine.
 
-    Events are scheduled at absolute simulated times and executed in
-    non-decreasing time order.  Ties are broken first by an integer
-    priority class (lower runs first — e.g. job completions before job
-    arrivals at the same instant, so freed resources are visible), then by
-    insertion order (FIFO). *)
+    Events are plain values of the caller's type, scheduled at absolute
+    simulated times and handed to the caller's handler in
+    non-decreasing time order.  Ties are broken first by the priority
+    function given at {!create} (lower runs first — e.g. job
+    completions before job arrivals at the same instant, so freed
+    resources are visible), then by insertion order (FIFO).  Because an
+    event is data, not a closure, a checkpoint can record the pending
+    queue as it is (see {!pending_events} and {!schedule_restored}). *)
 
-type t
-(** A simulation engine with its own clock and pending-event queue. *)
+type 'a t
+(** A simulation engine over events of type ['a], with its own clock
+    and pending-event queue. *)
 
-val create : unit -> t
-(** [create ()] is an engine with clock at time 0 and no pending events. *)
+val create : priority:('a -> int) -> 'a t
+(** [create ~priority] is an engine with clock at time 0 and no pending
+    events; [priority ev] is [ev]'s same-instant rank. *)
 
-val now : t -> float
+val now : 'a t -> float
 (** [now t] is the current simulated time. *)
 
-val schedule :
-  t -> time:float -> ?priority:int -> ?tag:string -> (t -> unit) -> unit
-(** [schedule t ~time ~priority f] enqueues [f] to run at simulated [time].
-    [priority] defaults to 0.  Scheduling in the past (before [now t])
-    raises [Invalid_argument].
+val schedule : 'a t -> time:float -> 'a -> unit
+(** [schedule t ~time ev] enqueues [ev] for simulated [time].
+    Scheduling in the past (before [now t]) raises [Invalid_argument]. *)
 
-    [tag] (default [""]) is an opaque label carried alongside the event.
-    Closures cannot be serialized, so a checkpoint records each pending
-    event as its [(time, priority, seq, tag)] quadruple and the restore
-    path rebuilds the closure from the tag (see {!pending_events} and
-    {!schedule_restored}). *)
-
-val schedule_after :
-  t -> delay:float -> ?priority:int -> ?tag:string -> (t -> unit) -> unit
-(** [schedule_after t ~delay f] is [schedule t ~time:(now t +. delay) f]. *)
-
-val pending : t -> int
+val pending : 'a t -> int
 (** [pending t] is the number of events still queued. *)
 
-val pending_events : t -> (float * int * int * string) list
-(** [pending_events t] is every queued event as [(time, priority, seq,
-    tag)], sorted by insertion order ([seq]).  The queue is unchanged.
-    Used by checkpointing to serialize the heap logically. *)
+val pending_events : 'a t -> (float * int * 'a) list
+(** [pending_events t] is every queued event as [(time, seq, ev)],
+    sorted by insertion order ([seq]).  The queue is unchanged.  Used by
+    checkpointing to serialize the heap logically. *)
 
-val steps : t -> int
+val steps : 'a t -> int
 (** [steps t] is the number of events executed so far. *)
 
-val next_seq : t -> int
+val next_seq : 'a t -> int
 (** [next_seq t] is the sequence number the next {!schedule} will use.
     Part of the checkpoint: restoring it exactly preserves FIFO
     tie-breaking across a checkpoint/restore boundary. *)
 
-val restore : clock:float -> steps:int -> next_seq:int -> t
-(** [restore ~clock ~steps ~next_seq] is an engine with an empty queue
-    whose clock and counters are set exactly, ready to receive the
-    checkpointed events via {!schedule_restored}.  Raises
+val restore :
+  priority:('a -> int) -> clock:float -> steps:int -> next_seq:int -> 'a t
+(** [restore ~priority ~clock ~steps ~next_seq] is an engine with an
+    empty queue whose clock and counters are set exactly, ready to
+    receive the checkpointed events via {!schedule_restored}.  Raises
     [Invalid_argument] on negative values. *)
 
-val schedule_restored :
-  t ->
-  time:float ->
-  priority:int ->
-  seq:int ->
-  tag:string ->
-  (t -> unit) ->
-  unit
-(** [schedule_restored t ~time ~priority ~seq ~tag f] re-inserts a
-    checkpointed event with its {e original} sequence number, so
-    same-instant tie-breaking after restore is identical to the
-    uninterrupted run.  Raises [Invalid_argument] if [time] is in the
-    past or [seq >= next_seq t]. *)
+val schedule_restored : 'a t -> time:float -> seq:int -> 'a -> unit
+(** [schedule_restored t ~time ~seq ev] re-inserts a checkpointed event
+    with its {e original} sequence number, so same-instant tie-breaking
+    after restore is identical to the uninterrupted run.  Raises
+    [Invalid_argument] if [time] is in the past or [seq >= next_seq t]. *)
 
-val set_on_step : t -> (t -> unit) option -> unit
-(** [set_on_step t (Some hook)] runs [hook] after every executed event —
-    an observability tap (e.g. sampling queue length into a profiling
-    gauge).  The hook must not schedule events.  [None] (the default)
-    removes it. *)
+val step : 'a t -> ('a -> unit) -> bool
+(** [step t handle] pops the next event, advances the clock to its time
+    and runs [handle] on it.  Returns [false] if no event was pending. *)
 
-val step : t -> bool
-(** [step t] executes the next event, advancing the clock to its time.
-    Returns [false] if no event was pending. *)
+val run : 'a t -> ('a -> unit) -> unit
+(** [run t handle] executes events until the queue is empty.  The
+    handler may schedule further events. *)
 
-val run : t -> unit
-(** [run t] executes events until the queue is empty.  Event handlers may
-    schedule further events. *)
-
-val run_until : t -> float -> unit
-(** [run_until t horizon] executes events with time <= [horizon], then
-    advances the clock to [horizon] (if it is not already past it).
-    Remaining events stay queued. *)
+val run_until : 'a t -> ('a -> unit) -> float -> unit
+(** [run_until t handle horizon] executes events with time <= [horizon],
+    then advances the clock to [horizon] (if it is not already past
+    it).  Remaining events stay queued. *)

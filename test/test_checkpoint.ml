@@ -163,6 +163,13 @@ let expect_error what = function
   | Ok _ -> Alcotest.failf "%s: corrupted checkpoint accepted" what
   | Error _ -> ()
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let test_corruption_fails_loudly () =
   let w = Lazy.force workload in
   let c = cfg Sched.Allocator.jigsaw in
@@ -198,15 +205,7 @@ let test_corruption_fails_loudly () =
       | Ok _ -> Alcotest.fail "bit-flipped checkpoint accepted"
       | Error m ->
           Alcotest.(check bool)
-            "error names the integrity check" true
-            (let has sub =
-               let n = String.length sub and h = String.length m in
-               let rec go i =
-                 i + n <= h && (String.sub m i n = sub || go (i + 1))
-               in
-               go 0
-             in
-             has "integrity"));
+            "error names the integrity check" true (contains m "integrity"));
       (* Not a checkpoint at all. *)
       write "{\"record\":\"something-else\",\"version\":1}\n";
       expect_error "foreign file" (Sched.Checkpoint.load ~path));
@@ -353,12 +352,25 @@ let test_sweep_manifest_rejects_foreign_file () =
    - ckpt-v2-moldable.jsonl: the same jobs made moldable
      ([Workload.moldable], default range) with shrink recovery on;
      nodes 3, 40, 70, 100 and 17 fail at t = 200, 350, 500, 650, 800,
-     each for 1500 s, so the file carries five in-place shrinks. *)
+     each for 1500 s, so the file carries five in-place shrinks.
+   - ckpt-v2-events.jsonl: holds a pending event of every kind.  The
+     same 24 jobs plus job 24 (12 nodes, 700 s, arriving at 1100), all
+     made moldable, with shrink recovery on.  Static faults: nodes 3
+     and 100 fail at 200 and 600 (in-place shrinks; job 8's completion
+     carries epoch 1), leaf switch 5 fails at 990 (kills jobs 6, 10
+     and 22, requeued for 1020), node 77 fails at 1200, and each is
+     repaired later.  At t = 500 the run accepted job 25 (moldable
+     5..18, preferring 9, 400 s, arriving at 1150) through
+     [Simulator.submit] and a fail/repair of node 50 at 1050/1800
+     through [Simulator.inject_fault]; the checkpoint is taken at
+     t = 1000, and its fingerprint is that of the same run finished
+     without one. *)
 let fixtures =
   [
     ("ckpt-v1-rigid.jsonl", 1, "aafac0e5c7aac4b51c501da70726ff32");
     ("ckpt-v2-moldable.jsonl", 2, "f887c7ba903e2e0645176be7aab314cc");
     ("ckpt-v2-rigid.jsonl", 2, "aafac0e5c7aac4b51c501da70726ff32");
+    ("ckpt-v2-events.jsonl", 2, "b7447740037b29f38ff4a7e342b2caef");
   ]
 
 let fixture_path name =
@@ -395,7 +407,15 @@ let test_old_versions_load () =
           (match Sched.Simulator.of_snapshot snap with
           | Error m -> Alcotest.failf "%s restore: %s" name m
           | Ok sim ->
-              let m, _ = Sched.Simulator.finish sim in
+              Alcotest.(check int)
+                (name ^ " finished count restored")
+                (Array.length snap.finished)
+                (Sched.Simulator.finished_count sim);
+              let m, per_job = Sched.Simulator.finish sim in
+              Alcotest.(check int)
+                (name ^ " finished count matches the list")
+                (List.length per_job)
+                (Sched.Simulator.finished_count sim);
               Alcotest.(check string)
                 (name ^ " fingerprint") expected
                 (Sched.Metrics.fingerprint m));
@@ -410,6 +430,61 @@ let test_old_versions_load () =
   match Sched.Checkpoint.load ~path:(fixture_path "ckpt-v2-moldable.jsonl") with
   | Error m -> Alcotest.fail m
   | Ok snap -> Alcotest.(check int) "shrinks carried" 5 snap.acc.shrunk
+
+(* The events fixture with its first [old] replaced by [by], and the
+   trailer re-sealed over the edited body, so the integrity check passes
+   and only the edited record can be at fault. *)
+let edited_events ~old ~by =
+  let content = read_file (fixture_path "ckpt-v2-events.jsonl") in
+  let body =
+    String.sub content 0
+      (String.rindex_from content (String.length content - 2) '\n' + 1)
+  in
+  let rec find i =
+    if i + String.length old > String.length body then
+      Alcotest.failf "fixture lacks %S" old
+    else if String.sub body i (String.length old) = old then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let body =
+    String.sub body 0 i ^ by
+    ^ String.sub body (i + String.length old)
+        (String.length body - i - String.length old)
+  in
+  let lines =
+    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 body
+  in
+  body
+  ^ Printf.sprintf "{\"record\":\"end\",\"lines\":%d,\"md5\":\"%s\"}\n"
+      lines
+      (Digest.to_hex (Digest.string body))
+
+let restore_bytes bytes =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc bytes);
+      Sched.Checkpoint.restore ~path ())
+
+let test_bad_events_rejected () =
+  let arrival = {|"prio":1,"seq":24,"tag":"a:24"|} in
+  (match restore_bytes (edited_events ~old:arrival ~by:arrival) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "re-sealed fixture rejected: %s" m);
+  List.iter
+    (fun (what, old, by) ->
+      match restore_bytes (edited_events ~old ~by) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error m ->
+          Alcotest.(check bool) (what ^ " passes the integrity check: " ^ m)
+            false (contains m "integrity"))
+    [
+      ("unknown tag kind", arrival, {|"prio":1,"seq":24,"tag":"x:24"|});
+      ("non-integer tag part", arrival, {|"prio":1,"seq":24,"tag":"a:2x"|});
+      ("fault index out of range", {|"tag":"f:3"}|}, {|"tag":"f:10"}|});
+      ("arrival of an unknown job", arrival, {|"prio":1,"seq":24,"tag":"a:99"|});
+      ("prio disagreeing with its tag", arrival, {|"prio":0,"seq":24,"tag":"a:24"|});
+    ]
 
 let suite =
   [
@@ -432,4 +507,6 @@ let suite =
       test_sweep_manifest_rejects_foreign_file;
     Alcotest.test_case "version-1 and version-2 files load" `Quick
       test_old_versions_load;
+    Alcotest.test_case "malformed events rejected" `Quick
+      test_bad_events_rejected;
   ]
