@@ -87,7 +87,10 @@ let prewarm triples =
     let cells =
       List.map
         (fun ((e : Trace.Presets.entry), a, scen) ->
-          Sched.Sweep.cell ~scenario:scen ~radix:e.cluster_radix a e.workload)
+          Sched.Sweep.cell
+            (Sched.Simulator.Config.make ~scenario:scen
+               ~radix:e.cluster_radix a)
+            e.workload)
         missing
       |> Array.of_list
     in
@@ -640,7 +643,8 @@ let bench_json () =
     let cells =
       List.map
         (fun a ->
-          Sched.Sweep.cell ~profile:true ~radix:profile_entry.cluster_radix a
+          Sched.Sweep.cell ~profile:true
+            (Sched.Simulator.Config.make ~radix:profile_entry.cluster_radix a)
             profile_entry.workload)
         Sched.Allocator.all
       |> Array.of_list
@@ -697,8 +701,10 @@ let bench_json () =
     let cells =
       List.map
         (fun ((e : Trace.Presets.entry), (a : Sched.Allocator.t), p) ->
-          Sched.Sweep.cell ~net:(p, net_shape_for e)
-            ~radix:e.cluster_radix a e.workload)
+          Sched.Sweep.cell
+            (Sched.Simulator.Config.make ~net:(p, net_shape_for e)
+               ~radix:e.cluster_radix a)
+            e.workload)
         net_combos
       |> Array.of_list
     in
@@ -741,7 +747,9 @@ let bench_json () =
     in
     let mk ?net ?(profile = false) () =
       Sched.Sweep.run_cell
-        (Sched.Sweep.cell ?net ~profile ~radix:24 Sched.Allocator.jigsaw w24)
+        (Sched.Sweep.cell ~profile
+           (Sched.Simulator.Config.make ?net ~radix:24 Sched.Allocator.jigsaw)
+           w24)
     in
     let off = (mk ()).Sched.Sweep.wall_s in
     let shapes = [ Routing.Telemetry.Ring; Routing.Telemetry.Alltoall ] in
@@ -790,8 +798,10 @@ let bench_json () =
         let r =
           Sched.Sweep.run_cell
             (Sched.Sweep.cell
-               ~net:(Routing.Telemetry.Jigsaw, net_shape_for e)
-               ~radix:e.cluster_radix Sched.Allocator.jigsaw wm)
+               (Sched.Simulator.Config.make
+                  ~net:(Routing.Telemetry.Jigsaw, net_shape_for e)
+                  ~radix:e.cluster_radix Sched.Allocator.jigsaw)
+               wm)
         in
         let mold = r.Sched.Sweep.metrics in
         let s = Option.get r.Sched.Sweep.net in

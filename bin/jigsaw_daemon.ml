@@ -88,11 +88,10 @@ let run socket dir preset full sched radix scenario seed window no_backfill
       let radix, trace_name, system_nodes =
         match preset with
         | None ->
+            (* The full fat-tree's k^3/4 nodes; the daemon rejects a bad
+               radix when it resolves the params. *)
             let sn =
-              match system_nodes with
-              | Some n -> n
-              | None ->
-                  Fattree.Topology.num_nodes (Fattree.Topology.of_radix radix)
+              Option.value system_nodes ~default:(radix * radix * radix / 4)
             in
             (radix, Option.value trace_name ~default:"daemon", sn)
         | Some p -> (
@@ -103,12 +102,6 @@ let run socket dir preset full sched radix scenario seed window no_backfill
                   e.workload.name,
                   e.workload.system_nodes ))
       in
-      (match Trace.Scenario.of_name scenario with
-      | Error m -> fail "%s" m
-      | Ok _ -> ());
-      (match Sched.Allocator.by_name sched with
-      | Error m -> fail "%s" m
-      | Ok _ -> ());
       let resilience =
         Cli_common.resilience ~requeue ~resubmit_delay ~charge_lost_work
       in

@@ -164,10 +164,12 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   in
   let mk_cell (entry : Trace.Presets.entry) alloc =
     let workload = truncated entry.workload in
-    Sched.Sweep.cell ~scenario ~scenario_seed:seed ~backfill_window:window
-      ~backfill:(window > 0)
-      ~faults:(faults_for entry workload)
-      ~resilience ~profile ?net ~radix:entry.cluster_radix alloc workload
+    Sched.Sweep.cell ~profile
+      (Sched.Simulator.Config.make ~scenario ~scenario_seed:seed
+         ~backfill_window:window ~backfill:(window > 0)
+         ~faults:(faults_for entry workload)
+         ~resilience ?net ~radix:entry.cluster_radix alloc)
+      workload
   in
   Cli_common.check_scale_full ~action:"runs" scale full;
   let entries =
@@ -266,12 +268,7 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         let c = cells.(0) in
         let t0 = Unix.gettimeofday () in
         let prof = if profile then Some (Obs.Prof.create ()) else None in
-        let cfg =
-          Sched.Simulator.Config.make ~scenario:c.scenario
-            ~scenario_seed:c.scenario_seed ~backfill_window:c.backfill_window
-            ~backfill:c.backfill ~faults:c.faults ~resilience:c.resilience
-            ?prof ?net:c.net ~radix:c.radix c.allocator
-        in
+        let cfg = Sched.Simulator.Config.with_prof prof c.cfg in
         let sim = Sched.Simulator.start cfg c.workload in
         let out = Option.get checkpoint_out in
         checkpoint_loop sim ~every:checkpoint_every ~out;
@@ -340,11 +337,8 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
               let t0 = Unix.gettimeofday () in
               let prof = if profile then Some (Obs.Prof.create ()) else None in
               let cfg =
-                Sched.Simulator.Config.make ~scenario:c.scenario
-                  ~scenario_seed:c.scenario_seed
-                  ~backfill_window:c.backfill_window ~backfill:c.backfill
-                  ~faults:c.faults ~resilience:c.resilience ~sink ?prof
-                  ?net:c.net ~radix:c.radix c.allocator
+                Sched.Simulator.Config.(
+                  c.cfg |> with_sink sink |> with_prof prof)
               in
               let sim = Sched.Simulator.start cfg c.workload in
               let metrics, _ = Sched.Simulator.finish sim in
@@ -372,8 +366,8 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
       let tag =
         if sweep then
           Printf.sprintf "%s.%s" c.workload.Trace.Workload.name
-            c.allocator.Sched.Allocator.name
-        else c.allocator.Sched.Allocator.name
+            c.cfg.allocator.Sched.Allocator.name
+        else c.cfg.allocator.Sched.Allocator.name
       in
       Printf.sprintf "%s.%s%s" (Filename.remove_extension path) tag
         (Filename.extension path)
@@ -424,9 +418,10 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
               if sweep then
                 Printf.sprintf "%s.%s.%s.csv" path
                   c.workload.Trace.Workload.name
-                  c.allocator.Sched.Allocator.name
+                  c.cfg.allocator.Sched.Allocator.name
               else
-                Printf.sprintf "%s.%s.csv" path c.allocator.Sched.Allocator.name
+                Printf.sprintf "%s.%s.csv" path
+                  c.cfg.allocator.Sched.Allocator.name
             in
             Out_channel.with_open_text file (fun oc ->
                 Sched.Metrics.write_series_csv oc m);

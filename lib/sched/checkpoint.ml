@@ -76,22 +76,29 @@ let resilience =
   and+ shrink = field ~omit:false "shrink" bool (fun r -> r.shrink) in
   { requeue; resubmit_delay; max_retries; charge_lost_work; shrink }
 
-(* The run's configuration, then how many rows of each repeated kind
-   follow.  Reads back as the configuration over an empty body, and the
-   row count of each repeated kind. *)
+(* The run's identity, in the checkpoint header's field order. *)
+let params =
+  let open Simulator in
+  let+ scheme = field "scheme" str (fun p -> p.scheme)
+  and+ trace_name = field "trace" str (fun p -> p.trace_name)
+  and+ scenario = field "scenario" str (fun p -> p.scenario)
+  and+ radix = field "radix" int (fun p -> p.radix)
+  and+ system_nodes = field "system_nodes" int (fun p -> p.system_nodes)
+  and+ scenario_seed = field "scenario_seed" int (fun p -> p.scenario_seed)
+  and+ backfill_window =
+    field "backfill_window" int (fun p -> p.backfill_window)
+  and+ backfill = field "backfill" bool (fun p -> p.backfill)
+  and+ resilience = on (fun p -> p.resilience) resilience in
+  { scheme; radix; scenario; scenario_seed; backfill_window; backfill;
+    resilience; trace_name; system_nodes }
+
+(* The run's identity, then how many rows of each repeated kind follow.
+   Reads back as the identity over an empty body, and the row count of
+   each repeated kind. *)
 let header =
   let count name get = field name int (fun s -> Array.length (get s)) in
   let+ _ = field "version" int (fun _ -> version)
-  and+ scheme = field "scheme" str (fun s -> s.scheme)
-  and+ trace_name = field "trace" str (fun s -> s.trace_name)
-  and+ scenario = field "scenario" str (fun s -> s.scenario)
-  and+ radix = field "radix" int (fun s -> s.radix)
-  and+ system_nodes = field "system_nodes" int (fun s -> s.system_nodes)
-  and+ scenario_seed = field "scenario_seed" int (fun s -> s.scenario_seed)
-  and+ backfill_window =
-    field "backfill_window" int (fun s -> s.backfill_window)
-  and+ backfill = field "backfill" bool (fun s -> s.backfill)
-  and+ resilience = on (fun s -> s.resilience) resilience
+  and+ params = on (fun s -> s.params) params
   and+ jobs = count "jobs" (fun s -> s.jobs)
   and+ faults = count "faults" (fun s -> s.faults)
   and+ events = count "events" (fun s -> s.events)
@@ -99,8 +106,7 @@ let header =
   and+ finished = count "finished" (fun s -> s.finished)
   and+ samples = count "samples" (fun s -> s.samples) in
   ( {
-      scheme; radix; scenario; scenario_seed; backfill_window; backfill;
-      resilience; trace_name; system_nodes; jobs = [||]; faults = [||];
+      params; jobs = [||]; faults = [||];
       clock = 0.0; steps = 0; next_seq = 0; events = [||]; queue = [||];
       pending_live = [||]; pending_gens = [||]; running = [||];
       nofit = [||]; nofit_release_gen = 0; kills = [||]; reserved = None;

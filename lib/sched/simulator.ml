@@ -67,6 +67,20 @@ module Config = struct
   let with_prof prof cfg = { cfg with prof }
 end
 
+(* A run's identity by name, as checkpoints and the daemon's WAL record
+   it; [resolve] and [params] convert. *)
+type params = {
+  scheme : string;
+  radix : int;
+  scenario : string;
+  scenario_seed : int;
+  backfill_window : int;
+  backfill : bool;
+  resilience : resilience;
+  trace_name : string;
+  system_nodes : int;
+}
+
 type running = {
   r_job : Trace.Job.t;
   r_alloc : Alloc.t; (* [r_alloc.size] is the granted size *)
@@ -319,7 +333,7 @@ let reservation (alloc : Allocator.t) ~scratch ~running ~job =
     (* A failing LC/LC+S probe can burn its whole search budget, so
        minimize the number of probes: binary search over drained
        prefixes (feasibility is monotone in released groups), paying a
-       clone + prefix rebuild per probe instead. *)
+       scratch refresh + prefix rebuild per probe instead. *)
     let attempt k =
       let probe = scratch () in
       for i = 0 to k do
@@ -361,8 +375,8 @@ let reservation (alloc : Allocator.t) ~scratch ~running ~job =
 
 (* Probe the live state through the no-fit memo: a job class that
    definitively failed is not re-searched until something is released.
-   Only used against [sim.st] — reservation probes run on clones whose
-   resources differ, so they bypass the memo entirely. *)
+   Only used against [sim.st] — reservation probes run on the scratch
+   state, whose resources differ, so they bypass the memo entirely. *)
 let probe_memo sim (j : Trace.Job.t) =
   let rg = State.release_generation sim.st in
   if rg <> sim.nofit_release_gen then begin
@@ -1157,7 +1171,7 @@ let open_run sim =
           jobs = Array.length sim.workload.jobs;
         })
 
-let start cfg (w : Trace.Workload.t) =
+let start (cfg : config) (w : Trace.Workload.t) =
   let topo = Fattree.Topology.of_radix cfg.radix in
   let sim =
     {
@@ -1340,6 +1354,38 @@ let run cfg w = fst (run_detailed cfg w)
 
 (* ---- checkpoint snapshots ------------------------------------------ *)
 
+let resolve ?sink ?prof ?(jobs = [||]) p =
+  match
+    ( Allocator.by_name p.scheme,
+      Trace.Scenario.of_name p.scenario,
+      Fattree.Topology.of_radix p.radix )
+  with
+  | Error m, _, _ | _, Error m, _ -> Error m
+  | exception Invalid_argument m -> Error m
+  | Ok allocator, Ok scenario, _ ->
+      if p.system_nodes < 0 then Error "system_nodes must be non-negative"
+      else
+        Ok
+          ( Config.make ~scenario ~scenario_seed:p.scenario_seed
+              ~backfill_window:p.backfill_window ~backfill:p.backfill
+              ~resilience:p.resilience ?sink ?prof ~radix:p.radix allocator,
+            Trace.Workload.create ~name:p.trace_name
+              ~system_nodes:p.system_nodes jobs )
+
+let params sim =
+  let cfg = sim.cfg in
+  {
+    scheme = cfg.allocator.Allocator.name;
+    radix = cfg.radix;
+    scenario = Trace.Scenario.name cfg.scenario;
+    scenario_seed = cfg.scenario_seed;
+    backfill_window = cfg.backfill_window;
+    backfill = cfg.backfill;
+    resilience = cfg.resilience;
+    trace_name = sim.workload.Trace.Workload.name;
+    system_nodes = sim.workload.Trace.Workload.system_nodes;
+  }
+
 module Snapshot = struct
   type nonrec event = { ev_time : float; ev_seq : int; ev : event }
 
@@ -1360,16 +1406,7 @@ module Snapshot = struct
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
 
   type t = {
-    (* configuration identity (sink and profiling registry excluded) *)
-    scheme : string;
-    radix : int;
-    scenario : string;
-    scenario_seed : int;
-    backfill_window : int;
-    backfill : bool;
-    resilience : resilience;
-    trace_name : string;
-    system_nodes : int;
+    params : params;  (** Sink and profiling registry excluded. *)
     jobs : Trace.Job.t array;
     faults : Trace.Faults.event array;
     (* engine *)
@@ -1445,15 +1482,7 @@ let snapshot sim : Snapshot.t =
     |> Array.of_list
   in
   {
-    Snapshot.scheme = sim.cfg.allocator.Allocator.name;
-    radix = sim.cfg.radix;
-    scenario = Trace.Scenario.name sim.cfg.scenario;
-    scenario_seed = sim.cfg.scenario_seed;
-    backfill_window = sim.cfg.backfill_window;
-    backfill = sim.cfg.backfill;
-    resilience = sim.cfg.resilience;
-    trace_name = sim.workload.Trace.Workload.name;
-    system_nodes = sim.workload.Trace.Workload.system_nodes;
+    Snapshot.params = params sim;
     jobs =
       (match sim.dyn_jobs with
       | [] -> sim.workload.Trace.Workload.jobs
@@ -1497,14 +1526,9 @@ let restore_fail fmt =
 
 let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
   try
-    let allocator =
-      match Allocator.by_name s.scheme with
-      | Ok a -> a
-      | Error m -> restore_fail "%s" m
-    in
-    let scenario =
-      match Trace.Scenario.of_name s.scenario with
-      | Ok sc -> sc
+    let cfg, w =
+      match resolve ~sink ?prof ~jobs:s.jobs s.params with
+      | Ok r -> r
       | Error m -> restore_fail "%s" m
     in
     let cfg =
@@ -1512,14 +1536,11 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
          [Fault] events' indices, and a daemon-injected event may sit
          after a static event it precedes in time — re-sorting would
          silently retarget every pending fault event. *)
-      Config.make ~scenario ~scenario_seed:s.scenario_seed
-        ~backfill_window:s.backfill_window ~backfill:s.backfill
-        ~faults:(Trace.Faults.of_ordered (Array.to_list s.faults))
-        ~resilience:s.resilience ~sink ?prof ?net ~radix:s.radix allocator
-    in
-    let w =
-      Trace.Workload.create ~name:s.trace_name ~system_nodes:s.system_nodes
-        s.jobs
+      {
+        cfg with
+        faults = Trace.Faults.of_ordered (Array.to_list s.faults);
+        net;
+      }
     in
     let job_tbl = Hashtbl.create (Array.length s.jobs) in
     Array.iter (fun (j : Trace.Job.t) -> Hashtbl.replace job_tbl j.id j) s.jobs;
@@ -1528,7 +1549,7 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
       | Some j -> j
       | None -> restore_fail "checkpoint references unknown job id %d" id
     in
-    let topo = Fattree.Topology.of_radix s.radix in
+    let topo = Fattree.Topology.of_radix cfg.radix in
     let st = State.create topo in
     (* Rebuild the cluster state by replaying the executed fault prefix
        (all events at or before the checkpoint clock, in trace order)

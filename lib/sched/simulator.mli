@@ -9,10 +9,10 @@
       while allocations succeed;
     - if the head cannot start, it receives a {e reservation} — the
       earliest simulated completion time at which an allocation for it
-      exists (computed against a cloned state that replays pending
-      completions) — and up to [backfill_window] later jobs may start
-      now, provided each either finishes by the reservation time or
-      touches none of the reserved resources (EASY [Skovira et al.
+      exists (computed against a scratch copy of the state that replays
+      pending completions) — and up to [backfill_window] later jobs may
+      start now, provided each either finishes by the reservation time
+      or touches none of the reserved resources (EASY [Skovira et al.
       1996]);
     - isolating schedulers run each job for its scenario-adjusted
       isolated runtime; Baseline runs the trace runtime.
@@ -89,6 +89,23 @@ type config = private {
 (** Private: construct with {!Config.make} and update with the
     [Config.with_*] functions, so new fields never break construction
     sites again.  Field {e reads} are unrestricted. *)
+
+(** A run's identity: its configuration by name, without the observers
+    (sink, profiling, telemetry) or the fault trace — what a checkpoint
+    and the daemon's WAL record.  {!resolve} turns it into a {!config};
+    {!params} reads it back off a live simulation, with canonical names
+    ({!Allocator.t.name}, {!Trace.Scenario.name}). *)
+type params = {
+  scheme : string;  (** An {!Allocator.by_name} name. *)
+  radix : int;
+  scenario : string;  (** A {!Trace.Scenario.of_name} spelling. *)
+  scenario_seed : int;
+  backfill_window : int;
+  backfill : bool;
+  resilience : resilience;
+  trace_name : string;
+  system_nodes : int;
+}
 
 (** Builder for {!config}. *)
 module Config : sig
@@ -272,6 +289,22 @@ val event_priority : event -> int
     resources are visible to the jobs that arrive with them, and the
     pass sees every change of its instant. *)
 
+val resolve :
+  ?sink:Obs.Sink.t ->
+  ?prof:Obs.Prof.t ->
+  ?jobs:Trace.Job.t array ->
+  params ->
+  (config * Trace.Workload.t, string) result
+(** The one place a scheme or scenario name is resolved: a healthy
+    config ({!Config.make}'s defaults for the fields [params] lacks) and
+    the workload of [jobs] (default none).  [Error] on an unknown scheme
+    or scenario, a radix {!Fattree.Topology.of_radix} rejects, or a
+    negative [system_nodes]. *)
+
+val params : t -> params
+(** The run's identity, read off the live simulation: names are the
+    canonical ones, however they were spelled when resolved. *)
+
 (** A serializable snapshot of a mid-flight simulation, taken between
     events.  Self-contained: carries the full workload and fault trace
     plus every piece of dynamic state, so restore needs no side files.
@@ -305,15 +338,7 @@ module Snapshot : sig
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
 
   type t = {
-    scheme : string;
-    radix : int;
-    scenario : string;
-    scenario_seed : int;
-    backfill_window : int;
-    backfill : bool;
-    resilience : resilience;
-    trace_name : string;
-    system_nodes : int;
+    params : params;
     jobs : Trace.Job.t array;
     faults : Trace.Faults.event array;
     clock : float;
@@ -350,14 +375,14 @@ val of_snapshot :
   ?net:Routing.Telemetry.policy * Routing.Telemetry.shape ->
   Snapshot.t ->
   (t, string) result
-(** Rebuild a live simulation from a snapshot: resolve the scheme and
-    scenario by name, replay the executed fault prefix against a fresh
-    cluster state, re-claim the running allocations (bit-exact — demands
+(** Rebuild a live simulation from a snapshot: {!resolve} its params,
+    replay the executed fault prefix against a fresh cluster state,
+    re-claim the running allocations (bit-exact — demands
     are dyadic and live faults never intersect running jobs), restore
     the operation counters, and re-queue the pending events with their
-    original sequence numbers.  [Error] on an unknown scheme, scenario
-    or job id (an [Arrive] included), a [Fault] index outside the fault
-    log, a pending [Pass], or an inconsistent snapshot.
+    original sequence numbers.  [Error] on params {!resolve} rejects,
+    an unknown job id (an [Arrive] included), a [Fault] index outside
+    the fault log, a pending [Pass], or an inconsistent snapshot.
     The restored run's sink and profiling registry default to off;
     profile spans cover only the post-restore segment (wall-clock is not
     simulation state), while the end-of-run [state/*] and

@@ -16,17 +16,9 @@
 type cell = {
   id : string;
   label : string;
+  cfg : Simulator.config;
   workload : Trace.Workload.t;
-  radix : int;
-  allocator : Allocator.t;
-  scenario : Trace.Scenario.t;
-  scenario_seed : int;
-  backfill_window : int;
-  backfill : bool;
-  faults : Trace.Faults.t;
-  resilience : Simulator.resilience;
   profile : bool;
-  net : (Routing.Telemetry.policy * Routing.Telemetry.shape) option;
 }
 
 (* The fault axis of a cell id.  Fault traces are too big to inline, so
@@ -63,50 +55,32 @@ let fault_tag ~faults ~resilience =
    manifests and CLI fingerprint listings are indexed by, so it must not
    depend on grid position. *)
 let cell_id c =
+  let cfg = c.cfg in
   let base =
     Printf.sprintf "%s#%d/%s/%s:s%d/%s" c.workload.Trace.Workload.name
       (Array.length c.workload.Trace.Workload.jobs)
-      c.allocator.Allocator.name
-      (Trace.Scenario.name c.scenario)
-      c.scenario_seed
-      (fault_tag ~faults:c.faults ~resilience:c.resilience)
+      cfg.allocator.Allocator.name
+      (Trace.Scenario.name cfg.scenario)
+      cfg.scenario_seed
+      (fault_tag ~faults:cfg.faults ~resilience:cfg.resilience)
   in
   let extras =
-    (if c.backfill_window <> 50 then
-       [ Printf.sprintf "bw%d" c.backfill_window ]
+    (if cfg.backfill_window <> 50 then
+       [ Printf.sprintf "bw%d" cfg.backfill_window ]
      else [])
-    @ if not c.backfill then [ "fifo" ] else []
+    @ if not cfg.backfill then [ "fifo" ] else []
   in
   match extras with [] -> base | _ -> base ^ "," ^ String.concat "," extras
 
-let cell ?label ?(scenario = Trace.Scenario.No_speedup) ?(scenario_seed = 1)
-    ?(backfill_window = 50) ?(backfill = true) ?(faults = Trace.Faults.none)
-    ?(resilience = Simulator.no_resilience) ?(profile = false) ?net ~radix
-    allocator workload =
+let cell ?label ?(profile = false) cfg workload =
   let label =
     match label with
     | Some l -> l
     | None ->
         Printf.sprintf "%s/%s" workload.Trace.Workload.name
-          allocator.Allocator.name
+          cfg.Simulator.allocator.Allocator.name
   in
-  let c =
-    {
-      id = "";
-      label;
-      workload;
-      radix;
-      allocator;
-      scenario;
-      scenario_seed;
-      backfill_window;
-      backfill;
-      faults;
-      resilience;
-      profile;
-      net;
-    }
-  in
+  let c = { id = ""; label; cfg; workload; profile } in
   { c with id = cell_id c }
 
 type result = {
@@ -123,9 +97,7 @@ let run_cell c =
      the pool joins, after which the coordinator may read and merge. *)
   let prof = if c.profile then Some (Obs.Prof.create ()) else None in
   let cfg =
-    Simulator.Config.make ~scenario:c.scenario ~scenario_seed:c.scenario_seed
-      ~backfill_window:c.backfill_window ~backfill:c.backfill ~faults:c.faults
-      ~resilience:c.resilience ?prof ?net:c.net ~radix:c.radix c.allocator
+    Simulator.Config.(c.cfg |> with_sink Obs.Sink.null |> with_prof prof)
   in
   let sim = Simulator.start cfg c.workload in
   let metrics, _ = Simulator.finish sim in
@@ -330,7 +302,9 @@ let grid_of ~profile ~faults_for entries =
     (fun (e : Trace.Presets.entry) ->
       List.map
         (fun alloc ->
-          cell ~faults:(faults_for e) ~profile ~radix:e.cluster_radix alloc
+          cell ~profile
+            (Simulator.Config.make ~faults:(faults_for e) ~radix:e.cluster_radix
+               alloc)
             e.workload)
         Allocator.all)
     entries

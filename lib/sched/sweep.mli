@@ -24,20 +24,14 @@ type cell = {
       (** Stable identity — see {!cell_id}.  Computed by {!cell}; goes
           stale if fields are mutated by record update. *)
   label : string;  (** ["trace/scheme"] by default; shown by the CLI. *)
+  cfg : Simulator.config;
+      (** Everything the cell simulates with, observers included: its
+          network telemetry ([cfg.net]) runs, while its sink and
+          profiling registry are replaced — a cell traces to
+          {!Obs.Sink.null} and profiles into a registry of its own when
+          [profile] is set. *)
   workload : Trace.Workload.t;
-  radix : int;
-  allocator : Allocator.t;
-  scenario : Trace.Scenario.t;
-  scenario_seed : int;
-  backfill_window : int;
-  backfill : bool;
-  faults : Trace.Faults.t;
-  resilience : Simulator.resilience;
   profile : bool;  (** Give the cell its own registry. *)
-  net : (Routing.Telemetry.policy * Routing.Telemetry.shape) option;
-      (** Network telemetry for the cell ([None]: off).  Telemetry is a
-          pure observer — it never changes the metrics fingerprint — so
-          it is deliberately {e not} part of {!cell_id}. *)
 }
 
 val cell_id : cell -> string
@@ -47,26 +41,15 @@ val cell_id : cell -> string
     defaults).  The fault tag is ["healthy"], or an 8-hex digest over
     the full fault event list and resilience policy.  It covers every
     axis that can change the metrics fingerprint and no axis that
-    cannot, and is independent of grid position — manifests and
-    fingerprint listings are indexed by it. *)
+    cannot (network telemetry, profiling and the label are left out),
+    and is independent of grid position — manifests and fingerprint
+    listings are indexed by it. *)
 
 val cell :
-  ?label:string ->
-  ?scenario:Trace.Scenario.t ->
-  ?scenario_seed:int ->
-  ?backfill_window:int ->
-  ?backfill:bool ->
-  ?faults:Trace.Faults.t ->
-  ?resilience:Simulator.resilience ->
-  ?profile:bool ->
-  ?net:Routing.Telemetry.policy * Routing.Telemetry.shape ->
-  radix:int ->
-  Allocator.t ->
-  Trace.Workload.t ->
-  cell
-(** Defaults mirror {!Simulator.Config.make}: scenario [No_speedup],
-    seed 1, window 50, backfilling on, no faults, no resilience, no
-    profiling.  The [id] field is filled in from the other fields. *)
+  ?label:string -> ?profile:bool -> Simulator.config -> Trace.Workload.t -> cell
+(** [cell cfg workload] runs [workload] under [cfg] (build it with
+    {!Simulator.Config.make}).  [profile] defaults to [false].  The [id]
+    field is filled in from the other fields. *)
 
 type result = {
   metrics : Metrics.t;

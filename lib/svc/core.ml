@@ -17,7 +17,7 @@
    whole) the daemon sees faults one at a time, so the pairing check
    must happen at admission. *)
 
-type params = {
+type params = Sched.Simulator.params = {
   scheme : string;
   radix : int;
   scenario : string;
@@ -29,6 +29,8 @@ type params = {
   system_nodes : int;
 }
 
+(* The WAL segment header's row: same fields as the checkpoint header's,
+   in another order and with the trace name under its own key. *)
 let params_row =
   let open Obs.Row in
   let+ scheme = field "scheme" str (fun p -> p.scheme)
@@ -52,7 +54,6 @@ let params_of_fields fields =
 
 type t = {
   sim : Sched.Simulator.t;
-  params : params;
   topo : Fattree.Topology.t;  (* for fault-target range validation *)
   balance : (string, int) Hashtbl.t;  (* "<target>:<id>" -> live fails *)
   dedup : (string, int) Hashtbl.t;  (* rid -> seq of first application *)
@@ -61,7 +62,7 @@ type t = {
   mutable drained : (Sched.Metrics.t * string) option;
 }
 
-let params t = t.params
+let params t = Sched.Simulator.params t.sim
 let now t = Sched.Simulator.now t.sim
 let last_seq t = t.last_seq
 let fingerprint t = Option.map snd t.drained
@@ -80,12 +81,11 @@ let balance_of t target =
 let bump_balance t target d =
   Hashtbl.replace t.balance (balance_key target) (balance_of t target + d)
 
-let of_sim ~params ~last_seq sim =
+let of_sim ~last_seq sim =
   let t =
     {
       sim;
-      params;
-      topo = Fattree.Topology.of_radix params.radix;
+      topo = Fattree.Topology.of_radix (Sched.Simulator.params sim).radix;
       balance = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       next_job_id = Sched.Simulator.max_job_id sim + 1;
@@ -104,39 +104,10 @@ let of_sim ~params ~last_seq sim =
   t
 
 let create ?sink ?prof p =
-  match Sched.Allocator.by_name p.scheme with
-  | Error m -> Error m
-  | Ok allocator -> (
-      match Trace.Scenario.of_name p.scenario with
-      | Error m -> Error m
-      | Ok scenario ->
-          if p.system_nodes < 0 then Error "system_nodes must be non-negative"
-          else
-            let config =
-              Sched.Simulator.Config.make ~scenario
-                ~scenario_seed:p.scenario_seed
-                ~backfill_window:p.backfill_window ~backfill:p.backfill
-                ~resilience:p.resilience ?sink ?prof ~radix:p.radix allocator
-            in
-            let workload =
-              Trace.Workload.create ~name:p.trace_name
-                ~system_nodes:p.system_nodes [||]
-            in
-            Ok (of_sim ~params:p ~last_seq:(-1)
-                  (Sched.Simulator.start config workload)))
-
-let params_of_snapshot (s : Sched.Simulator.Snapshot.t) =
-  {
-    scheme = s.scheme;
-    radix = s.radix;
-    scenario = s.scenario;
-    scenario_seed = s.scenario_seed;
-    backfill_window = s.backfill_window;
-    backfill = s.backfill;
-    resilience = s.resilience;
-    trace_name = s.trace_name;
-    system_nodes = s.system_nodes;
-  }
+  Result.map
+    (fun (config, workload) ->
+      of_sim ~last_seq:(-1) (Sched.Simulator.start config workload))
+    (Sched.Simulator.resolve ?sink ?prof p)
 
 let of_checkpoint ?sink ?prof ~path () =
   match Sched.Checkpoint.load_ext ~path with
@@ -152,8 +123,7 @@ let of_checkpoint ?sink ?prof ~path () =
       | Ok last_seq -> (
           match Sched.Simulator.of_snapshot ?sink ?prof snap with
           | Error m -> Error m
-          | Ok sim ->
-              Ok (of_sim ~params:(params_of_snapshot snap) ~last_seq sim)))
+          | Ok sim -> Ok (of_sim ~last_seq sim)))
 
 let checkpoint t ~path =
   match t.drained with

@@ -13,10 +13,10 @@
     - {!fields_of_op}/{!op_of_fields} are the WAL encoding, exact dual
       of each other. *)
 
-(** Simulation configuration, embedded in WAL segment headers and
-    recovered from checkpoint snapshots; the daemon cross-checks the two
-    sources at startup. *)
-type params = {
+(** Simulation configuration ({!Sched.Simulator.params}), embedded in
+    WAL segment headers and recovered from checkpoint snapshots; the
+    daemon cross-checks the two sources at startup. *)
+type params = Sched.Simulator.params = {
   scheme : string;
   radix : int;
   scenario : string;
@@ -29,13 +29,16 @@ type params = {
 }
 
 val params_to_fields : params -> (string * Obs.Json.value) list
+(** The WAL segment header's encoding. *)
+
 val params_of_fields : (string * Obs.Json.value) list -> (params, string) result
 
 type t
 
 val create :
   ?sink:Obs.Sink.t -> ?prof:Obs.Prof.t -> params -> (t, string) result
-(** Fresh state: an empty workload on the configured cluster, clock 0. *)
+(** Fresh state: an empty workload on the configured cluster, clock 0.
+    [Error] on params {!Sched.Simulator.resolve} rejects. *)
 
 val of_checkpoint :
   ?sink:Obs.Sink.t ->
@@ -53,6 +56,9 @@ val checkpoint : t -> path:string -> bool
     result on replay.  Carries the ["ckpt-post-save"] crash point. *)
 
 val params : t -> params
+(** Read off the live simulation, so names are canonical (["10%"] for a
+    scenario created as ["10"]). *)
+
 val now : t -> float
 
 val last_seq : t -> int

@@ -104,8 +104,13 @@ let recover ?sink ?prof ?params ~dir () =
     match Core.create ?sink ?prof p with
     | Error m -> Error m
     | Ok core ->
-        Ok (core, Wal.create ~dir ~config:(Core.params_to_fields p) ~start_seq:0)
+        let config = Core.params_to_fields (Core.params core) in
+        Ok (core, Wal.create ~dir ~config ~start_seq:0)
   in
+  (* Params as a live state reads them back: older daemons recorded names
+     as typed ("10" for the scenario "10%"), so only canonical forms
+     compare. *)
+  let canonical p = Result.map Core.params (Core.create p) in
   let result =
     match Wal.read_dir ~dir with
     | Error m -> Error ("WAL: " ^ m)
@@ -116,11 +121,11 @@ let recover ?sink ?prof ?params ~dir () =
             note "fresh state directory";
             fresh p)
     | Ok (Some r) -> (
-        match Core.params_of_fields r.config with
+        match Result.bind (Core.params_of_fields r.config) canonical with
         | Error m -> Error ("WAL header: " ^ m)
         | Ok wal_params -> (
             match params with
-            | Some p when p <> wal_params ->
+            | Some p when canonical p <> Ok wal_params ->
                 Error
                   "configuration disagrees with the state directory's WAL \
                    (start with no explicit config to adopt the recorded one)"

@@ -20,7 +20,8 @@ type opts = {
   dir : string;  (** State directory: WAL segments + checkpoints. *)
   params : Core.params option;
       (** Required for a fresh state dir; if given for an existing one,
-          must match its WAL config exactly. *)
+          must match its WAL config once both are canonical
+          ({!Core.params}). *)
   time_scale : float option;
       (** [Some s]: wall-clock mode, [s] simulated seconds per wall
           second.  [None]: logical time — the clock moves only on op
@@ -52,10 +53,13 @@ val recover :
 (** Rebuild the pre-crash state: newest usable checkpoint (corrupt ones
     skipped — an older checkpoint plus a longer replay reaches the same
     state) + WAL replay past its [x_svc_seq]; entries at or below it
-    seed rid dedup only.  Returns the state, a fresh WAL appender
-    (recovery never appends to old segments), and a human-readable
-    report.  Exposed separately from {!run} so the crash-recovery
-    property tests can drive it directly. *)
+    seed rid dedup only.  A checkpoint is usable when its params equal
+    the WAL header's read back canonical, so headers that spell a name
+    as typed (["10"] for ["10%"]) still match.  [Error] on params the
+    resolver rejects.  Returns the state, a fresh WAL appender (recovery
+    never appends to old segments), and a human-readable report.
+    Exposed separately from {!run} so the crash-recovery property tests
+    can drive it directly. *)
 
 val run : ?prof:Obs.Prof.t -> opts -> (unit, string) result
 (** Recover, bind, serve until a [shutdown] op or SIGTERM/SIGINT, then

@@ -221,12 +221,15 @@ let small_cells () =
   let w2 =
     Trace.Synthetic.synth ~mean_size:8 ~n_jobs:40 ~seed:9 ~max_size:128
   in
+  let cfg = Sched.Simulator.Config.make ~radix in
   [|
-    Sched.Sweep.cell ~radix Sched.Allocator.baseline w1;
-    Sched.Sweep.cell ~radix Sched.Allocator.jigsaw w1;
-    Sched.Sweep.cell ~profile:true ~radix Sched.Allocator.baseline w2;
-    Sched.Sweep.cell ~faults:(Lazy.force scripted_faults)
-      ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw w2;
+    Sched.Sweep.cell (cfg Sched.Allocator.baseline) w1;
+    Sched.Sweep.cell (cfg Sched.Allocator.jigsaw) w1;
+    Sched.Sweep.cell ~profile:true (cfg Sched.Allocator.baseline) w2;
+    Sched.Sweep.cell
+      (Sched.Simulator.Config.make ~faults:(Lazy.force scripted_faults)
+         ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw)
+      w2;
   |]
 
 let test_cell_ids () =
@@ -240,8 +243,9 @@ let test_cell_ids () =
   let c = cells.(3) in
   let again =
     Sched.Sweep.cell ~label:"something else" ~profile:true
-      ~faults:(Lazy.force scripted_faults) ~resilience:requeue_policy ~radix
-      Sched.Allocator.jigsaw c.workload
+      (Sched.Simulator.Config.make ~faults:(Lazy.force scripted_faults)
+         ~resilience:requeue_policy ~radix Sched.Allocator.jigsaw)
+      c.workload
   in
   Alcotest.(check string) "id stable" c.id again.id;
   Alcotest.(check string) "id recomputable" c.id (Sched.Sweep.cell_id c);

@@ -159,7 +159,9 @@ let small_grid ~profile =
       let workload = Trace.Workload.truncate e.workload 120 in
       List.map
         (fun a ->
-          Sched.Sweep.cell ~profile ~radix:e.cluster_radix a workload)
+          Sched.Sweep.cell ~profile
+            (Sched.Simulator.Config.make ~radix:e.cluster_radix a)
+            workload)
         Sched.Allocator.all)
     (Trace.Presets.all ~full:false)
   |> Array.of_list
@@ -224,7 +226,10 @@ let test_sweep_faulty_matches_serial () =
   let cells =
     List.map
       (fun a ->
-        Sched.Sweep.cell ~faults ~resilience ~radix:e.cluster_radix a workload)
+        Sched.Sweep.cell
+          (Sched.Simulator.Config.make ~faults ~resilience
+             ~radix:e.cluster_radix a)
+          workload)
       Sched.Allocator.all
     |> Array.of_list
   in

@@ -599,6 +599,178 @@ let test_checkpoint_fallback () =
         (drained_fingerprint (drive ~dir ~p ~ops ~ckpt_every:4)))
 
 (* ------------------------------------------------------------------ *)
+(* Configuration: one resolver, canonical params                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A scenario given as typed ("10", canonically "10%") must not hide the
+   checkpoints from recovery.  When the WAL header kept the spelling and
+   the checkpoint the canonical name, recovery skipped every checkpoint
+   as disagreeing with the WAL, and once the WAL was GC'd it failed as
+   unrecoverable.  Headers written now hold canonical names; headers an
+   older daemon wrote still hold "10" and must recover all the same. *)
+let test_scenario_spelling () =
+  let p = { (params ()) with scenario = "10" } in
+  let ops = List.filteri (fun i _ -> i < 9) (mk_ops ~n_jobs:12 ~faulty:false) in
+  List.iter
+    (fun older_header ->
+      with_tmpdir (fun dir ->
+          let core, wal =
+            if older_header then
+              match Svc.Core.create p with
+              | Error m -> Alcotest.fail m
+              | Ok core ->
+                  ( core,
+                    Svc.Wal.create ~dir ~config:(Svc.Core.params_to_fields p)
+                      ~start_seq:0 )
+            else
+              match Svc.Daemon.recover ~params:p ~dir () with
+              | Error m -> Alcotest.fail m
+              | Ok (core, wal, _) -> (core, wal)
+          in
+          (* The daemon's checkpoint step every third op: checkpoint,
+             rotate, keep the two newest checkpoints and GC the WAL
+             segments only the pruned ones needed. *)
+          let kept = ref [] in
+          List.iteri
+            (fun seq (at, req) ->
+              let stamp = Float.max at (Svc.Core.now core) in
+              match Svc.Core.admit core ~stamp req with
+              | Error m -> Alcotest.failf "admit seq %d: %s" seq m
+              | Ok op ->
+                  ignore
+                    (Svc.Wal.append wal
+                       (Svc.Core.fields_of_op ~stamp ~rid:None op));
+                  ignore (Svc.Core.apply core ~seq ~rid:None ~stamp op);
+                  let path = Filename.concat dir (Svc.Daemon.ckpt_name seq) in
+                  if seq mod 3 = 2 && Svc.Core.checkpoint core ~path then begin
+                    Svc.Wal.rotate wal;
+                    let retained, pruned =
+                      match seq :: !kept with
+                      | a :: b :: rest -> ([ a; b ], rest)
+                      | l -> (l, [])
+                    in
+                    List.iter
+                      (fun s ->
+                        Sys.remove
+                          (Filename.concat dir (Svc.Daemon.ckpt_name s)))
+                      pruned;
+                    kept := retained;
+                    let oldest = List.nth retained (List.length retained - 1) in
+                    ignore (Svc.Wal.gc ~dir ~keep_from:(oldest + 1))
+                  end)
+            ops;
+          Svc.Wal.close wal;
+          let name m =
+            Printf.sprintf "%s (%s header)" m
+              (if older_header then "as typed" else "canonical")
+          in
+          match Svc.Daemon.recover ~dir () with
+          | Error m -> Alcotest.failf "%s: %s" (name "recover") m
+          | Ok (core, wal, report) ->
+              Svc.Wal.close wal;
+              Alcotest.(check bool)
+                (name "newest checkpoint restored")
+                true
+                (List.mem "restored checkpoint at seq 8" report);
+              Alcotest.(check int) (name "last seq") 8 (Svc.Core.last_seq core);
+              Alcotest.(check string)
+                (name "canonical scenario")
+                "10%" (Svc.Core.params core).scenario))
+    [ false; true ]
+
+(* What the daemon CLI does with its flags on a fresh state directory. *)
+let run_daemon_fresh ~dir p =
+  Svc.Daemon.run
+    {
+      (Svc.Daemon.default_opts ~socket:(Filename.concat dir "sock")
+         ~dir:(Filename.concat dir "state"))
+      with
+      params = Some p;
+    }
+
+let test_bad_radix () =
+  let p = { (params ()) with radix = 7 } in
+  (match Svc.Core.create p with
+  | Ok _ -> Alcotest.fail "Core.create accepted radix 7"
+  | Error _ -> ());
+  with_tmpdir (fun dir ->
+      (match run_daemon_fresh ~dir p with
+      | Ok () -> Alcotest.fail "the daemon served radix 7"
+      | Error _ -> ());
+      Alcotest.(check bool)
+        "a refused start leaves no WAL" false
+        (Array.exists
+           (String.starts_with ~prefix:"wal-")
+           (Sys.readdir (Filename.concat dir "state")));
+      Svc.Wal.close
+        (Svc.Wal.create ~dir ~config:(Svc.Core.params_to_fields p)
+           ~start_seq:0);
+      match Svc.Daemon.recover ~dir () with
+      | Ok _ -> Alcotest.fail "recovered a WAL header with radix 7"
+      | Error m ->
+          Alcotest.(check bool)
+            "the error names the WAL header" true
+            (String.starts_with ~prefix:"WAL header: " m))
+
+(* Resolving params and reading them back off the live simulation gives
+   the canonical names, and is the identity from then on.  A name no
+   resolver knows is an [Error] wherever params come in. *)
+let test_params_roundtrip () =
+  let resolve_back p =
+    match Sched.Simulator.resolve p with
+    | Error m -> Alcotest.failf "%s/%s: %s" p.scheme p.scenario m
+    | Ok (cfg, w) -> Sched.Simulator.params (Sched.Simulator.start cfg w)
+  in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun (spelling, canonical) ->
+          let p = { (params ~scheme ()) with scenario = spelling } in
+          let once = resolve_back p in
+          let name = Printf.sprintf "%s/%s" scheme spelling in
+          Alcotest.(check bool)
+            (name ^ " reads back canonical")
+            true
+            (once = { p with scenario = canonical });
+          Alcotest.(check bool)
+            (name ^ " second round trip")
+            true
+            (resolve_back once = once))
+        [
+          ("None", "None");
+          ("V2", "V2");
+          ("Random", "Random");
+          ("10", "10%");
+          ("10%", "10%");
+          ("010", "10%");
+        ])
+    Sched.Allocator.valid_names;
+  let snap =
+    match Sched.Simulator.resolve (params ()) with
+    | Error m -> Alcotest.fail m
+    | Ok (cfg, w) -> Sched.Simulator.snapshot (Sched.Simulator.start cfg w)
+  in
+  List.iter
+    (fun (bad : Svc.Core.params) ->
+      let name = Printf.sprintf "%s/%s" bad.scheme bad.scenario in
+      (match Svc.Core.create bad with
+      | Ok _ -> Alcotest.failf "Core.create accepted %s" name
+      | Error _ -> ());
+      with_tmpdir (fun dir ->
+          let path = Filename.concat dir "ckpt.jsonl" in
+          Sched.Checkpoint.save ~path { snap with params = bad };
+          (match Sched.Checkpoint.restore ~path () with
+          | Ok _ -> Alcotest.failf "Checkpoint.restore accepted %s" name
+          | Error _ -> ());
+          match run_daemon_fresh ~dir bad with
+          | Ok () -> Alcotest.failf "the daemon served %s" name
+          | Error _ -> ()))
+    [
+      { (params ()) with scheme = "Nope" };
+      { (params ()) with scenario = "Sometimes" };
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Live daemon over a socket                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -802,7 +974,7 @@ let test_sweep_interrupt_resume () =
   let cells =
     Array.of_list
       (List.map
-         (fun a -> Sched.Sweep.cell ~radix a w)
+         (fun a -> Sched.Sweep.cell (Sched.Simulator.Config.make ~radix a) w)
          Sched.Allocator.all)
   in
   let fresh = Sched.Sweep.run ~jobs:1 cells in
@@ -943,6 +1115,11 @@ let suite =
       test_crash_random_all_schemes;
     Alcotest.test_case "corrupt checkpoint fallback" `Quick
       test_checkpoint_fallback;
+    Alcotest.test_case "scenario spelling survives recovery" `Quick
+      test_scenario_spelling;
+    Alcotest.test_case "bad radix is an error" `Quick test_bad_radix;
+    Alcotest.test_case "params resolve round-trip" `Quick
+      test_params_roundtrip;
     Alcotest.test_case "daemon socket parity" `Quick test_daemon_socket_parity;
     Alcotest.test_case "daemon survives fuzz" `Quick test_daemon_survives_fuzz;
     Alcotest.test_case "daemon rejects oversize line" `Quick
