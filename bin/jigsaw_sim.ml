@@ -41,6 +41,37 @@ let checkpoint_loop sim ~every ~out =
       in
       loop (Sched.Simulator.now sim +. dt)
 
+(* One run's result: its fingerprint line, keyed by [label], or its
+   metrics row (JSON, or human followed by the profile report, the
+   telemetry summary and the Table-2 histogram). *)
+let print_result ~fingerprint ~json ~table2 ~label ?extra ?prof ?net
+    (m : Sched.Metrics.t) =
+  if fingerprint then
+    Format.printf "%s %s@." label (Sched.Metrics.fingerprint m)
+  else begin
+    if json then Format.printf "%s@." (Sched.Metrics.to_json_string ?extra m)
+    else Format.printf "%a@." (Sched.Metrics.pp ~format:Sched.Metrics.Human) m;
+    (match prof with
+    | Some p ->
+        if json then begin
+          let b = Buffer.create 1024 in
+          Obs.Prof.write_json b p;
+          Format.printf "%s@." (Buffer.contents b)
+        end
+        else Format.printf "%a" Obs.Prof.pp_report p
+    | None -> ());
+    (match net with
+    | Some s when not json ->
+        Format.printf "%a@." Routing.Telemetry.pp_summary s
+    | _ -> ());
+    if table2 && not json then begin
+      let h = m.inst_hist in
+      Format.printf
+        "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
+        h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
+    end
+  end
+
 (* --restore: the checkpoint is self-describing (workload, faults and
    scheme travel inside it), so no --trace/--sched flags are read. *)
 let run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
@@ -55,28 +86,13 @@ let run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
           let out = Option.value checkpoint_out ~default:path in
           checkpoint_loop sim ~every:checkpoint_every ~out
       | None -> ());
-      let metrics, _ = Sched.Simulator.finish sim in
-      let m = metrics in
-      if fingerprint then
-        Format.printf "%s/%s %s@." m.Sched.Metrics.trace_name
-          m.Sched.Metrics.sched_name
-          (Sched.Metrics.fingerprint m)
-      else if json then Format.printf "%s@." (Sched.Metrics.to_json_string m)
-      else begin
-        Format.printf "%a@." (Sched.Metrics.pp ~format:Sched.Metrics.Human) m;
-        if table2 then begin
-          let h = m.Sched.Metrics.inst_hist in
-          Format.printf
-            "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
-            h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
-        end;
-        match Sched.Simulator.net_summary sim with
-        | Some s -> Format.printf "%a@." Routing.Telemetry.pp_summary s
-        | None -> ()
-      end
+      let m, _ = Sched.Simulator.finish sim in
+      print_result ~fingerprint ~json ~table2
+        ~label:(m.trace_name ^ "/" ^ m.sched_name)
+        ?net:(Sched.Simulator.net_summary sim) m
 
 let run preset swf radix sched scenario seed window truncate jobs sweep full
-    scale table2 series mtbf mttr fault_seed fault_trace fault_horizon requeue
+    scale table2 mtbf mttr fault_seed fault_trace fault_horizon requeue
     resubmit_delay charge_lost_work moldable trace_out trace_format profile
     json fingerprint series_out checkpoint_every checkpoint_out restore
     resume_sweep net_telemetry net_routing net_flows =
@@ -235,7 +251,6 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
       "--resume-sweep journals sweep cells; drop --trace-out/--checkpoint-every@.";
     exit 1
   end;
-  let out_format = if json then Sched.Metrics.Json else Sched.Metrics.Human in
   let multi = Array.length cells > 1 in
   if (not json) && not fingerprint then begin
     if sweep then
@@ -376,64 +391,23 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   Array.iteri
     (fun i (r : Sched.Sweep.result) ->
       let c = cells.(i) in
-      let m = r.metrics in
-      if fingerprint then
-        (* The stable cell id, not the display label: fingerprint lines
-           are diffed across runs and machines, so the key must not
-           depend on grid position or flag order. *)
-        Format.printf "%s %s@." c.id (Sched.Metrics.fingerprint m)
-      else begin
-        (if json then
-           let extra =
-             [
-               ("wall_clock_s", Obs.Json.Num r.wall_s);
-               ("jobs", Obs.Json.Num (float_of_int jobs));
-             ]
-           in
-           Format.printf "%s@." (Sched.Metrics.to_json_string ~extra m)
-         else Format.printf "%a@." (Sched.Metrics.pp ~format:out_format) m);
-        (match r.prof with
-        | Some p ->
-            if json then begin
-              let b = Buffer.create 1024 in
-              Obs.Prof.write_json b p;
-              Format.printf "%s@." (Buffer.contents b)
-            end
-            else Format.printf "%a" Obs.Prof.pp_report p
-        | None -> ());
-        (match r.net with
-        | Some s when not json ->
-            Format.printf "%a@." Routing.Telemetry.pp_summary s
-        | _ -> ());
-        if table2 && not json then begin
-          let h = m.inst_hist in
-          Format.printf
-            "  instantaneous utilization: >=98:%d  95-97:%d  90-95:%d  80-90:%d  60-80:%d  <=60:%d@."
-            h.(5) h.(4) h.(3) h.(2) h.(1) h.(0)
-        end;
-        (match series with
-        | None -> ()
-        | Some path ->
-            let file =
-              if sweep then
-                Printf.sprintf "%s.%s.%s.csv" path
-                  c.workload.Trace.Workload.name
-                  c.cfg.allocator.Sched.Allocator.name
-              else
-                Printf.sprintf "%s.%s.csv" path
-                  c.cfg.allocator.Sched.Allocator.name
-            in
-            Out_channel.with_open_text file (fun oc ->
-                Sched.Metrics.write_series_csv oc m);
-            if not json then Format.printf "  utilization series -> %s@." file);
-        match series_out with
-        | None -> ()
-        | Some path ->
-            let file = series_file path c in
-            Out_channel.with_open_text file (fun oc ->
-                Sched.Metrics.write_series_csv oc m);
-            if not json then Format.printf "  utilization series -> %s@." file
-      end)
+      (* The stable cell id, not the display label: fingerprint lines
+         are diffed across runs and machines, so the key must not depend
+         on grid position or flag order. *)
+      print_result ~fingerprint ~json ~table2 ~label:c.id
+        ~extra:
+          [
+            ("wall_clock_s", Obs.Json.Num r.wall_s);
+            ("jobs", Obs.Json.Num (float_of_int jobs));
+          ]
+        ?prof:r.prof ?net:r.net r.metrics;
+      match series_out with
+      | Some path when not fingerprint ->
+          let file = series_file path c in
+          Out_channel.with_open_text file (fun oc ->
+              Sched.Metrics.write_series_csv oc r.metrics);
+          if not json then Format.printf "  utilization series -> %s@." file
+      | _ -> ())
     results;
   if sweep && (not json) && not fingerprint then begin
     (match resume_sweep with
@@ -512,11 +486,6 @@ let cmd =
   let table2 =
     Arg.(value & flag & info [ "table2" ]
            ~doc:"Also print the instantaneous-utilization histogram.")
-  in
-  let series =
-    Arg.(value & opt (some string) None & info [ "series" ] ~docv:"PREFIX"
-           ~doc:"Dump the utilization time series to PREFIX.<scheme>.csv \
-                 (PREFIX.<trace>.<scheme>.csv under --sweep).")
   in
   let mtbf =
     Arg.(value & opt (some float) None & info [ "mtbf" ] ~docv:"SECONDS"
@@ -666,7 +635,7 @@ let cmd =
   let term =
     Term.(
       const run $ preset $ swf $ radix $ sched $ scenario $ seed $ window
-      $ truncate $ jobs $ sweep $ full $ scale $ table2 $ series $ mtbf $ mttr
+      $ truncate $ jobs $ sweep $ full $ scale $ table2 $ mtbf $ mttr
       $ fault_seed $ fault_trace $ fault_horizon $ requeue $ resubmit_delay
       $ charge_lost_work $ moldable $ trace_out $ trace_format $ profile $ json
       $ fingerprint $ series_out $ checkpoint_every $ checkpoint_out $ restore

@@ -39,6 +39,14 @@ type feas = {
 
 type ext = ..
 
+type counters = {
+  claims : int;
+  releases : int;
+  failures : int;
+  repairs : int;
+  clones : int;
+}
+
 type t = {
   topo : Topology.t;
   free : Sim.Bitset.t; (* node id -> available (not claimed, not failed) *)
@@ -180,7 +188,6 @@ let copy_into ~src ~dst =
 
 let node_free t n = Sim.Bitset.mem t.free n
 let node_claimed t n = Sim.Bitset.mem t.claimed n
-let iter_free_nodes t ~f = Sim.Bitset.iter_set t.free ~f
 let next_nonempty_leaf t ~from = Sim.Bitset.next_set_from t.nonempty_leaves from
 let any_claimed_in t nodes = Sim.Bitset.intersects_array t.claimed nodes
 
@@ -244,20 +251,25 @@ let generation t = t.claims + t.releases + t.failures + t.repairs
 let claim_generation t = t.claims + t.failures
 let release_generation t = t.releases + t.repairs
 
-let claim_count t = t.claims
-let release_count t = t.releases
-let failure_count t = t.failures
-let repair_count t = t.repairs
-let clone_count t = t.clones
+let counters t : counters =
+  {
+    claims = t.claims;
+    releases = t.releases;
+    failures = t.failures;
+    repairs = t.repairs;
+    clones = t.clones;
+  }
 
-let set_op_counters t ~claims ~releases ~failures ~repairs ~clones =
-  if claims < 0 || releases < 0 || failures < 0 || repairs < 0 || clones < 0
-  then invalid_arg "State.set_op_counters: negative counter";
-  t.claims <- claims;
-  t.releases <- releases;
-  t.failures <- failures;
-  t.repairs <- repairs;
-  t.clones <- clones
+let restore_counters t (c : counters) =
+  if c.claims < 0 || c.releases < 0 || c.failures < 0 || c.repairs < 0
+     || c.clones < 0
+  then invalid_arg "State.restore_counters: negative counter";
+  t.claims <- c.claims;
+  t.releases <- c.releases;
+  t.failures <- c.failures;
+  t.repairs <- c.repairs;
+  t.clones <- c.clones
+
 let failed_node_count t = t.failed_nodes
 let healthy_node_count t = Topology.num_nodes t.topo - t.failed_nodes
 
@@ -570,14 +582,11 @@ let repair_l2_cable t c =
   end;
   t.repairs <- t.repairs + 1
 
-let snapshot_free_nodes t = Sim.Bitset.copy t.free
-
 (* ------------------------------------------------------------------ *)
 (* Cached per-pod feasibility summaries                                 *)
 (* ------------------------------------------------------------------ *)
 
 let pod_node_generation t ~pod = t.pod_node_gen.(pod)
-let pod_l2_generation t ~pod = t.pod_l2_gen.(pod)
 
 let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in

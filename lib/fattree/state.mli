@@ -45,10 +45,6 @@ val node_free : t -> int -> bool
 val node_claimed : t -> int -> bool
 (** Held by a live allocation (possibly also failed). *)
 
-val iter_free_nodes : t -> f:(int -> unit) -> unit
-(** Visit every available node in increasing id order — a word-skipping
-    walk of the free bitset, O(words + free nodes). *)
-
 val next_nonempty_leaf : t -> from:int -> int option
 (** Smallest leaf id [>= from] with at least one free node, found by a
     word-level walk of the maintained nonempty-leaf bitset — on a
@@ -107,7 +103,7 @@ val node_utilization : t -> float
 val generation : t -> int
 (** Total claims + releases + failures + repairs since creation.  It
     strictly increases on every claim, release, fail and repair, so an
-    unchanged value means an unchanged state; only {!set_op_counters}
+    unchanged value means an unchanged state; only {!restore_counters}
     rewinds it, at checkpoint restore.  The scheduler's head-reservation
     memo is keyed on it. *)
 
@@ -123,34 +119,26 @@ val pod_node_generation : t -> pod:int -> int
     changes, and leaf-cable fail/repair.  Caches over per-pod leaf
     summaries validate against it. *)
 
-val pod_l2_generation : t -> pod:int -> int
-(** Per-pod stamp advanced by every mutation that can change the pod's
-    L2-to-spine availability: spine-uplink capacity changes and
-    L2-cable fail/repair. *)
+(** {1 Operation counters} *)
 
-(** {1 Operation counters}
+(** The raw tallies behind the generations, read for profiling
+    ([Obs.Prof]'s end-of-run ["state/*"] counters) and carried by
+    checkpoints. *)
+type counters = {
+  claims : int;  (** Successful claims since creation. *)
+  releases : int;  (** Releases since creation. *)
+  failures : int;  (** Fail operations since creation. *)
+  repairs : int;  (** Repair operations since creation. *)
+  clones : int;
+      (** Clones taken {e of this state} ({!clone} resets the copy's
+          tally to 0) — the cost driver of reservation walks and probe
+          validation. *)
+}
 
-    The raw tallies behind the generations, exposed individually for
-    profiling ([Obs.Prof]'s end-of-run ["state/*"] counters). *)
+val counters : t -> counters
 
-val claim_count : t -> int
-val release_count : t -> int
-val failure_count : t -> int
-val repair_count : t -> int
-
-val clone_count : t -> int
-(** Clones taken {e of this state} ({!clone} resets the copy's tally to
-    0) — the cost driver of reservation walks and probe validation. *)
-
-val set_op_counters :
-  t ->
-  claims:int ->
-  releases:int ->
-  failures:int ->
-  repairs:int ->
-  clones:int ->
-  unit
-(** [set_op_counters t ...] overwrites the five operation tallies.  For
+val restore_counters : t -> counters -> unit
+(** [restore_counters t c] overwrites the five operation tallies.  For
     checkpoint restore only: a restored state is rebuilt by replaying
     faults and re-claiming running allocations, which would otherwise
     leave the counters (and hence the generations that guard the no-fit
@@ -230,9 +218,6 @@ val repair_l2_cable : t -> int -> unit
 val node_failed : t -> int -> bool
 val leaf_cable_failed : t -> int -> bool
 val l2_cable_failed : t -> int -> bool
-
-val snapshot_free_nodes : t -> Sim.Bitset.t
-(** A copy of the free-node set (for tests and diagnostics). *)
 
 (** {1 Incremental feasibility summaries}
 

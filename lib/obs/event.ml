@@ -128,25 +128,6 @@ let kind_name = function
   | Net_route { retract = true; _ } -> "net_retract"
   | Net_congestion_sample _ -> "net_sample"
 
-let job_id = function
-  | Run_meta _ | Pass_start _ | Pass_end _ | Fail _ | Repair _
-  | Net_congestion_sample _ ->
-      None
-  | Arrival { job; _ }
-  | Attempt { job; _ }
-  | Start { job; _ }
-  | Reservation_set { job; _ }
-  | Reservation_clear { job }
-  | Complete { job; _ }
-  | Reject { job }
-  | Kill { job; _ }
-  | Requeue { job; _ }
-  | Abandon { job; _ }
-  | Resize { job; _ }
-  | Shrink_recover { job; _ }
-  | Net_route { job; _ } ->
-      Some job
-
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                               *)
 (* ------------------------------------------------------------------ *)

@@ -125,7 +125,6 @@ val kind_name : payload -> string
 (** The serialized event name ([Start] maps to ["start"] or
     ["backfill_start"] by its context). *)
 
-val job_id : payload -> int option
 val outcome_name : probe_outcome -> string
 val ctx_name : ctx -> string
 

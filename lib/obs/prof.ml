@@ -32,8 +32,6 @@ let create () =
     spans = Hashtbl.create 16;
   }
 
-let owner t = t.owner
-
 (* Single-writer discipline: a registry is plain mutable state with no
    locking, so a stray cross-domain record would silently corrupt
    counts.  Every mutator asserts the caller is the creating domain;
@@ -159,9 +157,6 @@ let gauge_view acc =
   }
 
 let gauges t = List.map (fun (k, a) -> (k, gauge_view a)) (sorted t.gauges)
-
-let find_gauge t name =
-  Option.map gauge_view (Hashtbl.find_opt t.gauges name)
 
 type span_view = {
   sp_count : int;

@@ -26,9 +26,6 @@ type t
 val create : unit -> t
 (** The calling domain becomes the owner. *)
 
-val owner : t -> int
-(** Domain id of the owning (creating) domain. *)
-
 val merge_into : into:t -> t -> unit
 (** [merge_into ~into src] folds [src] into [into]: counters sum, span
     counts/maxima and histogram buckets combine exactly, gauge
@@ -66,10 +63,6 @@ type gauge_view = {
 }
 
 val gauges : t -> (string * gauge_view) list
-
-val find_gauge : t -> string -> gauge_view option
-(** Single-gauge read, for live telemetry endpoints (the daemon's
-    status reply) that must not pay a full sorted listing per query. *)
 
 (** {1 Spans} — wall-clock timings of code regions. *)
 

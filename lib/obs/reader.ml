@@ -76,14 +76,6 @@ let parse_jsonl content =
     lines;
   match !err with Some m -> Error m | None -> Ok (List.rev !records)
 
-let load_jsonl path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | content -> (
-      match parse_jsonl content with
-      | Ok records -> Ok records
-      | Error m -> Error (Printf.sprintf "%s: %s" path m))
-  | exception Sys_error m -> Error m
-
 let load ?format path =
   let fmt = match format with Some f -> f | None -> Sink.format_of_path path in
   match In_channel.with_open_text path In_channel.input_lines with

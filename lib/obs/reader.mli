@@ -30,13 +30,10 @@ val load : ?format:Sink.format -> string -> (run list, string) result
 (** {1 Generic flat JSONL}
 
     Checkpoint files and sweep manifests are streams of flat {!Json}
-    records that are not event traces; these readers parse them without
+    records that are not event traces; {!parse_jsonl} reads them without
     going through {!Event}. *)
 
 val parse_jsonl : string -> ((string * Json.value) list list, string) result
 (** Parse a whole buffer of newline-separated flat JSON objects (blank
     lines skipped).  [Error] carries the first offending line number and
     reason. *)
-
-val load_jsonl : string -> ((string * Json.value) list list, string) result
-(** {!parse_jsonl} on a file's contents; [Error] on I/O failure too. *)

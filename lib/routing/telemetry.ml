@@ -280,9 +280,6 @@ let create topo ~policy ~shape ~now =
     routed_flows = 0;
   }
 
-let policy_of t = t.policy
-let shape_of t = t.shape
-let mem t job = Congestion.Index.mem t.index job
 
 let lower_bound t =
   if t.lb_flows = 0 then 0

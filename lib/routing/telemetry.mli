@@ -48,12 +48,6 @@ val create :
   Fattree.Topology.t -> policy:policy -> shape:shape -> now:float -> t
 (** An empty telemetry state; [now] anchors the time-weighted series. *)
 
-val policy_of : t -> policy
-val shape_of : t -> shape
-
-val mem : t -> int -> bool
-(** Is the job's flow set currently installed? *)
-
 (** What one add/remove did, for the [Net_route] trace event. *)
 type route_info = {
   ri_flows : int;  (** Flows routed for the job. *)

@@ -111,8 +111,9 @@ let header =
       pending_live = [||]; pending_gens = [||]; running = [||];
       nofit = [||]; nofit_release_gen = 0; kills = [||]; reserved = None;
       acc = Accumulators.create ~pending_repairs:0; samples = [||];
-      finished = [||]; st_claims = 0; st_releases = 0; st_failures = 0;
-      st_repairs = 0; st_clones = 0;
+      finished = [||];
+      counters =
+        { claims = 0; releases = 0; failures = 0; repairs = 0; clones = 0 };
     },
     [ ("job", jobs); ("fault", faults); ("ev", events); ("run", running);
       ("fin", finished); ("smp", samples) ] )
@@ -237,19 +238,20 @@ let kills =
   fun s -> { s with kills }
 
 let run =
-  let+ rs_job = field "id" int (fun r -> r.rs_job)
+  let open Fattree.Alloc in
+  let+ job = field "id" int (fun r -> r.rs_alloc.job)
   and+ rs_attempt = field "attempt" int (fun r -> r.rs_attempt)
   and+ rs_epoch = field ~omit:0 "epoch" int (fun r -> r.rs_epoch)
   and+ rs_start = field "start" num (fun r -> r.rs_start)
   and+ rs_end = field "end" num (fun r -> r.rs_end)
   and+ rs_est_end = field "est_end" num (fun r -> r.rs_est_end)
-  and+ rs_size = field "size" int (fun r -> r.rs_size)
-  and+ rs_bw = field "bw" num (fun r -> r.rs_bw)
-  and+ rs_nodes = field "nodes" ints (fun r -> r.rs_nodes)
-  and+ rs_leaf_cables = field "leaf" ints (fun r -> r.rs_leaf_cables)
-  and+ rs_l2_cables = field "l2" ints (fun r -> r.rs_l2_cables) in
-  { rs_job; rs_attempt; rs_epoch; rs_start; rs_end; rs_est_end; rs_size;
-    rs_bw; rs_nodes; rs_leaf_cables; rs_l2_cables }
+  and+ size = field "size" int (fun r -> r.rs_alloc.size)
+  and+ bw = field "bw" num (fun r -> r.rs_alloc.bw)
+  and+ nodes = field "nodes" ints (fun r -> r.rs_alloc.nodes)
+  and+ leaf_cables = field "leaf" ints (fun r -> r.rs_alloc.leaf_cables)
+  and+ l2_cables = field "l2" ints (fun r -> r.rs_alloc.l2_cables) in
+  { rs_alloc = { job; size; nodes; leaf_cables; l2_cables; bw };
+    rs_attempt; rs_epoch; rs_start; rs_end; rs_est_end }
 
 let fin =
   let+ fs_job = field "id" int (fun f -> f.fs_job)
@@ -293,15 +295,21 @@ let accumulators =
     requeued; abandoned; lost_node_time; shrunk; grown; started_total;
     cancelled }
 
+(* The cluster state's operation tallies. *)
+let counters =
+  let open Fattree.State in
+  let+ claims = field "st_claims" int (fun c -> c.claims)
+  and+ releases = field "st_releases" int (fun c -> c.releases)
+  and+ failures = field "st_failures" int (fun c -> c.failures)
+  and+ repairs = field "st_repairs" int (fun c -> c.repairs)
+  and+ clones = field "st_clones" int (fun c -> c.clones) in
+  { claims; releases; failures; repairs; clones }
+
 (* The accumulators, then the state's operation tallies and the head
    reservation. *)
 let acc =
   let+ acc = on (fun s -> s.acc) accumulators
-  and+ st_claims = field "st_claims" int (fun s -> s.st_claims)
-  and+ st_releases = field "st_releases" int (fun s -> s.st_releases)
-  and+ st_failures = field "st_failures" int (fun s -> s.st_failures)
-  and+ st_repairs = field "st_repairs" int (fun s -> s.st_repairs)
-  and+ st_clones = field "st_clones" int (fun s -> s.st_clones)
+  and+ counters = on (fun s -> s.counters) counters
   and+ reserved =
     optional
       (fun s -> s.reserved)
@@ -310,8 +318,7 @@ let acc =
        (id, at))
   in
   fun s ->
-    { s with acc; st_claims; st_releases; st_failures; st_repairs; st_clones;
-      reserved }
+    { s with acc; counters; reserved }
 
 let singletons =
   [ ("engine", engine); ("queue", queue); ("pending", pending); ("gens", gens);

@@ -224,13 +224,6 @@ let pp_row ppf m =
    object per row, line-oriented so downstream tooling can stream it. *)
 type format = Human | Json
 
-let format_name = function Human -> "human" | Json -> "json"
-
-let format_of_name = function
-  | "human" -> Some Human
-  | "json" -> Some Json
-  | _ -> None
-
 let pp ~format ppf m =
   match format with
   | Human -> pp_row ppf m

@@ -91,9 +91,6 @@ val pp_row : Format.formatter -> t -> unit
     so the human and machine forms can never drift apart. *)
 type format = Human | Json
 
-val format_name : format -> string
-val format_of_name : string -> format option
-
 val pp : format:format -> Format.formatter -> t -> unit
 (** [Human]: the {!pp_row} line.  [Json]: one flat JSON object (no
     newline), parseable by [Obs.Json.parse_line]; the instantaneous

@@ -226,65 +226,61 @@ let emit sim mk_payload =
 let prof_incr sim name =
   match sim.cfg.prof with Some p -> Obs.Prof.incr p name | None -> ()
 
-(* Telemetry hooks.  Each job transition (un)installs the job's flow set
-   and emits a [Net_route] plus a cluster-wide [Net_congestion_sample].
-   The (re)route runs under a profiling span so the per-event
-   maintenance cost shows up as a tail, not just a mean. *)
-let net_sample_event sim net =
-  emit sim (fun () ->
-      let s = Routing.Telemetry.sample net in
-      Obs.Event.Net_congestion_sample
-        {
-          max_load = s.Routing.Telemetry.s_max_load;
-          shared = s.s_shared;
-          interfered = s.s_interfered;
-          total_flows = s.s_total_flows;
-          lower_bound = s.s_lower_bound;
-        })
+(* Run [f] under the profiling span [name] when profiling is on. *)
+let prof_span sim name f =
+  match sim.cfg.prof with Some p -> Obs.Prof.time p name f | None -> f ()
 
-let net_install sim (alloc : Alloc.t) =
+(* Telemetry hook: each job transition installs (or, with [~retract],
+   removes) the allocation's flow set and emits a [Net_route] plus a
+   cluster-wide [Net_congestion_sample].  The (re)route runs under a
+   profiling span so the per-event maintenance cost shows up as a tail,
+   not just a mean. *)
+let net_route sim ~retract (alloc : Alloc.t) =
   match sim.net with
   | None -> ()
   | Some net ->
       let now = Sim.Engine.now sim.engine in
-      let add () = Routing.Telemetry.add_job net ~now alloc in
       let info =
-        match sim.cfg.prof with
-        | Some p -> Obs.Prof.time p "net/route" add
-        | None -> add ()
+        if retract then
+          prof_span sim "net/retract" (fun () ->
+              Routing.Telemetry.remove_job net ~now alloc.job)
+        else
+          prof_span sim "net/route" (fun () ->
+              Routing.Telemetry.add_job net ~now alloc)
       in
       emit sim (fun () ->
           Obs.Event.Net_route
             {
-              job = alloc.Alloc.job;
-              retract = false;
+              job = alloc.job;
+              retract;
               flows = info.Routing.Telemetry.ri_flows;
               channels = info.ri_channels;
               interfered = info.ri_interfered;
             });
-      net_sample_event sim net
+      emit sim (fun () ->
+          let s = Routing.Telemetry.sample net in
+          Obs.Event.Net_congestion_sample
+            {
+              max_load = s.Routing.Telemetry.s_max_load;
+              shared = s.s_shared;
+              interfered = s.s_interfered;
+              total_flows = s.s_total_flows;
+              lower_bound = s.s_lower_bound;
+            })
 
-let net_retract sim job =
-  match sim.net with
-  | None -> ()
-  | Some net ->
-      let now = Sim.Engine.now sim.engine in
-      let remove () = Routing.Telemetry.remove_job net ~now job in
-      let info =
-        match sim.cfg.prof with
-        | Some p -> Obs.Prof.time p "net/retract" remove
-        | None -> remove ()
-      in
-      emit sim (fun () ->
-          Obs.Event.Net_route
-            {
-              job;
-              retract = true;
-              flows = info.Routing.Telemetry.ri_flows;
-              channels = info.ri_channels;
-              interfered = info.ri_interfered;
-            });
-      net_sample_event sim net
+(* A resource footprint turned into bitsets once; the returned test is
+   whether an allocation holds any of its nodes or cables, an
+   O(1)-per-element membership probe. *)
+let footprint topo ~nodes ~leaf_cables ~l2_cables =
+  let f_nodes = Sim.Bitset.of_array (Topology.num_nodes topo) nodes in
+  let f_leaf =
+    Sim.Bitset.of_array (Topology.num_leaf_l2_cables topo) leaf_cables
+  in
+  let f_l2 = Sim.Bitset.of_array (Topology.num_l2_spine_cables topo) l2_cables in
+  fun (a : Alloc.t) ->
+    Sim.Bitset.intersects_array f_nodes a.nodes
+    || Sim.Bitset.intersects_array f_leaf a.leaf_cables
+    || Sim.Bitset.intersects_array f_l2 a.l2_cables
 
 (* Earliest estimated completion time at which [job] could be placed,
    with the allocation it would get then.  [running] pairs each live
@@ -401,25 +397,20 @@ let probe_memo sim (j : Trace.Job.t) =
    profiling overhead never pollutes [sched_time_per_job]), then the
    outcome goes to the trace as an [Attempt] and to the probe counters. *)
 let probe_job sim ~ctx (j : Trace.Job.t) =
-  let search () = timed sim (fun () -> probe_memo sim j) in
-  let outcome, alloc =
-    match sim.cfg.prof with
-    | Some p ->
-        let span =
-          match ctx with
-          | Obs.Event.Head -> "sched/head_probe"
-          | Obs.Event.Backfill -> "sched/backfill_probe"
-        in
-        let r = Obs.Prof.time p span search in
-        Obs.Prof.incr p
-          (match fst r with
-          | Obs.Event.Fit -> "probe/fit"
-          | Obs.Event.Infeasible -> "probe/infeasible"
-          | Obs.Event.Exhausted -> "probe/exhausted"
-          | Obs.Event.Memo_hit -> "probe/memo_hit");
-        r
-    | None -> search ()
+  let span =
+    match ctx with
+    | Obs.Event.Head -> "sched/head_probe"
+    | Obs.Event.Backfill -> "sched/backfill_probe"
   in
+  let outcome, alloc =
+    prof_span sim span (fun () -> timed sim (fun () -> probe_memo sim j))
+  in
+  prof_incr sim
+    (match outcome with
+    | Obs.Event.Fit -> "probe/fit"
+    | Obs.Event.Infeasible -> "probe/infeasible"
+    | Obs.Event.Exhausted -> "probe/exhausted"
+    | Obs.Event.Memo_hit -> "probe/memo_hit");
   emit sim (fun () ->
       let nodes, leaf_cables, l2_cables =
         match alloc with
@@ -478,7 +469,7 @@ let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
           est_end;
           attempt;
         });
-  net_install sim alloc;
+  net_route sim ~retract:false alloc;
   Sim.Engine.schedule sim.engine ~time:r_end
     (Complete { job = j.id; attempt; epoch = 0 });
   record sim
@@ -503,7 +494,7 @@ and complete_job sim id ~attempt ~epoch =
               started = r.r_start;
               waited = r.r_start -. r.r_job.arrival;
             });
-      net_retract sim id;
+      net_route sim ~retract:true r.r_alloc;
       record sim;
       request_pass sim
 
@@ -538,12 +529,25 @@ and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
     }
   in
   Hashtbl.replace sim.running r.r_job.id r';
-  net_retract sim r.r_job.id;
-  net_install sim new_alloc;
+  net_route sim ~retract:true r.r_alloc;
+  net_route sim ~retract:false new_alloc;
   Sim.Engine.schedule sim.engine ~time:r'.r_end
     (Complete { job = r.r_job.id; attempt = r.r_attempt; epoch = r'.r_epoch });
   record sim;
   r'
+
+(* An online or molding-up resize: swap the allocation and announce the
+   new size and estimated end. *)
+and resize_job sim (r : running) (new_alloc : Alloc.t) =
+  let r' = swap_alloc sim r new_alloc in
+  emit sim (fun () ->
+      Obs.Event.Resize
+        {
+          job = r.r_job.id;
+          from_size = r.r_alloc.Alloc.size;
+          to_size = new_alloc.Alloc.size;
+          new_end = r'.r_est_end;
+        })
 
 (* Molding up: when the queue has fully drained, offer idle capacity to
    the running moldable jobs (in job-id order, for determinism) that
@@ -585,7 +589,7 @@ and grow_pass sim =
           let upper = Trace.Job.max_size r.r_job in
           let best =
             match try_target upper with
-            | Some a -> Some (upper, a)
+            | Some _ as grown -> grown
             | None ->
                 (* Largest feasible target in (cur, upper): grow
                    feasibility is antitone in the target for every
@@ -595,26 +599,18 @@ and grow_pass sim =
                 while !hi - !lo > 1 do
                   let mid = (!lo + !hi) / 2 in
                   match try_target mid with
-                  | Some a ->
+                  | Some _ as grown ->
                       lo := mid;
-                      best := Some (mid, a)
+                      best := grown
                   | None -> hi := mid
                 done;
                 !best
           in
           match best with
           | None -> ()
-          | Some (target, new_alloc) ->
-              let r' = swap_alloc sim r new_alloc in
+          | Some new_alloc ->
               sim.acc.grown <- sim.acc.grown + 1;
-              emit sim (fun () ->
-                  Obs.Event.Resize
-                    {
-                      job = r.r_job.id;
-                      from_size = cur;
-                      to_size = target;
-                      new_end = r'.r_est_end;
-                    }))
+              resize_job sim r new_alloc)
     candidates
 
 and request_pass sim =
@@ -668,10 +664,7 @@ and compute_reservation sim (head : Trace.Job.t) =
       answer
   | _ ->
       let answer =
-        match sim.cfg.prof with
-        | Some p ->
-            Obs.Prof.time p "sched/reservation" (fun () -> timed sim search)
-        | None -> timed sim search
+        prof_span sim "sched/reservation" (fun () -> timed sim search)
       in
       sim.res_memo <- Some (head, gen, answer);
       answer
@@ -774,29 +767,11 @@ and run_pass sim =
                       l2_cables = Array.length res_alloc.l2_cables;
                     })
             end;
-            (* ...phase 3: EASY backfill within the lookahead window.  The
-               reserved resources become bitsets so each candidate's
-               disjointness test is an O(1)-per-element membership probe
-               with no per-pass set construction. *)
-            let topo = State.topo sim.st in
-            let res_nodes =
-              Sim.Bitset.of_array (Fattree.Topology.num_nodes topo)
-                res_alloc.nodes
-            in
-            let res_leaf =
-              Sim.Bitset.of_array
-                (Fattree.Topology.num_leaf_l2_cables topo)
-                res_alloc.leaf_cables
-            in
-            let res_l2 =
-              Sim.Bitset.of_array
-                (Fattree.Topology.num_l2_spine_cables topo)
-                res_alloc.l2_cables
-            in
-            let disjoint_from_reservation (a : Alloc.t) =
-              (not (Sim.Bitset.intersects_array res_nodes a.nodes))
-              && (not (Sim.Bitset.intersects_array res_leaf a.leaf_cables))
-              && not (Sim.Bitset.intersects_array res_l2 a.l2_cables)
+            (* ...phase 3: EASY backfill within the lookahead window. *)
+            let touches_reservation =
+              footprint (State.topo sim.st) ~nodes:res_alloc.nodes
+                ~leaf_cables:res_alloc.leaf_cables
+                ~l2_cables:res_alloc.l2_cables
             in
             let candidates =
               let acc = ref [] and count = ref 0 in
@@ -829,7 +804,7 @@ and run_pass sim =
                         now +. job_estimate j ~granted:alloc.Alloc.size
                         <= res_time
                       in
-                      if fits_before || disjoint_from_reservation alloc
+                      if fits_before || not (touches_reservation alloc)
                       then begin
                         Hashtbl.remove sim.pending j.id;
                         start_job sim ~ctx:Obs.Event.Backfill j alloc
@@ -878,7 +853,7 @@ let kill_job sim (r : running) =
     sim.acc.lost_node_time <- sim.acc.lost_node_time +. lost;
   emit sim (fun () ->
       Obs.Event.Kill { job = r.r_job.id; attempt = r.r_attempt; lost });
-  net_retract sim r.r_job.id;
+  net_route sim ~retract:true r.r_alloc;
   if requeue then begin
     sim.acc.requeued <- sim.acc.requeued + 1;
     let resume_at = now +. sim.cfg.resilience.resubmit_delay in
@@ -983,27 +958,9 @@ let fault_event sim (e : Trace.Faults.event) =
       let victims =
         if not touches_claimed then []
         else begin
-          let f_nodes =
-            Sim.Bitset.of_array (Fattree.Topology.num_nodes topo) nodes
-          in
-          let f_leaf =
-            Sim.Bitset.of_array
-              (Fattree.Topology.num_leaf_l2_cables topo)
-              leaf_cables
-          in
-          let f_l2 =
-            Sim.Bitset.of_array
-              (Fattree.Topology.num_l2_spine_cables topo)
-              l2_cables
-          in
+          let hit = footprint topo ~nodes ~leaf_cables ~l2_cables in
           Hashtbl.fold
-            (fun _ r acc ->
-              if
-                Sim.Bitset.intersects_array f_nodes r.r_alloc.nodes
-                || Sim.Bitset.intersects_array f_leaf r.r_alloc.leaf_cables
-                || Sim.Bitset.intersects_array f_l2 r.r_alloc.l2_cables
-              then r :: acc
-              else acc)
+            (fun _ r acc -> if hit r.r_alloc then r :: acc else acc)
             sim.running []
           (* Hash-table fold order is an implementation detail; kill (and
              hence requeue) in job-id order so same-instant resubmissions
@@ -1107,16 +1064,7 @@ let resize sim id ~size =
         | Allocator.No_resize ->
             refuse "no feasible allocation for job %d at size %d" id size
         | Allocator.Resized new_alloc ->
-            let from_size = r.r_alloc.Alloc.size in
-            let r' = swap_alloc sim r new_alloc in
-            emit sim (fun () ->
-                Obs.Event.Resize
-                  {
-                    job = id;
-                    from_size;
-                    to_size = new_alloc.Alloc.size;
-                    new_end = r'.r_est_end;
-                  });
+            resize_job sim r new_alloc;
             (* A shrink released healthy nodes the queue may be waiting
                for; a grow consumed some — either way the pass is due. *)
             request_pass sim;
@@ -1171,14 +1119,17 @@ let open_run sim =
           jobs = Array.length sim.workload.jobs;
         })
 
-let start (cfg : config) (w : Trace.Workload.t) =
+(* The one sim constructor, shared by [start] and [of_snapshot]: a fresh
+   cluster, empty queues and memos, the workload's jobs indexed by id,
+   and telemetry (if configured) opened at the engine's clock. *)
+let create (cfg : config) (w : Trace.Workload.t) ~engine ~acc =
   let topo = Fattree.Topology.of_radix cfg.radix in
   let sim =
     {
       cfg;
       workload = w;
       st = State.create topo;
-      engine = Sim.Engine.create ~priority:event_priority;
+      engine;
       pending_ids = Queue.create ();
       pending = Hashtbl.create 1024;
       pending_gen = Hashtbl.create 1024;
@@ -1186,14 +1137,7 @@ let start (cfg : config) (w : Trace.Workload.t) =
       nofit = Hashtbl.create 64;
       nofit_release_gen = 0;
       pass_scheduled = false;
-      acc =
-        Accumulators.create
-          ~pending_repairs:
-            (Array.fold_left
-               (fun n (e : Trace.Faults.event) ->
-                 if e.kind = Trace.Faults.Repair then n + 1 else n)
-               0
-               (Trace.Faults.events cfg.faults));
+      acc;
       samples = [];
       finished = [];
       finished_count = 0;
@@ -1207,13 +1151,29 @@ let start (cfg : config) (w : Trace.Workload.t) =
       net =
         Option.map
           (fun (policy, shape) ->
-            Routing.Telemetry.create topo ~policy ~shape ~now:0.0)
+            Routing.Telemetry.create topo ~policy ~shape
+              ~now:(Sim.Engine.now engine))
           cfg.net;
     }
   in
   Array.iter
     (fun (j : Trace.Job.t) -> Hashtbl.replace sim.jobs_by_id j.id j)
     w.jobs;
+  sim
+
+let start (cfg : config) (w : Trace.Workload.t) =
+  let sim =
+    create cfg w
+      ~engine:(Sim.Engine.create ~priority:event_priority)
+      ~acc:
+        (Accumulators.create
+           ~pending_repairs:
+             (Array.fold_left
+                (fun n (e : Trace.Faults.event) ->
+                  if e.kind = Trace.Faults.Repair then n + 1 else n)
+                0
+                (Trace.Faults.events cfg.faults)))
+  in
   open_run sim;
   Array.iter
     (fun (j : Trace.Job.t) ->
@@ -1243,11 +1203,12 @@ let finish sim =
      self-contained: one registry holds the whole run's cost picture. *)
   (match cfg.prof with
   | Some p ->
-      Obs.Prof.set p "state/clones" (State.clone_count sim.st);
-      Obs.Prof.set p "state/claims" (State.claim_count sim.st);
-      Obs.Prof.set p "state/releases" (State.release_count sim.st);
-      Obs.Prof.set p "state/failures" (State.failure_count sim.st);
-      Obs.Prof.set p "state/repairs" (State.repair_count sim.st);
+      let c = State.counters sim.st in
+      Obs.Prof.set p "state/clones" c.clones;
+      Obs.Prof.set p "state/claims" c.claims;
+      Obs.Prof.set p "state/releases" c.releases;
+      Obs.Prof.set p "state/failures" c.failures;
+      Obs.Prof.set p "state/repairs" c.repairs;
       Obs.Prof.set p "engine/steps" (Sim.Engine.steps sim.engine)
   | None -> ());
   Obs.Sink.flush cfg.sink;
@@ -1390,17 +1351,12 @@ module Snapshot = struct
   type nonrec event = { ev_time : float; ev_seq : int; ev : event }
 
   type running_job = {
-    rs_job : int;
+    rs_alloc : Alloc.t;
     rs_attempt : int;
     rs_epoch : int;  (** 0 unless the attempt was resized in place. *)
     rs_start : float;
     rs_end : float;
     rs_est_end : float;
-    rs_size : int;  (** The granted size ([r_alloc.size]). *)
-    rs_bw : float;
-    rs_nodes : int array;
-    rs_leaf_cables : int array;
-    rs_l2_cables : int array;
   }
 
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
@@ -1426,12 +1382,7 @@ module Snapshot = struct
     acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
     finished : finished_job array;  (** Completion order. *)
-    (* state operation counters *)
-    st_claims : int;
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    counters : State.counters;
   }
 end
 
@@ -1453,21 +1404,17 @@ let snapshot sim : Snapshot.t =
     Hashtbl.fold
       (fun _ r acc ->
         {
-          Snapshot.rs_job = r.r_job.id;
+          Snapshot.rs_alloc = r.r_alloc;
           rs_attempt = r.r_attempt;
           rs_epoch = r.r_epoch;
           rs_start = r.r_start;
           rs_end = r.r_end;
           rs_est_end = r.r_est_end;
-          rs_size = r.r_alloc.Alloc.size;
-          rs_bw = r.r_alloc.Alloc.bw;
-          rs_nodes = Array.copy r.r_alloc.Alloc.nodes;
-          rs_leaf_cables = Array.copy r.r_alloc.Alloc.leaf_cables;
-          rs_l2_cables = Array.copy r.r_alloc.Alloc.l2_cables;
         }
         :: acc)
       sim.running []
-    |> List.sort (fun a b -> compare a.Snapshot.rs_job b.Snapshot.rs_job)
+    |> List.sort (fun (a : Snapshot.running_job) b ->
+           compare a.rs_alloc.job b.rs_alloc.job)
     |> Array.of_list
   in
   let finished =
@@ -1512,11 +1459,7 @@ let snapshot sim : Snapshot.t =
     acc = Accumulators.copy sim.acc;
     samples = Array.of_list (List.rev sim.samples);
     finished;
-    st_claims = State.claim_count sim.st;
-    st_releases = State.release_count sim.st;
-    st_failures = State.failure_count sim.st;
-    st_repairs = State.repair_count sim.st;
-    st_clones = State.clone_count sim.st;
+    counters = State.counters sim.st;
   }
 
 exception Restore_error of string
@@ -1542,15 +1485,18 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
         net;
       }
     in
-    let job_tbl = Hashtbl.create (Array.length s.jobs) in
-    Array.iter (fun (j : Trace.Job.t) -> Hashtbl.replace job_tbl j.id j) s.jobs;
+    let sim =
+      create cfg w
+        ~engine:
+          (Sim.Engine.restore ~priority:event_priority ~clock:s.clock
+             ~steps:s.steps ~next_seq:s.next_seq)
+        ~acc:(Accumulators.copy s.acc)
+    in
     let find_job id =
-      match Hashtbl.find_opt job_tbl id with
+      match Hashtbl.find_opt sim.jobs_by_id id with
       | Some j -> j
       | None -> restore_fail "checkpoint references unknown job id %d" id
     in
-    let topo = Fattree.Topology.of_radix cfg.radix in
-    let st = State.create topo in
     (* Rebuild the cluster state by replaying the executed fault prefix
        (all events at or before the checkpoint clock, in trace order)
        and then re-claiming the running allocations.  Bandwidth demands
@@ -1569,43 +1515,26 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
            compare a.time b.time)
     |> List.iter (fun (e : Trace.Faults.event) ->
            match e.kind with
-           | Trace.Faults.Fail -> Trace.Faults.apply st e.target
-           | Trace.Faults.Repair -> Trace.Faults.revert st e.target);
-    let running_tbl = Hashtbl.create 256 in
+           | Trace.Faults.Fail -> Trace.Faults.apply sim.st e.target
+           | Trace.Faults.Repair -> Trace.Faults.revert sim.st e.target);
     (* Telemetry state is not checkpointed: it is a pure function of the
        running set, so it is rebuilt here by re-routing each running
        allocation at the restore clock.  No events are emitted — this is
        reconstruction, not replay — so post-restore traces stay
        byte-identical to the uninterrupted run's suffix. *)
-    let net_state =
-      Option.map
-        (fun (policy, shape) ->
-          Routing.Telemetry.create topo ~policy ~shape ~now:s.clock)
-        net
-    in
     Array.iter
       (fun (r : Snapshot.running_job) ->
-        let j = find_job r.rs_job in
-        let alloc =
-          {
-            Alloc.job = r.rs_job;
-            size = r.rs_size;
-            nodes = r.rs_nodes;
-            leaf_cables = r.rs_leaf_cables;
-            l2_cables = r.rs_l2_cables;
-            bw = r.rs_bw;
-          }
-        in
-        (match State.claim_exn ~validate:false st alloc with
+        let alloc = r.rs_alloc in
+        let j = find_job alloc.job in
+        (match State.claim_exn ~validate:false sim.st alloc with
         | () -> ()
         | exception e ->
             restore_fail "checkpoint is inconsistent: re-claiming job %d: %s"
-              r.rs_job (Printexc.to_string e));
+              alloc.job (Printexc.to_string e));
         Option.iter
-          (fun nt ->
-            ignore (Routing.Telemetry.add_job nt ~now:s.clock alloc))
-          net_state;
-        Hashtbl.replace running_tbl r.rs_job
+          (fun nt -> ignore (Routing.Telemetry.add_job nt ~now:s.clock alloc))
+          sim.net;
+        Hashtbl.replace sim.running alloc.job
           {
             r_job = j;
             r_alloc = alloc;
@@ -1619,57 +1548,30 @@ let of_snapshot ?(sink = Obs.Sink.null) ?prof ?net (s : Snapshot.t) =
     (* Overwrite the op tallies so generations (and hence the no-fit
        memo guard and the end-of-run profile counters) match the
        uninterrupted run exactly. *)
-    State.set_op_counters st ~claims:s.st_claims ~releases:s.st_releases
-      ~failures:s.st_failures ~repairs:s.st_repairs ~clones:s.st_clones;
+    State.restore_counters sim.st s.counters;
     (* The memo stamp may lag the state's release generation (the memo
        resets lazily, on its next consult) — but it can never be ahead
        of it. *)
-    if s.nofit_release_gen > State.release_generation st then
+    if s.nofit_release_gen > State.release_generation sim.st then
       restore_fail
         "checkpoint is inconsistent: no-fit generation %d ahead of restored \
          state %d"
         s.nofit_release_gen
-        (State.release_generation st);
-    let engine =
-      Sim.Engine.restore ~priority:event_priority ~clock:s.clock ~steps:s.steps
-        ~next_seq:s.next_seq
-    in
-    let sim =
-      {
-        cfg;
-        workload = w;
-        st;
-        engine;
-        pending_ids = Queue.create ();
-        pending = Hashtbl.create 1024;
-        pending_gen = Hashtbl.create 1024;
-        running = running_tbl;
-        nofit = Hashtbl.create 64;
-        nofit_release_gen = s.nofit_release_gen;
-        pass_scheduled = false;
-        acc = Accumulators.copy s.acc;
-        samples = List.rev (Array.to_list s.samples);
-        finished =
-          Array.fold_left
-            (fun acc (f : Snapshot.finished_job) ->
-              {
-                Metrics.job = find_job f.fs_job;
-                start_time = f.fs_start;
-                end_time = f.fs_end;
-              }
-              :: acc)
-            [] s.finished;
-        finished_count = Array.length s.finished;
-        kills = Hashtbl.create 64;
-        reserved = s.reserved;
-        res_memo = None;
-        scratch = None;
-        jobs_by_id = job_tbl;
-        dyn_jobs = [];
-        faults = s.faults;
-        net = net_state;
-      }
-    in
+        (State.release_generation sim.st);
+    sim.nofit_release_gen <- s.nofit_release_gen;
+    sim.samples <- List.rev (Array.to_list s.samples);
+    sim.finished <-
+      Array.fold_left
+        (fun acc (f : Snapshot.finished_job) ->
+          {
+            Metrics.job = find_job f.fs_job;
+            start_time = f.fs_start;
+            end_time = f.fs_end;
+          }
+          :: acc)
+        [] s.finished;
+    sim.finished_count <- Array.length s.finished;
+    sim.reserved <- s.reserved;
     Array.iter (fun (id, g) -> Queue.add (id, g) sim.pending_ids) s.queue;
     Array.iter
       (fun id -> Hashtbl.replace sim.pending id (find_job id))

@@ -308,9 +308,11 @@ val params : t -> params
 (** A serializable snapshot of a mid-flight simulation, taken between
     events.  Self-contained: carries the full workload and fault trace
     plus every piece of dynamic state, so restore needs no side files.
-    The trace sink and profiling registry are {e not} captured — they
-    are wall-clock observers, not simulation state; {!of_snapshot}
-    accepts fresh ones. *)
+    It holds the records it carries — the running jobs' allocations and
+    the cluster state's operation counters — as they are, not restated
+    field by field.  The trace sink and profiling registry
+    are {e not} captured — they are wall-clock observers, not
+    simulation state; {!of_snapshot} accepts fresh ones. *)
 module Snapshot : sig
   type nonrec event = { ev_time : float; ev_seq : int; ev : event }
   (** One pending engine event.  The exact sequence number preserves
@@ -318,7 +320,11 @@ module Snapshot : sig
       is {!event_priority}[ ev]. *)
 
   type running_job = {
-    rs_job : int;
+    rs_alloc : Fattree.Alloc.t;
+        (** What the job holds: its id ([job]), {e granted} size
+            ([size]), nodes, cables and per-cable demand.  Shared with the
+            live simulation, not copied — allocations are never mutated
+            once made. *)
     rs_attempt : int;
     rs_epoch : int;
         (** In-place resizes applied to this attempt (0 before any);
@@ -328,11 +334,6 @@ module Snapshot : sig
     rs_start : float;
     rs_end : float;
     rs_est_end : float;
-    rs_size : int;  (** The {e granted} size ([alloc.size]). *)
-    rs_bw : float;
-    rs_nodes : int array;
-    rs_leaf_cables : int array;
-    rs_l2_cables : int array;
   }
 
   type finished_job = { fs_job : int; fs_start : float; fs_end : float }
@@ -356,11 +357,11 @@ module Snapshot : sig
     acc : Accumulators.t;  (** A copy, never the live record. *)
     samples : (float * int * int * int * int) array;  (** Chronological. *)
     finished : finished_job array;  (** Completion order. *)
-    st_claims : int;  (** The state's operation tallies. *)
-    st_releases : int;
-    st_failures : int;
-    st_repairs : int;
-    st_clones : int;
+    counters : Fattree.State.counters;
+        (** The cluster state's operation tallies, which restore writes
+            back with {!Fattree.State.restore_counters} so generations
+            and the end-of-run ["state/*"] profile counters match the
+            uninterrupted run. *)
   }
 end
 

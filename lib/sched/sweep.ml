@@ -269,12 +269,7 @@ let stoppable ?should_stop f =
   | None -> f
   | Some stop -> fun c -> if stop () then raise Interrupted else f c
 
-let run_in ?chunk ?manifest ?should_stop pool cells =
-  let to_run, stitch = plan_resume manifest cells in
-  let f = stoppable ?should_stop (journaling_runner manifest) in
-  stitch (Par.Pool.run_cells ?chunk pool ~f to_run)
-
-let run ?chunk ?manifest ?should_stop ~jobs cells =
+let run ?manifest ?should_stop ~jobs cells =
   let jobs = if jobs = 0 then Par.Pool.default_jobs () else jobs in
   let to_run, stitch = plan_resume manifest cells in
   let f = stoppable ?should_stop (journaling_runner manifest) in
@@ -282,7 +277,7 @@ let run ?chunk ?manifest ?should_stop ~jobs cells =
     (if jobs <= 1 then Array.map f to_run
      else
        Par.Pool.with_pool ~size:jobs (fun p ->
-           Par.Pool.run_cells ?chunk p ~f to_run))
+           Par.Pool.run_cells p ~f to_run))
 
 let merged_profile results =
   if not (Array.exists (fun r -> r.prof <> None) results) then None
@@ -297,7 +292,8 @@ let merged_profile results =
     Some agg
   end
 
-let grid_of ~profile ~faults_for entries =
+let grid ?(profile = false) ?(faults_for = fun _ -> Trace.Faults.none) ~full ()
+    =
   List.concat_map
     (fun (e : Trace.Presets.entry) ->
       List.map
@@ -307,13 +303,5 @@ let grid_of ~profile ~faults_for entries =
                alloc)
             e.workload)
         Allocator.all)
-    entries
+    (Trace.Presets.all ~full)
   |> Array.of_list
-
-let grid ?(profile = false) ?(faults_for = fun _ -> Trace.Faults.none) ~full ()
-    =
-  grid_of ~profile ~faults_for (Trace.Presets.all ~full)
-
-let scale_grid ?(profile = false) ?(faults_for = fun _ -> Trace.Faults.none) ()
-    =
-  grid_of ~profile ~faults_for (Trace.Presets.scale_all ())

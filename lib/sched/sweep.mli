@@ -68,26 +68,13 @@ val run_cell : cell -> result
 (** One cell, on the calling domain. *)
 
 exception Interrupted
-(** Raised out of {!run}/{!run_in} when [should_stop] turned true: no
+(** Raised out of {!run} when [should_stop] turned true: no
     new cell was started after the flag, every cell already in flight
     finished and journaled its manifest row, and a re-run with the same
     [manifest] completes only the missing cells.  (The CLI maps this to
     exit code 130 on SIGINT/SIGTERM.) *)
 
-val run_in :
-  ?chunk:int ->
-  ?manifest:string ->
-  ?should_stop:(unit -> bool) ->
-  Par.Pool.t ->
-  cell array ->
-  result array
-(** All cells on an existing pool; results indexed like the input.
-    [should_stop] is polled before each cell starts (from worker
-    domains — it must be domain-safe, e.g. an [Atomic.t] read); once
-    true, {!Interrupted} is raised after in-flight cells drain. *)
-
 val run :
-  ?chunk:int ->
   ?manifest:string ->
   ?should_stop:(unit -> bool) ->
   jobs:int ->
@@ -95,7 +82,10 @@ val run :
   result array
 (** [run ~jobs cells] shards the cells over a fresh pool of [jobs]
     domains ([jobs <= 1]: serial on the calling domain; [jobs = 0]:
-    {!Par.Pool.default_jobs}).
+    {!Par.Pool.default_jobs}); results are indexed like the input.
+    [should_stop] is polled before each cell starts (from worker
+    domains — it must be domain-safe, e.g. an [Atomic.t] read); once
+    true, {!Interrupted} is raised after in-flight cells drain.
 
     With [manifest] (a file path): cells whose id already has a
     fingerprint-verified row in the file are returned from the manifest
@@ -134,13 +124,3 @@ val grid :
     order) x the 5 schemes of [Allocator.all], 45 cells.  [faults_for]
     builds a per-entry fault trace (faults are topology-specific);
     default: healthy machines. *)
-
-val scale_grid :
-  ?profile:bool ->
-  ?faults_for:(Trace.Presets.entry -> Trace.Faults.t) ->
-  unit ->
-  cell array
-(** Like {!grid} but over {!Trace.Presets.scale_all} — the nine
-    workload families re-targeted at the radix-48 cluster, 45 cells.
-    Cell ids carry the tier's ["@48"] workload names, so the same
-    manifest file can hold both tiers without collisions. *)

@@ -103,8 +103,6 @@ let iter_set t ~f =
     end
   done
 
-let iter = iter_set
-
 let exists_set t ~f =
   let words = t.words in
   let nw = Array.length words in

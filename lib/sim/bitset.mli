@@ -55,9 +55,6 @@ val iter_set : t -> f:(int -> unit) -> unit
     one cheap test per bit instead of a branchy isolation per set
     bit. *)
 
-val iter : t -> f:(int -> unit) -> unit
-(** Alias for {!iter_set} (the historical name). *)
-
 val exists_set : t -> f:(int -> bool) -> bool
 (** [exists_set t ~f] is true iff [f i] holds for some set bit [i];
     short-circuits on the first hit, visiting bits in increasing

@@ -18,8 +18,6 @@ let split t =
   { state = mix64 s }
 
 let copy t = { state = t.state }
-let state t = t.state
-let of_state state = { state }
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";

@@ -19,14 +19,6 @@ val copy : t -> t
 (** [copy t] is a generator with the same state as [t]; the two then evolve
     independently. *)
 
-val state : t -> int64
-(** [state t] is the raw 64-bit internal state — everything a SplitMix64
-    generator is.  Checkpointing serializes this word. *)
-
-val of_state : int64 -> t
-(** [of_state s] is a generator whose next outputs are exactly those a
-    generator with [state t = s] would produce.  Inverse of {!state}. *)
-
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 

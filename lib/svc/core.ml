@@ -59,14 +59,13 @@ type t = {
   dedup : (string, int) Hashtbl.t;  (* rid -> seq of first application *)
   mutable next_job_id : int;
   mutable last_seq : int;
-  mutable drained : (Sched.Metrics.t * string) option;
+  mutable drained : string option; (* the fingerprint, once drained *)
 }
 
 let params t = Sched.Simulator.params t.sim
 let now t = Sched.Simulator.now t.sim
 let last_seq t = t.last_seq
-let fingerprint t = Option.map snd t.drained
-let metrics t = Option.map fst t.drained
+let fingerprint t = t.drained
 let find_rid t rid = Hashtbl.find_opt t.dedup rid
 let note_rid t rid seq = Hashtbl.replace t.dedup rid seq
 
@@ -337,7 +336,7 @@ let apply t ~seq ~rid ~stamp op =
     | Drain ->
         let m, _ = Sched.Simulator.finish sim in
         let fp = Sched.Metrics.fingerprint m in
-        t.drained <- Some (m, fp);
+        t.drained <- Some fp;
         [ ("fingerprint", Obs.Json.Str fp) ]
   in
   (* Second slice: execute what the op scheduled at its own stamp and

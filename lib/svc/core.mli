@@ -67,8 +67,6 @@ val last_seq : t -> int
 val fingerprint : t -> string option
 (** The run's {!Sched.Metrics.fingerprint} once drained. *)
 
-val metrics : t -> Sched.Metrics.t option
-
 (** {1 Ops} *)
 
 type op =

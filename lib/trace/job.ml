@@ -12,8 +12,6 @@ type t = {
   bw_class : float;
 }
 
-let nominal = function Rigid n -> n | Moldable { pref; _ } -> pref
-
 let v ?(arrival = 0.0) ?(bw_class = 0.25) ?est_runtime ?spec ~id ~size ~runtime
     () =
   if size < 1 then invalid_arg "Job.v: size must be >= 1";

@@ -52,9 +52,6 @@ val v :
     [Rigid size], or [Moldable] with [pref = size] and
     [1 <= min_size <= pref <= max_size]. *)
 
-val nominal : spec -> int
-(** The spec's nominal size: [n] for [Rigid n], [pref] for [Moldable]. *)
-
 val is_large : t -> bool
 (** Jobs over 100 nodes — the paper's "large job" threshold for the
     turnaround-time breakdown (Figure 7). *)

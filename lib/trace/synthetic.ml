@@ -115,8 +115,3 @@ let cab_like ?(runtime_cap = 86429.0) ~month ~n_jobs ~seed ~target_load
       sizes_runtimes
   in
   Workload.create ~name:(month ^ "-Cab") ~system_nodes jobs
-
-let assign_bw_classes ~seed (w : Workload.t) =
-  let prng = Sim.Prng.create ~seed in
-  Workload.create ~name:w.name ~system_nodes:w.system_nodes
-    (Array.map (fun (j : Job.t) -> { j with bw_class = draw_bw prng }) w.jobs)

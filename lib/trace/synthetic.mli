@@ -45,6 +45,3 @@ val cab_like :
     applied; the paper's Aug/Nov scaling by 0.5 doubles effective load.
     Sizes are capped at 258 (Table 1). *)
 
-val assign_bw_classes : seed:int -> Workload.t -> Workload.t
-(** Randomly reassigns every job one of the four LC+S bandwidth classes
-    (0.125, 0.25, 0.375, 0.5 of usable link capacity), as §5.4.2. *)

@@ -11,7 +11,6 @@ let () =
       ("engine", Test_engine.suite);
       ("topology", Test_topology.suite);
       ("xgft", Test_xgft.suite);
-      ("clos", Test_clos.suite);
       ("render", Test_render.suite);
       ("state", Test_state.suite);
       ("incremental", Test_incremental.suite);

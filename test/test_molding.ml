@@ -301,6 +301,68 @@ let test_online_resize () =
   Alcotest.(check (float 1e-9)) "waiter starts on the freed nodes" 1.0
     (record 3).start_time
 
+let test_resize_round_trip () =
+  (* A lone moldable job granted its preference (32), shrunk to 12 and
+     grown back to 32 at one instant.  Every scheme must grant both
+     resizes; the partition schemes grow back within the partition's
+     own cables, so the job ends holding exactly the leaf and L2 cables
+     it started with. *)
+  let job =
+    Trace.Job.v ~id:1 ~size:32
+      ~spec:(Trace.Job.Moldable { min_size = 8; max_size = 32; pref = 32 })
+      ~runtime:100.0 ()
+  in
+  let w =
+    Trace.Workload.create ~name:"resize-round-trip" ~system_nodes:128 [| job |]
+  in
+  List.iter
+    (fun (alloc : Sched.Allocator.t) ->
+      let sink, events = Obs.Sink.memory () in
+      let sim =
+        Sched.Simulator.start (Sched.Simulator.Config.make ~sink ~radix alloc) w
+      in
+      Sched.Simulator.run_until sim 1.0;
+      let held () =
+        match (Sched.Simulator.snapshot sim).running with
+        | [| r |] -> r.rs_alloc
+        | rs -> Alcotest.failf "%s: %d running jobs" alloc.name (Array.length rs)
+      in
+      let before = held () in
+      let resize size =
+        match Sched.Simulator.resize sim 1 ~size with
+        | Sched.Simulator.Resized_to n ->
+            Alcotest.(check int) (alloc.name ^ ": granted size") size n
+        | Sched.Simulator.Resize_refused m ->
+            Alcotest.failf "%s: resize to %d refused: %s" alloc.name size m
+      in
+      resize 12;
+      resize 32;
+      Sched.Simulator.run_until sim 1.0;
+      let after = held () in
+      if List.mem alloc.name [ "Jigsaw"; "LC"; "LC+S" ] then begin
+        let sorted a = List.sort compare (Array.to_list a) in
+        Alcotest.(check (list int))
+          (alloc.name ^ ": leaf cables kept")
+          (sorted before.leaf_cables) (sorted after.leaf_cables);
+        Alcotest.(check (list int))
+          (alloc.name ^ ": L2 cables kept")
+          (sorted before.l2_cables) (sorted after.l2_cables)
+      end;
+      let resizes =
+        List.filter_map
+          (fun (e : Obs.Event.t) ->
+            match e.payload with
+            | Obs.Event.Resize { job; from_size; to_size; _ } ->
+                Some (job, from_size, to_size)
+            | _ -> None)
+          (events ())
+      in
+      Alcotest.(check (list (triple int int int)))
+        (alloc.name ^ ": resize events")
+        [ (1, 32, 12); (1, 12, 32) ]
+        resizes)
+    (schemes ())
+
 (* ------------------------------------------------------------------ *)
 (* Moldable checkpoint round-trips (telemetry on)                      *)
 (* ------------------------------------------------------------------ *)
@@ -363,6 +425,8 @@ let suite =
       test_shrink_below_min_falls_back_to_kill;
     Alcotest.test_case "online resize: verdicts and work conservation" `Quick
       test_online_resize;
+    Alcotest.test_case "online resize round trip keeps partition cables"
+      `Quick test_resize_round_trip;
     Alcotest.test_case "moldable checkpoint round-trip (telemetry on)" `Quick
       test_moldable_checkpoint_roundtrip;
   ]
