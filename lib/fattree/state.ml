@@ -74,6 +74,10 @@ type t = {
   mutable clones : int; (* # clones taken of this state *)
   mutable feas_caches : feas list; (* per-demand candidate summaries *)
   mutable ext_cache : ext option; (* allocator-owned cache slot *)
+  (* Releases [unrelease] may still undo, newest first, each with the
+     claim-accounting capacities it overwrote (leaf cables, then L2
+     cables).  A claim clears it: it may have reused those cables. *)
+  mutable undo : (Alloc.t * float array) list;
 }
 
 let create topo =
@@ -109,6 +113,7 @@ let create topo =
     clones = 0;
     feas_caches = [];
     ext_cache = None;
+    undo = [];
   }
 
 let topo t = t.topo
@@ -144,6 +149,7 @@ let clone t =
        entries can never validate against another state's counters. *)
     feas_caches = [];
     ext_cache = None;
+    undo = [];
   }
 
 (* Refresh [dst] to mirror [src] without allocating: the double-buffered
@@ -184,7 +190,8 @@ let copy_into ~src ~dst =
   dst.failures <- src.failures;
   dst.repairs <- src.repairs;
   dst.feas_caches <- [];
-  dst.ext_cache <- None
+  dst.ext_cache <- None;
+  dst.undo <- []
 
 let node_free t n = Sim.Bitset.mem t.free n
 let node_claimed t n = Sim.Bitset.mem t.claimed n
@@ -421,7 +428,8 @@ let apply_claim t (a : Alloc.t) =
   Array.iter (fun c -> set_leaf_up t c (t.leaf_up.(c) -. a.bw)) a.leaf_cables;
   Array.iter (fun c -> set_l2_up t c (t.l2_up.(c) -. a.bw)) a.l2_cables;
   t.busy <- t.busy + Array.length a.nodes;
-  t.claims <- t.claims + 1
+  t.claims <- t.claims + 1;
+  t.undo <- []
 
 (* The full claim validation is O(n log n) in the allocation size and
    dominated simulator hot loops; callers that have already proved the
@@ -475,6 +483,13 @@ let release t (a : Alloc.t) =
              "State.release: l2 cable %d over-released by demand %g (%s)" c a.bw
              (describe_l2_cable t c)))
     a.l2_cables;
+  let nl = Array.length a.leaf_cables in
+  let saved =
+    Array.init (nl + Array.length a.l2_cables) (fun i ->
+        if i < nl then t.leaf_up.(a.leaf_cables.(i))
+        else t.l2_up.(a.l2_cables.(i - nl)))
+  in
+  t.undo <- (a, saved) :: t.undo;
   Array.iter
     (fun n ->
       Sim.Bitset.remove t.claimed n;
@@ -491,6 +506,33 @@ let release t (a : Alloc.t) =
     a.l2_cables;
   t.busy <- t.busy - Array.length a.nodes;
   t.releases <- t.releases + 1
+
+(* The exact inverse of [release], node for node: a failed node (failed
+   before the release or since) is re-claimed without being withdrawn
+   again, mirroring [release]'s own skip — [apply_claim] would withdraw
+   it twice — and each cable gets back the very float it held, not
+   [v +. bw -. bw], which rounds for fractional demands.  No
+   [check_claim]: the LIFO check proves every resource is one this
+   release handed back, and [check_claim] would reject a failed node. *)
+let unrelease t (a : Alloc.t) =
+  match t.undo with
+  | (a', saved) :: rest when a' == a ->
+      t.undo <- rest;
+      Array.iter
+        (fun n ->
+          Sim.Bitset.add t.claimed n;
+          if t.node_fail.(n) = 0 then take_node t n
+          else t.failed_claimed <- t.failed_claimed + 1)
+        a.nodes;
+      let nl = Array.length a.leaf_cables in
+      Array.iteri (fun i c -> set_leaf_up t c saved.(i)) a.leaf_cables;
+      Array.iteri (fun i c -> set_l2_up t c saved.(nl + i)) a.l2_cables;
+      t.busy <- t.busy + Array.length a.nodes;
+      t.claims <- t.claims + 1
+  | _ ->
+      invalid_arg
+        "State.unrelease: not the latest release still undoable (a claim \
+         or a later release intervened)"
 
 (* ------------------------------------------------------------------ *)
 (* Fail / repair                                                       *)

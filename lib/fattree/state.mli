@@ -198,6 +198,20 @@ val release : t -> Alloc.t -> unit
     was not currently claimed.  Nodes of [a] that failed while claimed
     stay withdrawn from the availability summaries until repaired. *)
 
+val unrelease : t -> Alloc.t -> unit
+(** [unrelease t a] is the exact inverse of the latest [release t a]:
+    every observable of [t] — free and claimed sets, per-leaf counts,
+    slot and full-capacity masks, cable capacities to the bit,
+    [failed_claimed], busy count — returns to its value before that
+    release, with any fail or repair in between kept.  A node failed
+    while released comes back failed-while-claimed, as {!release}
+    leaves it; no claim validation runs, so the inverse also holds
+    under [JIGSAW_VALIDATE=1].  Releases undo last-in first-out, and a
+    {!claim} or {!copy_into} in between forfeits them: raises
+    [Invalid_argument] unless [a] (physically) is the most recent
+    release still undoable.  Counts as a claim in the generations;
+    per-pod stamps advance, so caches revalidate. *)
+
 (** {1 Fail / repair}
 
     Each operation covers one resource with one fault (or removes one).

@@ -159,7 +159,7 @@ let grow_by_reprobe probe st (j : Trace.Job.t) ~(current : Alloc.t) ~target =
   else begin
     State.release st current;
     let cand = probe st (Trace.Job.at_size j target) in
-    State.claim_exn ~validate:false st current;
+    State.unrelease st current;
     match cand with Alloc a -> Resized a | No_fit | Gave_up -> No_resize
   end
 

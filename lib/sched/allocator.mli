@@ -53,10 +53,12 @@ type t = {
           Baseline. *)
   budgeted : bool;
       (** Whether a failing probe may burn a large search budget before
-          giving up (LC/LC+S).  Cost model only — the simulator's
-          reservation search minimizes {e probe count} for budgeted
-          allocators and {e state-rebuild count} for the cheap definitive
-          ones; both orders return the same reservation. *)
+          giving up (LC/LC+S).  Selects the simulator's reservation
+          search: fewest probes (drained machine, then binary search)
+          for budgeted allocators, fewest state rebuilds (forward walk)
+          for the cheap definitive ones.  Both orders find the same
+          reservation while no probe gives up; see
+          {!Simulator.reservation}. *)
   probe_sized : Fattree.State.t -> Trace.Job.t -> sized_verdict;
       (** Size-negotiating probe; pure — it must not mutate the state.
           Rigid jobs get the scheme's {!type-verdict} at their size

@@ -107,6 +107,22 @@ let event_priority = function
   | Arrive _ -> 1
   | Pass -> 2
 
+(* The reservation search's probe arenas over one live state, each
+   created on first use so runs that never reserve never pay for it:
+   - [scratch], refreshed from the live state once per search and then
+     moved between drained prefixes by releases and unreleases;
+   - [drained], the fully drained machine, tagged with the live state's
+     fail + repair count it was built at.  Draining every running
+     allocation leaves only the fault overlay, so the arena (and its
+     warm caches) stays valid until a fault lands or is repaired. *)
+type arenas = {
+  live : State.t;
+  mutable scratch : State.t option;
+  mutable drained : (State.t * int) option;
+}
+
+let arenas live = { live; scratch = None; drained = None }
+
 type sim = {
   cfg : config;
   workload : Trace.Workload.t;
@@ -147,10 +163,7 @@ type sim = {
      a pass with the same head ([==]) at the same generation may reuse
      it.  Not checkpointed: a restored sim searches once. *)
   mutable res_memo : (Trace.Job.t * int * (float * Alloc.t) option) option;
-  (* Reservation scratch arena: one lazily-created state reused by every
-     reservation probe, refreshed from [st] by an allocation-free
-     [State.copy_into] instead of a clone per probe. *)
-  mutable scratch : State.t option;
+  arenas : arenas; (* reservation probe states over [st] *)
   (* Online front-end (daemon) state: every job the simulation knows,
      plus jobs accepted after [start] (newest first), which snapshots
      append to the static workload so a restore sees one merged
@@ -288,18 +301,13 @@ let footprint topo ~nodes ~leaf_cables ~l2_cables =
    be placed even on the fully drained machine.
 
    Completions sharing an estimated end free resources together, so they
-   form one candidate instant.  Feasibility after releasing groups 0..k
-   is monotone in k (releases only add resources); a single working
-   scratch state therefore walks the groups forward, releasing each
-   group incrementally and probing once per instant, and the first
-   success is the earliest.
-
-   [scratch ()] returns a reusable probe state refreshed to mirror [st]
-   — a [State.copy_into] into a per-sim arena, so the whole search
-   allocates nothing per probe where it used to pay a [State.clone]
-   each: the probe state's arrays are bit-identical to a fresh clone's
-   (same blit), so verdicts and fingerprints are unchanged. *)
-let reservation (alloc : Allocator.t) ~scratch ~running ~job =
+   form one candidate instant; prefix k is the live state with groups
+   0..k released, in group order and list order within a group.  Every
+   probe runs on a state equal, observable for observable, to a fresh
+   copy of the live state with its prefix released — the caches the
+   arenas keep warm answer exactly as cold ones would — so the probe
+   order below alone decides the answer. *)
+let reservation (alloc : Allocator.t) ar ~running ~job =
   (* Size-negotiating probe with failure provenance collapsed: for rigid
      jobs this is the scheme's plain probe, so pre-molding reservations
      are unchanged; a moldable head reserves the largest grant its
@@ -324,22 +332,82 @@ let reservation (alloc : Allocator.t) ~scratch ~running ~job =
     Array.of_list (List.rev !acc)
   in
   let g = Array.length groups in
+  let release_group st k =
+    List.iter (fun a -> State.release st a) (snd groups.(k))
+  in
+  let mirror dst =
+    State.copy_into ~src:ar.live ~dst;
+    dst
+  in
+  let fresh () = State.create (State.topo ar.live) in
+  let drained_copy dst =
+    let d = mirror dst in
+    for k = 0 to g - 1 do
+      release_group d k
+    done;
+    d
+  in
+  let scratch () =
+    let sc = match ar.scratch with Some sc -> sc | None -> fresh () in
+    ar.scratch <- Some sc;
+    mirror sc
+  in
   if g = 0 then None
   else if alloc.budgeted then begin
     (* A failing LC/LC+S probe can burn its whole search budget, so
-       minimize the number of probes: binary search over drained
-       prefixes (feasibility is monotone in released groups), paying a
-       scratch refresh + prefix rebuild per probe instead. *)
-    let attempt k =
-      let probe = scratch () in
-      for i = 0 to k do
-        List.iter (fun a -> State.release probe a) (snd groups.(i))
-      done;
-      try_sized probe job
+       minimize the number of probes: the drained machine (prefix g-1)
+       first, then a binary search over prefixes 0..g-2 that probes the
+       midpoint of [lo, hi] and keeps the lower half on a fit.  A probe
+       that gives up reads as no fit, so feasibility need not be
+       monotone in the prefix and the answer is the one this exact
+       sequence finds.  The drained probe runs on the persistent
+       drained arena; the others share one scratch refresh, the scratch
+       moving from the last probed prefix to the next. *)
+    let fault_ops =
+      let c = State.counters ar.live in
+      c.failures + c.repairs
     in
-    match attempt (g - 1) with
+    let drained_fit =
+      match ar.drained with
+      | Some (d, built_at) when built_at = fault_ops ->
+          let fit = try_sized d job in
+          (* JIGSAW_VALIDATE=1 re-derives every reused drained verdict. *)
+          if
+            State.forced_validation
+            && try_sized (drained_copy (fresh ())) job <> fit
+          then
+            failwith
+              (Printf.sprintf
+                 "Simulator: reused drained arena's verdict for job %d \
+                  differs from a freshly drained machine's"
+                 job.Trace.Job.id);
+          fit
+      | stale ->
+          let d =
+            drained_copy
+              (match stale with Some (d, _) -> d | None -> fresh ())
+          in
+          ar.drained <- Some (d, fault_ops);
+          try_sized d job
+    in
+    match drained_fit with
     | None -> None
     | Some last_alloc ->
+        let sc = scratch () in
+        let at = ref (-1) (* groups 0..!at are released in [sc] *) in
+        let attempt k =
+          while !at < k do
+            incr at;
+            release_group sc !at
+          done;
+          while !at > k do
+            List.iter
+              (fun a -> State.unrelease sc a)
+              (List.rev (snd groups.(!at)));
+            decr at
+          done;
+          try_sized sc job
+        in
         let lo = ref 0 and hi = ref (g - 1) in
         let best = ref last_alloc in
         while !lo < !hi do
@@ -360,7 +428,7 @@ let reservation (alloc : Allocator.t) ~scratch ~running ~job =
     let rec walk k =
       if k >= g then None
       else begin
-        List.iter (fun a -> State.release probe a) (snd groups.(k));
+        release_group probe k;
         match try_sized probe job with
         | Some a -> Some (fst groups.(k), a)
         | None -> walk (k + 1)
@@ -630,25 +698,13 @@ and compute_reservation sim (head : Trace.Job.t) =
      actual runtimes.  Since estimates are >= actuals, the reservation is
      conservative; the head still starts earlier if resources free up
      sooner (every completion triggers a scheduling pass). *)
-  let scratch () =
-    let sc =
-      match sim.scratch with
-      | Some sc -> sc
-      | None ->
-          let sc = State.create (State.topo sim.st) in
-          sim.scratch <- Some sc;
-          sc
-    in
-    State.copy_into ~src:sim.st ~dst:sc;
-    sc
-  in
   let search () =
     let running =
       Hashtbl.fold
         (fun _ r acc -> (r.r_est_end, r.r_alloc) :: acc)
         sim.running []
     in
-    reservation sim.cfg.allocator ~scratch ~running ~job:head
+    reservation sim.cfg.allocator sim.arenas ~running ~job:head
   in
   let gen = State.generation sim.st in
   match sim.res_memo with
@@ -1124,11 +1180,12 @@ let open_run sim =
    and telemetry (if configured) opened at the engine's clock. *)
 let create (cfg : config) (w : Trace.Workload.t) ~engine ~acc =
   let topo = Fattree.Topology.of_radix cfg.radix in
+  let st = State.create topo in
   let sim =
     {
       cfg;
       workload = w;
-      st = State.create topo;
+      st;
       engine;
       pending_ids = Queue.create ();
       pending = Hashtbl.create 1024;
@@ -1144,7 +1201,7 @@ let create (cfg : config) (w : Trace.Workload.t) ~engine ~acc =
       kills = Hashtbl.create 64;
       reserved = None;
       res_memo = None;
-      scratch = None;
+      arenas = arenas st;
       jobs_by_id = Hashtbl.create (max 16 (Array.length w.jobs));
       dyn_jobs = [];
       faults = Trace.Faults.events cfg.faults;

@@ -135,31 +135,55 @@ module Config : sig
   val with_prof : Obs.Prof.t option -> t -> t
 end
 
+type arenas
+(** The reservation search's probe states over one live state: a
+    scratch arena and the fully drained machine.  The simulator keeps
+    one per run, so caches warmed in the drained arena survive from
+    one search to the next. *)
+
+val arenas : Fattree.State.t -> arenas
+(** [arenas live] is an empty pair over [live]; each arena is created
+    on its first use. *)
+
 val reservation :
   Allocator.t ->
-  scratch:(unit -> Fattree.State.t) ->
+  arenas ->
   running:(float * Fattree.Alloc.t) list ->
   job:Trace.Job.t ->
   (float * Fattree.Alloc.t) option
-(** [reservation alloc ~scratch ~running ~job] is the earliest estimated
-    completion time at which [job] could be placed, with the concrete
-    allocation it would receive then.  [running] pairs every live
-    allocation with its estimated end time.  Completions sharing an end
-    time free resources together and feasibility is monotone in drained
-    groups, so the earliest feasible group can be found in any probe
-    order.  The strategy follows the allocator's cost model: cheap
-    definitive probes walk a single probe state forward, releasing
-    groups incrementally (one refresh total); budgeted searches
-    (LC/LC+S), whose failing probes burn their whole budget, binary
-    search over drained prefixes to minimize probe count.
+(** [reservation alloc ar ~running ~job] is the earliest estimated
+    completion time at which [job] could be placed on [ar]'s live
+    state, with the concrete allocation it would receive then, or
+    [None] if the job does not fit even on the fully drained machine.
+    [running] pairs {e every} allocation claimed on the live state with
+    its estimated end time.
 
-    [scratch ()] must return a state mirroring the live one that the
-    search may freely mutate; successive calls may return the same
-    (refreshed) arena — the simulator passes a [State.copy_into] of a
-    per-sim scratch state, making reservation search allocation-free
-    where it used to clone per probe.  [None] if the job does not fit
-    even on the fully drained machine.  Exposed for the equivalence
-    test against the clone-per-probe reference implementation. *)
+    Completions sharing an end time form one group, freed together;
+    with the g groups in end-time order, prefix k is the live state
+    with groups 0..k released.  The probe
+    sequence follows the allocator's cost model:
+    - cheap definitive probes walk forward, probing prefix 0, 1, …
+      and answering with the first fit;
+    - budgeted searches (LC/LC+S), whose failing probes burn their
+      whole budget, probe the drained prefix g-1 first ([None] on no
+      fit), then binary search prefixes 0..g-2: probe the midpoint of
+      [lo, hi], keep the lower half on a fit and the upper half
+      otherwise.  A probe that gives up counts as no fit, so budgeted
+      feasibility is {e not} monotone in the prefix and the answer is
+      defined by this exact sequence.
+
+    Arena contract: every probe sees a state observably equal to a
+    fresh copy of the live state with its prefix released, so verdicts
+    are those of the copy-per-probe search.  One call refreshes the
+    scratch arena once and moves it between probed prefixes —
+    forward by {!Fattree.State.release}, backward by
+    {!Fattree.State.unrelease} — so its caches stay warm within the
+    call.  The drained arena depends only on the live state's fault
+    overlay; it is rebuilt whenever the live fail/repair tallies have
+    moved since it was built and is otherwise reused, caches and all.
+    Under [JIGSAW_VALIDATE=1] each reuse is cross-checked against a
+    freshly drained copy and a mismatch fails the run.  Exposed for
+    the equivalence tests against the copy-per-probe references. *)
 
 val run : config -> Trace.Workload.t -> Metrics.t
 (** Simulates the whole trace and gathers every metric.  Jobs that can

@@ -1,7 +1,9 @@
 (* Tests for the incremental availability layer and its consumers: the
    cached per-leaf/per-L2/per-pod summaries in [Fattree.State], the
-   scheduler's no-fit memo soundness argument, and the forward-walk
-   reservation against a clone-per-probe reference. *)
+   scheduler's no-fit memo soundness argument, [State.unrelease] as the
+   exact inverse of [release], and the reservation search against its
+   clone-per-probe references (forward walk and budgeted binary
+   search). *)
 
 open Fattree
 
@@ -278,22 +280,25 @@ let test_memo_never_hides_feasible () =
 (* Forward-walk reservation == clone-per-probe reference.              *)
 (* ------------------------------------------------------------------ *)
 
-(* The pre-optimization implementation: identical sorting and grouping,
-   but a fresh clone per drained prefix. *)
-let reference_reservation (alloc : Sched.Allocator.t) st ~running ~job =
+(* The simulator's grouping: completions sorted by estimated end, those
+   sharing one end freed together. *)
+let completion_groups running =
   let completions =
     List.sort (fun (a, _) (b, _) -> compare a b) running |> Array.of_list
   in
-  let groups =
-    let acc = ref [] in
-    Array.iter
-      (fun (t, a) ->
-        match !acc with
-        | (t', rs) :: rest when t' = t -> acc := (t, a :: rs) :: rest
-        | _ -> acc := (t, [ a ]) :: !acc)
-      completions;
-    Array.of_list (List.rev !acc)
-  in
+  let acc = ref [] in
+  Array.iter
+    (fun (t, a) ->
+      match !acc with
+      | (t', rs) :: rest when t' = t -> acc := (t, a :: rs) :: rest
+      | _ -> acc := (t, [ a ]) :: !acc)
+    completions;
+  Array.of_list (List.rev !acc)
+
+(* The pre-optimization implementation: identical sorting and grouping,
+   but a fresh clone per drained prefix. *)
+let reference_reservation (alloc : Sched.Allocator.t) st ~running ~job =
+  let groups = completion_groups running in
   let rec try_prefix k =
     if k >= Array.length groups then None
     else begin
@@ -340,15 +345,10 @@ let test_reservation_equivalence () =
           List.iter
             (fun size ->
               let job = Trace.Job.v ~id:777 ~size ~runtime:50.0 () in
-              let scratch =
-                (* Same contract the simulator provides: a reusable arena
-                   refreshed from the live state on every call. *)
-                let arena = State.create (State.topo st) in
-                fun () ->
-                  State.copy_into ~src:st ~dst:arena;
-                  arena
+              let fast =
+                Sched.Simulator.reservation alloc (Sched.Simulator.arenas st)
+                  ~running ~job
               in
-              let fast = Sched.Simulator.reservation alloc ~scratch ~running ~job in
               let slow = reference_reservation alloc st ~running ~job in
               match (fast, slow) with
               | None, None -> ()
@@ -374,9 +374,211 @@ let test_reservation_empty_running () =
   let job = Trace.Job.v ~id:1 ~size:4 ~runtime:10.0 () in
   Alcotest.(check bool) "no completions, no reservation" true
     (Sched.Simulator.reservation Sched.Allocator.jigsaw
-       ~scratch:(fun () -> State.clone st)
-       ~running:[] ~job
+       (Sched.Simulator.arenas st) ~running:[] ~job
     = None)
+
+(* ------------------------------------------------------------------ *)
+(* Budgeted (LC/LC+S) reservation == copy-per-probe binary search.     *)
+(* ------------------------------------------------------------------ *)
+
+(* The budgeted search before the arenas: the same grouping and probe
+   order, but every probe on a fresh clone of the live state with its
+   whole prefix released. *)
+let reference_binary_reservation (alloc : Sched.Allocator.t) st ~running ~job =
+  let groups = completion_groups running in
+  let g = Array.length groups in
+  let attempt k =
+    let probe = State.clone st in
+    for i = 0 to k do
+      List.iter (fun a -> State.release probe a) (snd groups.(i))
+    done;
+    match alloc.probe_sized probe job with
+    | Sized { alloc = a; _ } -> Some a
+    | Sized_no_fit | Sized_gave_up -> None
+  in
+  if g = 0 then None
+  else
+    match attempt (g - 1) with
+    | None -> None
+    | Some last ->
+        let lo = ref 0 and hi = ref (g - 1) and best = ref last in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          match attempt mid with
+          | Some a ->
+              best := a;
+              hi := mid
+          | None -> lo := mid + 1
+        done;
+        Some (fst groups.(!hi), !best)
+
+(* [alloc] with every probe logged: the probed state's free, busy and
+   failed node counts and the verdict, so two searches can be compared
+   probe for probe, not only by their answers. *)
+let logged (alloc : Sched.Allocator.t) log =
+  {
+    alloc with
+    probe_sized =
+      (fun st j ->
+        let v = alloc.probe_sized st j in
+        log :=
+          ( State.total_free_nodes st,
+            State.busy_node_count st,
+            State.failed_node_count st,
+            v )
+          :: !log;
+        v);
+  }
+
+(* A saturated radix-8 machine mixing exclusive Jigsaw partitions with
+   fractional LC+S ones — 0.3 is not dyadic, so releasing and
+   re-claiming its cables rounds unless the inverse is exact — and end
+   times on a coarse grid so completion groups hold several jobs. *)
+let saturated_mixed ~seed =
+  let topo = Topology.of_radix 8 in
+  let st = State.create topo in
+  let prng = Sim.Prng.create ~seed in
+  let running = ref [] and misses = ref 0 and id = ref 0 in
+  while !misses < 8 do
+    incr id;
+    let size = Sim.Prng.int_in prng ~lo:1 ~hi:20 in
+    let bw = [| 1.0; 0.25; 0.3; 0.5 |].(Sim.Prng.int_in prng ~lo:0 ~hi:3) in
+    let found =
+      if bw = 1.0 then Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size
+      else
+        Jigsaw_core.Least_constrained.get_allocation ~demand:bw st ~job:!id
+          ~size
+    in
+    match found with
+    | Some p ->
+        let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
+        State.claim_exn st a;
+        let est_end = float_of_int (10 * Sim.Prng.int_in prng ~lo:1 ~hi:8) in
+        running := (est_end, a) :: !running
+    | None -> incr misses
+  done;
+  (st, !running)
+
+(* Fail a node and a leaf cable of every third running allocation, and
+   one free node, so drained prefixes hold failed-while-claimed
+   resources that releases and unreleases must carry across. *)
+let fail_some st running =
+  List.iteri
+    (fun i (_, (a : Alloc.t)) ->
+      if i mod 3 = 0 then begin
+        State.fail_node st a.nodes.(0);
+        if Array.length a.leaf_cables > 0 then
+          State.fail_leaf_cable st a.leaf_cables.(0)
+      end)
+    running;
+  let topo = State.topo st in
+  let rec first_free n =
+    if n >= Topology.num_nodes topo then ()
+    else if State.node_free st n then State.fail_node st n
+    else first_free (n + 1)
+  in
+  first_free 0
+
+let budgeted_allocators =
+  [
+    Sched.Allocator.lcs ();
+    Sched.Allocator.lc_exclusive ();
+    Sched.Allocator.lcs ~budget:40 ();
+    Sched.Allocator.lc_exclusive ~budget:40 ();
+  ]
+
+(* Same answer and the same probe sequence as the reference, on the
+   arena pair [ar] (which a caller may reuse across calls). *)
+let check_same_search ~what (alloc : Sched.Allocator.t) ar st ~running ~job
+    ~gave_up =
+  let fast_log = ref [] and ref_log = ref [] in
+  let fast =
+    Sched.Simulator.reservation (logged alloc fast_log) ar ~running ~job
+  in
+  let slow =
+    reference_binary_reservation (logged alloc ref_log) st ~running ~job
+  in
+  List.iter
+    (fun (_, _, _, v) ->
+      match v with Sched.Allocator.Sized_gave_up -> incr gave_up | _ -> ())
+    !ref_log;
+  let fast_probes =
+    (* Under JIGSAW_VALIDATE=1 a reused drained arena's probe is repeated
+       on a freshly drained copy, right after it: the same entry. *)
+    match List.rev !fast_log with
+    | x :: y :: rest when State.forced_validation && x = y -> x :: rest
+    | l -> l
+  in
+  let what = Printf.sprintf "%s %s size %d" alloc.name what job.Trace.Job.size in
+  Alcotest.(check int) (what ^ ": probe count") (List.length !ref_log)
+    (List.length fast_probes);
+  Alcotest.(check bool) (what ^ ": same probes") true
+    (fast_probes = List.rev !ref_log);
+  match (fast, slow) with
+  | None, None -> ()
+  | Some (t1, a1), Some (t2, a2) ->
+      Alcotest.(check (float 0.0)) (what ^ ": time") t2 t1;
+      Alcotest.(check bool) (what ^ ": same allocation") true (a1 = a2)
+  | _ -> Alcotest.fail (what ^ ": one side found none")
+
+let test_budgeted_reservation_exact () =
+  let gave_up = ref 0 in
+  List.iter
+    (fun alloc ->
+      List.iter
+        (fun seed ->
+          let st, running = saturated_mixed ~seed in
+          List.iter
+            (fun faulty ->
+              if faulty then fail_some st running;
+              List.iter
+                (fun size ->
+                  let job =
+                    Trace.Job.v ~id:777 ~size ~runtime:50.0 ~bw_class:0.3 ()
+                  in
+                  check_same_search
+                    ~what:(Printf.sprintf "seed %d faulty %b" seed faulty)
+                    alloc (Sched.Simulator.arenas st) st ~running ~job ~gave_up)
+                [ 4; 16; 40; 100; 128 ])
+            [ false; true ])
+        [ 11; 57; 90 ])
+    budgeted_allocators;
+  (* The tiny budget must actually cut probes short, or the non-monotone
+     case this test exists for went unexercised. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "some probes gave up (%d)" !gave_up)
+    true (!gave_up > 0)
+
+(* One arena pair across calls, with faults landing and healing in
+   between: the drained arena must be rebuilt whenever the live fault
+   overlay moved.  The whole-machine job fits only on a fully drained,
+   fully healthy machine, so a stale drained arena answers it wrongly
+   after the fault. *)
+let test_reservation_across_faults () =
+  let gave_up = ref 0 in
+  List.iter
+    (fun alloc ->
+      let st, running = saturated_mixed ~seed:23 in
+      let ar = Sched.Simulator.arenas st in
+      let check what =
+        List.iter
+          (fun size ->
+            let job = Trace.Job.v ~id:778 ~size ~runtime:50.0 () in
+            check_same_search ~what alloc ar st ~running ~job ~gave_up)
+          [ 8; 60; 128 ]
+      in
+      let _, (a : Alloc.t) = List.hd running in
+      let node = a.nodes.(0) in
+      check "healthy";
+      State.fail_node st node;
+      check "after fail";
+      State.fail_l2_cable st 0;
+      check "after cable fail";
+      State.repair_node st node;
+      State.repair_l2_cable st 0;
+      check "after repairs";
+      check "reused")
+    budgeted_allocators
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: the lazily revalidated feasibility rows equal a fresh
@@ -561,6 +763,134 @@ let prop_lc_cached_probe_matches_fresh =
         [ (1.0, 5_000); (0.25, 5_000); (0.5, 200); (0.25, 60) ];
       true)
 
+(* Every observable of a state, read through the public API: node
+   membership and fault flags, per-leaf counts and masks, raw cable
+   capacities bit for bit, and the totals that pin [busy] and
+   [failed_claimed]. *)
+let observables st =
+  let topo = State.topo st in
+  let bits x = Int64.bits_of_float x in
+  ( List.init (Topology.num_nodes topo) (fun n ->
+        (State.node_free st n, State.node_claimed st n, State.node_failed st n)),
+    List.init (Topology.num_leaves topo) (fun leaf ->
+        ( State.free_nodes_on_leaf st leaf,
+          State.free_slot_mask st leaf,
+          State.leaf_up_mask st ~leaf ~demand:1.0,
+          State.leaf_fully_free st leaf )),
+    List.init (Topology.num_l2 topo) (fun l2 ->
+        State.l2_up_mask st ~l2 ~demand:1.0),
+    ( List.init (Topology.num_leaf_l2_cables topo) (fun cable ->
+          bits (State.leaf_up_remaining st ~cable)),
+      List.init (Topology.num_l2_spine_cables topo) (fun cable ->
+          bits (State.l2_up_remaining st ~cable)) ),
+    ( State.total_free_nodes st,
+      State.busy_node_count st,
+      State.failed_node_count st,
+      List.init (Topology.pods topo) (fun pod ->
+          State.pod_fully_free_leaves st ~pod) ) )
+
+(* [unrelease] is the exact inverse of [release]: after a random
+   claim/release/fail/repair history with fractional, non-dyadic
+   demands among the claims, some stacked on shared cables, releasing
+   up to three of the newest live allocations
+   and unreleasing them in reverse restores every observable — also
+   when one of the released nodes fails in between and is repaired
+   after the unrelease. *)
+let prop_unrelease_inverts_release =
+  QCheck2.Test.make ~name:"release then unrelease restores every observable"
+    ~count:40
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = State.create (Topology.of_radix 8) in
+      let topo = State.topo st in
+      let prng = Sim.Prng.create ~seed in
+      let live = ref [] and faults = ref [] in
+      for id = 1 to 50 do
+        let l, f = random_step st prng ~id !live !faults in
+        live := l;
+        faults := f;
+        if id mod 5 = 0 then begin
+          let demand = [| 0.1; 0.3; 0.7 |].(Sim.Prng.int_in prng ~lo:0 ~hi:2) in
+          let size = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
+          match
+            Jigsaw_core.Least_constrained.get_allocation ~demand st ~job:id
+              ~size
+          with
+          | Some p ->
+              let a = Jigsaw_core.Partition.to_alloc topo p ~bw:demand in
+              State.claim_exn st a;
+              live := a :: !live
+          | None -> ()
+        end
+      done;
+      (* Then stack single-node claims on one leaf cable and one L2
+         cable: the arithmetic inverse [v +. bw -. bw] drifts once two
+         or more fractional demands share a cable. *)
+      let leaf_cable =
+        Sim.Prng.int_in prng ~lo:0 ~hi:(Topology.num_leaf_l2_cables topo - 1)
+      and l2_cable =
+        Sim.Prng.int_in prng ~lo:0 ~hi:(Topology.num_l2_spine_cables topo - 1)
+      in
+      for k = 1 to Sim.Prng.int_in prng ~lo:2 ~hi:4 do
+        let bw = [| 0.1; 0.2; 0.3 |].(Sim.Prng.int_in prng ~lo:0 ~hi:2) in
+        match
+          List.find_opt (State.node_free st)
+            (List.init (Topology.num_nodes topo) Fun.id)
+        with
+        | Some node -> (
+            let a =
+              {
+                Alloc.job = 1000 + k;
+                size = 1;
+                nodes = [| node |];
+                leaf_cables = [| leaf_cable |];
+                l2_cables = [| l2_cable |];
+                bw;
+              }
+            in
+            match State.claim st a with
+            | Ok () -> live := a :: !live
+            | Error _ -> ())
+        | None -> ()
+      done;
+      let n = min (List.length !live) (Sim.Prng.int_in prng ~lo:1 ~hi:3) in
+      let picked = List.filteri (fun i _ -> i < n) !live in
+      let before = observables st in
+      List.iter (fun a -> State.release st a) picked;
+      let flap =
+        match picked with
+        | (a : Alloc.t) :: _ when Sim.Prng.int_in prng ~lo:0 ~hi:1 = 0 ->
+            State.fail_node st a.nodes.(0);
+            Some a.nodes.(0)
+        | _ -> None
+      in
+      List.iter (fun a -> State.unrelease st a) (List.rev picked);
+      Option.iter (State.repair_node st) flap;
+      if observables st <> before then
+        QCheck2.Test.fail_reportf "%d releases not undone exactly" n;
+      check_summaries_consistent st;
+      true)
+
+let test_unrelease_lifo () =
+  let st = State.create (Topology.of_radix 8) in
+  let a = Alloc.nodes_only ~job:1 ~size:2 [| 0; 1 |]
+  and b = Alloc.nodes_only ~job:2 ~size:1 [| 2 |] in
+  State.claim_exn st a;
+  State.claim_exn st b;
+  State.release st a;
+  State.release st b;
+  Alcotest.check_raises "out of order"
+    (Invalid_argument
+       "State.unrelease: not the latest release still undoable (a claim or \
+        a later release intervened)")
+    (fun () -> State.unrelease st a);
+  State.unrelease st b;
+  State.claim_exn st (Alloc.nodes_only ~job:3 ~size:1 [| 5 |]);
+  Alcotest.(check bool) "a claim forfeits older releases" true
+    (match State.unrelease st a with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "summaries match scratch recomputation" `Quick
@@ -576,6 +906,13 @@ let suite =
       test_reservation_equivalence;
     Alcotest.test_case "reservation with no completions" `Quick
       test_reservation_empty_running;
+    Alcotest.test_case "budgeted reservation == copy-per-probe search" `Quick
+      test_budgeted_reservation_exact;
+    Alcotest.test_case "budgeted reservation across faults" `Quick
+      test_reservation_across_faults;
+    Alcotest.test_case "unrelease is LIFO, forfeited by a claim" `Quick
+      test_unrelease_lifo;
+    QCheck_alcotest.to_alcotest prop_unrelease_inverts_release;
     QCheck_alcotest.to_alcotest prop_feasibility_rows_match_fresh_resolve;
     QCheck_alcotest.to_alcotest prop_lc_cached_probe_matches_fresh;
   ]
