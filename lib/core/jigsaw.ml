@@ -16,7 +16,9 @@ type pod_info = {
 (* All three summary sources ([pod_fully_free_leaves], [leaf_fully_free]
    and [l2_up_mask] at demand 1.0) are O(1) reads of State's incremental
    caches, so a whole snapshot costs O(pods * (m1 + m2)) instead of the
-   former O(pods * m1 * m2) rescan. *)
+   former O(pods * m1 * m2) rescan.  [try_three_level] builds it only
+   once some shape has survived its count filter, which reads the
+   per-pod counts alone. *)
 let pod_infos st ~demand =
   let topo = State.topo st in
   let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
@@ -45,7 +47,10 @@ let pod_infos st ~demand =
       { pod; free_leaves; spine_masks })
 
 (* Materialize one full tree: its first l_t fully-free leaves, all nodes,
-   uplinks to every L2 index, and the chosen spine sets. *)
+   uplinks to every L2 index, and the chosen spine sets.  Spine sets come
+   from [Mask.to_array], which fills a presized array, and the caller
+   flattens the partition with [Partition.to_alloc], which fills
+   presized arrays too. *)
 let materialize_full_tree st info ~l_t ~s ~spine_sets =
   let leaves =
     Array.init l_t (fun k ->
@@ -157,30 +162,32 @@ let try_remainder st info ~l_t ~l_rt ~n_rl ~demand ~inter =
 let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
   let topo = State.topo st in
   let m1 = Topology.m1 topo and m3 = Topology.m3 topo in
-  let infos = pod_infos st ~demand in
-  let shapes = Shapes.three_level topo ~size:alloc_size ~n_l:m1 in
   (* Quick necessary-condition filter: enough pods with enough fully-free
-     leaves for the full trees and the remainder tree.  Hopeless shapes
-     are skipped before any backtracking. *)
+     leaves for the full trees and the remainder tree.  It reads only the
+     cached per-pod counts (each snapshot's [free_leaves] has exactly
+     that length), so a probe with no shape left returns before any pod
+     snapshot is built, and hopeless shapes are skipped before any
+     backtracking. *)
+  let free_leaves =
+    Array.init m3 (fun pod -> State.pod_fully_free_leaves st ~pod)
+  in
   let pods_with k =
-    let c = ref 0 in
-    Array.iter
-      (fun info -> if Array.length info.free_leaves >= k then incr c)
-      infos;
-    !c
+    Array.fold_left (fun c n -> if n >= k then c + 1 else c) 0 free_leaves
   in
   let shapes =
     List.filter
       (fun (s : Shapes.three_level) ->
         pods_with s.l_t3 >= s.t
         && (s.n_rt = 0 || s.l_rt = 0 || pods_with s.l_rt >= s.t + 1))
-      shapes
+      (Shapes.three_level topo ~size:alloc_size ~n_l:m1)
   in
+  let infos = lazy (pod_infos st ~demand) in
   let rec over_shapes = function
     | [] -> None
     | ({ Shapes.l_t3 = l_t; t; n_rt; l_rt; n_rl3 = n_rl; _ } : Shapes.three_level)
       :: rest ->
-        let eligible p = Array.length infos.(p).free_leaves >= l_t in
+        let infos = Lazy.force infos in
+        let eligible p = free_leaves.(p) >= l_t in
         (* Recursive backtracking over pods (find_L3).  [inter] is the
            per-L2-index intersection of available spine masks. *)
         let chosen = ref [] in

@@ -87,7 +87,9 @@ let cached_find_all st ~pod ~l_t ~n_l ~demand ~budget =
 
 (* Materialize a full tree from a pod solution: every leaf carries n_l
    nodes uplinked to the common set [s]; spine sets attach to the indices
-   of [s]. *)
+   of [s].  Leaf ids come straight from the solution's bitmask through
+   [Mask.to_array] (a presized array), and [Partition.to_alloc] flattens
+   the committed partition into presized arrays as well. *)
 let materialize_tree st ~pod ~(sol : Search.pod_solution) ~n_l ~s ~spine_sets =
   let topo = State.topo st in
   let leaves =
@@ -102,39 +104,47 @@ let materialize_tree st ~pod ~(sol : Search.pod_solution) ~n_l ~s ~spine_sets =
 
 let try_three_level st ~job ~size ~demand ~budget =
   let topo = State.topo st in
-  let m1 = Topology.m1 topo and m3 = Topology.m3 topo in
-  (* Spine availability per pod and L2 index: consulted from the state's
-     incrementally maintained cache — a pod untouched since the last
-     probe costs one generation compare instead of an m1 x m2 rescan. *)
-  let spines = Array.init m3 (fun pod -> State.pod_spine_masks st ~pod ~demand) in
-  let shapes = Shapes.three_level_all topo ~size in
-  (* Cheap per-shape feasibility precheck: candidate_leaves.(pod).(n_l-1)
-     counts leaves that could carry n_l nodes at this demand.  A shape
-     needing t full pods of l_t such leaves (plus a remainder pod) is
-     skipped outright when the counts cannot support it, so hopeless
-     shapes do not burn search budget.  Counts come from the same
-     generation-validated cache. *)
-  let candidate_leaves =
-    Array.init m3 (fun pod -> State.pod_candidates st ~pod ~demand)
+  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
+  let m3 = Topology.m3 topo in
+  (* Cheap per-shape feasibility precheck from the generation-validated
+     count cache: (State.pod_candidates st ~pod ~demand).(n_l-1) counts
+     the pod's leaves that could carry n_l nodes at this demand.
+     pods_at.(n_l-1).(k) is the number of pods with at least k such
+     leaves, a histogram built on first use per n_l, so each shape is
+     checked in O(1).  A shape needing t full pods of l_t such leaves
+     (plus a remainder pod) is skipped outright when the counts cannot
+     support it, so hopeless shapes burn no search budget and need no
+     spine masks. *)
+  let pods_at = Array.make m1 [||] in
+  let pods_with ~n_l k =
+    if Array.length pods_at.(n_l - 1) = 0 then begin
+      let h = Array.make (m2 + 1) 0 in
+      for pod = 0 to m3 - 1 do
+        let c = (State.pod_candidates st ~pod ~demand).(n_l - 1) in
+        h.(c) <- h.(c) + 1
+      done;
+      for k = m2 - 1 downto 0 do
+        h.(k) <- h.(k) + h.(k + 1)
+      done;
+      pods_at.(n_l - 1) <- h
+    end;
+    if k > m2 then 0 else pods_at.(n_l - 1).(k)
   in
+  (* Necessary conditions only — the precheck must never reject a
+     feasible shape, so the remainder pod is tested against its full
+     leaves alone (the remainder leaf's needs are weaker than n_l). *)
   let shape_feasible (s : Shapes.three_level) =
-    let pods_with k =
-      let c = ref 0 in
-      Array.iter
-        (fun counts -> if counts.(s.n_l3 - 1) >= k then incr c)
-        candidate_leaves;
-      !c
-    in
-    (* Necessary conditions only — the precheck must never reject a
-       feasible shape, so the remainder pod is tested against its full
-       leaves alone (the remainder leaf's needs are weaker than n_l). *)
-    let full_ok = pods_with s.l_t3 >= s.t in
-    let rem_ok =
-      s.n_rt = 0 || s.l_rt = 0 || pods_with s.l_rt >= s.t + 1
-    in
-    full_ok && rem_ok
+    pods_with ~n_l:s.n_l3 s.l_t3 >= s.t
+    && (s.n_rt = 0 || s.l_rt = 0 || pods_with ~n_l:s.n_l3 s.l_rt >= s.t + 1)
   in
-  let shapes = List.filter shape_feasible shapes in
+  let shapes = List.filter shape_feasible (Shapes.three_level_all topo ~size) in
+  (* Spine availability per pod and L2 index, read only once a shape
+     survives, from the state's incrementally maintained cache — a pod
+     untouched since the last probe costs one generation compare instead
+     of an m1 x m2 rescan. *)
+  let spines =
+    lazy (Array.init m3 (fun pod -> State.pod_spine_masks st ~pod ~demand))
+  in
   let rec over_shapes = function
     | [] -> None
     | ({ Shapes.n_l3 = n_l; l_t3 = l_t; t; n_rt; l_rt; n_rl3 = n_rl; _ }
@@ -142,6 +152,7 @@ let try_three_level st ~job ~size ~demand ~budget =
       :: rest ->
         if !budget <= 0 then None
         else begin
+          let spines = Lazy.force spines in
           (* Enumerate per-pod solutions for full trees (l_t leaves of n_l
              nodes) lazily, pod by pod, caching results. *)
           let sol_cache : Search.pod_solution list option array =

@@ -18,7 +18,21 @@ let to_list mask =
 
 let of_list l = List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 l
 let of_array a = Array.fold_left (fun acc i -> acc lor (1 lsl i)) 0 a
-let to_array mask = Array.of_list (to_list mask)
+(* Fills a presized array, shifting the mask right past each set bit
+   ([lsr], so negative masks terminate too). *)
+let to_array mask =
+  let a = Array.make (popcount mask) 0 in
+  let m = ref mask and i = ref 0 in
+  for k = 0 to Array.length a - 1 do
+    while !m land 1 = 0 do
+      m := !m lsr 1;
+      incr i
+    done;
+    a.(k) <- !i;
+    m := !m lsr 1;
+    incr i
+  done;
+  a
 
 let take_lowest mask k =
   if popcount mask < k then invalid_arg "Mask.take_lowest: not enough bits";

@@ -18,6 +18,9 @@ val to_list : int -> int list
 val of_list : int list -> int
 val of_array : int array -> int
 val to_array : int -> int array
+(** Set bit indices, ascending: [Array.of_list (to_list m)], filled
+    into a presized array.  Bit 62 and negative masks such as [lnot 0]
+    are handled like any other. *)
 
 val take_lowest : int -> int -> int
 (** [take_lowest mask k] is the mask of the [k] lowest set bits of [mask].

@@ -41,12 +41,29 @@ let leaves p =
   in
   Array.of_list (List.concat_map of_tree (all_trees p))
 
+(* Every tree in order (the full trees, then the remainder tree), and
+   every leaf in tree order (each tree's full leaves, then its remainder
+   leaf): the order [leaves] lists them in. *)
+let iter_trees p f =
+  Array.iter f p.full_trees;
+  Option.iter f p.rem_tree
+
+let iter_leaves p f =
+  iter_trees p (fun tr ->
+      Array.iter f tr.full_leaves;
+      Option.iter f tr.rem_leaf)
+
 let node_count p =
-  Array.fold_left (fun acc la -> acc + Array.length la.nodes) 0 (leaves p)
+  let n = ref 0 in
+  iter_leaves p (fun la -> n := !n + Array.length la.nodes);
+  !n
 
 let nodes p =
-  let ls = leaves p in
-  let all = Array.concat (List.map (fun la -> la.nodes) (Array.to_list ls)) in
+  let all = Array.make (node_count p) 0 in
+  let k = ref 0 in
+  iter_leaves p (fun la ->
+      Array.blit la.nodes 0 all !k (Array.length la.nodes);
+      k := !k + Array.length la.nodes);
   Sim.Intsort.sort all;
   all
 
@@ -73,39 +90,45 @@ let l2_index_set p =
   | None -> invalid_arg "Partition.l2_index_set: no full leaf"
 
 let to_alloc topo p ~bw =
-  let nodes = nodes p in
-  let leaf_cables = ref [] in
-  Array.iter
-    (fun la ->
+  let n_leaf = ref 0 and n_l2 = ref 0 in
+  iter_leaves p (fun la -> n_leaf := !n_leaf + Array.length la.l2_indices);
+  iter_trees p (fun tr ->
+      Array.iter
+        (fun (_, spines) -> n_l2 := !n_l2 + Array.length spines)
+        tr.spine_sets);
+  let leaf_cables = Array.make !n_leaf 0 in
+  let l2_cables = Array.make !n_l2 0 in
+  let k = ref 0 in
+  iter_leaves p (fun la ->
       Array.iter
         (fun i ->
-          leaf_cables :=
-            Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:i :: !leaf_cables)
-        la.l2_indices)
-    (leaves p);
-  let l2_cables = ref [] in
-  List.iter
-    (fun tr ->
+          leaf_cables.(!k) <-
+            Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:i;
+          incr k)
+        la.l2_indices);
+  let k = ref 0 in
+  iter_trees p (fun tr ->
       Array.iter
         (fun (i, spines) ->
           let l2 = Topology.l2_of_coords topo ~pod:tr.pod ~index:i in
           Array.iter
             (fun j ->
-              l2_cables :=
-                Topology.l2_spine_cable topo ~l2 ~spine_index:j :: !l2_cables)
+              l2_cables.(!k) <-
+                Topology.l2_spine_cable topo ~l2 ~spine_index:j;
+              incr k)
             spines)
-        tr.spine_sets)
-    (all_trees p);
+        tr.spine_sets);
   (* Monomorphic sort: these arrays reach a few hundred entries on
      machine-scale partitions and a closure-calling sort dominates the
      whole materialization otherwise. *)
-  let arr = Sim.Intsort.of_list in
+  Sim.Intsort.sort leaf_cables;
+  Sim.Intsort.sort l2_cables;
   {
     Alloc.job = p.job;
     size = p.size;
-    nodes;
-    leaf_cables = arr !leaf_cables;
-    l2_cables = arr !l2_cables;
+    nodes = nodes p;
+    leaf_cables;
+    l2_cables;
     bw;
   }
 

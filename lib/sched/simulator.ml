@@ -317,9 +317,9 @@ let reservation (alloc : Allocator.t) ar ~running ~job =
     | Allocator.Sized { alloc = a; _ } -> Some a
     | Allocator.Sized_no_fit | Allocator.Sized_gave_up -> None
   in
-  let completions =
-    List.sort (fun (a, _) (b, _) -> compare a b) running |> Array.of_list
-  in
+  (* Stable, so completions sharing an end keep their list order. *)
+  let completions = Array.of_list running in
+  Array.stable_sort (fun (a, _) (b, _) -> Float.compare a b) completions;
   (* Group completions sharing an estimated end: freed together. *)
   let groups =
     let acc = ref [] in

@@ -22,6 +22,7 @@ let () =
       ("partition", Test_partition.suite);
       ("least-constrained", Test_least_constrained.suite);
       ("jigsaw", Test_jigsaw.suite);
+      ("probe-golden", Test_probe_golden.suite);
       ("matching", Test_matching.suite);
       ("maxflow", Test_maxflow.suite);
       ("path", Test_path.suite);

@@ -65,6 +65,21 @@ let prop_take_preferring_takes_preferred =
       && Mask.subset r ~of_:mask
       && Mask.popcount (r land prefer) = want)
 
+(* [to_array] fills a presized array; it must agree with the list
+   form on every int, including the empty mask, bit 62 (the sign bit of
+   OCaml's 63-bit ints) and negative masks such as [lnot 0], the
+   all-ones capability mask [Search] starts from. *)
+let prop_to_array_matches_to_list =
+  QCheck2.Test.make ~name:"to_array = Array.of_list to_list" ~count:500
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ 0; 1 lsl 62; lnot 0; min_int; max_int; lnot 1 ];
+          int;
+          int_bound 0xFFFFFF;
+        ])
+    (fun m -> Mask.to_array m = Array.of_list (Mask.to_list m))
+
 let suite =
   [
     Alcotest.test_case "popcount" `Quick test_popcount;
@@ -76,4 +91,5 @@ let suite =
     Alcotest.test_case "subset" `Quick test_subset;
     QCheck_alcotest.to_alcotest prop_take_lowest_is_subset;
     QCheck_alcotest.to_alcotest prop_take_preferring_takes_preferred;
+    QCheck_alcotest.to_alcotest prop_to_array_matches_to_list;
   ]

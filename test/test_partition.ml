@@ -82,6 +82,117 @@ let test_pp_runs () =
   Alcotest.(check bool) "mentions job" true (contains ~needle:"job=8" s);
   Alcotest.(check bool) "mentions level" true (contains ~needle:"three-level" s)
 
+(* The list-based flattening [Partition.to_alloc] used before it filled
+   presized arrays, kept as the reference the array builder must match
+   element for element. *)
+let reference_to_alloc topo (p : Partition.t) ~bw =
+  let trees = Array.to_list p.full_trees @ Option.to_list p.rem_tree in
+  let leaves =
+    List.concat_map
+      (fun (tr : Partition.tree_alloc) ->
+        Array.to_list tr.full_leaves @ Option.to_list tr.rem_leaf)
+      trees
+  in
+  let sorted l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a
+  in
+  let nodes =
+    sorted
+      (List.concat_map
+         (fun (la : Partition.leaf_alloc) -> Array.to_list la.nodes)
+         leaves)
+  in
+  let leaf_cables =
+    List.concat_map
+      (fun (la : Partition.leaf_alloc) ->
+        List.map
+          (fun i -> Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:i)
+          (Array.to_list la.l2_indices))
+      leaves
+  in
+  let l2_cables =
+    List.concat_map
+      (fun (tr : Partition.tree_alloc) ->
+        List.concat_map
+          (fun (i, spines) ->
+            let l2 = Topology.l2_of_coords topo ~pod:tr.pod ~index:i in
+            List.map
+              (fun j -> Topology.l2_spine_cable topo ~l2 ~spine_index:j)
+              (Array.to_list spines))
+          (Array.to_list tr.spine_sets))
+      trees
+  in
+  {
+    Alloc.job = p.job;
+    size = p.size;
+    nodes;
+    leaf_cables = sorted leaf_cables;
+    l2_cables = sorted l2_cables;
+    bw;
+  }
+
+(* Partitions from Jigsaw, LC+S at bandwidths 0.25 and 0.5, and LaaS,
+   found on radix-8 and radix-16 states loaded by their own claims and
+   some releases, each flattened both ways. *)
+let test_to_alloc_matches_reference () =
+  let rem_trees = ref 0 and rem_leaves = ref 0 and spined = ref 0 in
+  List.iter
+    (fun (radix, seed) ->
+      let topo = Topology.of_radix radix in
+      let st = State.create topo in
+      let prng = Sim.Prng.create ~seed in
+      let n = Topology.num_nodes topo in
+      let live = ref [] in
+      for job = 1 to 300 do
+        if Sim.Prng.int prng ~bound:4 = 0 && !live <> [] then begin
+          let k = Sim.Prng.int prng ~bound:(List.length !live) in
+          let a = List.nth !live k in
+          State.release st a;
+          live := List.filter (fun b -> b != a) !live
+        end
+        else begin
+          let size = Sim.Prng.int_in prng ~lo:1 ~hi:(n / 6) in
+          let found, bw =
+            match Sim.Prng.int prng ~bound:4 with
+            | 0 -> (Jigsaw.get_allocation st ~job ~size, 1.0)
+            | 1 ->
+                (Least_constrained.get_allocation ~demand:0.25 st ~job ~size, 0.25)
+            | 2 ->
+                (Least_constrained.get_allocation ~demand:0.5 st ~job ~size, 0.5)
+            | _ -> (Baselines.Laas.get_allocation st ~job ~size, 1.0)
+          in
+          match found with
+          | None -> ()
+          | Some p ->
+              let a = Partition.to_alloc topo p ~bw in
+              let r = reference_to_alloc topo p ~bw in
+              let what = Printf.sprintf "radix %d job %d" radix job in
+              Alcotest.(check (array int)) (what ^ " nodes") r.nodes a.nodes;
+              Alcotest.(check (array int)) (what ^ " Partition.nodes") r.nodes
+                (Partition.nodes p);
+              Alcotest.(check (array int)) (what ^ " leaf cables") r.leaf_cables
+                a.leaf_cables;
+              Alcotest.(check (array int)) (what ^ " l2 cables") r.l2_cables
+                a.l2_cables;
+              Alcotest.(check bool) (what ^ " header") true
+                (a.job = r.job && a.size = r.size && a.bw = r.bw);
+              (match p.rem_tree with
+              | Some tr ->
+                  incr rem_trees;
+                  if tr.rem_leaf <> None then incr rem_leaves
+              | None -> ());
+              if Array.length a.l2_cables > 0 then incr spined;
+              State.claim_exn st a;
+              live := a :: !live
+        end
+      done)
+    [ (8, 3); (8, 17); (16, 5) ];
+  Alcotest.(check bool) "remainder trees covered" true (!rem_trees > 0);
+  Alcotest.(check bool) "remainder leaves covered" true (!rem_leaves > 0);
+  Alcotest.(check bool) "spine sets covered" true (!spined > 0)
+
 let suite =
   [
     Alcotest.test_case "kind" `Quick test_kind;
@@ -93,4 +204,6 @@ let suite =
     Alcotest.test_case "leaves accessor" `Quick test_leaves_accessor;
     Alcotest.test_case "node_count" `Quick test_node_count_matches;
     Alcotest.test_case "pretty printing" `Quick test_pp_runs;
+    Alcotest.test_case "to_alloc matches list reference" `Quick
+      test_to_alloc_matches_reference;
   ]

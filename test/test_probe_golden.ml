@@ -1,0 +1,183 @@
+(* Probe-level golden: the verdict and allocation of every
+   [Jigsaw.probe] and [Least_constrained.probe] call over a fixed
+   seeded claim/release/fail/repair history, folded into one digest.
+
+   Each step of the history is followed by twelve probes of one random
+   size up to the free node count: both allocators at demands 1.0 and
+   0.25, each with search budgets of 4 and 40 steps and with its
+   default budget.  The small budgets end searches [Exhausted] (Jigsaw's
+   pod backtracking needs the 4-step one), so any change to how a
+   search charges its budget — not only to what it finds — moves the
+   digest.  Claims are
+   drawn from the same probes, so the history itself depends on every
+   allocation found.  The pinned digests were computed before the
+   count-first prechecks and the list-free materialization; allocator
+   speed-ups must leave them unchanged. *)
+
+open Fattree
+open Jigsaw_core
+
+let add_ints buf a =
+  Array.iter
+    (fun i ->
+      Buffer.add_string buf (string_of_int i);
+      Buffer.add_char buf ',')
+    a;
+  Buffer.add_char buf ';'
+
+let add_leaf buf (la : Partition.leaf_alloc) =
+  Buffer.add_string buf (Printf.sprintf "L%d:" la.leaf);
+  add_ints buf la.nodes;
+  add_ints buf la.l2_indices
+
+let add_tree buf (tr : Partition.tree_alloc) =
+  Buffer.add_string buf (Printf.sprintf "T%d{" tr.pod);
+  Array.iter (add_leaf buf) tr.full_leaves;
+  (match tr.rem_leaf with
+  | Some la ->
+      Buffer.add_char buf 'r';
+      add_leaf buf la
+  | None -> ());
+  Array.iter
+    (fun (i, s) ->
+      Buffer.add_string buf (Printf.sprintf "S%d:" i);
+      add_ints buf s)
+    tr.spine_sets;
+  Buffer.add_char buf '}'
+
+let add_probe buf = function
+  | Partition.Infeasible -> Buffer.add_string buf "I\n"
+  | Partition.Exhausted -> Buffer.add_string buf "E\n"
+  | Partition.Found p ->
+      Buffer.add_string buf (Printf.sprintf "F%d/%d" p.job p.size);
+      Array.iter (add_tree buf) p.full_trees;
+      (match p.rem_tree with
+      | Some tr ->
+          Buffer.add_char buf 'R';
+          add_tree buf tr
+      | None -> ());
+      Buffer.add_char buf '\n'
+
+type fault = Node of int | Leaf_cable of int | L2_cable of int
+
+(* Replays the history on a fresh radix-[radix] state; returns the
+   digest and a test for which (allocator, verdict) pairs occurred. *)
+let run ~radix ~seed ~steps =
+  let topo = Topology.of_radix radix in
+  let st = State.create topo in
+  let prng = Sim.Prng.create ~seed in
+  let buf = Buffer.create 4096 in
+  let seen = Hashtbl.create 16 in
+  let record alloc r =
+    let verdict =
+      match r with
+      | Partition.Found p when p.rem_tree <> None -> `Remainder
+      | Found p when Partition.kind p = Three_level -> `Three_level
+      | Found _ -> `Two_level
+      | Infeasible -> `Infeasible
+      | Exhausted -> `Exhausted
+    in
+    Hashtbl.replace seen (alloc, verdict) ();
+    add_probe buf r;
+    r
+  in
+  let jigsaw ~demand ?budget ~job size =
+    record `Jigsaw (Jigsaw.probe ~demand ?budget st ~job ~size)
+  in
+  let lc ~demand ?budget ~job size =
+    record `Lc (Least_constrained.probe ~demand ?budget st ~job ~size)
+  in
+  let live = ref [] and faults = ref [] in
+  let n = Topology.num_nodes topo in
+  let pick l = List.nth l (Sim.Prng.int prng ~bound:(List.length l)) in
+  let remove x l = List.filter (fun y -> y != x) l in
+  for job = 1 to steps do
+    let action = Sim.Prng.int prng ~bound:100 in
+    if action < 20 && !live <> [] then begin
+      let a = pick !live in
+      State.release st a;
+      live := remove a !live
+    end
+    else if action < 23 then begin
+      let f =
+        match Sim.Prng.int prng ~bound:3 with
+        | 0 -> Node (Sim.Prng.int prng ~bound:n)
+        | 1 ->
+            Leaf_cable
+              (Sim.Prng.int prng ~bound:(Topology.num_leaf_l2_cables topo))
+        | _ ->
+            L2_cable
+              (Sim.Prng.int prng ~bound:(Topology.num_l2_spine_cables topo))
+      in
+      (match f with
+      | Node i -> State.fail_node st i
+      | Leaf_cable c -> State.fail_leaf_cable st c
+      | L2_cable c -> State.fail_l2_cable st c);
+      faults := f :: !faults
+    end
+    else if action < 30 && !faults <> [] then begin
+      let f = pick !faults in
+      (match f with
+      | Node i -> State.repair_node st i
+      | Leaf_cable c -> State.repair_leaf_cable st c
+      | L2_cable c -> State.repair_l2_cable st c);
+      faults := remove f !faults
+    end
+    else begin
+      let size = Sim.Prng.int_in prng ~lo:1 ~hi:(n / 8) in
+      let bw = if Sim.Prng.bool prng then 1.0 else 0.25 in
+      let r =
+        if bw = 1.0 then jigsaw ~demand:1.0 ~job size
+        else lc ~demand:0.25 ~job size
+      in
+      match r with
+      | Partition.Found p ->
+          let a = Partition.to_alloc topo p ~bw in
+          State.claim_exn st a;
+          live := a :: !live
+      | Infeasible | Exhausted -> ()
+    end;
+    let size =
+      Sim.Prng.int_in prng ~lo:1 ~hi:(max 1 (State.total_free_nodes st))
+    in
+    List.iter
+      (fun demand ->
+        List.iter
+          (fun budget ->
+            ignore (jigsaw ~demand ?budget ~job size);
+            ignore (lc ~demand ?budget ~job size))
+          [ Some 4; Some 40; None ])
+      [ 1.0; 0.25 ]
+  done;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  (digest, Hashtbl.mem seen)
+
+let check ~radix ~seed ~steps ~digest () =
+  let d, seen = run ~radix ~seed ~steps in
+  (* Each allocator must reach every verdict and every partition form,
+     or the digest pins less than it claims to. *)
+  List.iter
+    (fun (alloc, name) ->
+      List.iter
+        (fun (verdict, what) ->
+          Alcotest.(check bool)
+            (name ^ " " ^ what) true (seen (alloc, verdict)))
+        [
+          (`Two_level, "two-level");
+          (`Three_level, "three-level without remainder");
+          (`Remainder, "with remainder tree");
+          (`Infeasible, "Infeasible");
+          (`Exhausted, "Exhausted");
+        ])
+    [ (`Jigsaw, "Jigsaw"); (`Lc, "LC") ];
+  Alcotest.(check string) (Printf.sprintf "radix %d digest" radix) digest d
+
+let suite =
+  [
+    Alcotest.test_case "radix 8 probe digest" `Quick
+      (check ~radix:8 ~seed:11 ~steps:600
+         ~digest:"3cb31a74b12d733b26a46c4611f5e68f");
+    Alcotest.test_case "radix 12 probe digest" `Quick
+      (check ~radix:12 ~seed:23 ~steps:400
+         ~digest:"18c9e68e1de18bada74fc92aa11f0a99");
+  ]
