@@ -2,7 +2,7 @@
    evaluation (Smith & Lowenthal, HPDC'21), plus a Bechamel micro-suite
    for allocator latency.
 
-   Usage:   dune exec bench/main.exe [-- table1 fig6 table2 fig7 fig8 table3 micro json ablation]
+   Usage:   dune exec bench/main.exe [-- table1 fig6 table2 fig7 fig8 table3 micro json primitives ablation]
    Default (no args): everything, in paper order.
    REPRO_FULL=1 switches to paper-scale traces (much slower).
 
@@ -346,6 +346,113 @@ let load_cluster ~radix ~seed ~target =
   done;
   st
 
+(* ------------------------------------------------------------------ *)
+(* Primitives: Fattree.State claim/release, create and copy_into.      *)
+(* ------------------------------------------------------------------ *)
+
+let primitive_samples = 7
+
+(* Median, fastest and slowest of [primitive_samples] timings of [iters]
+   calls of [f], in ns per call, after a short warm-up. *)
+let sample_ns ~iters f =
+  for _ = 1 to max 1 (iters / 10) do
+    f ()
+  done;
+  let ts =
+    Array.init primitive_samples (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to iters do
+          f ()
+        done;
+        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters)
+  in
+  Array.sort Float.compare ts;
+  (ts.(primitive_samples / 2), ts.(0), ts.(primitive_samples - 1))
+
+type primitive = {
+  p_op : string;
+  p_input : string;
+  p_radix : int;
+  p_mean_nodes : int; (* nodes per allocation; 0 for whole-state ops *)
+  p_ns : float * float * float; (* median, min, max *)
+}
+
+(* The live-state layer under the allocator probes: the mean cost of a
+   [claim_exn ~validate:false] + [release] pair over Jigsaw partitions of
+   a trace's first 50 jobs (each placed on an empty machine, as
+   [Partition.to_alloc] hands them to the simulator), cycling through
+   them on one state; [State.create]; and [copy_into] from an
+   ~80%-loaded state, fault-free and with one failed node on both
+   sides (the fault overlay's blit). *)
+let primitive_rows () =
+  let claim_release (e : Trace.Presets.entry) ~iters =
+    let topo = Fattree.Topology.of_radix e.cluster_radix in
+    let st = Fattree.State.create topo in
+    let jobs = e.workload.Trace.Workload.jobs in
+    let allocs =
+      Array.sub jobs 0 (min 50 (Array.length jobs))
+      |> Array.to_list
+      |> List.filter_map (fun (j : Trace.Job.t) ->
+             Jigsaw_core.Jigsaw.get_allocation st ~job:j.id ~size:j.size
+             |> Option.map (fun p ->
+                    Jigsaw_core.Partition.to_alloc topo p ~bw:1.0))
+      |> Array.of_list
+    in
+    let nodes =
+      Array.fold_left (fun s (a : Fattree.Alloc.t) -> s + Array.length a.nodes) 0 allocs
+    in
+    let k = ref 0 in
+    let ns =
+      sample_ns ~iters (fun () ->
+          let a = allocs.(!k) in
+          k := (!k + 1) mod Array.length allocs;
+          Fattree.State.claim_exn ~validate:false st a;
+          Fattree.State.release st a)
+    in
+    {
+      p_op = "claim+release";
+      p_input = e.workload.Trace.Workload.name ^ " Jigsaw";
+      p_radix = e.cluster_radix;
+      p_mean_nodes = nodes / max 1 (Array.length allocs);
+      p_ns = ns;
+    }
+  in
+  let synth48 =
+    Option.get (Trace.Presets.by_name ~full:false "Synth-16@48")
+  in
+  let whole op ~iters f =
+    { p_op = op; p_input = "radix-48"; p_radix = scale_radix; p_mean_nodes = 0;
+      p_ns = sample_ns ~iters f }
+  in
+  let topo = Fattree.Topology.of_radix scale_radix in
+  let loaded = load_cluster ~radix:scale_radix ~seed:77 ~target:0.8 in
+  let dst = Fattree.State.create topo in
+  let rows =
+    [
+      claim_release synth48 ~iters:2_000;
+      claim_release (Trace.Presets.thunder ~full:false) ~iters:20_000;
+      whole "create" ~iters:200 (fun () -> ignore (Fattree.State.create topo));
+      whole "copy_into" ~iters:500 (fun () ->
+          Fattree.State.copy_into ~src:loaded ~dst);
+    ]
+  in
+  Fattree.State.fail_node loaded 0;
+  Fattree.State.fail_node dst 0;
+  rows
+  @ [
+      whole "copy_into (faulted)" ~iters:500 (fun () ->
+          Fattree.State.copy_into ~src:loaded ~dst);
+    ]
+
+let primitives () =
+  section "Fattree.State primitives (ns per call, median of 7 samples)";
+  List.iter
+    (fun r ->
+      let med, lo, hi = r.p_ns in
+      Format.printf "  %-20s %-22s r%-3d %5d nodes  median %9.0f ns  [%.0f, %.0f]@."
+        r.p_op r.p_input r.p_radix r.p_mean_nodes med lo hi)
+    (primitive_rows ())
+
 let micro () =
   section "Bechamel micro-benchmarks (radix-24 cluster, ~80% loaded)";
   let open Bechamel in
@@ -478,7 +585,9 @@ let micro () =
    A "molding" section races moldable Jigsaw against rigid on every
    Table 3 trace (with live telemetry, so the interference-free
    headline is re-checked under molding) plus a shrink-vs-kill fault
-   recovery comparison.  The scale, bitset, net and molding sections
+   recovery comparison.  A "primitives" section times the live-state
+   layer under the probes ([State] claim+release, create, copy_into; see
+   [primitive_rows]).  The scale, bitset, net and molding sections
    each carry a built-in regression guard.  Traces are truncated in default mode to
    keep the target in the ~minute range; REPRO_FULL=1 uses paper
    scale.  BENCH_SCALE=N overrides the scale section's large radix. *)
@@ -620,6 +729,7 @@ let bench_json () =
              "bitset regression: iter_set slower than mem loop on %s (%.1f vs %.1f ns/pass)"
              label iter_ns mem_ns))
     bitset_rows;
+  let primitive_rows = primitive_rows () in
   let entries =
     [
       Trace.Presets.synth_16 ~full;
@@ -973,6 +1083,18 @@ let bench_json () =
         (if i = List.length bitset_rows - 1 then "" else ","))
     bitset_rows;
   out "  ],\n";
+  out "  \"primitives\": {\n";
+  out "    \"samples\": %d,\n" primitive_samples;
+  out "    \"rows\": [\n";
+  List.iteri
+    (fun i r ->
+      let med, lo, hi = r.p_ns in
+      out
+        "      { \"op\": %S, \"input\": %S, \"radix\": %d, \"mean_nodes\": %d, \"median_ns\": %.0f, \"min_ns\": %.0f, \"max_ns\": %.0f }%s\n"
+        r.p_op r.p_input r.p_radix r.p_mean_nodes med lo hi
+        (if i = List.length primitive_rows - 1 then "" else ","))
+    primitive_rows;
+  out "    ]\n  },\n";
   out "  \"sweep\": {\n";
   out "    \"multi_domain_timings_skipped\": %b,\n" (host_domains = 1);
   (let _, serial_wall, serial_fps = List.hd sweep_runs in
@@ -1069,9 +1191,9 @@ let bench_json () =
   out "  }\n}\n";
   close_out oc;
   Format.printf
-    "wrote %s (%d micro rows, %d scale rows, %d bitset rows, %d sweep runs, %d trace rows, %d profiles, %d net rows, %d molding rows)@."
+    "wrote %s (%d micro rows, %d scale rows, %d bitset rows, %d primitive rows, %d sweep runs, %d trace rows, %d profiles, %d net rows, %d molding rows)@."
     bench_json_file (List.length micro_rows) (List.length scale_rows)
-    (List.length bitset_rows) (List.length sweep_runs)
+    (List.length bitset_rows) (List.length primitive_rows) (List.length sweep_runs)
     (List.length trace_rows)
     (List.length profile_rows)
     (List.length net_rows)
@@ -1157,6 +1279,7 @@ let all_targets =
     ("table3", table3);
     ("micro", micro);
     ("json", bench_json);
+    ("primitives", primitives);
     ("ablation", ablation);
   ]
 
@@ -1174,7 +1297,7 @@ let () =
           Format.printf "[%s took %.1fs]@." name (Unix.gettimeofday () -. t0)
       | None ->
           Format.eprintf
-            "unknown target %s (expected: table1 fig6 table2 fig7 fig8 table3 micro json ablation)@."
+            "unknown target %s (expected: table1 fig6 table2 fig7 fig8 table3 micro json primitives ablation)@."
             name;
           exit 1)
     chosen

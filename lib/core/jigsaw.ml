@@ -15,36 +15,34 @@ type pod_info = {
 
 (* All three summary sources ([pod_fully_free_leaves], [leaf_fully_free]
    and [l2_up_mask] at demand 1.0) are O(1) reads of State's incremental
-   caches, so a whole snapshot costs O(pods * (m1 + m2)) instead of the
-   former O(pods * m1 * m2) rescan.  [try_three_level] builds it only
-   once some shape has survived its count filter, which reads the
-   per-pod counts alone. *)
-let pod_infos st ~demand =
+   caches, so one pod's snapshot costs O(m1 + m2).  [try_three_level]
+   builds each pod's snapshot only when its search first reaches that
+   pod with a use for it. *)
+let pod_info st ~demand pod =
   let topo = State.topo st in
   let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
-  Array.init (Topology.m3 topo) (fun pod ->
-      let count = State.pod_fully_free_leaves st ~pod in
-      let free_leaves =
-        if count = 0 then [||]
-        else begin
-          let arr = Array.make count 0 in
-          let k = ref 0 in
-          for l = 0 to m2 - 1 do
-            let leaf = Topology.leaf_of_coords topo ~pod ~leaf:l in
-            if !k < count && State.leaf_fully_free st leaf then begin
-              arr.(!k) <- leaf;
-              incr k
-            end
-          done;
-          arr
+  let count = State.pod_fully_free_leaves st ~pod in
+  let free_leaves =
+    if count = 0 then [||]
+    else begin
+      let arr = Array.make count 0 in
+      let k = ref 0 in
+      for l = 0 to m2 - 1 do
+        let leaf = Topology.leaf_of_coords topo ~pod ~leaf:l in
+        if !k < count && State.leaf_fully_free st leaf then begin
+          arr.(!k) <- leaf;
+          incr k
         end
-      in
-      let spine_masks =
-        Array.init m1 (fun i ->
-            let l2 = Topology.l2_of_coords topo ~pod ~index:i in
-            State.l2_up_mask st ~l2 ~demand)
-      in
-      { pod; free_leaves; spine_masks })
+      done;
+      arr
+    end
+  in
+  let spine_masks =
+    Array.init m1 (fun i ->
+        let l2 = Topology.l2_of_coords topo ~pod ~index:i in
+        State.l2_up_mask st ~l2 ~demand)
+  in
+  { pod; free_leaves; spine_masks }
 
 (* Materialize one full tree: its first l_t fully-free leaves, all nodes,
    uplinks to every L2 index, and the chosen spine sets.  Spine sets come
@@ -181,12 +179,23 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
         && (s.n_rt = 0 || s.l_rt = 0 || pods_with s.l_rt >= s.t + 1))
       (Shapes.three_level topo ~size:alloc_size ~n_l:m1)
   in
-  let infos = lazy (pod_infos st ~demand) in
+  (* Pod snapshots, built on first use and shared by every shape: a
+     pod is snapshotted when [pick] reaches it as an eligible full-tree
+     pod or [find_rem] as a remainder pod with enough fully-free
+     leaves, so pods the search never consults cost nothing. *)
+  let infos = Array.make m3 None in
+  let info p =
+    match infos.(p) with
+    | Some i -> i
+    | None ->
+        let i = pod_info st ~demand p in
+        infos.(p) <- Some i;
+        i
+  in
   let rec over_shapes = function
     | [] -> None
     | ({ Shapes.l_t3 = l_t; t; n_rt; l_rt; n_rl3 = n_rl; _ } : Shapes.three_level)
       :: rest ->
-        let infos = Lazy.force infos in
         let eligible p = free_leaves.(p) >= l_t in
         (* Recursive backtracking over pods (find_L3).  [inter] is the
            per-L2-index intersection of available spine masks. *)
@@ -204,9 +213,12 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
                 let rec find_rem p =
                   if p >= m3 || !result <> None then ()
                   else begin
-                    if not (in_chosen p) then begin
+                    (* [try_remainder] rejects a pod with fewer than
+                       [l_rt] fully-free leaves before reading anything
+                       else, so such a pod needs no snapshot. *)
+                    if (not (in_chosen p)) && free_leaves.(p) >= l_rt then begin
                       match
-                        try_remainder st infos.(p) ~l_t ~l_rt ~n_rl ~demand
+                        try_remainder st (info p) ~l_t ~l_rt ~n_rl ~demand
                           ~inter
                       with
                       | Some (tree, rem_spines) ->
@@ -222,8 +234,8 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
             else begin
               let p = ref start in
               while !result = None && !p < m3 do
-                let info = infos.(!p) in
                 if eligible !p then begin
+                  let info = info !p in
                   let inter' =
                     Array.init m1 (fun i -> inter.(i) land info.spine_masks.(i))
                   in
@@ -260,7 +272,7 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
           let full_trees =
             List.rev !chosen
             |> List.map (fun p ->
-                   materialize_full_tree st infos.(p) ~l_t ~s ~spine_sets)
+                   materialize_full_tree st (info p) ~l_t ~s ~spine_sets)
             |> Array.of_list
           in
           let rem_tree = Option.map fst rem in

@@ -3,7 +3,10 @@ let eps = 1e-9
 (* Derived availability summaries are maintained incrementally on every
    claim/release so allocator probes never rescan the machine:
 
-   - [slot_mask]:      per leaf, bitmask of free node slots;
+   - [slot_mask]:      per leaf, bitmask of free node slots (the free-node
+                       set: a node is free iff its slot bit is set);
+   - [claimed_mask]:   per leaf, bitmask of slots held by a live
+                       allocation (failed-while-claimed ones included);
    - [leaf_full_mask]: per leaf, bitmask of uplink indices whose cable is
                        at full capacity (remaining >= 1.0 - eps);
    - [l2_full_mask]:   per L2 switch, same for its spine uplinks;
@@ -15,6 +18,16 @@ let eps = 1e-9
    cached answer is bit-identical to a from-scratch scan (the property
    test in test_incremental.ml checks this).
 
+   Claim, release and unrelease walk an allocation in runs: maximal
+   stretches of consecutive entries on one leaf (nodes, leaf cables) or
+   one L2 switch (L2 cables).  Each cable's float is updated on its own,
+   by the same expression per cable, but the mask words, the fully-free
+   transition, the pod count and the pod generation are updated once
+   per run.  Input order does not matter for the result: a leaf whose
+   entries are split across the array forms several runs, each one
+   exact on its own (test_state_runs.ml checks this against the
+   per-node reference on shuffled allocations).
+
    Failures are a ref-counted overlay on top of the claim accounting: a
    resource with a positive failure count is withdrawn from every
    availability summary (so allocators avoid it through their normal
@@ -22,7 +35,10 @@ let eps = 1e-9
    landing on claimed resources and the eventual release/repair compose
    in either order.  The counts make overlapping faults (a node failed
    both individually and via its leaf switch) repair correctly: the
-   resource returns only when every covering fault is repaired. *)
+   resource returns only when every covering fault is repaired.  The
+   overlay's three arrays are allocated by a state's first fault (or
+   copied with a faulted state); until then every count is 0, and
+   neither [create] nor [copy_into] pays for them. *)
 (* Per-demand cached feasibility summaries (see [pod_candidates] /
    [pod_spine_masks] below).  One record per distinct bandwidth demand;
    the workload draws demands from a handful of classes, so the list
@@ -47,24 +63,28 @@ type counters = {
   clones : int;
 }
 
+(* Per-resource counts of live faults. *)
+type overlay = {
+  node_fail : int array; (* node -> # live faults covering it *)
+  leaf_cable_fail : int array; (* leaf-l2 cable -> # live faults *)
+  l2_cable_fail : int array; (* l2-spine cable -> # live faults *)
+}
+
 type t = {
   topo : Topology.t;
-  free : Sim.Bitset.t; (* node id -> available (not claimed, not failed) *)
-  claimed : Sim.Bitset.t; (* node id -> held by a live allocation *)
   nonempty_leaves : Sim.Bitset.t; (* leaf id -> >= 1 free node *)
   free_per_leaf : int array;
   slot_mask : int array; (* leaf -> bitmask of free slots *)
+  claimed_mask : int array; (* leaf -> bitmask of claimed slots *)
   leaf_up : float array; (* leaf-l2 cable -> remaining capacity *)
   l2_up : float array; (* l2-spine cable -> remaining capacity *)
   leaf_full_mask : int array; (* leaf -> full-capacity uplink indices *)
   l2_full_mask : int array; (* l2 -> full-capacity spine indices *)
   pod_free_leaves : int array; (* pod -> # fully-free leaves *)
-  node_fail : int array; (* node -> # live faults covering it *)
-  leaf_cable_fail : int array; (* leaf-l2 cable -> # live faults *)
-  l2_cable_fail : int array; (* l2-spine cable -> # live faults *)
+  mutable overlay : overlay option; (* None: no fault ever, all counts 0 *)
   pod_node_gen : int array; (* pod -> leaf-level availability mutations *)
   pod_l2_gen : int array; (* pod -> L2-spine availability mutations *)
-  mutable failed_nodes : int; (* # nodes with node_fail > 0 *)
+  mutable failed_nodes : int; (* # nodes with a live fault *)
   mutable failed_claimed : int; (* # failed nodes also claimed *)
   mutable busy : int;
   mutable claims : int; (* # successful claims since creation *)
@@ -81,26 +101,22 @@ type t = {
 }
 
 let create topo =
-  let free = Sim.Bitset.create (Topology.num_nodes topo) in
-  Sim.Bitset.fill free;
-  let nonempty_leaves = Sim.Bitset.create (Topology.num_leaves topo) in
+  let nleaves = Topology.num_leaves topo in
+  let nonempty_leaves = Sim.Bitset.create nleaves in
   Sim.Bitset.fill nonempty_leaves;
   let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
   {
     topo;
-    free;
-    claimed = Sim.Bitset.create (Topology.num_nodes topo);
     nonempty_leaves;
-    free_per_leaf = Array.make (Topology.num_leaves topo) m1;
-    slot_mask = Array.make (Topology.num_leaves topo) ((1 lsl m1) - 1);
+    free_per_leaf = Array.make nleaves m1;
+    slot_mask = Array.make nleaves ((1 lsl m1) - 1);
+    claimed_mask = Array.make nleaves 0;
     leaf_up = Array.make (Topology.num_leaf_l2_cables topo) 1.0;
     l2_up = Array.make (Topology.num_l2_spine_cables topo) 1.0;
-    leaf_full_mask = Array.make (Topology.num_leaves topo) ((1 lsl m1) - 1);
+    leaf_full_mask = Array.make nleaves ((1 lsl m1) - 1);
     l2_full_mask = Array.make (Topology.num_l2 topo) ((1 lsl m2) - 1);
     pod_free_leaves = Array.make (Topology.pods topo) m2;
-    node_fail = Array.make (Topology.num_nodes topo) 0;
-    leaf_cable_fail = Array.make (Topology.num_leaf_l2_cables topo) 0;
-    l2_cable_fail = Array.make (Topology.num_l2_spine_cables topo) 0;
+    overlay = None;
     pod_node_gen = Array.make (Topology.pods topo) 0;
     pod_l2_gen = Array.make (Topology.pods topo) 0;
     failed_nodes = 0;
@@ -118,23 +134,27 @@ let create topo =
 
 let topo t = t.topo
 
+let copy_overlay o =
+  {
+    node_fail = Array.copy o.node_fail;
+    leaf_cable_fail = Array.copy o.leaf_cable_fail;
+    l2_cable_fail = Array.copy o.l2_cable_fail;
+  }
+
 let clone t =
   t.clones <- t.clones + 1;
   {
     topo = t.topo;
-    free = Sim.Bitset.copy t.free;
-    claimed = Sim.Bitset.copy t.claimed;
     nonempty_leaves = Sim.Bitset.copy t.nonempty_leaves;
     free_per_leaf = Array.copy t.free_per_leaf;
     slot_mask = Array.copy t.slot_mask;
+    claimed_mask = Array.copy t.claimed_mask;
     leaf_up = Array.copy t.leaf_up;
     l2_up = Array.copy t.l2_up;
     leaf_full_mask = Array.copy t.leaf_full_mask;
     l2_full_mask = Array.copy t.l2_full_mask;
     pod_free_leaves = Array.copy t.pod_free_leaves;
-    node_fail = Array.copy t.node_fail;
-    leaf_cable_fail = Array.copy t.leaf_cable_fail;
-    l2_cable_fail = Array.copy t.l2_cable_fail;
+    overlay = Option.map copy_overlay t.overlay;
     pod_node_gen = Array.copy t.pod_node_gen;
     pod_l2_gen = Array.copy t.pod_l2_gen;
     failed_nodes = t.failed_nodes;
@@ -152,11 +172,13 @@ let clone t =
     undo = [];
   }
 
-(* Refresh [dst] to mirror [src] without allocating: the double-buffered
-   scratch primitive behind zero-clone reservation search.  Blits every
-   array, copies every scalar, and drops [dst]'s caches (their stamps
-   would otherwise validate against [src]'s copied generation counters
-   while the cached rows still describe [dst]'s previous contents).
+(* Refresh [dst] to mirror [src]: the double-buffered scratch primitive
+   behind zero-clone reservation search.  Blits every array, copies
+   every scalar, and drops [dst]'s caches (their stamps would otherwise
+   validate against [src]'s copied generation counters while the cached
+   rows still describe [dst]'s previous contents).  The fault overlay
+   follows [src]: dropped when [src] never had a fault, blitted when
+   both have one, and copied (the one allocation) when only [src] has.
    Deliberately does NOT count as a clone: the clone counter measures
    per-probe state duplication, which is exactly what this avoids. *)
 let copy_into ~src ~dst =
@@ -166,20 +188,23 @@ let copy_into ~src ~dst =
        || Topology.m2 src.topo <> Topology.m2 dst.topo
        || Topology.m3 src.topo <> Topology.m3 dst.topo)
   then invalid_arg "State.copy_into: topology mismatch";
-  Sim.Bitset.blit ~src:src.free ~dst:dst.free;
-  Sim.Bitset.blit ~src:src.claimed ~dst:dst.claimed;
   Sim.Bitset.blit ~src:src.nonempty_leaves ~dst:dst.nonempty_leaves;
   let blit a b = Array.blit a 0 b 0 (Array.length a) in
   blit src.free_per_leaf dst.free_per_leaf;
   blit src.slot_mask dst.slot_mask;
+  blit src.claimed_mask dst.claimed_mask;
   blit src.leaf_up dst.leaf_up;
   blit src.l2_up dst.l2_up;
   blit src.leaf_full_mask dst.leaf_full_mask;
   blit src.l2_full_mask dst.l2_full_mask;
   blit src.pod_free_leaves dst.pod_free_leaves;
-  blit src.node_fail dst.node_fail;
-  blit src.leaf_cable_fail dst.leaf_cable_fail;
-  blit src.l2_cable_fail dst.l2_cable_fail;
+  (match (src.overlay, dst.overlay) with
+  | None, _ -> dst.overlay <- None
+  | Some s, Some d ->
+      blit s.node_fail d.node_fail;
+      blit s.leaf_cable_fail d.leaf_cable_fail;
+      blit s.l2_cable_fail d.l2_cable_fail
+  | Some s, None -> dst.overlay <- Some (copy_overlay s));
   blit src.pod_node_gen dst.pod_node_gen;
   blit src.pod_l2_gen dst.pod_l2_gen;
   dst.failed_nodes <- src.failed_nodes;
@@ -193,10 +218,61 @@ let copy_into ~src ~dst =
   dst.ext_cache <- None;
   dst.undo <- []
 
-let node_free t n = Sim.Bitset.mem t.free n
-let node_claimed t n = Sim.Bitset.mem t.claimed n
+let check what i bound =
+  if i < 0 || i >= bound then
+    invalid_arg (Printf.sprintf "State: %s %d out of range [0, %d)" what i bound)
+
+let check_node t n = check "node" n (Topology.num_nodes t.topo)
+
+(* Live-fault counts; 0 everywhere until the first fault.  The
+   [*_fails] arrays are empty until then, so a hot loop tests
+   [Array.length fails = 0 || fails.(c) = 0] with no call and no
+   allocation. *)
+let node_fails t n =
+  match t.overlay with Some o -> o.node_fail.(n) | None -> 0
+
+let leaf_fails t =
+  match t.overlay with Some o -> o.leaf_cable_fail | None -> [||]
+
+let l2_fails t =
+  match t.overlay with Some o -> o.l2_cable_fail | None -> [||]
+
+let leaf_cable_fails t c =
+  let f = leaf_fails t in
+  if Array.length f = 0 then 0 else f.(c)
+
+let l2_cable_fails t c =
+  let f = l2_fails t in
+  if Array.length f = 0 then 0 else f.(c)
+
+(* The overlay, allocated on first use by a fault. *)
+let overlay t =
+  match t.overlay with
+  | Some o -> o
+  | None ->
+      let zeros n = Array.make n 0 in
+      let o =
+        {
+          node_fail = zeros (Topology.num_nodes t.topo);
+          leaf_cable_fail = zeros (Topology.num_leaf_l2_cables t.topo);
+          l2_cable_fail = zeros (Topology.num_l2_spine_cables t.topo);
+        }
+      in
+      t.overlay <- Some o;
+      o
+
+let slot_bit t n = 1 lsl (n mod Topology.m1 t.topo)
+
+let node_free t n =
+  check_node t n;
+  t.slot_mask.(n / Topology.m1 t.topo) land slot_bit t n <> 0
+
+let node_claimed t n =
+  check_node t n;
+  t.claimed_mask.(n / Topology.m1 t.topo) land slot_bit t n <> 0
+
 let next_nonempty_leaf t ~from = Sim.Bitset.next_set_from t.nonempty_leaves from
-let any_claimed_in t nodes = Sim.Bitset.intersects_array t.claimed nodes
+let any_claimed_in t nodes = Array.exists (node_claimed t) nodes
 
 (* Raw claim accounting, ignoring the failure overlay: a cable is
    "claimed" iff some live allocation holds part of it.  Exactly the
@@ -204,9 +280,19 @@ let any_claimed_in t nodes = Sim.Bitset.intersects_array t.claimed nodes
    which [*_up_remaining] cannot answer once the fault is applied. *)
 let leaf_cable_claimed t c = t.leaf_up.(c) < 1.0 -. eps
 let l2_cable_claimed t c = t.l2_up.(c) < 1.0 -. eps
-let node_failed t n = t.node_fail.(n) > 0
-let leaf_cable_failed t c = t.leaf_cable_fail.(c) > 0
-let l2_cable_failed t c = t.l2_cable_fail.(c) > 0
+
+let node_failed t n =
+  check_node t n;
+  node_fails t n > 0
+
+let leaf_cable_failed t c =
+  check "leaf cable" c (Array.length t.leaf_up);
+  leaf_cable_fails t c > 0
+
+let l2_cable_failed t c =
+  check "l2 cable" c (Array.length t.l2_up);
+  l2_cable_fails t c > 0
+
 let free_nodes_on_leaf t l = t.free_per_leaf.(l)
 let free_slot_mask t leaf = t.slot_mask.(leaf)
 
@@ -214,35 +300,38 @@ let free_slot_mask t leaf = t.slot_mask.(leaf)
    failed cable has no usable capacity, whatever its claim accounting
    says. *)
 let leaf_up_remaining t ~cable =
-  if t.leaf_cable_fail.(cable) > 0 then 0.0 else t.leaf_up.(cable)
+  let v = t.leaf_up.(cable) in
+  if leaf_cable_fails t cable > 0 then 0.0 else v
 
 let l2_up_remaining t ~cable =
-  if t.l2_cable_fail.(cable) > 0 then 0.0 else t.l2_up.(cable)
+  let v = t.l2_up.(cable) in
+  if l2_cable_fails t cable > 0 then 0.0 else v
+
+(* Bitmask over the [width] uplink cables [first ..] of one switch that
+   have no live fault and at least [demand] capacity left. *)
+let up_mask ups fails ~first ~width ~demand =
+  let mask = ref 0 in
+  for i = 0 to width - 1 do
+    let c = first + i in
+    if (Array.length fails = 0 || fails.(c) = 0) && ups.(c) >= demand -. eps
+    then mask := !mask lor (1 lsl i)
+  done;
+  !mask
 
 let leaf_up_mask t ~leaf ~demand =
   if demand = 1.0 then t.leaf_full_mask.(leaf)
   else begin
+    check "leaf" leaf (Array.length t.leaf_full_mask);
     let m1 = Topology.m1 t.topo in
-    let mask = ref 0 in
-    for i = 0 to m1 - 1 do
-      let c = Topology.leaf_l2_cable t.topo ~leaf ~l2_index:i in
-      if t.leaf_cable_fail.(c) = 0 && t.leaf_up.(c) >= demand -. eps then
-        mask := !mask lor (1 lsl i)
-    done;
-    !mask
+    up_mask t.leaf_up (leaf_fails t) ~first:(leaf * m1) ~width:m1 ~demand
   end
 
 let l2_up_mask t ~l2 ~demand =
   if demand = 1.0 then t.l2_full_mask.(l2)
   else begin
+    check "l2" l2 (Array.length t.l2_full_mask);
     let m2 = Topology.m2 t.topo in
-    let mask = ref 0 in
-    for j = 0 to m2 - 1 do
-      let c = Topology.l2_spine_cable t.topo ~l2 ~spine_index:j in
-      if t.l2_cable_fail.(c) = 0 && t.l2_up.(c) >= demand -. eps then
-        mask := !mask lor (1 lsl j)
-    done;
-    !mask
+    up_mask t.l2_up (l2_fails t) ~first:(l2 * m2) ~width:m2 ~demand
   end
 
 let leaf_fully_free t leaf =
@@ -310,73 +399,152 @@ let describe_l2_cable t c =
   else Printf.sprintf "%.3f remaining" t.l2_up.(c)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental maintenance                                             *)
+(* Incremental maintenance, one leaf or L2 switch at a time            *)
 (* ------------------------------------------------------------------ *)
-
-let pod_delta t leaf was =
-  let now = leaf_fully_free t leaf in
-  if was <> now then begin
-    let pod = Topology.leaf_pod t.topo leaf in
-    t.pod_free_leaves.(pod) <- t.pod_free_leaves.(pod) + (if now then 1 else -1)
-  end
 
 (* Generation bumps: every mutation that can change a pod's leaf-level
    availability (free counts, slot masks, leaf-uplink capacity or
    failure overlay) advances that pod's node generation; L2-spine
    capacity and failure changes advance the pod's L2 generation.  The
-   cached summaries below validate per pod against these stamps. *)
-let bump_pod_node t leaf =
-  let pod = Topology.leaf_pod t.topo leaf in
+   cached summaries below validate per pod against these stamps.
+
+   [leaf_touched t leaf ~was] closes one update of [leaf]'s words:
+   [was] is [leaf_fully_free] before it, so the pod's fully-free count
+   moves by the transition, and the pod's node generation advances. *)
+let leaf_touched t leaf ~was =
+  let pod = leaf / Topology.m2 t.topo in
+  let now = leaf_fully_free t leaf in
+  if was <> now then
+    t.pod_free_leaves.(pod) <- t.pod_free_leaves.(pod) + (if now then 1 else -1);
   t.pod_node_gen.(pod) <- t.pod_node_gen.(pod) + 1
 
-let bump_pod_l2 t l2 =
-  let pod = Topology.l2_pod t.topo l2 in
+let l2_touched t l2 =
+  let pod = l2 / Topology.m1 t.topo in
   t.pod_l2_gen.(pod) <- t.pod_l2_gen.(pod) + 1
 
-(* Withdraw / restore a node from the availability summaries.  Claim
-   state is tracked separately ([claimed]): both claiming and failing a
-   node take it, and it comes back only when neither applies. *)
-let take_node t n =
-  let leaf = Topology.node_leaf t.topo n in
+(* Withdraw / restore the [k] slots [bits] of [leaf] from the
+   availability summaries.  Claim state is tracked separately
+   ([claimed_mask]): both claiming and failing a node take it, and it
+   comes back only when neither applies. *)
+let take_slots t leaf bits k =
   let was = leaf_fully_free t leaf in
-  Sim.Bitset.remove t.free n;
-  t.free_per_leaf.(leaf) <- t.free_per_leaf.(leaf) - 1;
-  if t.free_per_leaf.(leaf) = 0 then Sim.Bitset.remove t.nonempty_leaves leaf;
-  t.slot_mask.(leaf) <- t.slot_mask.(leaf) land lnot (1 lsl Topology.node_slot t.topo n);
-  pod_delta t leaf was;
-  bump_pod_node t leaf
+  t.slot_mask.(leaf) <- t.slot_mask.(leaf) land lnot bits;
+  let free = t.free_per_leaf.(leaf) - k in
+  t.free_per_leaf.(leaf) <- free;
+  if free = 0 then Sim.Bitset.remove t.nonempty_leaves leaf;
+  leaf_touched t leaf ~was
+
+let give_slots t leaf bits k =
+  let was = leaf_fully_free t leaf in
+  t.slot_mask.(leaf) <- t.slot_mask.(leaf) lor bits;
+  let free = t.free_per_leaf.(leaf) in
+  t.free_per_leaf.(leaf) <- free + k;
+  if free = 0 then Sim.Bitset.add t.nonempty_leaves leaf;
+  leaf_touched t leaf ~was
+
+let take_node t n =
+  take_slots t (n / Topology.m1 t.topo) (slot_bit t n) 1
 
 let give_node t n =
-  let leaf = Topology.node_leaf t.topo n in
-  let was = leaf_fully_free t leaf in
-  Sim.Bitset.add t.free n;
-  t.free_per_leaf.(leaf) <- t.free_per_leaf.(leaf) + 1;
-  if t.free_per_leaf.(leaf) = 1 then Sim.Bitset.add t.nonempty_leaves leaf;
-  t.slot_mask.(leaf) <- t.slot_mask.(leaf) lor (1 lsl Topology.node_slot t.topo n);
-  pod_delta t leaf was;
-  bump_pod_node t leaf
+  give_slots t (n / Topology.m1 t.topo) (slot_bit t n) 1
 
-(* The full-capacity mask bit is the conjunction of the claim accounting
-   (remaining >= 1.0) and the failure overlay (no live fault). *)
-let set_leaf_up t c v =
-  let leaf = Topology.leaf_l2_cable_leaf t.topo c in
-  let was = leaf_fully_free t leaf in
-  t.leaf_up.(c) <- v;
-  let bit = 1 lsl Topology.leaf_l2_cable_l2_index t.topo c in
-  if v >= 1.0 -. eps && t.leaf_cable_fail.(c) = 0 then
-    t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) lor bit
-  else t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) land lnot bit;
-  pod_delta t leaf was;
-  bump_pod_node t leaf
+(* [iter_runs ~what a ~width ~bound f] calls [f g lo hi bits] for every
+   maximal run [a.(lo) .. a.(hi - 1)] of consecutive entries with the
+   same quotient [g = a.(i) / width]: one leaf's nodes or leaf cables
+   ([width] = m1), or one L2 switch's spine cables ([width] = m2).
+   [bits] has bit [a.(i) - g * width] set for each entry of the run:
+   its slots, or its uplink indices.  [bound] is the number of valid
+   entries, a multiple of [width]; only the head of a run needs the
+   range check, the rest lie within its group. *)
+let iter_runs ~what a ~width ~bound f =
+  let n = Array.length a in
+  let i = ref 0 in
+  while !i < n do
+    let lo = !i in
+    let x = a.(lo) in
+    check what x bound;
+    let g = x / width in
+    let base = g * width in
+    let bits = ref (1 lsl (x - base)) in
+    let j = ref (lo + 1) and in_run = ref true in
+    while !in_run && !j < n do
+      let d = a.(!j) - base in
+      if d >= 0 && d < width then begin
+        bits := !bits lor (1 lsl d);
+        incr j
+      end
+      else in_run := false
+    done;
+    f g lo !j !bits;
+    i := !j
+  done
 
-let set_l2_up t c v =
-  let l2 = Topology.l2_spine_cable_l2 t.topo c in
-  t.l2_up.(c) <- v;
-  let bit = 1 lsl Topology.l2_spine_cable_spine_index t.topo c in
-  if v >= 1.0 -. eps && t.l2_cable_fail.(c) = 0 then
-    t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) lor bit
-  else t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) land lnot bit;
-  bump_pod_l2 t l2
+(* Claim ([~claim:true]) or release the nodes [nodes], leaf by leaf:
+   each run sets or clears its claimed bits and moves, in one
+   [take_slots] / [give_slots], those of its nodes with no live fault.
+   A node failed while claimed stays withdrawn: a release leaves it to
+   the repair, and a re-claim (only [unrelease] hands a failed node
+   in) does not withdraw it twice.  The overlay is matched once per
+   run, not per node, so a fault-free state pays nothing for it. *)
+let mark_nodes t nodes ~claim =
+  let m1 = Topology.m1 t.topo in
+  let move = if claim then take_slots else give_slots in
+  let failed_delta = if claim then 1 else -1 in
+  iter_runs ~what:"node" nodes ~width:m1 ~bound:(Topology.num_nodes t.topo)
+    (fun leaf lo hi bits ->
+      let claimed = t.claimed_mask.(leaf) in
+      t.claimed_mask.(leaf) <-
+        (if claim then claimed lor bits else claimed land lnot bits);
+      match t.overlay with
+      | None -> move t leaf bits (hi - lo)
+      | Some o ->
+          let base = leaf * m1 in
+          let healthy = ref 0 and k = ref 0 in
+          for i = lo to hi - 1 do
+            let n = nodes.(i) in
+            if o.node_fail.(n) = 0 then begin
+              healthy := !healthy lor (1 lsl (n - base));
+              incr k
+            end
+            else t.failed_claimed <- t.failed_claimed + failed_delta
+          done;
+          if !k > 0 then move t leaf !healthy !k)
+
+(* The full-capacity bits of the run [cables.(lo) .. cables.(hi - 1)]
+   of the switch whose first cable is [base]: the conjunction of the
+   claim accounting (remaining >= 1.0) and the failure overlay (no live
+   fault). *)
+let full_bits ups fails cables lo hi base =
+  let mask = ref 0 in
+  for i = lo to hi - 1 do
+    let c = cables.(i) in
+    if ups.(c) >= 1.0 -. eps && (Array.length fails = 0 || fails.(c) = 0) then
+      mask := !mask lor (1 lsl (c - base))
+  done;
+  !mask
+
+(* Re-derive the full-capacity mask words of the cables [cables] from
+   their already updated floats, one word per leaf / L2 run.  The words
+   still hold their pre-update values, so [leaf_fully_free] read first
+   is the "before" of the fully-free transition. *)
+let refresh_leaf_cables t cables =
+  let m1 = Topology.m1 t.topo in
+  let fails = leaf_fails t in
+  iter_runs ~what:"leaf cable" cables ~width:m1 ~bound:(Array.length t.leaf_up)
+    (fun leaf lo hi bits ->
+      let was = leaf_fully_free t leaf in
+      let full = full_bits t.leaf_up fails cables lo hi (leaf * m1) in
+      t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) land lnot bits lor full;
+      leaf_touched t leaf ~was)
+
+let refresh_l2_cables t cables =
+  let m2 = Topology.m2 t.topo in
+  let fails = l2_fails t in
+  iter_runs ~what:"l2 cable" cables ~width:m2 ~bound:(Array.length t.l2_up)
+    (fun l2 lo hi bits ->
+      let full = full_bits t.l2_up fails cables lo hi (l2 * m2) in
+      t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) land lnot bits lor full;
+      l2_touched t l2)
 
 (* ------------------------------------------------------------------ *)
 (* Claim / release                                                     *)
@@ -396,7 +564,7 @@ let check_claim t (a : Alloc.t) =
     let bad = ref None in
     Array.iter
       (fun n ->
-        if !bad = None && not (Sim.Bitset.mem t.free n) then
+        if !bad = None && not (node_free t n) then
           bad :=
             Some (Printf.sprintf "node %d is not free (%s)" n (describe_node t n)))
       a.nodes;
@@ -420,13 +588,20 @@ let check_claim t (a : Alloc.t) =
   end
 
 let apply_claim t (a : Alloc.t) =
-  Array.iter
-    (fun n ->
-      take_node t n;
-      Sim.Bitset.add t.claimed n)
-    a.nodes;
-  Array.iter (fun c -> set_leaf_up t c (t.leaf_up.(c) -. a.bw)) a.leaf_cables;
-  Array.iter (fun c -> set_l2_up t c (t.l2_up.(c) -. a.bw)) a.l2_cables;
+  mark_nodes t a.nodes ~claim:true;
+  let bw = a.bw in
+  let cs = a.leaf_cables in
+  for i = 0 to Array.length cs - 1 do
+    let c = cs.(i) in
+    t.leaf_up.(c) <- t.leaf_up.(c) -. bw
+  done;
+  refresh_leaf_cables t cs;
+  let cs = a.l2_cables in
+  for i = 0 to Array.length cs - 1 do
+    let c = cs.(i) in
+    t.l2_up.(c) <- t.l2_up.(c) -. bw
+  done;
+  refresh_l2_cables t cs;
   t.busy <- t.busy + Array.length a.nodes;
   t.claims <- t.claims + 1;
   t.undo <- []
@@ -459,74 +634,89 @@ let claim_exn ?validate t a =
   | Ok () -> ()
   | Error m -> invalid_arg ("State.claim_exn: " ^ m)
 
+(* Legality first, nothing mutated until it passes: one mask test per
+   leaf run for the nodes (naming the run's first unclaimed node, which
+   is the allocation's first, since every earlier run passed), then one
+   capacity test per cable, which also saves the floats [unrelease]
+   will restore.  Each released float is [min 1.0 (v +. bw)], written
+   as a comparison: the same value for every [v], without a call. *)
 let release t (a : Alloc.t) =
-  Array.iter
-    (fun n ->
-      if not (Sim.Bitset.mem t.claimed n) then
+  let m1 = Topology.m1 t.topo in
+  iter_runs ~what:"node" a.nodes ~width:m1 ~bound:(Topology.num_nodes t.topo)
+    (fun leaf lo _hi bits ->
+      let claimed = t.claimed_mask.(leaf) and base = leaf * m1 in
+      if claimed land bits <> bits then begin
+        let i = ref lo in
+        while claimed land (1 lsl (a.nodes.(!i) - base)) <> 0 do
+          incr i
+        done;
+        let n = a.nodes.(!i) in
         invalid_arg
           (Printf.sprintf "State.release: node %d is not claimed (%s)" n
-             (describe_node t n)))
-    a.nodes;
-  Array.iter
-    (fun c ->
-      if t.leaf_up.(c) +. a.bw > 1.0 +. eps then
-        invalid_arg
-          (Printf.sprintf
-             "State.release: leaf cable %d over-released by demand %g (%s)" c
-             a.bw (describe_leaf_cable t c)))
-    a.leaf_cables;
-  Array.iter
-    (fun c ->
-      if t.l2_up.(c) +. a.bw > 1.0 +. eps then
-        invalid_arg
-          (Printf.sprintf
-             "State.release: l2 cable %d over-released by demand %g (%s)" c a.bw
-             (describe_l2_cable t c)))
-    a.l2_cables;
-  let nl = Array.length a.leaf_cables in
-  let saved =
-    Array.init (nl + Array.length a.l2_cables) (fun i ->
-        if i < nl then t.leaf_up.(a.leaf_cables.(i))
-        else t.l2_up.(a.l2_cables.(i - nl)))
-  in
+             (describe_node t n))
+      end);
+  let bw = a.bw and lcs = a.leaf_cables and l2cs = a.l2_cables in
+  let nl = Array.length lcs in
+  let saved = Array.create_float (nl + Array.length l2cs) in
+  for i = 0 to nl - 1 do
+    let c = lcs.(i) in
+    let v = t.leaf_up.(c) in
+    if v +. bw > 1.0 +. eps then
+      invalid_arg
+        (Printf.sprintf
+           "State.release: leaf cable %d over-released by demand %g (%s)" c bw
+           (describe_leaf_cable t c));
+    saved.(i) <- v
+  done;
+  for i = 0 to Array.length l2cs - 1 do
+    let c = l2cs.(i) in
+    let v = t.l2_up.(c) in
+    if v +. bw > 1.0 +. eps then
+      invalid_arg
+        (Printf.sprintf
+           "State.release: l2 cable %d over-released by demand %g (%s)" c bw
+           (describe_l2_cable t c));
+    saved.(nl + i) <- v
+  done;
   t.undo <- (a, saved) :: t.undo;
-  Array.iter
-    (fun n ->
-      Sim.Bitset.remove t.claimed n;
-      (* A node failed while claimed stays withdrawn; it returns to the
-         free summaries only on repair. *)
-      if t.node_fail.(n) = 0 then give_node t n
-      else t.failed_claimed <- t.failed_claimed - 1)
-    a.nodes;
-  Array.iter
-    (fun c -> set_leaf_up t c (Float.min 1.0 (t.leaf_up.(c) +. a.bw)))
-    a.leaf_cables;
-  Array.iter
-    (fun c -> set_l2_up t c (Float.min 1.0 (t.l2_up.(c) +. a.bw)))
-    a.l2_cables;
+  mark_nodes t a.nodes ~claim:false;
+  for i = 0 to nl - 1 do
+    let c = lcs.(i) in
+    let v = t.leaf_up.(c) +. bw in
+    t.leaf_up.(c) <- (if v > 1.0 then 1.0 else v)
+  done;
+  refresh_leaf_cables t lcs;
+  for i = 0 to Array.length l2cs - 1 do
+    let c = l2cs.(i) in
+    let v = t.l2_up.(c) +. bw in
+    t.l2_up.(c) <- (if v > 1.0 then 1.0 else v)
+  done;
+  refresh_l2_cables t l2cs;
   t.busy <- t.busy - Array.length a.nodes;
   t.releases <- t.releases + 1
 
 (* The exact inverse of [release], node for node: a failed node (failed
    before the release or since) is re-claimed without being withdrawn
-   again, mirroring [release]'s own skip — [apply_claim] would withdraw
-   it twice — and each cable gets back the very float it held, not
-   [v +. bw -. bw], which rounds for fractional demands.  No
-   [check_claim]: the LIFO check proves every resource is one this
-   release handed back, and [check_claim] would reject a failed node. *)
+   again, mirroring [release]'s own skip, and each cable gets back the
+   very float it held, not [v +. bw -. bw], which rounds for fractional
+   demands.  No [check_claim]: the LIFO check proves every resource is
+   one this release handed back, and [check_claim] would reject a
+   failed node. *)
 let unrelease t (a : Alloc.t) =
   match t.undo with
   | (a', saved) :: rest when a' == a ->
       t.undo <- rest;
-      Array.iter
-        (fun n ->
-          Sim.Bitset.add t.claimed n;
-          if t.node_fail.(n) = 0 then take_node t n
-          else t.failed_claimed <- t.failed_claimed + 1)
-        a.nodes;
-      let nl = Array.length a.leaf_cables in
-      Array.iteri (fun i c -> set_leaf_up t c saved.(i)) a.leaf_cables;
-      Array.iteri (fun i c -> set_l2_up t c saved.(nl + i)) a.l2_cables;
+      mark_nodes t a.nodes ~claim:true;
+      let lcs = a.leaf_cables and l2cs = a.l2_cables in
+      let nl = Array.length lcs in
+      for i = 0 to nl - 1 do
+        t.leaf_up.(lcs.(i)) <- saved.(i)
+      done;
+      refresh_leaf_cables t lcs;
+      for i = 0 to Array.length l2cs - 1 do
+        t.l2_up.(l2cs.(i)) <- saved.(nl + i)
+      done;
+      refresh_l2_cables t l2cs;
       t.busy <- t.busy + Array.length a.nodes;
       t.claims <- t.claims + 1
   | _ ->
@@ -539,89 +729,89 @@ let unrelease t (a : Alloc.t) =
 (* ------------------------------------------------------------------ *)
 
 let fail_node t n =
-  let c = t.node_fail.(n) in
-  t.node_fail.(n) <- c + 1;
+  check_node t n;
+  let o = overlay t in
+  let c = o.node_fail.(n) in
+  o.node_fail.(n) <- c + 1;
   if c = 0 then begin
     t.failed_nodes <- t.failed_nodes + 1;
-    if Sim.Bitset.mem t.claimed n then t.failed_claimed <- t.failed_claimed + 1
+    if node_claimed t n then t.failed_claimed <- t.failed_claimed + 1
     else take_node t n
   end;
   t.failures <- t.failures + 1
 
 let repair_node t n =
-  let c = t.node_fail.(n) in
+  check_node t n;
+  let c = node_fails t n in
   if c = 0 then
     invalid_arg
       (Printf.sprintf "State.repair_node: node %d is not failed (%s)" n
          (describe_node t n));
-  t.node_fail.(n) <- c - 1;
+  let o = overlay t in
+  o.node_fail.(n) <- c - 1;
   if c = 1 then begin
     t.failed_nodes <- t.failed_nodes - 1;
-    if Sim.Bitset.mem t.claimed n then t.failed_claimed <- t.failed_claimed - 1
+    if node_claimed t n then t.failed_claimed <- t.failed_claimed - 1
     else give_node t n
   end;
   t.repairs <- t.repairs + 1
 
+(* Set or clear the full-capacity bit of leaf cable [c] after its fault
+   count moved. *)
+let leaf_cable_fault_changed t c ~usable =
+  let m1 = Topology.m1 t.topo in
+  let leaf = c / m1 in
+  let was = leaf_fully_free t leaf in
+  let bit = 1 lsl (c mod m1) in
+  if usable then t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) lor bit
+  else t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) land lnot bit;
+  leaf_touched t leaf ~was
+
+let l2_cable_fault_changed t c ~usable =
+  let m2 = Topology.m2 t.topo in
+  let l2 = c / m2 in
+  let bit = 1 lsl (c mod m2) in
+  if usable then t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) lor bit
+  else t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) land lnot bit;
+  (* Even without the full-capacity bit, sub-1.0 demand masks change
+     the moment the last covering fault clears. *)
+  l2_touched t l2
+
 let fail_leaf_cable t c =
-  let k = t.leaf_cable_fail.(c) in
-  t.leaf_cable_fail.(c) <- k + 1;
-  if k = 0 then begin
-    let leaf = Topology.leaf_l2_cable_leaf t.topo c in
-    let was = leaf_fully_free t leaf in
-    let bit = 1 lsl Topology.leaf_l2_cable_l2_index t.topo c in
-    t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) land lnot bit;
-    pod_delta t leaf was;
-    bump_pod_node t leaf
-  end;
+  let o = overlay t in
+  let k = o.leaf_cable_fail.(c) in
+  o.leaf_cable_fail.(c) <- k + 1;
+  if k = 0 then leaf_cable_fault_changed t c ~usable:false;
   t.failures <- t.failures + 1
 
 let repair_leaf_cable t c =
-  let k = t.leaf_cable_fail.(c) in
-  if k = 0 then
+  if not (leaf_cable_failed t c) then
     invalid_arg
       (Printf.sprintf "State.repair_leaf_cable: cable %d is not failed (%s)" c
          (describe_leaf_cable t c));
-  t.leaf_cable_fail.(c) <- k - 1;
-  if k = 1 then begin
-    let leaf = Topology.leaf_l2_cable_leaf t.topo c in
-    let was = leaf_fully_free t leaf in
-    if t.leaf_up.(c) >= 1.0 -. eps then begin
-      let bit = 1 lsl Topology.leaf_l2_cable_l2_index t.topo c in
-      t.leaf_full_mask.(leaf) <- t.leaf_full_mask.(leaf) lor bit
-    end;
-    pod_delta t leaf was;
-    bump_pod_node t leaf
-  end;
+  let o = overlay t in
+  let k = o.leaf_cable_fail.(c) in
+  o.leaf_cable_fail.(c) <- k - 1;
+  if k = 1 then
+    leaf_cable_fault_changed t c ~usable:(t.leaf_up.(c) >= 1.0 -. eps);
   t.repairs <- t.repairs + 1
 
 let fail_l2_cable t c =
-  let k = t.l2_cable_fail.(c) in
-  t.l2_cable_fail.(c) <- k + 1;
-  if k = 0 then begin
-    let l2 = Topology.l2_spine_cable_l2 t.topo c in
-    let bit = 1 lsl Topology.l2_spine_cable_spine_index t.topo c in
-    t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) land lnot bit;
-    bump_pod_l2 t l2
-  end;
+  let o = overlay t in
+  let k = o.l2_cable_fail.(c) in
+  o.l2_cable_fail.(c) <- k + 1;
+  if k = 0 then l2_cable_fault_changed t c ~usable:false;
   t.failures <- t.failures + 1
 
 let repair_l2_cable t c =
-  let k = t.l2_cable_fail.(c) in
-  if k = 0 then
+  if not (l2_cable_failed t c) then
     invalid_arg
       (Printf.sprintf "State.repair_l2_cable: cable %d is not failed (%s)" c
          (describe_l2_cable t c));
-  t.l2_cable_fail.(c) <- k - 1;
-  if k = 1 then begin
-    let l2 = Topology.l2_spine_cable_l2 t.topo c in
-    if t.l2_up.(c) >= 1.0 -. eps then begin
-      let bit = 1 lsl Topology.l2_spine_cable_spine_index t.topo c in
-      t.l2_full_mask.(l2) <- t.l2_full_mask.(l2) lor bit
-    end;
-    (* Even without the full-capacity bit, sub-1.0 demand masks change
-       the moment the last covering fault clears. *)
-    bump_pod_l2 t l2
-  end;
+  let o = overlay t in
+  let k = o.l2_cable_fail.(c) in
+  o.l2_cable_fail.(c) <- k - 1;
+  if k = 1 then l2_cable_fault_changed t c ~usable:(t.l2_up.(c) >= 1.0 -. eps);
   t.repairs <- t.repairs + 1
 
 (* ------------------------------------------------------------------ *)

@@ -19,7 +19,11 @@
     in either order.  Ref counting makes overlapping faults (a node
     failed both individually and via its whole leaf switch) repair
     correctly: a resource returns only when every covering fault is
-    repaired. *)
+    repaired.
+
+    {!claim}, {!release} and {!unrelease} cost one bookkeeping step per
+    leaf (and per L2 switch) an allocation touches, plus one float
+    update per cable, whatever the order of the allocation's arrays. *)
 
 type t
 
@@ -30,12 +34,15 @@ val topo : t -> Topology.t
 val clone : t -> t
 
 val copy_into : src:t -> dst:t -> unit
-(** [copy_into ~src ~dst] refreshes [dst] to mirror [src] without
-    allocating — the double-buffered scratch primitive behind zero-clone
-    reservation search.  The two states must share topology dimensions.
-    [dst]'s cached summaries ({!pod_candidates} rows, the {!ext} slot)
-    are dropped, and the operation does {e not} count as a {!clone} in
-    either state's tally. *)
+(** [copy_into ~src ~dst] refreshes [dst] to mirror [src] — the
+    double-buffered scratch primitive behind zero-clone reservation
+    search.  The two states must share topology dimensions.  [dst]'s
+    cached summaries ({!pod_candidates} rows, the {!ext} slot) are
+    dropped, and the operation does {e not} count as a {!clone} in
+    either state's tally.  It allocates only when [src] has had a fault
+    and [dst] has not: the per-resource fault counts exist only from a
+    state's first fault on, so copying between fault-free states moves
+    the claim accounting alone. *)
 
 (** {1 Nodes} *)
 

@@ -243,6 +243,16 @@ let prof_incr sim name =
 let prof_span sim name f =
   match sim.cfg.prof with Some p -> Obs.Prof.time p name f | None -> f ()
 
+(* The live state's mutations, each under its own span: outside
+   [sched_clock], so they are wall time the scheduler metric never
+   sees, and the profile is where they show. *)
+let claim_live sim alloc =
+  prof_span sim "state/claim" (fun () ->
+      State.claim_exn ~validate:false sim.st alloc)
+
+let release_live sim alloc =
+  prof_span sim "state/release" (fun () -> State.release sim.st alloc)
+
 (* Telemetry hook: each job transition installs (or, with [~retract],
    removes) the allocation's flow set and emits a [Net_route] plus a
    cluster-wide [Net_congestion_sample].  The (re)route runs under a
@@ -503,7 +513,7 @@ let clear_reservation sim id =
    expensive claim validation is skipped (JIGSAW_VALIDATE=1 re-enables
    it; the test suite covers the checked path). *)
 let rec start_job sim ~ctx (j : Trace.Job.t) (alloc : Alloc.t) =
-  State.claim_exn ~validate:false sim.st alloc;
+  claim_live sim alloc;
   let now = Sim.Engine.now sim.engine in
   (* [alloc.size] is the granted size — the sized probe may have molded
      the job below its nominal request.  For rigid jobs it equals
@@ -548,7 +558,7 @@ and complete_job sim id ~attempt ~epoch =
   | Some r when r.r_attempt <> attempt || r.r_epoch <> epoch -> ()
   | Some r ->
       Hashtbl.remove sim.running id;
-      State.release sim.st r.r_alloc;
+      release_live sim r.r_alloc;
       sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
       sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
       sim.finished <-
@@ -575,8 +585,8 @@ and complete_job sim id ~attempt ~epoch =
    under the new epoch. *)
 and swap_alloc sim (r : running) (new_alloc : Alloc.t) =
   let now = Sim.Engine.now sim.engine in
-  State.release sim.st r.r_alloc;
-  State.claim_exn ~validate:false sim.st new_alloc;
+  release_live sim r.r_alloc;
+  claim_live sim new_alloc;
   let acc = sim.acc in
   acc.alloc_busy <-
     acc.alloc_busy - Array.length r.r_alloc.nodes + Array.length new_alloc.nodes;
@@ -889,7 +899,7 @@ let arrive sim (j : Trace.Job.t) =
    resubmit the job after the configured delay or abandon it. *)
 let kill_job sim (r : running) =
   Hashtbl.remove sim.running r.r_job.id;
-  State.release sim.st r.r_alloc;
+  release_live sim r.r_alloc;
   sim.acc.alloc_busy <- sim.acc.alloc_busy - Array.length r.r_alloc.nodes;
   sim.acc.req_busy <- sim.acc.req_busy - r.r_alloc.Alloc.size;
   sim.acc.interrupted <- sim.acc.interrupted + 1;

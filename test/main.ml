@@ -14,6 +14,7 @@ let () =
       ("render", Test_render.suite);
       ("state", Test_state.suite);
       ("incremental", Test_incremental.suite);
+      ("state-runs", Test_state_runs.suite);
       ("faults", Test_faults.suite);
       ("mask", Test_mask.suite);
       ("shapes", Test_shapes.suite);

@@ -466,6 +466,16 @@ let test_profile_consistency () =
   let spans = Obs.Prof.spans p in
   Alcotest.(check bool) "head-probe span present" true
     (List.mem_assoc "sched/head_probe" spans);
+  (* Every live-state claim and release runs under its span. *)
+  let span_count name =
+    match List.assoc_opt name spans with
+    | Some (v : Obs.Prof.span_view) -> v.sp_count
+    | None -> 0
+  in
+  Alcotest.(check int) "state/claim spans = claims" (c "state/claims")
+    (span_count "state/claim");
+  Alcotest.(check int) "state/release spans = releases" (c "state/releases")
+    (span_count "state/release");
   List.iter
     (fun (name, (v : Obs.Prof.span_view)) ->
       Alcotest.(check bool) (name ^ " hist total = count") true
