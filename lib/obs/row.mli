@@ -23,6 +23,9 @@ val bool : bool conv
 val option : 'a conv -> 'a option conv
 (** For fields declared with [~omit:None]. *)
 
+val enum : ('a -> string) -> 'a list -> 'a conv
+(** Stored as its name; reads back as the listed value of that name. *)
+
 val conv : 'b conv -> ('a -> 'b) -> ('b -> 'a) -> 'a conv
 (** [conv c write read] stores an ['a] as the ['b] that [c] stores.
     [read] raises [Failure reason] on a malformed value, which the field
@@ -48,6 +51,19 @@ val list : ('r, 'a) t list -> ('r, 'a list) t
 val optional : ('r -> 's option) -> ('s, 'a) t -> ('r, 'a option) t
 (** Fields written all or none: the row reads as [None] when none of
     them is present, and otherwise all must be. *)
+
+type ('r, 'a) case
+
+val case : string -> ('r -> 's option) -> ('s, 'a) t -> ('r, 'a) case
+(** [case tag prj row]: the values [prj] accepts are stored under [tag],
+    as the fields [row] writes from what [prj] returns. *)
+
+val cases : string -> ('r, 'a) case list -> ('r, 'a) t
+(** A tagged union: the string field [key] holds the tag of the first
+    case that accepts the value, and that case's fields follow it.
+    Reading dispatches on the stored tag; a tag no case names reads as
+    a {!Json.Parse_error} ("unknown <key> ...").  Writing a value no
+    case accepts raises [Invalid_argument]. *)
 
 val fields :
   ?tail:(string * Json.value) list ->
