@@ -1,5 +1,9 @@
 (** Daemon wire protocol: one flat-JSON object per line, both ways.
 
+    Each op's fields are declared once, as an {!Obs.Row} under the
+    envelope's ["op"] tag: {!request_of_line} reads with these rows and
+    {!request_line} writes with them.
+
     Requests carry an ["op"] field naming the operation, an optional
     ["rid"] (client request id, echoed in the reply and used for
     duplicate suppression across retries), and an optional ["at"]
@@ -25,16 +29,18 @@
     Replies: [{"ok":1,...}] or
     [{"ok":0,"error":<code>,"message":...,"retry_after":<s>?}]. *)
 
+type submit = {
+  id : int option;  (** Daemon assigns the next id when absent. *)
+  size : int;
+  min_size : int option;  (** Moldable lower bound; absent = rigid. *)
+  max_size : int option;  (** Moldable upper bound; absent = rigid. *)
+  runtime : float;
+  est_runtime : float option;
+  bw_class : float option;  (** LC+S bandwidth class, default 0.25. *)
+}
+
 type request =
-  | Submit of {
-      id : int option;  (** Daemon assigns the next id when absent. *)
-      size : int;
-      min_size : int option;  (** Moldable lower bound; absent = rigid. *)
-      max_size : int option;  (** Moldable upper bound; absent = rigid. *)
-      runtime : float;
-      est_runtime : float option;
-      bw_class : float option;  (** LC+S bandwidth class, default 0.25. *)
-    }
+  | Submit of submit
   | Cancel of { id : int }
   | Resize of { id : int; size : int }
       (** Mold a running moldable job to [size] nodes in place.  The
@@ -72,6 +78,15 @@ val error_code_name : error_code -> string
 val request_of_line : string -> (envelope, error_code * string) result
 (** Total: any input maps to a typed request or a typed error. *)
 
+val request_line : envelope -> string
+(** The request's wire line (newline included), written by the rows
+    {!request_of_line} reads: [op], the op's fields, then [version]
+    (left out at 1), [at] and [rid] when present. *)
+
+val target : (Trace.Faults.target, Trace.Faults.target) Obs.Row.t
+(** A fault target as the [target]/[index] field pair ([fail] and
+    [repair] requests; the daemon's WAL entries too). *)
+
 val ok_reply : ?fields:(string * Obs.Json.value) list -> string option -> string
 (** [ok_reply ?fields rid] is one reply line (newline included). *)
 
@@ -81,3 +96,9 @@ val error_reply :
   error_code ->
   string ->
   string
+
+type error = { code : error_code; message : string; retry_after : float option }
+
+val error_of_fields : (string * Obs.Json.value) list -> error
+(** An error reply's fields read back through the row {!error_reply}
+    writes.  Raises {!Obs.Json.Parse_error}. *)
