@@ -55,8 +55,8 @@ let print_result ~fingerprint ~json ~table2 ~label ?extra ?prof ?net
     | Some p ->
         if json then begin
           let b = Buffer.create 1024 in
-          Obs.Prof.write_json b p;
-          Format.printf "%s@." (Buffer.contents b)
+          Obs.Json.write_tree b (Obs.Prof.to_json p);
+          Format.printf "%s%!" (Buffer.contents b)
         end
         else Format.printf "%a" Obs.Prof.pp_report p
     | None -> ());

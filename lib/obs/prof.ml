@@ -217,8 +217,8 @@ let find_span t name = Option.map span_view (Hashtbl.find_opt t.spans name)
 (* ------------------------------------------------------------------ *)
 
 (* A single-line textual round-trip for persisting a registry inside a
-   flat [Json] string field (the sweep manifest).  [write_json] cannot
-   serve: it nests, and its %g floats lose bits.  Records are
+   flat [Json] string field (the sweep manifest).  [to_json] cannot
+   serve: it nests, and its rounded floats lose bits.  Records are
    ';'-separated, fields '|'-separated; floats use %h (hex), which is
    exact.  Metric names are identifiers like "sched/head_probe", so the
    separators never appear in practice — encode checks anyway. *)
@@ -349,83 +349,32 @@ let pp_report ppf t =
       gauges
   end
 
-(* Hand-rolled (sorted keys, one nesting level per section): the flat
-   [Json] writer cannot express the nested sections. *)
-let write_json b t =
-  let add_key k =
-    Buffer.add_char b '"';
-    Buffer.add_string b k;
-    Buffer.add_string b "\":"
-  in
-  let obj fields_fn =
-    Buffer.add_char b '{';
-    fields_fn ();
-    Buffer.add_char b '}'
-  in
-  obj (fun () ->
-      add_key "counters";
-      obj (fun () ->
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char b ',';
-              add_key k;
-              Buffer.add_string b (string_of_int v))
-            (counters t));
-      Buffer.add_char b ',';
-      add_key "spans";
-      obj (fun () ->
-          List.iteri
-            (fun i (k, v) ->
-              if i > 0 then Buffer.add_char b ',';
-              add_key k;
-              obj (fun () ->
-                  add_key "count";
-                  Buffer.add_string b (string_of_int v.sp_count);
-                  Buffer.add_char b ',';
-                  add_key "total_ns";
-                  Buffer.add_string b (Printf.sprintf "%.0f" v.sp_total_ns);
-                  Buffer.add_char b ',';
-                  add_key "mean_ns";
-                  Buffer.add_string b (Printf.sprintf "%.1f" v.sp_mean_ns);
-                  Buffer.add_char b ',';
-                  add_key "max_ns";
-                  Buffer.add_string b (Printf.sprintf "%.0f" v.sp_max_ns);
-                  Buffer.add_char b ',';
-                  add_key "p50_ns";
-                  Buffer.add_string b (Printf.sprintf "%.0f" v.sp_p50_ns);
-                  Buffer.add_char b ',';
-                  add_key "p90_ns";
-                  Buffer.add_string b (Printf.sprintf "%.0f" v.sp_p90_ns);
-                  Buffer.add_char b ',';
-                  add_key "p99_ns";
-                  Buffer.add_string b (Printf.sprintf "%.0f" v.sp_p99_ns);
-                  Buffer.add_char b ',';
-                  add_key "hist";
-                  Buffer.add_char b '[';
-                  Array.iteri
-                    (fun j c ->
-                      if j > 0 then Buffer.add_char b ',';
-                      Buffer.add_string b (string_of_int c))
-                    v.sp_hist;
-                  Buffer.add_char b ']'))
-            (spans t));
-      Buffer.add_char b ',';
-      add_key "gauges";
-      obj (fun () ->
-          List.iteri
-            (fun i (k, g) ->
-              if i > 0 then Buffer.add_char b ',';
-              add_key k;
-              obj (fun () ->
-                  add_key "samples";
-                  Buffer.add_string b (string_of_int g.g_samples);
-                  Buffer.add_char b ',';
-                  add_key "mean";
-                  Buffer.add_string b (Printf.sprintf "%.3f" g.g_mean);
-                  Buffer.add_char b ',';
-                  add_key "min";
-                  Buffer.add_string b (Printf.sprintf "%g" g.g_min);
-                  Buffer.add_char b ',';
-                  add_key "max";
-                  Buffer.add_string b (Printf.sprintf "%g" g.g_max)))
-            (gauges t)))
+let to_json t =
+  let open Json in
+  let section rows f = Obj (List.map (fun (k, v) -> (k, f v)) rows) in
+  Obj
+    [
+      ("counters", section (counters t) (fun v -> Int v));
+      ( "spans",
+        section (spans t) (fun v ->
+            Obj
+              [
+                ("count", Int v.sp_count);
+                ("total_ns", Fixed (0, v.sp_total_ns));
+                ("mean_ns", Fixed (1, v.sp_mean_ns));
+                ("max_ns", Fixed (0, v.sp_max_ns));
+                ("p50_ns", Fixed (0, v.sp_p50_ns));
+                ("p90_ns", Fixed (0, v.sp_p90_ns));
+                ("p99_ns", Fixed (0, v.sp_p99_ns));
+                ("hist", List (List.map (fun c -> Int c) (Array.to_list v.sp_hist)));
+              ]) );
+      ( "gauges",
+        section (gauges t) (fun g ->
+            Obj
+              [
+                ("samples", Int g.g_samples);
+                ("mean", Fixed (3, g.g_mean));
+                ("min", Float g.g_min);
+                ("max", Float g.g_max);
+              ]) );
+    ]

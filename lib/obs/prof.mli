@@ -100,14 +100,14 @@ val find_span : t -> string -> span_view option
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable per-phase report (spans, counters, gauges). *)
 
-val write_json : Buffer.t -> t -> unit
-(** One JSON object [{"counters":…,"spans":…,"gauges":…}] with sorted
-    keys — embedded by [bench] into BENCH json and by [jigsaw-sim
-    --json --profile] into its output. *)
+val to_json : t -> Json.tree
+(** One object [{"counters":…,"spans":…,"gauges":…}] with sorted keys —
+    embedded by [bench] into BENCH json and written by [jigsaw-sim
+    --json --profile] after its metrics row. *)
 
 val encode : t -> string
 (** A single-line, newline-free, {e exact} textual serialization of the
-    registry (hex floats — unlike {!write_json}, which rounds), suitable
+    registry (hex floats — unlike {!to_json}, which rounds), suitable
     for embedding in a flat [Json] string field.  The sweep manifest
     uses it to persist per-cell registries across a resume.  Raises
     [Invalid_argument] if a metric name contains [';'], ['|'] or a

@@ -108,7 +108,7 @@ let apply_ops ops =
 
 let dump p =
   let b = Buffer.create 256 in
-  Obs.Prof.write_json b p;
+  Obs.Json.write_tree b (Obs.Prof.to_json p);
   Buffer.contents b
 
 let op_gen =
