@@ -52,7 +52,7 @@ type net_view = {
 }
 
 type t = {
-  meta : Reader.meta option;
+  meta : Event.run_meta option;
   events : int;
   timelines : timeline list;  (** Sorted by job id. *)
   queue_depths : float array;  (** One sample per scheduling pass. *)

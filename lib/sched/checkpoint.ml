@@ -151,16 +151,8 @@ let job =
 
 let fault =
   let open Trace.Faults in
-  let kind =
-    conv str
-      (function Fail -> "fail" | Repair -> "repair")
-      (function
-        | "fail" -> Fail
-        | "repair" -> Repair
-        | k -> failwith (Printf.sprintf "names an unknown fault kind %S" k))
-  in
   let+ time = field "t" num (fun e -> e.time)
-  and+ kind = field "kind" kind (fun e -> e.kind)
+  and+ kind = field "kind" (enum kind_name [ Fail; Repair ]) (fun e -> e.kind)
   and+ target = field "target" str (fun e -> target_name e.target)
   and+ id = field "id" int (fun e -> target_id e.target) in
   match target_of_name target id with

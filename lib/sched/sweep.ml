@@ -34,7 +34,7 @@ let fault_tag ~faults ~resilience =
       (fun (e : Trace.Faults.event) ->
         Buffer.add_string b
           (Printf.sprintf "%.17g %s %s %d;" e.time
-             (match e.kind with Fail -> "fail" | Repair -> "repair")
+             (Trace.Faults.kind_name e.kind)
              (Trace.Faults.target_name e.target)
              (Trace.Faults.target_id e.target)))
       (Trace.Faults.events faults);

@@ -43,6 +43,8 @@ let events t = t.events
 let num_events t = Array.length t.events
 let is_empty t = Array.length t.events = 0
 
+let kind_name = function Fail -> "fail" | Repair -> "repair"
+
 let target_name = function
   | Node _ -> "node"
   | Leaf_cable _ -> "leaf-cable"
@@ -71,8 +73,7 @@ let target_of_name name id =
 
 let pp_event ppf e =
   Format.fprintf ppf "%.3f %s %s %d" e.time
-    (match e.kind with Fail -> "fail" | Repair -> "repair")
-    (target_name e.target) (target_id e.target)
+    (kind_name e.kind) (target_name e.target) (target_id e.target)
 
 (* ------------------------------------------------------------------ *)
 (* Target -> concrete resources                                        *)

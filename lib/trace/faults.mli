@@ -25,6 +25,10 @@ type target =
 
 type kind = Fail | Repair
 
+val kind_name : kind -> string
+(** ["fail"] or ["repair"], as fault files, checkpoints and the daemon
+    protocol spell it. *)
+
 type event = { time : float; kind : kind; target : target }
 
 type t
