@@ -324,6 +324,83 @@ let test_ckpt_parity_faulty () =
     Sched.Allocator.all
 
 (* ------------------------------------------------------------------ *)
+(* The jigsaw policy is the Figure-5 router                            *)
+(* ------------------------------------------------------------------ *)
+
+(* On random fragmented radix-8 states, every Jigsaw, LC+S and LaaS
+   partition routes all ordered node pairs into conflict-free
+   destination-based forwarding tables on its own cables, and the
+   channels the jigsaw policy installs for the job are exactly those of
+   the router's all-to-all paths over its communicating nodes (the
+   [size] lowest held ids: LaaS pads). *)
+let prop_jigsaw_policy_is_fig5_router =
+  let open Jigsaw_core in
+  QCheck2.Test.make ~name:"jigsaw policy routes the Figure-5 tables"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 1 40) (int_range 0 100_000))
+    (fun (size, seed) ->
+      let st = State.create topo in
+      let prng = Sim.Prng.create ~seed in
+      let held = ref [] in
+      for j = 0 to 7 do
+        let s = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
+        match Jigsaw.get_allocation st ~job:(100 + j) ~size:s with
+        | Some q ->
+            let a = Partition.to_alloc topo q ~bw:1.0 in
+            State.claim_exn st a;
+            held := a :: !held
+        | None -> ()
+      done;
+      List.iter
+        (fun a -> if Sim.Prng.bool prng then State.release st a)
+        !held;
+      let routed name bw = function
+        | None -> true
+        | Some (p : Partition.t) ->
+            let fail fmt =
+              Printf.ksprintf
+                (fun m -> QCheck2.Test.fail_reportf "%s size %d: %s" name size m)
+                fmt
+            in
+            (match Fwd.compile topo p with
+            | Error m -> fail "tables: %s" m
+            | Ok t -> (
+                match Fwd.verify_all_pairs topo p t with
+                | Error m -> fail "walk: %s" m
+                | Ok () -> ()));
+            (match Partition_routing.check_connectivity topo p with
+            | Error m -> fail "router: %s" m
+            | Ok () -> ());
+            let alloc = Partition.to_alloc topo p ~bw in
+            let comm = Array.sub (Partition.nodes p) 0 p.size in
+            let paths =
+              Array.to_list comm
+              |> List.concat_map (fun src ->
+                     Array.to_list comm
+                     |> List.filter_map (fun dst ->
+                            if src = dst then None
+                            else
+                              Some
+                                (Result.get_ok
+                                   (Partition_routing.path topo p ~src ~dst))))
+            in
+            let t =
+              Telemetry.create topo ~policy:Telemetry.Jigsaw
+                ~shape:Telemetry.Alltoall ~now:0.0
+            in
+            let info = Telemetry.add_job t ~now:0.0 alloc in
+            let channels = Hashtbl.length (Path.channel_loads paths) in
+            if info.ri_channels <> channels then
+              fail "telemetry occupies %d channels, the router's paths %d"
+                info.ri_channels channels;
+            true
+      in
+      routed "Jigsaw" 1.0 (Jigsaw.get_allocation st ~job:0 ~size)
+      && routed "LC+S" 0.25
+           (Least_constrained.get_allocation ~demand:0.25 st ~job:0 ~size)
+      && routed "LaaS" 1.0 (Baselines.Laas.get_allocation st ~job:0 ~size))
+
+(* ------------------------------------------------------------------ *)
 (* Event codec round-trips                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,6 +464,7 @@ let suite =
       test_ckpt_parity_healthy;
     Alcotest.test_case "checkpoint parity with telemetry (faulty)" `Quick
       test_ckpt_parity_faulty;
+    QCheck_alcotest.to_alcotest prop_jigsaw_policy_is_fig5_router;
     Alcotest.test_case "net event codec round-trips" `Quick
       test_net_event_codecs;
   ]
