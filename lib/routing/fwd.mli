@@ -3,7 +3,7 @@
     The paper deploys Jigsaw's adjusted routing by rewriting switch
     forwarding tables through the InfiniBand subnet manager (§4, Figure
     5).  This module performs that compilation step in the simulator:
-    it turns {!Partition_routing}'s path function into per-switch {e
+    it turns {!Partition_routing}'s router into per-switch {e
     linear forwarding tables} — destination node → output port — and
     provides a hop-by-hop packet walk that delivers packets using table
     lookups alone.

@@ -31,166 +31,36 @@ let comm_nodes (a : Alloc.t) =
   Array.sort compare nodes;
   if Array.length nodes > a.size then Array.sub nodes 0 a.size else nodes
 
-(* Flow endpoints as (src_rank, dst_rank) index pairs into the sorted
-   node array — ranks feed the jigsaw router's deterministic spreading. *)
-let flow_ranks shape k =
+(* The shape's flows over the sorted communicating nodes. *)
+let flows shape nodes =
+  let k = Array.length nodes in
   if k < 2 then []
   else
     match shape with
-    | Ring -> List.init k (fun i -> (i, (i + 1) mod k))
+    | Ring -> List.init k (fun i -> (nodes.(i), nodes.((i + 1) mod k)))
     | Alltoall ->
         List.concat
           (List.init k (fun i ->
                List.filter_map
-                 (fun j -> if i = j then None else Some (i, j))
+                 (fun j -> if i = j then None else Some (nodes.(i), nodes.(j)))
                  (List.init k Fun.id)))
 
-(* Alloc-scoped Jigsaw routing: the view [Fwd] compiles from a
-   [Partition.t], reconstructed here from the flat allocation alone so
-   that routing is a pure function of (topology, allocation) — the
-   determinism rule that lets checkpoint restore re-route every running
-   job independently of history (DESIGN.md §15).  Per-leaf allocated L2
-   indices come from [leaf_cables]; per-(pod, L2 index) allocated spine
-   indices from [l2_cables].  Flows spread over the allocation's own
-   cables by destination rank; any flow the allocation cannot carry
-   (Baseline holds no cables at all) falls back to D-mod-k. *)
-module Jig = struct
-  type t = {
-    leaf_l2s : (int, int array) Hashtbl.t;  (** leaf -> sorted L2 indices *)
-    spines : (int * int, int array) Hashtbl.t;
-        (** (pod, L2 index) -> sorted spine indices *)
-  }
-
-  let sorted_tbl tbl =
-    let out = Hashtbl.create (Hashtbl.length tbl) in
-    Hashtbl.iter
-      (fun k v ->
-        let a = Array.of_list v in
-        Array.sort compare a;
-        Hashtbl.replace out k a)
-      tbl;
-    out
-
-  let build topo (a : Alloc.t) =
-    let leaf_l2s = Hashtbl.create 16 and spines = Hashtbl.create 16 in
-    let push tbl k v =
-      Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-    in
-    Array.iter
-      (fun c ->
-        push leaf_l2s
-          (Topology.leaf_l2_cable_leaf topo c)
-          (Topology.leaf_l2_cable_l2_index topo c))
-      a.leaf_cables;
-    Array.iter
-      (fun c ->
-        let l2 = Topology.l2_spine_cable_l2 topo c in
-        push spines
-          (Topology.l2_pod topo l2, Topology.l2_index_in_pod topo l2)
-          (Topology.l2_spine_cable_spine_index topo c))
-      a.l2_cables;
-    { leaf_l2s = sorted_tbl leaf_l2s; spines = sorted_tbl spines }
-
-  let intersect a b =
-    let out = ref [] and i = ref 0 and j = ref 0 in
-    let la = Array.length a and lb = Array.length b in
-    while !i < la && !j < lb do
-      if a.(!i) = b.(!j) then begin
-        out := a.(!i) :: !out;
-        incr i;
-        incr j
-      end
-      else if a.(!i) < b.(!j) then incr i
-      else incr j
-    done;
-    Array.of_list (List.rev !out)
-
-  let empty = [||]
-
-  let leaf_set t leaf = Option.value ~default:empty (Hashtbl.find_opt t.leaf_l2s leaf)
-
-  let spine_set t pod idx =
-    Option.value ~default:empty (Hashtbl.find_opt t.spines (pod, idx))
-
-  let route topo t ~src ~dst ~dst_rank =
-    let src_leaf = Topology.node_leaf topo src in
-    let dst_leaf = Topology.node_leaf topo dst in
-    if src_leaf = dst_leaf then Path.local ~src ~dst
-    else
-      let inter = intersect (leaf_set t src_leaf) (leaf_set t dst_leaf) in
-      let n = Array.length inter in
-      if n = 0 then Dmodk.path topo ~src ~dst
-      else
-        let hops_leaf l2_index =
-          ( { Path.tier = Path.Leaf_l2;
-              cable = Topology.leaf_l2_cable topo ~leaf:src_leaf ~l2_index;
-              dir = Path.Up },
-            { Path.tier = Path.Leaf_l2;
-              cable = Topology.leaf_l2_cable topo ~leaf:dst_leaf ~l2_index;
-              dir = Path.Down } )
-        in
-        let src_pod = Topology.node_pod topo src in
-        let dst_pod = Topology.node_pod topo dst in
-        if src_pod = dst_pod then begin
-          let i = inter.(dst_rank mod n) in
-          let up, down = hops_leaf i in
-          { Path.src; dst; hops = [ up; down ] }
-        end
-        else begin
-          (* Scan allocated L2 indices from the rank's offset for one
-             whose spine sets reach both pods. *)
-          let start = dst_rank mod n in
-          let rec scan k =
-            if k = n then Dmodk.path topo ~src ~dst
-            else
-              let i = inter.((start + k) mod n) in
-              let sp =
-                intersect (spine_set t src_pod i) (spine_set t dst_pod i)
-              in
-              let ns = Array.length sp in
-              if ns = 0 then scan (k + 1)
-              else begin
-                let spine_index = sp.(dst_rank / n mod ns) in
-                let up, down = hops_leaf i in
-                let src_l2 = Topology.l2_of_coords topo ~pod:src_pod ~index:i in
-                let dst_l2 = Topology.l2_of_coords topo ~pod:dst_pod ~index:i in
-                {
-                  Path.src;
-                  dst;
-                  hops =
-                    [
-                      up;
-                      { Path.tier = Path.L2_spine;
-                        cable = Topology.l2_spine_cable topo ~l2:src_l2 ~spine_index;
-                        dir = Path.Up };
-                      { Path.tier = Path.L2_spine;
-                        cable = Topology.l2_spine_cable topo ~l2:dst_l2 ~spine_index;
-                        dir = Path.Down };
-                      down;
-                    ];
-                }
-              end
-          in
-          scan 0
-        end
-end
-
 let route_alloc topo policy shape (a : Alloc.t) =
-  let nodes = comm_nodes a in
-  let ranks = flow_ranks shape (Array.length nodes) in
+  let flows = flows shape (comm_nodes a) in
   match policy with
-  | Dmodk ->
-      List.map
-        (fun (i, j) -> Dmodk.path topo ~src:nodes.(i) ~dst:nodes.(j))
-        ranks
-  | Greedy ->
-      Greedy.route topo (List.map (fun (i, j) -> (nodes.(i), nodes.(j))) ranks)
+  | Dmodk -> Dmodk.routes topo flows
+  | Greedy -> Greedy.route topo flows
   | Jigsaw ->
-      let view = Jig.build topo a in
+      (* The Figure-5 router over the allocation's own cables; flows it
+         cannot carry (a Baseline allocation holds no cables) fall back
+         to D-mod-k. *)
+      let view = Partition_routing.view topo a in
       List.map
-        (fun (i, j) ->
-          Jig.route topo view ~src:nodes.(i) ~dst:nodes.(j) ~dst_rank:j)
-        ranks
+        (fun (src, dst) ->
+          match Partition_routing.route view ~src ~dst with
+          | Ok p -> p
+          | Error _ -> Dmodk.path topo ~src ~dst)
+        flows
 
 (* Per-job contribution to the routing-independent lower bound: how many
    inter-leaf flows leave/enter each leaf. *)
