@@ -53,6 +53,35 @@ let conv c write read =
   let to_json a = c.to_json (write a) in
   { to_json; of_json = (fun v -> read (c.of_json v)) }
 
+type 'a entry = { print : 'a -> string; parse : string -> 'a option }
+
+let int_entry = { print = string_of_int; parse = int_of_string_opt }
+let hex_entry = { print = Printf.sprintf "%h"; parse = float_of_string_opt }
+
+let pair_entry a b =
+  let parse e =
+    match String.split_on_char ':' e with
+    | [ x; y ] -> (
+        match (a.parse x, b.parse y) with
+        | Some x, Some y -> Some (x, y)
+        | _ -> None)
+    | _ -> None
+  in
+  { print = (fun (x, y) -> a.print x ^ ":" ^ b.print y); parse }
+
+let packed e =
+  let read s =
+    if s = "" then [||]
+    else
+      String.split_on_char ' ' s
+      |> List.map (fun x ->
+             match e.parse x with
+             | Some v -> v
+             | None -> failwith (Printf.sprintf "holds a malformed entry %S" x))
+      |> Array.of_list
+  in
+  conv str (fun a -> String.concat " " (Array.to_list (Array.map e.print a))) read
+
 type fields = (string * Json.value) list
 
 type ('r, 'a) t = {

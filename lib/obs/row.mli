@@ -31,6 +31,25 @@ val conv : 'b conv -> ('a -> 'b) -> ('b -> 'a) -> 'a conv
     [read] raises [Failure reason] on a malformed value, which the field
     reports as "field <name> <reason>". *)
 
+(** {1 Packed arrays}
+
+    An array inside one string field: entries separated by single
+    spaces, the empty string for the empty array. *)
+
+type 'a entry
+(** How one entry prints, without spaces. *)
+
+val int_entry : int entry
+
+val hex_entry : float entry
+(** [%h] hex floats: exact round trip, and no [' '] or [':']. *)
+
+val pair_entry : 'a entry -> 'b entry -> ('a * 'b) entry
+(** ["a:b"]; neither side may print a [':']. *)
+
+val packed : 'a entry -> 'a array conv
+(** An entry that does not parse reads as a malformed field. *)
+
 type ('r, 'a) t
 (** A row written from an ['r] and read back as an ['a]. *)
 

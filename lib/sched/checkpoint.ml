@@ -34,37 +34,9 @@ let magic = "jigsaw-checkpoint"
 open Obs.Row
 
 (* Arrays ride in one string of space-separated entries. *)
-let packed print parse =
-  conv str
-    (fun a -> String.concat " " (Array.to_list (Array.map print a)))
-    (fun s ->
-      if s = "" then [||]
-      else
-        String.split_on_char ' ' s
-        |> List.map (fun e ->
-               match parse e with
-               | Some x -> x
-               | None ->
-                   failwith (Printf.sprintf "holds a malformed entry %S" e))
-        |> Array.of_list)
-
-let ints = packed string_of_int int_of_string_opt
-
-let pairs_of print parse =
-  packed
-    (fun (a, b) -> string_of_int a ^ ":" ^ print b)
-    (fun e ->
-      match String.split_on_char ':' e with
-      | [ a; b ] -> (
-          match (int_of_string_opt a, parse b) with
-          | Some a, Some b -> Some (a, b)
-          | _ -> None)
-      | _ -> None)
-
-let pairs = pairs_of string_of_int int_of_string_opt
-
-(* Hex floats round-trip exactly and contain no ':' or ' '. *)
-let nofit_entries = pairs_of (Printf.sprintf "%h") float_of_string_opt
+let ints = packed int_entry
+let pairs = packed (pair_entry int_entry int_entry)
+let nofit_entries = packed (pair_entry int_entry hex_entry)
 
 let resilience =
   let open Simulator in

@@ -153,42 +153,11 @@ let fingerprint m =
     m.series;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Manifest round-trip: a result row must come back bit-identical so a
-   resumed sweep can re-verify the stored fingerprint.  The series rides
-   in one packed string of [%h] hex-float pairs — exact by construction,
-   and free of the characters the flat JSON writer escapes. *)
-
-let series_encode m =
-  let b = Buffer.create (16 * Array.length m.series) in
-  Array.iteri
-    (fun idx (t, u) ->
-      if idx > 0 then Buffer.add_char b ' ';
-      Buffer.add_string b (Printf.sprintf "%h:%h" t u))
-    m.series;
-  Buffer.contents b
-
-let series_decode s =
-  if s = "" then Ok [||]
-  else
-    try
-      String.split_on_char ' ' s
-      |> List.map (fun pair ->
-             match String.split_on_char ':' pair with
-             (* %h prints "0x1.8p-2": the mantissa/exponent separator is
-                'p', so ':' splits cleanly. *)
-             | [ t; u ] -> (float_of_string t, float_of_string u)
-             | _ -> failwith pair)
-      |> Array.of_list
-      |> Result.ok
-    with Failure _ ->
-      Error "malformed series string (expected space-separated t:u pairs)"
-
-let of_json ~series fields =
-  match series_decode series with
-  | Error m -> Error m
-  | Ok series -> (
-      try Obs.Row.decode row fields series
-      with Obs.Json.Parse_error m -> Error m)
+(* A result row must come back bit-identical so a resumed sweep can
+   re-verify the stored fingerprint: [%h] hex-float pairs are exact by
+   construction, and free of the characters the flat JSON writer
+   escapes. *)
+let series = Obs.Row.(packed (pair_entry hex_entry hex_entry))
 
 let write_series_csv oc m =
   output_string oc "time,utilization\n";

@@ -122,28 +122,18 @@ val write_series_csv : out_channel -> t -> unit
 
 (** {1 Manifest round-trip}
 
-    Sweep manifests persist completed cells as one flat JSON row plus a
-    packed series string; reading them back must reproduce the exact
+    Sweep manifests persist completed cells as the fields of {!row} plus
+    a packed series field; reading them back must reproduce the exact
     {!fingerprint}, so every float crosses the file through an exact
     representation. *)
 
-val series_encode : t -> string
+val series : (float * float) array Obs.Row.conv
 (** The utilization series as space-separated [t:u] pairs in [%h] hex
     floats (exact round-trip). *)
 
-val series_decode : string -> ((float * float) array, string) result
-
 val row : (t, (float * float) array -> (t, string) result) Obs.Row.t
-(** The row behind {!json_fields} and {!of_json}.  It reads back as a
-    function of the decoded series, which must have [series_points]
-    points. *)
-
-val of_json :
-  series:string -> (string * Obs.Json.value) list -> (t, string) result
-(** Rebuild a result row from its [Json] fields (as written by {!pp} /
-    {!to_json_string}) and a {!series_encode} string.  [Error] on a
-    missing or mistyped field, a malformed series, or a length mismatch
-    against the row's [series_points]. *)
+(** The row behind {!json_fields}.  It reads back as a function of the
+    decoded series, which must have [series_points] points. *)
 
 val mean_turnaround : per_job list -> large_only:bool -> float * int
 (** Average turnaround (end - arrival) and the population size, over all

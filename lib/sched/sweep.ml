@@ -133,10 +133,9 @@ let manifest_cell =
     field "fingerprint" str (fun (_, r) -> Metrics.fingerprint r.metrics)
   and+ wall_s = field "wall_s" num (fun (_, r) -> r.wall_s)
   and+ metrics = on (fun (_, r) -> r.metrics) Metrics.row
-  and+ series =
-    field "series" str (fun (_, r) -> Metrics.series_encode r.metrics)
+  and+ series = field "series" Metrics.series (fun (_, r) -> r.metrics.series)
   and+ prof = field ~omit:None "prof" prof (fun (_, r) -> r.prof) in
-  match Result.bind (Metrics.series_decode series) metrics with
+  match metrics series with
   | Ok metrics when Metrics.fingerprint metrics = fingerprint ->
       (* Telemetry summaries are not journaled — fingerprints do not
          cover them. *)

@@ -255,9 +255,19 @@ let test_cell_ids () =
 let test_metrics_manifest_roundtrip () =
   let w = Trace.Workload.truncate (Lazy.force workload) 30 in
   let m = Sched.Simulator.run (cfg (Sched.Allocator.lcs ())) w in
-  let series = Sched.Metrics.series_encode m in
-  match Sched.Metrics.of_json ~series (Sched.Metrics.json_fields m) with
-  | Error e -> Alcotest.failf "of_json: %s" e
+  let row =
+    Obs.Row.(
+      let+ of_series = Sched.Metrics.row
+      and+ series =
+        field "series" Sched.Metrics.series (fun (m : Sched.Metrics.t) ->
+            m.series)
+      in
+      of_series series)
+  in
+  let b = Buffer.create 4096 in
+  Obs.Json.write b (Obs.Row.fields row m);
+  match Obs.Row.decode row (Obs.Json.parse_line (Buffer.contents b)) with
+  | Error e -> Alcotest.failf "decode: %s" e
   | Ok m' ->
       Alcotest.(check string) "fingerprint survives the round-trip"
         (Sched.Metrics.fingerprint m)
