@@ -67,27 +67,10 @@ let default_opts ~socket ~dir =
 (* Recovery                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let ckpt_name seq = Printf.sprintf "ckpt-%012d.jsonl" seq
-
-let parse_ckpt_name name =
-  if
-    String.length name = 5 + 12 + 6
-    && String.sub name 0 5 = "ckpt-"
-    && Filename.check_suffix name ".jsonl"
-  then int_of_string_opt (String.sub name 5 12)
-  else None
+let ckpt_name = Wal.numbered_name "ckpt"
 
 (* Newest first. *)
-let checkpoints dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter_map (fun n ->
-             Option.map
-               (fun s -> (s, Filename.concat dir n))
-               (parse_ckpt_name n))
-      |> List.sort (fun a b -> compare b a)
+let checkpoints dir = List.rev (Wal.numbered_files "ckpt" dir)
 
 exception Recovery_failed of string
 

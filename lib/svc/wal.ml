@@ -32,26 +32,28 @@ let magic = "jigsaw-wal"
 
 let num_of_int i = Obs.Json.Num (float_of_int i)
 
-let segment_name start_seq = Printf.sprintf "wal-%012d.jsonl" start_seq
+let numbered_name prefix seq = Printf.sprintf "%s-%012d.jsonl" prefix seq
 
-let parse_segment_name name =
-  if
-    String.length name = 4 + 12 + 6
-    && String.sub name 0 4 = "wal-"
-    && Filename.check_suffix name ".jsonl"
-  then int_of_string_opt (String.sub name 4 12)
-  else None
-
-let segment_files dir =
+let numbered_files prefix dir =
+  let parse name =
+    let p = String.length prefix + 1 in
+    if
+      String.length name = p + 12 + 6
+      && String.sub name 0 p = prefix ^ "-"
+      && Filename.check_suffix name ".jsonl"
+    then int_of_string_opt (String.sub name p 12)
+    else None
+  in
   match Sys.readdir dir with
   | exception Sys_error _ -> []
   | names ->
       Array.to_list names
       |> List.filter_map (fun n ->
-             Option.map
-               (fun s -> (s, Filename.concat dir n))
-               (parse_segment_name n))
+             Option.map (fun s -> (s, Filename.concat dir n)) (parse n))
       |> List.sort compare
+
+let segment_name = numbered_name "wal"
+let segment_files = numbered_files "wal"
 
 (* ------------------------------------------------------------------ *)
 (* Lines                                                               *)

@@ -18,6 +18,15 @@
 val version : int
 (** Format version stamped into segment headers. *)
 
+val numbered_name : string -> int -> string
+(** [numbered_name prefix seq] is ["<prefix>-%012d.jsonl"]: the name of
+    a WAL segment ([prefix] ["wal"]) or a daemon checkpoint (["ckpt"]). *)
+
+val numbered_files : string -> string -> (int * string) list
+(** [numbered_files prefix dir] lists the {!numbered_name} files with
+    that prefix in [dir] as (sequence number, path), in ascending
+    order; [[]] if [dir] cannot be read. *)
+
 val segment_name : int -> string
 (** [segment_name seq] is ["wal-%012d.jsonl"] — exposed for tests that
     corrupt specific files. *)
