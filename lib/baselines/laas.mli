@@ -9,7 +9,7 @@
 
     The placement itself is a special case of the Jigsaw condition space
     (full leaves, no remainder leaf), so this module delegates to
-    [Jigsaw.get_allocation_whole_leaves]. *)
+    [Jigsaw.probe_whole_leaves]. *)
 
 val probe :
   ?budget:int ->

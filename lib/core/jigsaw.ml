@@ -317,6 +317,3 @@ let probe_whole_leaves ?demand ?budget st ~job ~size =
 
 let get_allocation ?demand ?budget ?two_level_only st ~job ~size =
   Partition.to_option (probe ?demand ?budget ?two_level_only st ~job ~size)
-
-let get_allocation_whole_leaves ?demand ?budget st ~job ~size =
-  Partition.to_option (probe_whole_leaves ?demand ?budget st ~job ~size)

@@ -39,7 +39,12 @@ val probe_whole_leaves :
   job:int ->
   size:int ->
   Partition.probe
-(** {!get_allocation_whole_leaves} with the same outcome reporting. *)
+(** The Links-as-a-Service placement mode: the request is rounded up to
+    whole leaves (alloc = ceil(size / m1) * m1 nodes) and only full-leaf
+    shapes are searched, reproducing LaaS's reduction of the three-level
+    problem to two levels.  A found partition carries the padded node
+    set but records the original [size], exposing LaaS's internal node
+    fragmentation to the utilization metrics. *)
 
 val get_allocation :
   ?demand:float ->
@@ -56,17 +61,3 @@ val get_allocation :
     scheduler; fractions are used by the LC+S bounding scheduler.
     [two_level_only] (default false) stops after the single-pod search —
     the shared prefix of LaaS's algorithm. *)
-
-val get_allocation_whole_leaves :
-  ?demand:float ->
-  ?budget:int ->
-  Fattree.State.t ->
-  job:int ->
-  size:int ->
-  Partition.t option
-(** The Links-as-a-Service placement mode: the request is rounded up to
-    whole leaves (alloc = ceil(size / m1) * m1 nodes) and only full-leaf
-    shapes are searched, reproducing LaaS's reduction of the three-level
-    problem to two levels.  The returned partition carries the padded
-    node set but records the original [size], exposing LaaS's internal
-    node fragmentation to the utilization metrics. *)

@@ -76,9 +76,10 @@ let test_whole_leaves_mode_pads () =
   let topo = Topology.of_radix 8 in
   let st = State.create topo in
   (* LaaS mode on a 17-node job: 5 whole leaves = 20 nodes. *)
-  match Jigsaw.get_allocation_whole_leaves st ~job:0 ~size:17 with
-  | None -> Alcotest.fail "no whole-leaf allocation"
-  | Some p ->
+  match Jigsaw.probe_whole_leaves st ~job:0 ~size:17 with
+  | Partition.Infeasible | Partition.Exhausted ->
+      Alcotest.fail "no whole-leaf allocation"
+  | Partition.Found p ->
       Alcotest.(check int) "padded to whole leaves" 20 (Partition.node_count p);
       Alcotest.(check int) "records requested size" 17 p.size;
       Alcotest.(check bool) "legal modulo padding" true
