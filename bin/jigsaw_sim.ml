@@ -624,8 +624,10 @@ let cmd =
     Arg.(value & opt string "jigsaw" & info [ "net-routing" ] ~docv:"POLICY"
            ~doc:"Routing policy for --net-telemetry: dmodk (static \
                  destination-mod-k up-paths), greedy (load-aware per-job \
-                 routing), or jigsaw (forwarding tables over the job's own \
-                 allocated cables, as the paper's compiler would emit).")
+                 routing), or jigsaw (the paper's adjusted D-mod-k: the \
+                 destination-based routing its subnet manager installs as \
+                 forwarding tables, over the job's own allocated cables; \
+                 flows an allocation cannot carry fall back to dmodk).")
   in
   let net_flows =
     Arg.(value & opt string "alltoall" & info [ "net-flows" ] ~docv:"SHAPE"

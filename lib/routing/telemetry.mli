@@ -14,7 +14,7 @@
     (policy, topology, allocation)} — the [Greedy] policy routes each
     job's flows over fresh loads (per-job scoped, not cross-job-global,
     which would make paths depend on departed jobs' history), and the
-    [Jigsaw] policy reconstructs its partition view from the flat
+    [Jigsaw] policy is {!Partition_routing.route} over the flat
     allocation.  Checkpoint restore therefore rebuilds the whole index
     by re-routing the running set, in any order, to the same state. *)
 
@@ -25,10 +25,11 @@ type policy =
       (** Load-aware least-loaded minimal path, scoped to the job's own
           flows (see determinism rules above). *)
   | Jigsaw
-      (** Spread over the allocation's own cables by destination rank;
-          flows the allocation cannot carry fall back to D-mod-k
-          (Baseline allocations hold no cables and route fully
-          D-mod-k). *)
+      (** Jigsaw's adjusted D-mod-k (paper Figure 5): the
+          destination-based routing {!Fwd} compiles into forwarding
+          tables, over the allocation's own cables.  Flows it cannot
+          carry fall back to D-mod-k (Baseline allocations hold no
+          cables and route fully D-mod-k). *)
 
 val policy_name : policy -> string
 val policy_of_name : string -> policy option
