@@ -377,6 +377,46 @@ type primitive = {
   p_ns : float * float * float; (* median, min, max *)
 }
 
+(* The daemon's checkpoint layer: [Checkpoint.encode] of a daemon-shaped
+   snapshot, 1200 Thunder-like jobs submitted at time 0 through
+   [Svc.Core] on the radix-18 machine (most of them queue, as in
+   perfbench's svc-play), through a fresh memo (every row encoded) and
+   through the memo of the previous checkpoint of the same state (two
+   snapshots taken in turn, so running rows are matched by id, not by
+   identity). *)
+let checkpoint_encode_rows () =
+  let radix = 18 and n_jobs = 1200 in
+  let params : Svc.Core.params =
+    { scheme = "Jigsaw"; radix; scenario = Trace.Scenario.name Trace.Scenario.No_speedup;
+      scenario_seed = 1; backfill_window = 50; backfill = true;
+      resilience = Sched.Simulator.no_resilience; trace_name = "Thunder";
+      system_nodes = radix * radix * radix / 4 }
+  in
+  let core = Result.get_ok (Svc.Core.create params) in
+  let w = Trace.Synthetic.thunder_like ~runtime_cap:40000.0 ~n_jobs ~seed:3301 () in
+  Array.iteri
+    (fun seq (j : Trace.Job.t) ->
+      let j =
+        Trace.Job.v ~bw_class:j.bw_class ~est_runtime:j.est_runtime ~id:j.id ~size:j.size
+          ~runtime:j.runtime ()
+      in
+      ignore (Svc.Core.apply core ~seq ~rid:None ~stamp:0.0 (Svc.Core.Submit j)))
+    w.jobs;
+  let meta = Svc.Core.checkpoint_meta core in
+  let snaps = [| Svc.Core.snapshot core; Svc.Core.snapshot core |] in
+  let row memo ~iters f =
+    { p_op = "checkpoint encode"; p_input = Printf.sprintf "%d-job daemon, %s memo" n_jobs memo;
+      p_radix = radix; p_mean_nodes = 0; p_ns = sample_ns ~iters f }
+  in
+  let warm = Sched.Checkpoint.memo () in
+  let k = ref 0 in
+  [
+    row "cold" ~iters:5 (fun () -> ignore (Sched.Checkpoint.encode ~meta snaps.(0)));
+    row "warm" ~iters:20 (fun () ->
+        incr k;
+        ignore (Sched.Checkpoint.encode ~memo:warm ~meta snaps.(!k land 1)));
+  ]
+
 (* The live-state layer under the allocator probes: the mean cost of a
    [claim_exn ~validate:false] + [release] pair over Jigsaw partitions of
    a trace's first 50 jobs (each placed on an empty machine, as
@@ -443,13 +483,14 @@ let primitive_rows () =
       whole "copy_into (faulted)" ~iters:500 (fun () ->
           Fattree.State.copy_into ~src:loaded ~dst);
     ]
+  @ checkpoint_encode_rows ()
 
 let primitives () =
-  section "Fattree.State primitives (ns per call, median of 7 samples)";
+  section "Primitives: Fattree.State and the daemon checkpoint (ns per call, median of 7 samples)";
   List.iter
     (fun r ->
       let med, lo, hi = r.p_ns in
-      Format.printf "  %-20s %-22s r%-3d %5d nodes  median %9.0f ns  [%.0f, %.0f]@."
+      Format.printf "  %-20s %-28s r%-3d %5d nodes  median %11.0f ns  [%.0f, %.0f]@."
         r.p_op r.p_input r.p_radix r.p_mean_nodes med lo hi)
     (primitive_rows ())
 
@@ -586,9 +627,10 @@ let micro () =
    Table 3 trace (with live telemetry, so the interference-free
    headline is re-checked under molding) plus a shrink-vs-kill fault
    recovery comparison.  A "primitives" section times the live-state
-   layer under the probes ([State] claim+release, create, copy_into; see
-   [primitive_rows]).  The scale, bitset, net and molding sections
-   each carry a built-in regression guard.  Traces are truncated in default mode to
+   layer under the probes ([State] claim+release, create, copy_into) and
+   the daemon's checkpoint encoding (see [primitive_rows]).  The scale,
+   bitset, net and molding sections each carry a built-in regression
+   guard.  Traces are truncated in default mode to
    keep the target in the ~minute range; REPRO_FULL=1 uses paper
    scale.  BENCH_SCALE=N overrides the scale section's large radix. *)
 

@@ -303,39 +303,165 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let save ?(meta = []) ~path (s : Simulator.Snapshot.t) =
-  let buf = Buffer.create 65536 in
-  let line ?tail kind row x =
-    Obs.Json.write buf (("record", Obs.Json.Str kind) :: fields ?tail row x);
-    Buffer.add_char buf '\n'
+(* ------------------------------------------------------------------ *)
+(* Encoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let line buf ?tail kind row x =
+  Obs.Json.write buf (("record", Obs.Json.Str kind) :: fields ?tail row x);
+  Buffer.add_char buf '\n'
+
+(* The rows one save wrote of a memoized kind: the values, where each
+   one's line starts in the memo's [text] (one more entry: where the
+   last line ends), and, for rows kept by key, each key's index. *)
+type 'a kept = { vals : 'a array; starts : int array; ids : (int, int) Hashtbl.t }
+
+let nothing_kept () = { vals = [||]; starts = [| 0 |]; ids = Hashtbl.create 1 }
+
+(* [buf] and [text] live as long as the memo, so a save through a warm
+   memo allocates neither: the file is written in [buf], and its body
+   copied once, into [text], for the digest and the next save. *)
+type memo = {
+  buf : Buffer.t;
+  mutable text : Bytes.t;  (* the last save's body, which [starts] index *)
+  mutable jobs : Trace.Job.t kept;
+  mutable events : event kept;
+  mutable running : running_job kept;
+  mutable finished : finished_job kept;
+  mutable samples : (float * int * int * int * int) kept;
+  mutable rows : (string * (int * int)) list;
+}
+
+let memo () =
+  { buf = Buffer.create 65536; text = Bytes.empty; jobs = nothing_kept ();
+    events = nothing_kept (); running = nothing_kept ();
+    finished = nothing_kept (); samples = nothing_kept (); rows = [] }
+
+let rows memo = memo.rows
+
+(* When a row's line may be copied from the last save.  Jobs and samples
+   are never mutated, so the physically same value at the same index
+   prints the same line.  Pending events, running and finished rows are
+   rebuilt by every snapshot, so they are found by their key (an event's
+   sequence number, a job id) and compared field by field: the event
+   and the allocation (never mutated) physically, floats bit for bit —
+   [=] would take -0.0 for 0.0, which prints differently. *)
+type 'a reuse = Same_position | Same_id of ('a -> int) * ('a -> 'a -> bool)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_ev a b = a.ev == b.ev && same_float a.ev_time b.ev_time
+
+let same_run a b =
+  a.rs_alloc == b.rs_alloc && a.rs_attempt = b.rs_attempt
+  && a.rs_epoch = b.rs_epoch
+  && same_float a.rs_start b.rs_start
+  && same_float a.rs_end b.rs_end
+  && same_float a.rs_est_end b.rs_est_end
+
+let same_fin a b =
+  a.fs_job = b.fs_job
+  && same_float a.fs_start b.fs_start
+  && same_float a.fs_end b.fs_end
+
+(* Write [xs]' rows of [kind], each copied from [text] when [reuse] finds
+   the line the last save wrote for it and encoded otherwise.  Returns
+   what the next save may reuse and the (encoded, reused) row counts. *)
+let memo_rows buf ~text kind row reuse (kept : _ kept) xs =
+  let n = Array.length xs in
+  let starts = Array.make (n + 1) 0 in
+  let ids = Hashtbl.create (match reuse with Same_position -> 1 | Same_id _ -> n) in
+  let reused = ref 0 in
+  Array.iteri
+    (fun i x ->
+      starts.(i) <- Buffer.length buf;
+      let prev =
+        match reuse with
+        | Same_position ->
+            if i < Array.length kept.vals && kept.vals.(i) == x then i else -1
+        | Same_id (id, same) -> (
+            Hashtbl.replace ids (id x) i;
+            match Hashtbl.find_opt kept.ids (id x) with
+            | Some j when same kept.vals.(j) x -> j
+            | _ -> -1)
+      in
+      if prev < 0 then line buf kind row x
+      else begin
+        incr reused;
+        Buffer.add_subbytes buf text kept.starts.(prev)
+          (kept.starts.(prev + 1) - kept.starts.(prev))
+      end)
+    xs;
+  starts.(n) <- Buffer.length buf;
+  ({ vals = xs; starts; ids }, (kind, (n - !reused, !reused)))
+
+(* The whole file, body then trailer, in the memo's buffer; [memo] now
+   holds this save's rows. *)
+let encode_buffer memo meta (s : Simulator.Snapshot.t) =
+  let buf = memo.buf and text = memo.text in
+  Buffer.clear buf;
+  line buf ~tail:meta magic header s;
+  let jobs, job_rows = memo_rows buf ~text "job" job Same_position memo.jobs s.jobs in
+  Array.iter (line buf "fault" fault) s.faults;
+  line buf "engine" engine s;
+  let events, ev_rows =
+    memo_rows buf ~text "ev" ev
+      (Same_id ((fun e -> e.ev_seq), same_ev))
+      memo.events s.events
   in
-  line ~tail:meta magic header s;
-  Array.iter (line "job" job) s.jobs;
-  Array.iter (line "fault" fault) s.faults;
-  line "engine" engine s;
-  Array.iter (line "ev" ev) s.events;
-  line "queue" queue s;
-  line "pending" pending s;
-  line "gens" gens s;
-  line "nofit" nofit s;
-  line "kills" kills s;
-  Array.iter (line "run" run) s.running;
-  Array.iter (line "fin" fin) s.finished;
-  Array.iter (line "smp" smp) s.samples;
-  line "acc" acc s;
-  (* Integrity trailer: line count and MD5 of everything above it. *)
-  let body = Buffer.contents buf in
+  line buf "queue" queue s;
+  line buf "pending" pending s;
+  line buf "gens" gens s;
+  line buf "nofit" nofit s;
+  line buf "kills" kills s;
+  let running, run_rows =
+    memo_rows buf ~text "run" run
+      (Same_id ((fun r -> r.rs_alloc.job), same_run))
+      memo.running s.running
+  in
+  let finished, fin_rows =
+    memo_rows buf ~text "fin" fin
+      (Same_id ((fun f -> f.fs_job), same_fin))
+      memo.finished s.finished
+  in
+  let samples, smp_rows =
+    memo_rows buf ~text "smp" smp Same_position memo.samples s.samples
+  in
+  line buf "acc" acc s;
+  (* Integrity trailer: line count and MD5 of everything above it.  No
+     record line holds a newline (the writer escapes them in strings), so
+     the count is the header, the singletons and the repeated rows. *)
+  let body = Buffer.length buf in
+  if Bytes.length text < body then memo.text <- Bytes.create (body + (body / 4));
+  Buffer.blit buf 0 memo.text 0 body;
+  memo.jobs <- jobs;
+  memo.events <- events;
+  memo.running <- running;
+  memo.finished <- finished;
+  memo.samples <- samples;
+  memo.rows <-
+    [ job_rows; ("fault", (Array.length s.faults, 0)); ev_rows; run_rows;
+      fin_rows; smp_rows ];
   let lines =
-    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 body
+    1 + List.length singletons + Array.length s.jobs + Array.length s.faults
+    + Array.length s.events + Array.length s.running
+    + Array.length s.finished + Array.length s.samples
   in
-  line "end" trailer (lines, Digest.to_hex (Digest.string body));
+  line buf "end" trailer (lines, Digest.to_hex (Digest.subbytes memo.text 0 body));
+  buf
+
+let encode ?(memo = memo ()) ?(meta = []) s =
+  Buffer.contents (encode_buffer memo meta s)
+
+let save ?(memo = memo ()) ?(meta = []) ~path (s : Simulator.Snapshot.t) =
+  let buf = encode_buffer memo meta s in
   let tmp = path ^ ".tmp" in
   (* Crash-ordering discipline: the bytes must be durable before the
      rename publishes them (or a crash after the rename could expose an
      empty/stale file), and the rename itself must be durable before the
      save is reported successful (directory fsync). *)
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf);
+      Buffer.output_buffer oc buf;
       Out_channel.flush oc;
       Unix.fsync (Unix.descr_of_out_channel oc));
   Sys.rename tmp path;

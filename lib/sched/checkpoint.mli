@@ -22,6 +22,18 @@
       [checkpoint → restore → finish] reproduces the uninterrupted
       run's {!Metrics.fingerprint} byte for byte.
 
+    A save re-encodes only the rows that changed since the last save
+    through the same {!memo}: a job or sample row is copied from that
+    save's bytes when the snapshot holds the physically same value at
+    the same index; a pending-event row when the last save wrote one
+    with the same sequence number, the physically same event and a
+    bit-equal time; a running or finished row when the last save wrote
+    one for the same job id whose allocation is the physically same
+    value, whose integers are equal and whose floats are equal bit for
+    bit.  Every other row, and every row of a save through a fresh
+    memo, is encoded afresh, so a file's bytes never depend on the
+    memo.
+
     The record order is documented in DESIGN.md §12. *)
 
 val version : int
@@ -34,7 +46,28 @@ val version : int
 val resilience : (Simulator.resilience, Simulator.resilience) Obs.Row.t
 val spec : (Trace.Job.t, int -> Trace.Job.spec) Obs.Row.t
 
+type memo
+(** The rows the last save through it wrote, where their lines are in
+    that save's bytes, and the buffers the next save writes into: about
+    twice one checkpoint's size.  Not shared between domains. *)
+
+val memo : unit -> memo
+(** An empty memo: the first save through it encodes every row. *)
+
+val rows : memo -> (string * (int * int)) list
+(** For each repeated record kind (["job"], ["fault"], ["ev"], ["run"],
+    ["fin"], ["smp"]): how many rows the last save through [memo]
+    encoded afresh and how many it copied; [[]] before the first. *)
+
+val encode :
+  ?memo:memo ->
+  ?meta:(string * Obs.Json.value) list ->
+  Simulator.Snapshot.t ->
+  string
+(** The bytes {!save} writes, without writing them. *)
+
 val save :
+  ?memo:memo ->
   ?meta:(string * Obs.Json.value) list ->
   path:string ->
   Simulator.Snapshot.t ->
@@ -44,8 +77,9 @@ val save :
     the previous checkpoint or the complete new one — never a stale or
     empty file that was already reported saved.  [meta] fields are
     appended to the header record (callers must avoid the header's own
-    keys); {!load} ignores them, {!load_ext} returns them.  Raises
-    [Sys_error] on I/O failure. *)
+    keys); {!load} ignores them, {!load_ext} returns them.  [memo]
+    (default: a fresh one) supplies the rows to reuse and takes this
+    save's.  Raises [Sys_error] on I/O failure. *)
 
 val load : path:string -> (Simulator.Snapshot.t, string) result
 (** Read a checkpoint back.  [Error] on I/O failure, a failed integrity

@@ -1453,9 +1453,13 @@ module Snapshot = struct
   }
 end
 
+(* The table's bindings in ascending (key, value) order. *)
 let sorted_pairs tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort compare |> Array.of_list
+  |> List.sort (fun (k1, v1) (k2, v2) ->
+         let c = Int.compare k1 k2 in
+         if c <> 0 then c else Int.compare v1 v2)
+  |> Array.of_list
 
 let snapshot sim : Snapshot.t =
   if sim.pass_scheduled then
@@ -1481,7 +1485,7 @@ let snapshot sim : Snapshot.t =
         :: acc)
       sim.running []
     |> List.sort (fun (a : Snapshot.running_job) b ->
-           compare a.rs_alloc.job b.rs_alloc.job)
+           Int.compare a.rs_alloc.job b.rs_alloc.job)
     |> Array.of_list
   in
   let finished =
@@ -1513,8 +1517,7 @@ let snapshot sim : Snapshot.t =
        Queue.iter (fun e -> acc := e :: !acc) sim.pending_ids;
        Array.of_list (List.rev !acc));
     pending_live =
-      (Hashtbl.fold (fun id _ acc -> id :: acc) sim.pending []
-      |> List.sort compare |> Array.of_list);
+      Sim.Intsort.of_list (Hashtbl.fold (fun id _ acc -> id :: acc) sim.pending []);
     pending_gens = sorted_pairs sim.pending_gen;
     running;
     nofit =

@@ -60,6 +60,7 @@ type t = {
   mutable next_job_id : int;
   mutable last_seq : int;
   mutable drained : string option; (* the fingerprint, once drained *)
+  ckpt_memo : Sched.Checkpoint.memo;  (* rows the last checkpoint wrote *)
 }
 
 let params t = Sched.Simulator.params t.sim
@@ -90,6 +91,7 @@ let of_sim ~last_seq sim =
       next_job_id = Sched.Simulator.max_job_id sim + 1;
       last_seq;
       drained = None;
+      ckpt_memo = Sched.Checkpoint.memo ();
     }
   in
   (* Every event in the log has executed (daemon ops always run_until
@@ -124,14 +126,18 @@ let of_checkpoint ?sink ?prof ~path () =
           | Error m -> Error m
           | Ok sim -> Ok (of_sim ~last_seq sim)))
 
+let snapshot t = Sched.Simulator.snapshot t.sim
+let checkpoint_meta t = [ ("x_svc_seq", Obs.Json.Num (float t.last_seq)) ]
+
+let checkpoint_rows t = Sched.Checkpoint.rows t.ckpt_memo
+
 let checkpoint t ~path =
   match t.drained with
   | Some _ -> false  (* the WAL'd drain op re-derives everything *)
   | None ->
-      Sched.Checkpoint.save
-        ~meta:[ ("x_svc_seq", Obs.Json.Num (float t.last_seq)) ]
-        ~path
-        (Sched.Simulator.snapshot t.sim);
+      Sched.Checkpoint.save ~memo:t.ckpt_memo
+        ~meta:(checkpoint_meta t)
+        ~path (snapshot t);
       Crash.hit "ckpt-post-save";
       true
 

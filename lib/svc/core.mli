@@ -55,6 +55,16 @@ val checkpoint : t -> path:string -> bool
     (and no file) once drained — the WAL'd drain op re-derives the
     result on replay.  Carries the ["ckpt-post-save"] crash point. *)
 
+val snapshot : t -> Sched.Simulator.Snapshot.t
+(** The live simulation's snapshot, as {!checkpoint} takes it. *)
+
+val checkpoint_meta : t -> (string * Obs.Json.value) list
+(** The header fields {!checkpoint} adds to the snapshot's. *)
+
+val checkpoint_rows : t -> (string * (int * int)) list
+(** {!Sched.Checkpoint.rows} of the last {!checkpoint}: per record kind,
+    rows encoded afresh and rows copied from the checkpoint before. *)
+
 val params : t -> params
 (** Read off the live simulation, so names are canonical (["10%"] for a
     scenario created as ["10"]). *)

@@ -230,11 +230,23 @@ let drop st c =
 
 (* -- checkpointing -- *)
 
+(* [Core.checkpoint], counting the rows it encoded and the rows it
+   copied from the checkpoint before. *)
+let checkpoint prof core ~path =
+  let written = Core.checkpoint core ~path in
+  if written then
+    List.iter
+      (fun (_, (encoded, reused)) ->
+        Obs.Prof.add prof "svc/ckpt_rows_encoded" encoded;
+        Obs.Prof.add prof "svc/ckpt_rows_reused" reused)
+      (Core.checkpoint_rows core);
+  written
+
 let do_checkpoint st =
   let seq = Core.last_seq st.core in
   if Core.fingerprint st.core = None && seq > st.last_ckpt_seq then begin
     let path = Filename.concat st.opts.dir (ckpt_name seq) in
-    if Core.checkpoint st.core ~path then begin
+    if checkpoint st.prof st.core ~path then begin
       st.last_ckpt_seq <- seq;
       Wal.rotate st.wal;
       Obs.Prof.incr st.prof "svc/checkpoints";
@@ -346,6 +358,8 @@ let exec st c line =
               ("wal_segments", num_i wal_segments);
               ("checkpoints", num_i (List.length (checkpoints st.opts.dir)));
               ("checkpoints_written", num_i (counter "svc/checkpoints"));
+              ("ckpt_rows_encoded", num_i (counter "svc/ckpt_rows_encoded"));
+              ("ckpt_rows_reused", num_i (counter "svc/ckpt_rows_reused"));
               ("last_ckpt_seq", num_i st.last_ckpt_seq);
               ("queue", num_i (Queue.length st.queue));
               ("clients", num_i (List.length st.clients));
@@ -537,7 +551,7 @@ let run ?(prof = Obs.Prof.create ()) opts =
         let seqs = List.map fst (checkpoints opts.dir) in
         if not (List.mem (Core.last_seq core) seqs) then begin
           let path = Filename.concat opts.dir (ckpt_name (Core.last_seq core)) in
-          if Core.checkpoint core ~path then Wal.rotate wal
+          if checkpoint prof core ~path then Wal.rotate wal
         end
       end;
       (try Unix.unlink opts.socket with Unix.Unix_error _ -> ());

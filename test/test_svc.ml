@@ -920,6 +920,14 @@ let test_daemon_socket_parity () =
             fp := Obs.Json.str reply "fingerprint")
         ops;
       Alcotest.(check string) "socket == in-process" expected !fp;
+      (* Checkpoints every 6 ops: the later ones copy the earlier ones'
+         job rows. *)
+      let stats = rpc fd read {|{"op":"stats"}|} in
+      let count k = Obs.Json.int stats k in
+      Alcotest.(check bool) "checkpoints written" true
+        (count "checkpoints_written" >= 2);
+      Alcotest.(check bool) "rows encoded" true (count "ckpt_rows_encoded" > 0);
+      Alcotest.(check bool) "rows reused" true (count "ckpt_rows_reused" > 0);
       Unix.close fd)
 
 let test_daemon_survives_fuzz () =
@@ -1120,6 +1128,179 @@ let test_fixture_state_dir () =
     (fixture_files "ckpt-")
 
 (* ------------------------------------------------------------------ *)
+(* Incremental checkpoint encoding                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Admit and apply one request at the later of [at] and the clock;
+   requests admission refuses are skipped. *)
+let apply_req core seq ~at req =
+  let stamp = Float.max at (Svc.Core.now core) in
+  match Svc.Core.admit core ~stamp req with
+  | Error _ -> ()
+  | Ok op ->
+      ignore (Svc.Core.apply core ~seq:!seq ~rid:None ~stamp op);
+      incr seq
+
+let test_checkpoint_rows_counted () =
+  with_tmpdir (fun dir ->
+      let core =
+        match Svc.Core.create (params ()) with
+        | Ok c -> c
+        | Error m -> Alcotest.fail m
+      in
+      let seq = ref 0 in
+      let ops = mk_ops ~n_jobs:10 ~faulty:false in
+      List.iter
+        (fun (at, req) ->
+          if req <> Svc.Protocol.Drain then apply_req core seq ~at req)
+        ops;
+      let path = Filename.concat dir "ckpt.jsonl" in
+      let checkpoint () =
+        Alcotest.(check bool) "written" true (Svc.Core.checkpoint core ~path)
+      in
+      let rows kind = List.assoc kind (Svc.Core.checkpoint_rows core) in
+      let encoded kind = fst (rows kind) in
+      checkpoint ();
+      Alcotest.(check (pair int int)) "first: every job row encoded" (10, 0)
+        (rows "job");
+      checkpoint ();
+      Alcotest.(check int) "no op: no job row encoded" 0 (encoded "job");
+      Alcotest.(check int) "no op: no run row encoded" 0 (encoded "run");
+      Alcotest.(check bool) "some job runs" true (snd (rows "run") > 0);
+      apply_req core seq ~at:0.0 (snd (List.hd ops));
+      checkpoint ();
+      Alcotest.(check int) "one submit: one job row encoded" 1 (encoded "job"))
+
+(* The checkpoint property: whatever the memo saw before, a save through
+   it writes the bytes a save through a fresh memo writes.  Random op
+   sequences on a daemon with requeue and shrink recovery: rigid and
+   moldable submits, cancels, resizes, fails and repairs, clock
+   advances, with checkpoints between them.  At each checkpoint the
+   daemon's file (its own memo) and a save through the test's memo must
+   equal a fresh save of the same snapshot, and so must the snapshot's
+   signed-zero twin through the test's memo: the same rows, keys and
+   allocations, with every zero time in the event, running and finished
+   rows negated, which prints differently ("-0"). *)
+type action =
+  | Submit of int * float * bool  (* size, runtime, moldable *)
+  | Cancel of int  (* index among the submitted jobs *)
+  | Resize of int * int  (* index among the submitted jobs, size *)
+  | Fault of Trace.Faults.kind * Trace.Faults.target
+  | Advance of float
+  | Checkpoint
+
+let pp_action = function
+  | Submit (n, rt, m) -> Printf.sprintf "submit %d %h%s" n rt (if m then " moldable" else "")
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Resize (i, n) -> Printf.sprintf "resize #%d %d" i n
+  | Fault (k, t) ->
+      Printf.sprintf "%s %s %d" (Trace.Faults.kind_name k)
+        (Trace.Faults.target_name t) (Trace.Faults.target_id t)
+  | Advance dt -> Printf.sprintf "advance %h" dt
+  | Checkpoint -> "checkpoint"
+
+let gen_action =
+  let open QCheck2.Gen in
+  let target =
+    oneof
+      [ map (fun n -> Trace.Faults.Node n) (int_bound 7);
+        map (fun l -> Trace.Faults.Leaf_switch l) (int_bound 3) ]
+  in
+  frequency
+    [
+      (5, map3 (fun n rt m -> Submit (n, rt, m)) (int_range 1 48)
+            (float_range 10.0 400.0) bool);
+      (1, map (fun i -> Cancel i) nat);
+      (2, map2 (fun i n -> Resize (i, n)) nat (int_range 1 64));
+      (1, map (fun t -> Fault (Trace.Faults.Fail, t)) target);
+      (1, map (fun t -> Fault (Trace.Faults.Repair, t)) target);
+      (2, map (fun dt -> Advance dt) (float_range 1.0 300.0));
+      (2, pure Checkpoint);
+    ]
+
+(* Every zero time in the event, running and finished rows, sign
+   flipped. *)
+let signed_zero_twin (s : Sched.Simulator.Snapshot.t) =
+  let flip x = if x = 0.0 then -.x else x in
+  { s with
+    events =
+      Array.map
+        (fun (e : Sched.Simulator.Snapshot.event) ->
+          { e with ev_time = flip e.ev_time })
+        s.events;
+    running =
+      Array.map
+        (fun (r : Sched.Simulator.Snapshot.running_job) ->
+          { r with rs_start = flip r.rs_start; rs_end = flip r.rs_end;
+                   rs_est_end = flip r.rs_est_end })
+        s.running;
+    finished =
+      Array.map
+        (fun (f : Sched.Simulator.Snapshot.finished_job) ->
+          { f with fs_start = flip f.fs_start; fs_end = flip f.fs_end })
+        s.finished }
+
+let checkpoint_bytes_hold actions =
+  with_tmpdir (fun dir ->
+      let p =
+        { (params ()) with resilience = { requeue_policy with shrink = true } }
+      in
+      let core =
+        match Svc.Core.create p with Ok c -> c | Error m -> failwith m
+      in
+      let memo = Sched.Checkpoint.memo () in
+      let path = Filename.concat dir "ckpt.jsonl" in
+      let seq = ref 0 and submitted = ref 0 in
+      let apply req = apply_req core seq ~at:(Svc.Core.now core) req in
+      let checkpoint () =
+        (not (Svc.Core.checkpoint core ~path))
+        ||
+        let meta = Svc.Core.checkpoint_meta core in
+        let same s =
+          let fresh = Sched.Checkpoint.encode ~meta s in
+          String.equal (Sched.Checkpoint.encode ~memo ~meta s) fresh
+        in
+        let s = Svc.Core.snapshot core in
+        String.equal (read_file path) (Sched.Checkpoint.encode ~meta s)
+        && same s
+        && same (signed_zero_twin s)
+      in
+      List.for_all
+        (fun a ->
+          match a with
+          | Submit (size, runtime, moldable) ->
+              let range = if moldable then Some (max 1 (size / 2)) else None in
+              apply
+                (Svc.Protocol.Submit
+                   { id = Some !submitted; size; runtime;
+                     min_size = range;
+                     max_size = Option.map (fun _ -> min 128 (2 * size)) range;
+                     est_runtime = None; bw_class = None });
+              incr submitted;
+              true
+          | Cancel i ->
+              apply (Svc.Protocol.Cancel { id = i mod !submitted });
+              true
+          | Resize (i, size) ->
+              apply (Svc.Protocol.Resize { id = i mod !submitted; size });
+              true
+          | Fault (kind, target) ->
+              apply (Svc.Protocol.Fault { kind; target });
+              true
+          | Advance dt ->
+              Svc.Core.advance core (Svc.Core.now core +. dt);
+              true
+          | Checkpoint -> checkpoint ())
+        (* A first job starts at time 0, so zero times occur. *)
+        ((Submit (16, 250.5, false) :: actions) @ [ Checkpoint ]))
+
+let prop_checkpoint_bytes =
+  QCheck2.Test.make ~name:"warm-memo checkpoints equal fresh saves" ~count:150
+    ~print:(fun l -> String.concat "; " (List.map pp_action l))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_action)
+    checkpoint_bytes_hold
+
+(* ------------------------------------------------------------------ *)
 (* Client wire bytes                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1263,6 +1444,9 @@ let suite =
       test_client_request_bytes;
     Alcotest.test_case "sweep interrupt + resume" `Quick
       test_sweep_interrupt_resume;
+    Alcotest.test_case "checkpoint rows encoded and reused" `Quick
+      test_checkpoint_rows_counted;
+    QCheck_alcotest.to_alcotest prop_checkpoint_bytes;
     Alcotest.test_case "state dir from an earlier build" `Quick
       test_fixture_state_dir;
   ]
