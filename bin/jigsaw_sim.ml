@@ -6,7 +6,9 @@
      jigsaw-sim --swf my_trace.swf --radix 18 --sched Jigsaw --table2
      jigsaw-sim --trace Synth-22 --sched all --mtbf 2e6 --mttr 2e4 --requeue 3
      jigsaw-sim --sweep --sched all --jobs 4          # full preset x scheme grid
-     jigsaw-sim --sweep --sched all --fingerprint     # deterministic digests *)
+     jigsaw-sim --sweep --sched all --fingerprint     # deterministic digests
+     jigsaw-sim --sweep --sched all --resume-sweep base.jsonl  # one build,
+     jigsaw-sim --sweep --sched all --diff base.jsonl   # reviewed by another *)
 
 open Cmdliner
 
@@ -72,6 +74,63 @@ let print_result ~fingerprint ~json ~table2 ~label ?extra ?prof ?net
     end
   end
 
+(* --diff: one line per cell against a parent build's sweep manifest —
+   whether the fingerprint moved, then the base and new values of the
+   headline metrics (and, for profiled cells, of the give-up and
+   reservation-probe counters), so a change that alters verdicts can be
+   reviewed cell by cell instead of as "bytes differ". *)
+let print_diff ~(base : Sched.Sweep.manifest) (cells : Sched.Sweep.cell array)
+    (results : Sched.Sweep.result array) =
+  let counter (r : Sched.Sweep.result) name =
+    match r.prof with
+    | None -> "-"
+    | Some p -> string_of_int (Obs.Prof.counter p name)
+  in
+  let metric fmt f (r : Sched.Sweep.result) =
+    Printf.sprintf fmt (f r.metrics)
+  in
+  (* Each column holds two fields: the base value, then the new one. *)
+  let columns =
+    [
+      ("util %", 7, metric "%.2f" (fun m -> 100. *. m.avg_utilization));
+      ("avg turnaround", 8, metric "%.0f" (fun m -> m.avg_turnaround_all));
+      ("large turnaround", 8, metric "%.0f" (fun m -> m.avg_turnaround_large));
+      ("rejected", 5, metric "%d" (fun m -> m.rejected));
+      ("sched ms/job", 8, metric "%.4f" (fun m -> 1e3 *. m.sched_time_per_job));
+      ("exhausted", 7, fun r -> counter r "probe/exhausted");
+      ("res. probes", 8, fun r -> counter r "sched/reservation_probes");
+    ]
+  in
+  let line first second fields =
+    let b = Buffer.create 160 in
+    Buffer.add_string b (Printf.sprintf "%-44s %-6s" first second);
+    List.iter
+      (fun (w, v) -> Buffer.add_string b (Printf.sprintf " %*s" w v))
+      fields;
+    Format.printf "%s@." (Buffer.contents b)
+  in
+  line "cell" "fp" (List.map (fun (name, w, _) -> ((2 * w) + 1, name)) columns);
+  let same = ref 0 and changed = ref 0 and absent = ref 0 in
+  Array.iteri
+    (fun i (r : Sched.Sweep.result) ->
+      let id = cells.(i).Sched.Sweep.id in
+      match List.assoc_opt id base.rows with
+      | None ->
+          incr absent;
+          line id "absent" []
+      | Some b ->
+          let fp = Sched.Metrics.fingerprint in
+          let verdict, n =
+            if fp b.metrics = fp r.metrics then ("same", same)
+            else ("DIFF", changed)
+          in
+          incr n;
+          line id verdict
+            (List.concat_map (fun (_, w, f) -> [ (w, f b); (w, f r) ]) columns))
+    results;
+  Format.printf "@.diff: %d same, %d changed, %d absent from the base@." !same
+    !changed !absent
+
 (* --restore: the checkpoint is self-describing (workload, faults and
    scheme travel inside it), so no --trace/--sched flags are read. *)
 let run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
@@ -95,7 +154,7 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
     scale table2 mtbf mttr fault_seed fault_trace fault_horizon requeue
     resubmit_delay charge_lost_work moldable trace_out trace_format profile
     json fingerprint series_out checkpoint_every checkpoint_out restore
-    resume_sweep net_telemetry net_routing net_flows =
+    resume_sweep diff net_telemetry net_routing net_flows =
   let net =
     if not net_telemetry then None
     else
@@ -114,15 +173,26 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
   in
   (match restore with
   | Some path ->
-      if preset <> None || swf <> None || sweep then begin
+      if preset <> None || swf <> None || sweep || diff <> None then begin
         Format.eprintf
-          "--restore runs a self-describing checkpoint; drop --trace/--swf/--sweep@.";
+          "--restore runs a self-describing checkpoint; drop \
+           --trace/--swf/--sweep/--diff@.";
         exit 1
       end;
       run_restored ~path ~checkpoint_every ~checkpoint_out ~json ~fingerprint
         ~table2 ~net;
       exit 0
   | None -> ());
+  let base =
+    Option.map
+      (fun path ->
+        match Sched.Sweep.load_manifest path with
+        | Ok m -> m
+        | Error m ->
+            Format.eprintf "cannot read --diff manifest %s: %s@." path m;
+            exit 2)
+      diff
+  in
   let jobs = if jobs = 0 then Par.Pool.default_jobs () else max 1 jobs in
   let scenario =
     match Trace.Scenario.of_name scenario with
@@ -252,6 +322,7 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
     exit 1
   end;
   let multi = Array.length cells > 1 in
+  let json = json && base = None and fingerprint = fingerprint && base = None in
   if (not json) && not fingerprint then begin
     if sweep then
       Format.printf "sweep: %d cells (%d traces x %d schemes), %d domain%s@.@."
@@ -388,19 +459,23 @@ let run preset swf radix sched scenario seed window truncate jobs sweep full
         (Filename.extension path)
     end
   in
+  (match base with
+  | Some base -> print_diff ~base cells results
+  | None -> ());
   Array.iteri
     (fun i (r : Sched.Sweep.result) ->
       let c = cells.(i) in
       (* The stable cell id, not the display label: fingerprint lines
          are diffed across runs and machines, so the key must not depend
          on grid position or flag order. *)
-      print_result ~fingerprint ~json ~table2 ~label:c.id
-        ~extra:
-          [
-            ("wall_clock_s", Obs.Json.Num r.wall_s);
-            ("jobs", Obs.Json.Num (float_of_int jobs));
-          ]
-        ?prof:r.prof ?net:r.net r.metrics;
+      if base = None then
+        print_result ~fingerprint ~json ~table2 ~label:c.id
+          ~extra:
+            [
+              ("wall_clock_s", Obs.Json.Num r.wall_s);
+              ("jobs", Obs.Json.Num (float_of_int jobs));
+            ]
+          ?prof:r.prof ?net:r.net r.metrics;
       match series_out with
       | Some path when not fingerprint ->
           let file = series_file path c in
@@ -479,7 +554,7 @@ let cmd =
     Cli_common.scale_arg
       ~doc:"Use the radix-48 scale tier: the nine workload families \
             re-targeted at a 27648-node cluster (names carry an @48 \
-            suffix, e.g. Synth-16\\@48), for measuring allocator cost \
+            suffix, e.g. Synth-16@48), for measuring allocator cost \
             at large radix. With --sweep, runs the 45-cell scale grid; \
             incompatible with --full."
   in
@@ -609,6 +684,17 @@ let cmd =
                  rerun with the same flags completes only the missing cells \
                  and reports identical results.")
   in
+  let diff =
+    Arg.(value & opt (some file) None & info [ "diff" ] ~docv:"BASE"
+           ~doc:"Review this run against BASE, a --resume-sweep manifest \
+                 written by another build: instead of the per-cell output \
+                 (--json and --fingerprint are ignored), print one line \
+                 per cell saying whether its fingerprint is the same, with \
+                 both sides' utilization, average and large-job \
+                 turnaround, rejected count and scheduling time per job, \
+                 plus the probe/exhausted and sched/reservation_probes \
+                 counters of cells that were profiled (--profile).")
+  in
   let net_telemetry =
     Arg.(value & flag & info [ "net-telemetry" ]
            ~doc:"Route every running job's synthetic flow set and measure \
@@ -641,7 +727,7 @@ let cmd =
       $ fault_seed $ fault_trace $ fault_horizon $ requeue $ resubmit_delay
       $ charge_lost_work $ moldable $ trace_out $ trace_format $ profile $ json
       $ fingerprint $ series_out $ checkpoint_every $ checkpoint_out $ restore
-      $ resume_sweep $ net_telemetry $ net_routing $ net_flows)
+      $ resume_sweep $ diff $ net_telemetry $ net_routing $ net_flows)
   in
   Cmd.v
     (Cmd.info "jigsaw-sim" ~version:"1.0.0"

@@ -61,7 +61,7 @@ let cmd =
   let full = Cli_common.full_arg ~doc:"Paper-scale job counts." in
   let scale =
     Cli_common.scale_arg
-      ~doc:"Export the radix-48 scale tier (names end in \\@48; with \
+      ~doc:"Export the radix-48 scale tier (names end in @48; with \
             --all, exports all nine scale traces). Incompatible with \
             --full."
   in

@@ -54,7 +54,7 @@ type t = {
   budgeted : bool;
       (** Whether a failing probe may burn a large search budget before
           giving up (LC/LC+S).  Selects the simulator's reservation
-          search: fewest probes (drained machine, then binary search)
+          search: fewest probes (drained machine, then galloping)
           for budgeted allocators, fewest state rebuilds (forward walk)
           for the cheap definitive ones.  Both orders find the same
           reservation while no probe gives up; see

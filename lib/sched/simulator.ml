@@ -308,7 +308,8 @@ let footprint topo ~nodes ~leaf_cables ~l2_cables =
 (* Earliest estimated completion time at which [job] could be placed,
    with the allocation it would get then.  [running] pairs each live
    allocation with its estimated end time; [None] means the job cannot
-   be placed even on the fully drained machine.
+   be placed even on the fully drained machine.  With [prof], every
+   probe bumps [sched/reservation_probes].
 
    Completions sharing an estimated end free resources together, so they
    form one candidate instant; prefix k is the live state with groups
@@ -317,15 +318,21 @@ let footprint topo ~nodes ~leaf_cables ~l2_cables =
    copy of the live state with its prefix released — the caches the
    arenas keep warm answer exactly as cold ones would — so the probe
    order below alone decides the answer. *)
-let reservation (alloc : Allocator.t) ar ~running ~job =
+let reservation ?prof (alloc : Allocator.t) ar ~running ~job =
   (* Size-negotiating probe with failure provenance collapsed: for rigid
      jobs this is the scheme's plain probe, so pre-molding reservations
      are unchanged; a moldable head reserves the largest grant its
      [min_size, pref] range admits at each candidate instant. *)
-  let try_sized st j =
+  let sized st j =
     match alloc.Allocator.probe_sized st j with
     | Allocator.Sized { alloc = a; _ } -> Some a
     | Allocator.Sized_no_fit | Allocator.Sized_gave_up -> None
+  in
+  let try_sized st j =
+    (match prof with
+    | Some p -> Obs.Prof.incr p "sched/reservation_probes"
+    | None -> ());
+    sized st j
   in
   (* Stable, so completions sharing an end keep their list order. *)
   let completions = Array.of_list running in
@@ -365,14 +372,20 @@ let reservation (alloc : Allocator.t) ar ~running ~job =
   if g = 0 then None
   else if alloc.budgeted then begin
     (* A failing LC/LC+S probe can burn its whole search budget, so
-       minimize the number of probes: the drained machine (prefix g-1)
-       first, then a binary search over prefixes 0..g-2 that probes the
-       midpoint of [lo, hi] and keeps the lower half on a fit.  A probe
-       that gives up reads as no fit, so feasibility need not be
-       monotone in the prefix and the answer is the one this exact
-       sequence finds.  The drained probe runs on the persistent
-       drained arena; the others share one scratch refresh, the scratch
-       moving from the last probed prefix to the next. *)
+       probe as few prefixes as the answer needs.  The drained machine
+       (prefix g-1) goes first, so a head that never fits costs one
+       probe.  Then a galloping search: prefixes 0, 1, 3, 7, …, the
+       last clamped to g-2, until one fits; then a bisection between
+       the last miss and that first fit, keeping the lower half on a
+       fit.  Heads mostly fit after a few completions, so galloping
+       finds them in O(log k) probes for answer k, where a bisection
+       over all g groups always takes log g.  Without give-ups,
+       feasibility is monotone in the prefix and the answer is the
+       forward walk's; a probe that gives up reads as no fit, so then
+       the answer is the one this exact sequence finds.  The drained
+       probe runs on the persistent drained arena; the others share
+       one scratch refresh, the scratch moving from the last probed
+       prefix to the next. *)
     let fault_ops =
       let c = State.counters ar.live in
       c.failures + c.repairs
@@ -384,7 +397,7 @@ let reservation (alloc : Allocator.t) ar ~running ~job =
           (* JIGSAW_VALIDATE=1 re-derives every reused drained verdict. *)
           if
             State.forced_validation
-            && try_sized (drained_copy (fresh ())) job <> fit
+            && sized (drained_copy (fresh ())) job <> fit
           then
             failwith
               (Printf.sprintf
@@ -418,8 +431,18 @@ let reservation (alloc : Allocator.t) ar ~running ~job =
           done;
           try_sized sc job
         in
-        let lo = ref 0 and hi = ref (g - 1) in
-        let best = ref last_alloc in
+        (* Prefixes below [lo] missed; [hi] fits with [best]. *)
+        let lo = ref 0 and hi = ref (g - 1) and best = ref last_alloc in
+        let rec gallop k =
+          match attempt k with
+          | Some a ->
+              best := a;
+              hi := k
+          | None ->
+              lo := k + 1;
+              if !lo < !hi then gallop (min ((2 * k) + 1) (g - 2))
+        in
+        if g > 1 then gallop 0;
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
           match attempt mid with
@@ -708,13 +731,13 @@ and compute_reservation sim (head : Trace.Job.t) =
      actual runtimes.  Since estimates are >= actuals, the reservation is
      conservative; the head still starts earlier if resources free up
      sooner (every completion triggers a scheduling pass). *)
-  let search () =
+  let search ?prof () =
     let running =
       Hashtbl.fold
         (fun _ r acc -> (r.r_est_end, r.r_alloc) :: acc)
         sim.running []
     in
-    reservation sim.cfg.allocator sim.arenas ~running ~job:head
+    reservation ?prof sim.cfg.allocator sim.arenas ~running ~job:head
   in
   let gen = State.generation sim.st in
   match sim.res_memo with
@@ -730,7 +753,8 @@ and compute_reservation sim (head : Trace.Job.t) =
       answer
   | _ ->
       let answer =
-        prof_span sim "sched/reservation" (fun () -> timed sim search)
+        prof_span sim "sched/reservation" (fun () ->
+            timed sim (search ?prof:sim.cfg.prof))
       in
       sim.res_memo <- Some (head, gen, answer);
       answer
@@ -1453,13 +1477,12 @@ module Snapshot = struct
   }
 end
 
-(* The table's bindings in ascending (key, value) order. *)
+(* The table's bindings in ascending key order.  Only [Hashtbl.replace]
+   writes the tables this reads, so each key has one binding. *)
 let sorted_pairs tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (k1, v1) (k2, v2) ->
-         let c = Int.compare k1 k2 in
-         if c <> 0 then c else Int.compare v1 v2)
-  |> Array.of_list
+  Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
+  |> Sim.Intsort.of_list
+  |> Array.map (fun k -> (k, Hashtbl.find tbl k))
 
 let snapshot sim : Snapshot.t =
   if sim.pass_scheduled then

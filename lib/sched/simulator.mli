@@ -146,6 +146,7 @@ val arenas : Fattree.State.t -> arenas
     on its first use. *)
 
 val reservation :
+  ?prof:Obs.Prof.t ->
   Allocator.t ->
   arenas ->
   running:(float * Fattree.Alloc.t) list ->
@@ -166,11 +167,18 @@ val reservation :
       and answering with the first fit;
     - budgeted searches (LC/LC+S), whose failing probes burn their
       whole budget, probe the drained prefix g-1 first ([None] on no
-      fit), then binary search prefixes 0..g-2: probe the midpoint of
-      [lo, hi], keep the lower half on a fit and the upper half
-      otherwise.  A probe that gives up counts as no fit, so budgeted
-      feasibility is {e not} monotone in the prefix and the answer is
+      fit), then gallop: prefixes 0, 1, 3, 7, …, the last clamped to
+      g-2, until one fits (none fits: the drained prefix is the
+      answer), then bisect between the last miss and that first fit,
+      keeping the lower half on a fit.  When no probe gives up,
+      feasibility is monotone in the prefix and the answer equals the
+      forward walk's.  A probe that gives up counts as no fit, so
+      budgeted feasibility is then {e not} monotone and the answer is
       defined by this exact sequence.
+
+    With [prof], every probe of either sequence increments the counter
+    [sched/reservation_probes] (the [JIGSAW_VALIDATE=1] cross-check
+    below is not counted).
 
     Arena contract: every probe sees a state observably equal to a
     fresh copy of the live state with its prefix released, so verdicts

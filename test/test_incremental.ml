@@ -2,7 +2,7 @@
    cached per-leaf/per-L2/per-pod summaries in [Fattree.State], the
    scheduler's no-fit memo soundness argument, [State.unrelease] as the
    exact inverse of [release], and the reservation search against its
-   clone-per-probe references (forward walk and budgeted binary
+   clone-per-probe references (forward walk and budgeted galloping
    search). *)
 
 open Fattree
@@ -378,13 +378,16 @@ let test_reservation_empty_running () =
     = None)
 
 (* ------------------------------------------------------------------ *)
-(* Budgeted (LC/LC+S) reservation == copy-per-probe binary search.     *)
+(* Budgeted (LC/LC+S) reservation == copy-per-probe galloping search.   *)
 (* ------------------------------------------------------------------ *)
 
-(* The budgeted search before the arenas: the same grouping and probe
-   order, but every probe on a fresh clone of the live state with its
+(* The budgeted search without the arenas: the same grouping and probe
+   order — the drained prefix, then prefixes 0, 1, 3, 7, … clamped to
+   g-2 until one fits, then a bisection between the last miss and that
+   fit — but every probe on a fresh clone of the live state with its
    whole prefix released. *)
-let reference_binary_reservation (alloc : Sched.Allocator.t) st ~running ~job =
+let reference_galloping_reservation (alloc : Sched.Allocator.t) st ~running
+    ~job =
   let groups = completion_groups running in
   let g = Array.length groups in
   let attempt k =
@@ -396,21 +399,29 @@ let reference_binary_reservation (alloc : Sched.Allocator.t) st ~running ~job =
     | Sized { alloc = a; _ } -> Some a
     | Sized_no_fit | Sized_gave_up -> None
   in
+  (* [bisect lo hi best]: prefixes below [lo] missed, [hi] fits with
+     [best]. *)
+  let rec bisect lo hi best =
+    if lo >= hi then Some (fst groups.(hi), best)
+    else
+      let mid = (lo + hi) / 2 in
+      match attempt mid with
+      | Some a -> bisect lo mid a
+      | None -> bisect (mid + 1) hi best
+  in
+  (* [gallop lo k last]: prefixes below [lo] missed; probe [k]. *)
+  let rec gallop lo k last =
+    match attempt k with
+    | Some a -> bisect lo k a
+    | None when k >= g - 2 -> Some (fst groups.(g - 1), last)
+    | None -> gallop (k + 1) (min ((2 * k) + 1) (g - 2)) last
+  in
   if g = 0 then None
   else
     match attempt (g - 1) with
     | None -> None
     | Some last ->
-        let lo = ref 0 and hi = ref (g - 1) and best = ref last in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          match attempt mid with
-          | Some a ->
-              best := a;
-              hi := mid
-          | None -> lo := mid + 1
-        done;
-        Some (fst groups.(!hi), !best)
+        if g = 1 then Some (fst groups.(0), last) else gallop 0 0 last
 
 (* [alloc] with every probe logged: the probed state's free, busy and
    failed node counts and the verdict, so two searches can be compared
@@ -487,6 +498,14 @@ let budgeted_allocators =
     Sched.Allocator.lc_exclusive ~budget:40 ();
   ]
 
+(* A fast search's log in probe order.  Under JIGSAW_VALIDATE=1 a
+   reused drained arena's probe is repeated on a freshly drained copy,
+   right after it: the same entry, dropped here. *)
+let search_probes log =
+  match List.rev log with
+  | x :: y :: rest when State.forced_validation && x = y -> x :: rest
+  | l -> l
+
 (* Same answer and the same probe sequence as the reference, on the
    arena pair [ar] (which a caller may reuse across calls). *)
 let check_same_search ~what (alloc : Sched.Allocator.t) ar st ~running ~job
@@ -496,19 +515,13 @@ let check_same_search ~what (alloc : Sched.Allocator.t) ar st ~running ~job
     Sched.Simulator.reservation (logged alloc fast_log) ar ~running ~job
   in
   let slow =
-    reference_binary_reservation (logged alloc ref_log) st ~running ~job
+    reference_galloping_reservation (logged alloc ref_log) st ~running ~job
   in
   List.iter
     (fun (_, _, _, v) ->
       match v with Sched.Allocator.Sized_gave_up -> incr gave_up | _ -> ())
     !ref_log;
-  let fast_probes =
-    (* Under JIGSAW_VALIDATE=1 a reused drained arena's probe is repeated
-       on a freshly drained copy, right after it: the same entry. *)
-    match List.rev !fast_log with
-    | x :: y :: rest when State.forced_validation && x = y -> x :: rest
-    | l -> l
-  in
+  let fast_probes = search_probes !fast_log in
   let what = Printf.sprintf "%s %s size %d" alloc.name what job.Trace.Job.size in
   Alcotest.(check int) (what ^ ": probe count") (List.length !ref_log)
     (List.length fast_probes);
@@ -579,6 +592,88 @@ let test_reservation_across_faults () =
       check "after repairs";
       check "reused")
     budgeted_allocators
+
+(* [sched/reservation_probes] counts every probe of both search
+   sequences, exactly: it matches the logged probe count call by call,
+   and its totals over the [saturated_mixed] seeds are pinned, so a
+   change to the probe order shows here as a number. *)
+let test_reservation_probe_counter () =
+  let total (alloc : Sched.Allocator.t) =
+    let p = Obs.Prof.create () in
+    List.iter
+      (fun seed ->
+        let st, running = saturated_mixed ~seed in
+        let ar = Sched.Simulator.arenas st in
+        List.iter
+          (fun size ->
+            let job =
+              Trace.Job.v ~id:777 ~size ~runtime:50.0 ~bw_class:0.3 ()
+            in
+            let log = ref [] in
+            let before = Obs.Prof.counter p "sched/reservation_probes" in
+            ignore
+              (Sched.Simulator.reservation ~prof:p (logged alloc log) ar
+                 ~running ~job);
+            Alcotest.(check int)
+              (Printf.sprintf "%s seed %d size %d: counter = probes" alloc.name
+                 seed size)
+              (List.length (search_probes !log))
+              (Obs.Prof.counter p "sched/reservation_probes" - before))
+          [ 4; 16; 40; 100; 128 ])
+      [ 11; 57; 90 ];
+    Obs.Prof.counter p "sched/reservation_probes"
+  in
+  List.iter
+    (fun (alloc, expected) ->
+      Alcotest.(check int) (alloc.Sched.Allocator.name ^ " total probes")
+        expected (total alloc))
+    [
+      (Sched.Allocator.lcs (), 57);
+      (Sched.Allocator.lc_exclusive (), 57);
+      (Sched.Allocator.jigsaw, 53);
+    ]
+
+(* qcheck: with a budget no probe exhausts, LC+S and exclusive LC
+   feasibility is monotone in the drained prefix, so the galloping
+   search lands on the forward walk's answer — same instant, same
+   allocation. *)
+let prop_galloping_matches_linear =
+  QCheck2.Test.make ~name:"budgeted galloping == linear walk without give-ups"
+    ~count:40
+    QCheck2.Gen.(
+      quad (int_range 0 1_000_000) (int_range 1 128)
+        (oneofl [ 0.25; 0.3; 0.5; 1.0 ])
+        bool)
+    (fun (seed, size, bw, faulty) ->
+      let st, running = saturated_mixed ~seed in
+      if faulty then fail_some st running;
+      let job = Trace.Job.v ~id:779 ~size ~runtime:50.0 ~bw_class:bw () in
+      List.for_all
+        (fun (alloc : Sched.Allocator.t) ->
+          let log = ref [] in
+          let fast =
+            Sched.Simulator.reservation (logged alloc log)
+              (Sched.Simulator.arenas st) ~running ~job
+          in
+          if
+            List.exists
+              (fun (_, _, _, v) -> v = Sched.Allocator.Sized_gave_up)
+              !log
+          then
+            QCheck2.Test.fail_reportf "%s size %d: a probe gave up" alloc.name
+              size;
+          let slow = reference_reservation alloc st ~running ~job in
+          match (fast, slow) with
+          | None, None -> true
+          | Some (t1, a1), Some (t2, a2) when t1 = t2 && a1 = a2 -> true
+          | _ ->
+              QCheck2.Test.fail_reportf
+                "%s seed %d size %d bw %g: answers differ" alloc.name seed size
+                bw)
+        [
+          Sched.Allocator.lcs ~budget:max_int ();
+          Sched.Allocator.lc_exclusive ~budget:max_int ();
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: the lazily revalidated feasibility rows equal a fresh
@@ -910,6 +1005,9 @@ let suite =
       test_budgeted_reservation_exact;
     Alcotest.test_case "budgeted reservation across faults" `Quick
       test_reservation_across_faults;
+    Alcotest.test_case "reservation probe counter" `Quick
+      test_reservation_probe_counter;
+    QCheck_alcotest.to_alcotest prop_galloping_matches_linear;
     Alcotest.test_case "unrelease is LIFO, forfeited by a claim" `Quick
       test_unrelease_lifo;
     QCheck_alcotest.to_alcotest prop_unrelease_inverts_release;
