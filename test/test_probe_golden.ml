@@ -12,7 +12,13 @@
    drawn from the same probes, so the history itself depends on every
    allocation found.  The pinned digests were computed before the
    count-first prechecks and the list-free materialization; allocator
-   speed-ups must leave them unchanged. *)
+   speed-ups must leave them unchanged.
+
+   A third digest replays its own radix-8 history through [Laas.probe]
+   alone: it places with LaaS and follows each step with three LaaS
+   probes (budgets 4, 40 and the default), so LaaS's single-pod pass
+   and its padded whole-leaf search are pinned apart from the other
+   two digests. *)
 
 open Fattree
 open Jigsaw_core
@@ -61,8 +67,12 @@ let add_probe buf = function
 type fault = Node of int | Leaf_cable of int | L2_cable of int
 
 (* Replays the history on a fresh radix-[radix] state; returns the
-   digest and a test for which (allocator, verdict) pairs occurred. *)
-let run ~radix ~seed ~steps =
+   digest and a test for which (allocator, verdict) pairs occurred.
+   [place ~record ~prng st ~job size] finds the partition a placing step
+   claims and the bandwidth it claims at; [probes ~record st ~job size]
+   are the probes that follow every step.  Both pass each result through
+   [record]. *)
+let run ~radix ~seed ~steps ~place ~probes =
   let topo = Topology.of_radix radix in
   let st = State.create topo in
   let prng = Sim.Prng.create ~seed in
@@ -80,12 +90,6 @@ let run ~radix ~seed ~steps =
     Hashtbl.replace seen (alloc, verdict) ();
     add_probe buf r;
     r
-  in
-  let jigsaw ~demand ?budget ~job size =
-    record `Jigsaw (Jigsaw.probe ~demand ?budget st ~job ~size)
-  in
-  let lc ~demand ?budget ~job size =
-    record `Lc (Least_constrained.probe ~demand ?budget st ~job ~size)
   in
   let live = ref [] and faults = ref [] in
   let n = Topology.num_nodes topo in
@@ -125,11 +129,7 @@ let run ~radix ~seed ~steps =
     end
     else begin
       let size = Sim.Prng.int_in prng ~lo:1 ~hi:(n / 8) in
-      let bw = if Sim.Prng.bool prng then 1.0 else 0.25 in
-      let r =
-        if bw = 1.0 then jigsaw ~demand:1.0 ~job size
-        else lc ~demand:0.25 ~job size
-      in
+      let r, bw = place ~record ~prng st ~job size in
       match r with
       | Partition.Found p ->
           let a = Partition.to_alloc topo p ~bw in
@@ -140,20 +140,51 @@ let run ~radix ~seed ~steps =
     let size =
       Sim.Prng.int_in prng ~lo:1 ~hi:(max 1 (State.total_free_nodes st))
     in
-    List.iter
-      (fun demand ->
-        List.iter
-          (fun budget ->
-            ignore (jigsaw ~demand ?budget ~job size);
-            ignore (lc ~demand ?budget ~job size))
-          [ Some 4; Some 40; None ])
-      [ 1.0; 0.25 ]
+    probes ~record st ~job size
   done;
   let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   (digest, Hashtbl.mem seen)
 
-let check ~radix ~seed ~steps ~digest () =
-  let d, seen = run ~radix ~seed ~steps in
+let budgets = [ Some 4; Some 40; None ]
+
+(* Jigsaw and LC: a placing step draws its demand, and every step is
+   followed by both allocators at both demands and every budget. *)
+let jigsaw ~record ~demand ?budget st ~job size =
+  record `Jigsaw (Jigsaw.probe ~demand ?budget st ~job ~size)
+
+let lc ~record ~demand ?budget st ~job size =
+  record `Lc (Least_constrained.probe ~demand ?budget st ~job ~size)
+
+let place_jigsaw_lc ~record ~prng st ~job size =
+  let bw = if Sim.Prng.bool prng then 1.0 else 0.25 in
+  let r =
+    if bw = 1.0 then jigsaw ~record ~demand:1.0 st ~job size
+    else lc ~record ~demand:0.25 st ~job size
+  in
+  (r, bw)
+
+let probe_jigsaw_lc ~record st ~job size =
+  List.iter
+    (fun demand ->
+      List.iter
+        (fun budget ->
+          ignore (jigsaw ~record ~demand ?budget st ~job size);
+          ignore (lc ~record ~demand ?budget st ~job size))
+        budgets)
+    [ 1.0; 0.25 ]
+
+let laas ~record ?budget st ~job size =
+  record `Laas (Baselines.Laas.probe ?budget st ~job ~size)
+
+let place_laas ~record ~prng:_ st ~job size = (laas ~record st ~job size, 1.0)
+
+let probe_laas ~record st ~job size =
+  List.iter (fun budget -> ignore (laas ~record ?budget st ~job size)) budgets
+
+let check ~radix ~seed ~steps ?(place = place_jigsaw_lc)
+    ?(probes = probe_jigsaw_lc)
+    ?(allocators = [ (`Jigsaw, "Jigsaw"); (`Lc, "LC") ]) ~digest () =
+  let d, seen = run ~radix ~seed ~steps ~place ~probes in
   (* Each allocator must reach every verdict and every partition form,
      or the digest pins less than it claims to. *)
   List.iter
@@ -169,7 +200,7 @@ let check ~radix ~seed ~steps ~digest () =
           (`Infeasible, "Infeasible");
           (`Exhausted, "Exhausted");
         ])
-    [ (`Jigsaw, "Jigsaw"); (`Lc, "LC") ];
+    allocators;
   Alcotest.(check string) (Printf.sprintf "radix %d digest" radix) digest d
 
 let suite =
@@ -180,4 +211,8 @@ let suite =
     Alcotest.test_case "radix 12 probe digest" `Quick
       (check ~radix:12 ~seed:23 ~steps:400
          ~digest:"18c9e68e1de18bada74fc92aa11f0a99");
+    Alcotest.test_case "radix 8 LaaS probe digest" `Quick
+      (check ~radix:8 ~seed:37 ~steps:600 ~place:place_laas ~probes:probe_laas
+         ~allocators:[ (`Laas, "LaaS") ]
+         ~digest:"c864765c4447d07f4c2a87062439746d");
   ]
