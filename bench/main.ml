@@ -337,11 +337,11 @@ let load_cluster ~radix ~seed ~target =
            (Fattree.Topology.num_nodes topo / 8)
            (int_of_float (Sim.Prng.exponential prng ~mean:16.0)))
     in
-    (match Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size with
-    | Some p ->
+    (match Jigsaw_core.Jigsaw.probe st ~job:!id ~size with
+    | Jigsaw_core.Partition.Found p ->
         Fattree.State.claim_exn st
           (Jigsaw_core.Partition.to_alloc topo p ~bw:1.0)
-    | None -> continue := false);
+    | Infeasible | Exhausted -> continue := false);
     incr id
   done;
   st
@@ -433,9 +433,10 @@ let primitive_rows () =
       Array.sub jobs 0 (min 50 (Array.length jobs))
       |> Array.to_list
       |> List.filter_map (fun (j : Trace.Job.t) ->
-             Jigsaw_core.Jigsaw.get_allocation st ~job:j.id ~size:j.size
-             |> Option.map (fun p ->
-                    Jigsaw_core.Partition.to_alloc topo p ~bw:1.0))
+             match Jigsaw_core.Jigsaw.probe st ~job:j.id ~size:j.size with
+             | Jigsaw_core.Partition.Found p ->
+                 Some (Jigsaw_core.Partition.to_alloc topo p ~bw:1.0)
+             | Infeasible | Exhausted -> None)
       |> Array.of_list
     in
     let nodes =
@@ -516,9 +517,9 @@ let micro () =
     let topo = Fattree.State.topo st in
     let fresh = Fattree.State.create topo in
     let p =
-      match Jigsaw_core.Jigsaw.get_allocation fresh ~job:1 ~size:120 with
-      | Some p -> p
-      | None -> assert false
+      match Jigsaw_core.Jigsaw.probe fresh ~job:1 ~size:120 with
+      | Jigsaw_core.Partition.Found p -> p
+      | Infeasible | Exhausted -> assert false
     in
     let n = Jigsaw_core.Partition.node_count p in
     let perm = Routing.Rearrange.demo_permutation ~n ~shift:(n / 3) in

@@ -64,11 +64,11 @@ let () =
   (* --- Jigsaw ------------------------------------------------------- *)
   let state = State.create topo in
   let alloc_job job size =
-    match Jigsaw.get_allocation state ~job ~size with
-    | Some p ->
+    match Jigsaw.probe state ~job ~size with
+    | Partition.Found p ->
         State.claim_exn state (Partition.to_alloc topo p ~bw:1.0);
         p
-    | None -> failwith "allocation failed on an empty machine"
+    | Infeasible | Exhausted -> failwith "allocation failed on an empty machine"
   in
   let pa = alloc_job 0 64 in
   let pb = alloc_job 1 64 in

@@ -18,9 +18,9 @@ let () =
   (* Fresh resource state; then ask Jigsaw for a 100-node partition. *)
   let state = State.create topo in
   let partition =
-    match Jigsaw.get_allocation state ~job:1 ~size:100 with
-    | Some p -> p
-    | None -> failwith "empty machine must fit a 100-node job"
+    match Jigsaw.probe state ~job:1 ~size:100 with
+    | Partition.Found p -> p
+    | Infeasible | Exhausted -> failwith "empty machine must fit a 100-node job"
   in
   Format.printf "%a@.@." Partition.pp partition;
 

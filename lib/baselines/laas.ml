@@ -10,16 +10,12 @@ open Fattree
 let probe ?budget st ~job ~size =
   if size <= 0 || State.total_free_nodes st < size then
     Jigsaw_core.Partition.Infeasible
-  else begin
+  else
     match
-      Jigsaw_core.Jigsaw.probe ?budget ~two_level_only:true st ~job ~size
+      Jigsaw_core.Search.two_level st ~job ~size ~alloc_size:size ~demand:1.0
     with
-    | Jigsaw_core.Partition.Found _ as ok -> ok
-    | Jigsaw_core.Partition.Infeasible | Jigsaw_core.Partition.Exhausted ->
+    | Some p -> Jigsaw_core.Partition.Found p
+    | None ->
         (* The two-level pass is unbudgeted, so only the padded
            three-level search can report a cut-off. *)
         Jigsaw_core.Jigsaw.probe_whole_leaves ?budget st ~job ~size
-  end
-
-let get_allocation ?budget st ~job ~size =
-  Jigsaw_core.Partition.to_option (probe ?budget st ~job ~size)

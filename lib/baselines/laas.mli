@@ -8,8 +8,8 @@
     LaaS utilization at 90–93%.
 
     The placement itself is a special case of the Jigsaw condition space
-    (full leaves, no remainder leaf), so this module delegates to
-    [Jigsaw.probe_whole_leaves]. *)
+    (full leaves, no remainder leaf): [probe] runs Jigsaw's single-pod
+    pass ([Search.two_level]) and then [Jigsaw.probe_whole_leaves]. *)
 
 val probe :
   ?budget:int ->
@@ -17,15 +17,9 @@ val probe :
   job:int ->
   size:int ->
   Jigsaw_core.Partition.probe
-(** Like {!get_allocation} but distinguishes a definitive no-fit from a
-    search-budget cut-off (see {!Jigsaw_core.Partition.probe}). *)
-
-val get_allocation :
-  ?budget:int ->
-  Fattree.State.t ->
-  job:int ->
-  size:int ->
-  Jigsaw_core.Partition.t option
-(** A whole-leaf partition holding [ceil(size / m1) * m1] nodes, or
-    [None].  [Partition.to_alloc] of the result claims the padded node
+(** [Found p] with Jigsaw's unpadded single-pod partition if there is
+    one, else with a whole-leaf partition holding [ceil(size / m1) * m1]
+    nodes; [Infeasible] when neither exists, or [Exhausted] when [budget]
+    cut the whole-leaf search short (see {!Jigsaw_core.Partition.probe}).
+    [Partition.to_alloc] of a padded partition claims the padded node
     set; the partition records the requested [size]. *)

@@ -10,17 +10,19 @@ let default_budget = 100_000
 type pod_info = {
   pod : int;
   free_leaves : int array; (* fully-free leaf ids, ascending *)
-  spine_masks : int array; (* per L2 index i: available spine indices *)
+  spine_masks : int array;
+      (* per L2 index i: available spine indices (State.pod_spine_masks) *)
 }
 
-(* All three summary sources ([pod_fully_free_leaves], [leaf_fully_free]
-   and [l2_up_mask] at demand 1.0) are O(1) reads of State's incremental
-   caches, so one pod's snapshot costs O(m1 + m2).  [try_three_level]
-   builds each pod's snapshot only when its search first reaches that
-   pod with a use for it. *)
+(* Both summary sources ([pod_fully_free_leaves], [leaf_fully_free]) and
+   the state's per-pod spine-mask row are O(1) reads of State's
+   incremental caches, so one pod's snapshot costs O(m2), plus O(m1) to
+   refresh a stale spine row.  [try_three_level] builds each pod's
+   snapshot only when its search first reaches that pod with a use for
+   it; the spine row is only read, never written. *)
 let pod_info st ~demand pod =
   let topo = State.topo st in
-  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
+  let m2 = Topology.m2 topo in
   let count = State.pod_fully_free_leaves st ~pod in
   let free_leaves =
     if count = 0 then [||]
@@ -37,12 +39,7 @@ let pod_info st ~demand pod =
       arr
     end
   in
-  let spine_masks =
-    Array.init m1 (fun i ->
-        let l2 = Topology.l2_of_coords topo ~pod ~index:i in
-        State.l2_up_mask st ~l2 ~demand)
-  in
-  { pod; free_leaves; spine_masks }
+  { pod; free_leaves; spine_masks = State.pod_spine_masks st ~pod ~demand }
 
 (* Materialize one full tree: its first l_t fully-free leaves, all nodes,
    uplinks to every L2 index, and the chosen spine sets.  Spine sets come
@@ -283,37 +280,13 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
   in
   over_shapes shapes
 
-let allocate ?(demand = 1.0) ?(budget = default_budget) ?(two_level_only = false)
-    st ~job ~size ~alloc_size =
-  let topo = State.topo st in
-  if
-    size <= 0
-    || alloc_size < size
-    || alloc_size > Topology.num_nodes topo
-    || State.total_free_nodes st < alloc_size
-  then Partition.Infeasible
-  else begin
-    match Search.two_level st ~job ~size ~alloc_size ~demand with
-    | Some p -> Partition.Found p
-    | None ->
-        if two_level_only then Partition.Infeasible
-        else begin
-          let budget = ref budget in
-          match try_three_level st ~job ~size ~alloc_size ~demand ~budget with
-          | Some p -> Partition.Found p
-          | None ->
-              if !budget <= 0 then Partition.Exhausted else Partition.Infeasible
-        end
-  end
+let probe ?(demand = 1.0) ?(budget = default_budget) st ~job ~size =
+  Search.probe st ~job ~size ~alloc_size:size ~demand ~budget
+    (try_three_level st ~job ~size ~alloc_size:size ~demand)
 
-let probe ?demand ?budget ?two_level_only st ~job ~size =
-  allocate ?demand ?budget ?two_level_only st ~job ~size ~alloc_size:size
-
-let probe_whole_leaves ?demand ?budget st ~job ~size =
-  let topo = State.topo st in
-  let m1 = Topology.m1 topo in
+let probe_whole_leaves ?(demand = 1.0) ?(budget = default_budget) st ~job
+    ~size =
+  let m1 = Topology.m1 (State.topo st) in
   let alloc_size = (size + m1 - 1) / m1 * m1 in
-  allocate ?demand ?budget st ~job ~size ~alloc_size
-
-let get_allocation ?demand ?budget ?two_level_only st ~job ~size =
-  Partition.to_option (probe ?demand ?budget ?two_level_only st ~job ~size)
+  Search.probe st ~job ~size ~alloc_size ~demand ~budget
+    (try_three_level st ~job ~size ~alloc_size ~demand)

@@ -1,15 +1,15 @@
 (** The Jigsaw allocation algorithm (paper §4, Algorithm 1).
 
-    [get_allocation] searches for a partition satisfying the formal
-    conditions of §3.2, restricted — as Jigsaw requires — to {e full
-    leaves} ([n_l] = nodes-per-leaf) for allocations spanning more than
-    one pod.  Two-level (single-pod) allocations are tried first, over
-    every decomposition [size = l_t·n_l + n_rl] with any [n_l]; if none
-    fits, three-level allocations [size = t·n_t + n_rt] are tried with
-    recursive backtracking over pods, requiring a consistent L2 index set
-    and common spine sets per L2 index.
+    [probe] searches for a partition satisfying the formal conditions of
+    §3.2, restricted — as Jigsaw requires — to {e full leaves} ([n_l] =
+    nodes-per-leaf) for allocations spanning more than one pod.  It runs
+    {!Search.probe}: two-level (single-pod) allocations are tried first,
+    over every decomposition [size = l_t·n_l + n_rl] with any [n_l]; if
+    none fits, three-level allocations [size = t·n_t + n_rt] are tried
+    with recursive backtracking over pods, requiring a consistent L2
+    index set and common spine sets per L2 index.
 
-    The returned partition has not been claimed: callers claim
+    A found partition has not been claimed: callers claim
     [Partition.to_alloc topo p ~bw:demand] against the state.  The search
     only proposes resources that are free at the given demand, so an
     immediate claim always succeeds (single-threaded schedulers). *)
@@ -22,15 +22,18 @@ val default_budget : int
 val probe :
   ?demand:float ->
   ?budget:int ->
-  ?two_level_only:bool ->
   Fattree.State.t ->
   job:int ->
   size:int ->
   Partition.probe
-(** Like {!get_allocation} but reports {e why} no partition was returned:
-    [Infeasible] (definitive, search space covered) vs [Exhausted]
-    (budget cut the search short).  The scheduler's no-fit memo may only
-    cache [Infeasible]. *)
+(** [probe st ~job ~size] is [Found p] with the first Jigsaw-compliant
+    partition for a [size]-node job on the current state, [Infeasible]
+    when the search covered its space without one, or [Exhausted] when
+    [budget] (default {!default_budget}) cut the pod backtracking short.
+    The scheduler's no-fit memo may only cache [Infeasible].  [demand]
+    (default 1.0) is the per-cable bandwidth fraction to require and is
+    1.0 for the isolating scheduler; fractions are used by the LC+S
+    bounding scheduler. *)
 
 val probe_whole_leaves :
   ?demand:float ->
@@ -45,19 +48,3 @@ val probe_whole_leaves :
     problem to two levels.  A found partition carries the padded node
     set but records the original [size], exposing LaaS's internal node
     fragmentation to the utilization metrics. *)
-
-val get_allocation :
-  ?demand:float ->
-  ?budget:int ->
-  ?two_level_only:bool ->
-  Fattree.State.t ->
-  job:int ->
-  size:int ->
-  Partition.t option
-(** [get_allocation st ~job ~size] is the first Jigsaw-compliant partition
-    found for a [size]-node job on the current state, or [None] if none
-    exists (or the budget ran out).  [demand] (default 1.0) is the
-    per-cable bandwidth fraction to require and is 1.0 for the isolating
-    scheduler; fractions are used by the LC+S bounding scheduler.
-    [two_level_only] (default false) stops after the single-pod search —
-    the shared prefix of LaaS's algorithm. *)

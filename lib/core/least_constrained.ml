@@ -380,19 +380,5 @@ let try_three_level st ~job ~size ~demand ~budget =
   over_shapes shapes
 
 let probe ?(demand = 1.0) ?(budget = default_budget) st ~job ~size =
-  let topo = State.topo st in
-  if size <= 0 || size > Topology.num_nodes topo || State.total_free_nodes st < size
-  then Partition.Infeasible
-  else begin
-    match Search.two_level st ~job ~size ~alloc_size:size ~demand with
-    | Some p -> Partition.Found p
-    | None -> (
-        let budget = ref budget in
-        match try_three_level st ~job ~size ~demand ~budget with
-        | Some p -> Partition.Found p
-        | None ->
-            if !budget <= 0 then Partition.Exhausted else Partition.Infeasible)
-  end
-
-let get_allocation ?demand ?budget st ~job ~size =
-  Partition.to_option (probe ?demand ?budget st ~job ~size)
+  Search.probe st ~job ~size ~alloc_size:size ~demand ~budget
+    (try_three_level st ~job ~size ~demand)

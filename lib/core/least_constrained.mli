@@ -8,7 +8,8 @@
 
     The search space is exponential in the tree size, so every search
     carries a step budget standing in for the paper's wall-clock timeout
-    (§5.3); budget exhaustion returns [None] and the job stays queued. *)
+    (§5.3); [probe] runs {!Search.probe}, and budget exhaustion returns
+    [Exhausted] and the job stays queued. *)
 
 val default_budget : int
 (** Default step budget per allocation attempt.  Chosen so that typical
@@ -22,18 +23,10 @@ val probe :
   job:int ->
   size:int ->
   Partition.probe
-(** Like {!get_allocation} but distinguishes a definitive no-fit
-    ([Infeasible]) from a budget cut-off ([Exhausted]) — the latter is
-    common for this scheduler and must never enter a no-fit memo. *)
-
-val get_allocation :
-  ?demand:float ->
-  ?budget:int ->
-  Fattree.State.t ->
-  job:int ->
-  size:int ->
-  Partition.t option
-(** [get_allocation st ~job ~size ~demand] is a condition-compliant
+(** [probe st ~job ~size] is [Found p] with a condition-compliant
     partition whose cables all have at least [demand] (default 1.0)
-    remaining capacity, or [None].  Two-level placements are tried first,
-    then three-level shapes over every [n_l] (dense-first). *)
+    remaining capacity, [Infeasible] when none exists, or [Exhausted]
+    when [budget] (default {!default_budget}) ran out first — common for
+    this scheduler, and never to enter a no-fit memo.  Two-level
+    placements are tried first, then three-level shapes over every [n_l]
+    (dense-first). *)

@@ -141,6 +141,27 @@ let two_level st ~job ~size ~alloc_size ~demand =
     (fun shape -> over_pods shape 0)
     (Shapes.two_level topo ~size:alloc_size)
 
+(* The size guard, Algorithm 1's single-pod pass, then the scheme's own
+   budgeted pass over pods.  A search that comes back empty gave up iff
+   it spent the whole budget. *)
+let probe st ~job ~size ~alloc_size ~demand ~budget three_level =
+  let topo = State.topo st in
+  if
+    size <= 0
+    || alloc_size < size
+    || alloc_size > Topology.num_nodes topo
+    || State.total_free_nodes st < alloc_size
+  then Partition.Infeasible
+  else
+    match two_level st ~job ~size ~alloc_size ~demand with
+    | Some p -> Partition.Found p
+    | None -> (
+        let budget = ref budget in
+        match three_level ~budget with
+        | Some p -> Partition.Found p
+        | None ->
+            if !budget <= 0 then Partition.Exhausted else Partition.Infeasible)
+
 type walk = Complete of int | Cut | Stopped
 
 exception Halt of walk

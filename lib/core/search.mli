@@ -53,6 +53,25 @@ val two_level :
     and pods in index order within each shape.  The search is exhaustive
     and carries no budget. *)
 
+val probe :
+  Fattree.State.t ->
+  job:int ->
+  size:int ->
+  alloc_size:int ->
+  demand:float ->
+  budget:int ->
+  (budget:int ref -> Partition.t option) ->
+  Partition.probe
+(** The search driver every partition scheme's [probe] runs (Algorithm
+    1).  [probe st ~job ~size ~alloc_size ~demand ~budget three_level]
+    is [Infeasible] if [size <= 0], [alloc_size < size], or [alloc_size]
+    exceeds the cluster or its free nodes; otherwise the {!two_level}
+    partition if there is one; otherwise [three_level ~budget] with
+    [budget] steps.  When that finds nothing, the verdict is [Exhausted]
+    if the budget reached 0 and [Infeasible] otherwise, so the
+    three-level search must cover its whole space whenever it leaves
+    budget unspent. *)
+
 type walk =
   | Complete of int
       (** The walk visited every solution; the steps it charged after

@@ -61,10 +61,3 @@ let three_level_all topo ~size =
   done;
   (* [acc] now lists n_l = m1 first (dense-first). *)
   !acc
-
-let pp_two_level ppf s =
-  Format.fprintf ppf "2L(n_l=%d, l_t=%d, n_rl=%d)" s.n_l s.l_t s.n_rl
-
-let pp_three_level ppf s =
-  Format.fprintf ppf "3L(n_l=%d, l_t=%d, t=%d, n_rt=%d=(%d*n_l+%d))" s.n_l3
-    s.l_t3 s.t s.n_rt s.l_rt s.n_rl3

@@ -42,6 +42,3 @@ val three_level :
 val three_level_all : Fattree.Topology.t -> size:int -> three_level list
 (** Union of {!three_level} over [n_l = m1 .. 1] (dense-first) — the full
     least-constrained shape space. *)
-
-val pp_two_level : Format.formatter -> two_level -> unit
-val pp_three_level : Format.formatter -> three_level -> unit

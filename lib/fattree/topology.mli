@@ -130,7 +130,6 @@ val l2_of_coords : t -> pod:int -> index:int -> int
 val l2_pod : t -> int -> int
 val l2_index_in_pod : t -> int -> int
 
-val spine_of_coords : t -> group:int -> index:int -> int
 val spine_group : t -> int -> int
 val spine_index_in_group : t -> int -> int
 

@@ -69,9 +69,6 @@ type t = {
 
 val of_run : Reader.run -> t
 
-val wait_boundaries : float array
-(** Wait-histogram bucket edges in simulated seconds. *)
-
 val pp_summary : ?timeline:bool -> Format.formatter -> t -> unit
 (** The [jigsaw-trace] report: run header, job fates, queue-depth and
     wait percentiles, wait histogram, per-context attempt outcomes and

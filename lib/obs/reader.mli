@@ -11,13 +11,11 @@ val split_runs : Event.t list -> run list
 (** Split a flat stream on [Run_meta] boundaries — one [jigsaw-sim
     --sched all --trace-out f] file holds one run per scheme. *)
 
-val parse_events : Sink.format -> string list -> (run list, string) result
-(** Parse raw lines (blank lines and a leading CSV header are skipped;
-    a CSV row whose quoted cell holds a line break spans lines).
-    [Error] carries the first offending line number and reason. *)
-
 val load : ?format:Sink.format -> string -> (run list, string) result
-(** Read a trace file; format defaults to {!Sink.format_of_path}. *)
+(** Read a trace file; format defaults to {!Sink.format_of_path}.  Blank
+    lines and a leading CSV header are skipped, and a CSV row whose
+    quoted cell holds a line break spans lines.  [Error] carries the
+    first offending line number and reason. *)
 
 (** {1 Generic flat JSONL}
 

@@ -84,15 +84,12 @@ type t = {
           derived from it. *)
 }
 
-val pp_row : Format.formatter -> t -> unit
-(** One-line summary (the [Human] face of {!pp}). *)
-
 (** Output faces of a result row.  Every printer funnels through {!pp}
     so the human and machine forms can never drift apart. *)
 type format = Human | Json
 
 val pp : format:format -> Format.formatter -> t -> unit
-(** [Human]: the {!pp_row} line.  [Json]: one flat JSON object (no
+(** [Human]: a one-line summary.  [Json]: one flat JSON object (no
     newline), parseable by [Obs.Json.parse_line]; the instantaneous
     histogram appears as [inst_hist_<i>] keys and the series only by
     length ([series_points]) — export the series itself with

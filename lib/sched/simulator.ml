@@ -961,9 +961,11 @@ let kill_job sim (r : running) =
    moldable victim that only lost nodes — every cable intact — and can
    still meet its minimum size retracts exactly the failed nodes' share
    and compresses the remaining work onto the survivors.  No work is
-   lost and no kill/requeue/retry is consumed.  Anything else (cable
-   hit, would drop below [min_size], rigid job, allocator refuses) falls
-   back to the ordinary kill path. *)
+   lost and no kill/requeue/retry is consumed.  Anything else (would
+   drop below [min_size], rigid job, allocator refuses) falls back to
+   the ordinary kill path; a victim with a failed cable is one the
+   allocator refuses, since every [try_resize] shrinks through
+   [Allocator.shrink_in_place]. *)
 let shrink_or_kill sim (r : running) =
   let alloc = r.r_alloc in
   let failed_nodes =
@@ -971,20 +973,12 @@ let shrink_or_kill sim (r : running) =
       (fun acc nd -> if State.node_failed sim.st nd then acc + 1 else acc)
       0 alloc.Alloc.nodes
   in
-  let cables_ok =
-    Array.for_all
-      (fun c -> not (State.leaf_cable_failed sim.st c))
-      alloc.Alloc.leaf_cables
-    && Array.for_all
-         (fun c -> not (State.l2_cable_failed sim.st c))
-         alloc.Alloc.l2_cables
-  in
   let target = alloc.Alloc.size - failed_nodes in
   if
     not
       (sim.cfg.resilience.shrink
       && Trace.Job.is_moldable r.r_job
-      && cables_ok && failed_nodes > 0
+      && failed_nodes > 0
       && target >= Trace.Job.min_size r.r_job)
   then kill_job sim r
   else

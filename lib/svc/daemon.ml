@@ -332,18 +332,7 @@ let exec st c line =
              the live state, so the op is read-only and un-journaled —
              safe to poll from monitoring at any rate. *)
           let wal_segments =
-            match Sys.readdir st.opts.dir with
-            | exception Sys_error _ -> 0
-            | names ->
-                Array.fold_left
-                  (fun n name ->
-                    if
-                      String.length name > 4
-                      && String.sub name 0 4 = "wal-"
-                      && Filename.check_suffix name ".jsonl"
-                    then n + 1
-                    else n)
-                  0 names
+            List.length (Wal.numbered_files "wal" st.opts.dir)
           in
           let counter = Obs.Prof.counter st.prof in
           let fields =
@@ -429,13 +418,13 @@ let exec st c line =
                   match Core.admit st.core ~stamp req with
                   | Error m -> invalid m
                   | Ok op ->
-                      let t0 = Unix.gettimeofday () in
                       let seq =
                         Wal.append st.wal (Core.fields_of_op ~stamp ~rid op)
                       in
-                      let fields = Core.apply st.core ~seq ~rid ~stamp op in
-                      Obs.Prof.record_span st.prof "svc/apply"
-                        (Unix.gettimeofday () -. t0);
+                      let fields =
+                        Obs.Prof.time st.prof "svc/apply" (fun () ->
+                            Core.apply st.core ~seq ~rid ~stamp op)
+                      in
                       Obs.Prof.incr st.prof "svc/applied";
                       st.ops_since_ckpt <- st.ops_since_ckpt + 1;
                       send st c

@@ -71,10 +71,6 @@ let target_of_name name id =
            "unknown fault target %S (node|leaf-cable|l2-cable|leaf|l2|spine)"
            name)
 
-let pp_event ppf e =
-  Format.fprintf ppf "%.3f %s %s %d" e.time
-    (kind_name e.kind) (target_name e.target) (target_id e.target)
-
 (* ------------------------------------------------------------------ *)
 (* Target -> concrete resources                                        *)
 (* ------------------------------------------------------------------ *)

@@ -99,4 +99,3 @@ val target_of_name : string -> int -> (target, string) result
 (** Inverse of [(target_name, target_id)]: the names {!load} accepts.
     Checkpoint files use this to round-trip fault traces. *)
 
-val pp_event : Format.formatter -> event -> unit

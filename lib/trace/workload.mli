@@ -15,7 +15,6 @@ val create : name:string -> system_nodes:int -> Job.t array -> t
 
 val num_jobs : t -> int
 val max_job_size : t -> int
-val min_runtime : t -> float
 val max_runtime : t -> float
 
 val total_node_seconds : t -> float

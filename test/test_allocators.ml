@@ -115,24 +115,24 @@ let test_ta_large_whole_pods () =
 
 let test_laas_two_level_no_padding () =
   let st = State.create topo in
-  match Baselines.Laas.get_allocation st ~job:0 ~size:11 with
-  | Some p ->
+  match Baselines.Laas.probe st ~job:0 ~size:11 with
+  | Jigsaw_core.Partition.Found p ->
       Alcotest.(check int) "exact within a pod" 11
         (Jigsaw_core.Partition.node_count p);
       Alcotest.(check bool) "single pod" true
         (List.length (Jigsaw_core.Partition.pods_used p) = 1)
-  | None -> Alcotest.fail "alloc failed"
+  | Infeasible | Exhausted -> Alcotest.fail "alloc failed"
 
 let test_laas_three_level_pads () =
   let st = State.create topo in
-  match Baselines.Laas.get_allocation st ~job:0 ~size:18 with
-  | Some p ->
+  match Baselines.Laas.probe st ~job:0 ~size:18 with
+  | Jigsaw_core.Partition.Found p ->
       (* 18 -> 5 whole leaves = 20 nodes. *)
       Alcotest.(check int) "padded" 20 (Jigsaw_core.Partition.node_count p);
       Alcotest.(check int) "requested recorded" 18 p.size;
       Alcotest.(check bool) "legal modulo padding" true
         (Jigsaw_core.Conditions.is_legal ~require_exact_size:false topo p)
-  | None -> Alcotest.fail "alloc failed"
+  | Infeasible | Exhausted -> Alcotest.fail "alloc failed"
 
 let test_allocators_registry () =
   Alcotest.(check int) "five schemes" 5 (List.length Sched.Allocator.all);

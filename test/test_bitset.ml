@@ -2,10 +2,15 @@
 
 open Sim
 
+(* Members in increasing order, through [iter_set]. *)
+let members b =
+  let acc = ref [] in
+  Bitset.iter_set b ~f:(fun i -> acc := i :: !acc);
+  List.rev !acc
+
 let test_basic () =
   let b = Bitset.create 100 in
-  Alcotest.(check int) "capacity" 100 (Bitset.capacity b);
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
+  Alcotest.(check (list int)) "empty" [] (members b);
   Bitset.add b 0;
   Bitset.add b 63;
   Bitset.add b 64;
@@ -14,10 +19,10 @@ let test_basic () =
   Alcotest.(check bool) "mem 63 (word boundary)" true (Bitset.mem b 63);
   Alcotest.(check bool) "mem 64" true (Bitset.mem b 64);
   Alcotest.(check bool) "not mem 50" false (Bitset.mem b 50);
-  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
+  Alcotest.(check (list int)) "members" [ 0; 63; 64; 99 ] (members b);
   Bitset.remove b 63;
   Alcotest.(check bool) "removed" false (Bitset.mem b 63);
-  Alcotest.(check int) "cardinal after remove" 3 (Bitset.cardinal b)
+  Alcotest.(check (list int)) "members after remove" [ 0; 64; 99 ] (members b)
 
 let test_bounds () =
   let b = Bitset.create 10 in
@@ -28,75 +33,40 @@ let test_bounds () =
     (Invalid_argument "Bitset: index -1 out of range [0, 10)") (fun () ->
       ignore (Bitset.mem b (-1)))
 
+(* [fill] sets exactly the universe, up to the ragged last word;
+   removing every member empties the set again. *)
 let test_fill_clear () =
   let b = Bitset.create 130 in
   Bitset.fill b;
-  Alcotest.(check int) "full" 130 (Bitset.cardinal b);
+  Alcotest.(check (list int)) "full" (List.init 130 Fun.id) (members b);
   Alcotest.(check bool) "mem last" true (Bitset.mem b 129);
-  Bitset.clear b;
-  Alcotest.(check int) "cleared" 0 (Bitset.cardinal b)
-
-let test_iter_order () =
-  let b = Bitset.of_list 200 [ 150; 3; 77; 3; 64 ] in
-  Alcotest.(check (list int)) "ascending" [ 3; 64; 77; 150 ] (Bitset.to_list b)
-
-let test_first_clear_from () =
-  let b = Bitset.of_list 10 [ 0; 1; 2; 5 ] in
-  Alcotest.(check (option int)) "from 0" (Some 3) (Bitset.first_clear_from b 0);
-  Alcotest.(check (option int)) "from 3" (Some 3) (Bitset.first_clear_from b 3);
-  Alcotest.(check (option int)) "from 5" (Some 6) (Bitset.first_clear_from b 5);
-  let full = Bitset.create 4 in
-  Bitset.fill full;
-  Alcotest.(check (option int)) "all set" None (Bitset.first_clear_from full 0)
-
-let test_count_range () =
-  let b = Bitset.of_list 100 [ 10; 20; 30; 40 ] in
-  Alcotest.(check int) "range [15,35)" 2 (Bitset.count_range b ~lo:15 ~hi:35);
-  Alcotest.(check int) "clamped" 4 (Bitset.count_range b ~lo:(-5) ~hi:1000)
-
-let test_set_ops () =
-  let a = Bitset.of_list 70 [ 1; 2; 65 ] in
-  let b = Bitset.of_list 70 [ 2; 65; 66 ] in
-  Alcotest.(check int) "inter" 2 (Bitset.inter_cardinal a b);
-  Alcotest.(check bool) "not disjoint" false (Bitset.disjoint a b);
-  let c = Bitset.of_list 70 [ 3; 69 ] in
-  Alcotest.(check bool) "disjoint" true (Bitset.disjoint a c);
-  Bitset.union_into ~dst:a c;
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 65; 69 ] (Bitset.to_list a)
+  for i = 0 to 129 do
+    Bitset.remove b i
+  done;
+  Alcotest.(check (list int)) "cleared" [] (members b)
 
 let test_copy_equal () =
-  let a = Bitset.of_list 50 [ 5; 10 ] in
+  let a = Bitset.of_array 50 [| 5; 10 |] in
   let b = Bitset.copy a in
-  Alcotest.(check bool) "equal" true (Bitset.equal a b);
+  Alcotest.(check (list int)) "equal" (members a) (members b);
   Bitset.add b 11;
-  Alcotest.(check bool) "copy independent" false (Bitset.equal a b)
+  Alcotest.(check (list int)) "copy independent" [ 5; 10 ] (members a)
 
 let test_iter_set () =
   (* iter_set must agree with a mem loop, including across word
      boundaries (62/63/64) and in the ragged last word. *)
-  let b = Bitset.of_list 200 [ 0; 62; 63; 64; 126; 127; 199 ] in
-  let via_iter = ref [] in
-  Bitset.iter_set b ~f:(fun i -> via_iter := i :: !via_iter);
+  let xs = [ 0; 62; 63; 64; 126; 127; 199 ] in
+  let b = Bitset.of_array 200 (Array.of_list xs) in
   Alcotest.(check (list int))
-    "iter_set = to_list" (Bitset.to_list b)
-    (List.rev !via_iter);
+    "iter_set = mem loop"
+    (List.filter (Bitset.mem b) (List.init 200 Fun.id))
+    (members b);
+  Alcotest.(check (list int)) "iter_set = members" xs (members b);
   let empty = Bitset.create 100 in
   Bitset.iter_set empty ~f:(fun _ -> Alcotest.fail "iter on empty set")
 
-let test_exists_set () =
-  let any b = Bitset.exists_set b ~f:(fun _ -> true) in
-  let b = Bitset.create 130 in
-  Alcotest.(check bool) "empty" false (any b);
-  Bitset.add b 129;
-  Alcotest.(check bool) "last bit only" true (any b);
-  Alcotest.(check bool) "predicate filters" false
-    (Bitset.exists_set b ~f:(fun i -> i < 100));
-  Bitset.remove b 129;
-  Bitset.add b 63;
-  Alcotest.(check bool) "word-boundary bit" true (any b)
-
 let test_intersects_array () =
-  let b = Bitset.of_list 200 [ 63; 64; 199 ] in
+  let b = Bitset.of_array 200 [| 63; 64; 199 |] in
   Alcotest.(check bool) "hit" true (Bitset.intersects_array b [| 5; 64 |]);
   Alcotest.(check bool) "miss" false (Bitset.intersects_array b [| 5; 65 |]);
   Alcotest.(check bool) "empty array" false (Bitset.intersects_array b [||]);
@@ -106,82 +76,32 @@ let test_intersects_array () =
 
 let test_of_array () =
   let b = Bitset.of_array 100 [| 9; 3; 3; 77 |] in
-  Alcotest.(check (list int)) "members" [ 3; 9; 77 ] (Bitset.to_list b)
+  Alcotest.(check (list int)) "members" [ 3; 9; 77 ] (members b)
 
-let gen_members = QCheck2.Gen.(list (int_range 0 199))
+let gen_members = QCheck2.Gen.(array (int_range 0 199))
 
 let prop_iter_set_matches_mem =
   QCheck2.Test.make ~name:"iter_set visits exactly the members, ascending"
     ~count:200 gen_members (fun xs ->
-      let b = Sim.Bitset.of_list 200 xs in
-      let acc = ref [] in
-      Sim.Bitset.iter_set b ~f:(fun i -> acc := i :: !acc);
-      List.rev !acc = List.sort_uniq compare xs)
-
-let prop_count_range_matches_naive =
-  QCheck2.Test.make ~name:"count_range = naive mem count" ~count:200
-    QCheck2.Gen.(triple gen_members (int_range 0 200) (int_range 0 200))
-    (fun (xs, a, c) ->
-      let lo = min a c and hi = max a c in
-      let b = Sim.Bitset.of_list 200 xs in
-      let naive = ref 0 in
-      for i = lo to hi - 1 do
-        if Sim.Bitset.mem b i then incr naive
-      done;
-      Sim.Bitset.count_range b ~lo ~hi = !naive)
-
-let prop_first_clear_matches_naive =
-  QCheck2.Test.make ~name:"first_clear_from = naive scan" ~count:200
-    QCheck2.Gen.(pair gen_members (int_range 0 199))
-    (fun (xs, from) ->
-      let b = Sim.Bitset.of_list 200 xs in
-      let rec naive i =
-        if i >= 200 then None
-        else if not (Sim.Bitset.mem b i) then Some i
-        else naive (i + 1)
-      in
-      Sim.Bitset.first_clear_from b from = naive from)
+      let b = Bitset.of_array 200 xs in
+      members b = List.sort_uniq compare (Array.to_list xs))
 
 let prop_intersects_array_matches_exists =
   QCheck2.Test.make ~name:"intersects_array = Array.exists mem" ~count:200
     QCheck2.Gen.(pair gen_members (array_size (int_range 0 20) (int_range 0 199)))
     (fun (xs, probe) ->
-      let b = Sim.Bitset.of_list 200 xs in
-      Sim.Bitset.intersects_array b probe
-      = Array.exists (Sim.Bitset.mem b) probe)
-
-let prop_roundtrip =
-  QCheck2.Test.make ~name:"of_list/to_list roundtrip" ~count:200
-    QCheck2.Gen.(list (int_range 0 199))
-    (fun xs ->
-      let b = Sim.Bitset.of_list 200 xs in
-      Sim.Bitset.to_list b = List.sort_uniq compare xs)
-
-let prop_cardinal =
-  QCheck2.Test.make ~name:"cardinal = |set|" ~count:200
-    QCheck2.Gen.(list (int_range 0 499))
-    (fun xs ->
-      let b = Sim.Bitset.of_list 500 xs in
-      Sim.Bitset.cardinal b = List.length (List.sort_uniq compare xs))
+      let b = Bitset.of_array 200 xs in
+      Bitset.intersects_array b probe = Array.exists (Bitset.mem b) probe)
 
 let suite =
   [
     Alcotest.test_case "basic membership" `Quick test_basic;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "fill and clear" `Quick test_fill_clear;
-    Alcotest.test_case "iteration order" `Quick test_iter_order;
-    Alcotest.test_case "first_clear_from" `Quick test_first_clear_from;
-    Alcotest.test_case "count_range" `Quick test_count_range;
-    Alcotest.test_case "set operations" `Quick test_set_ops;
     Alcotest.test_case "copy and equal" `Quick test_copy_equal;
     Alcotest.test_case "iter_set" `Quick test_iter_set;
-    Alcotest.test_case "exists_set" `Quick test_exists_set;
     Alcotest.test_case "intersects_array" `Quick test_intersects_array;
     Alcotest.test_case "of_array" `Quick test_of_array;
     QCheck_alcotest.to_alcotest prop_iter_set_matches_mem;
-    QCheck_alcotest.to_alcotest prop_count_range_matches_naive;
-    QCheck_alcotest.to_alcotest prop_first_clear_matches_naive;
     QCheck_alcotest.to_alcotest prop_intersects_array_matches_exists;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_cardinal;
   ]

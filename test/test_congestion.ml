@@ -37,9 +37,9 @@ let test_jigsaw_partitions_never_interfere () =
   let jobs = ref [] in
   List.iteri
     (fun job size ->
-      match Jigsaw.get_allocation st ~job ~size with
-      | None -> ()
-      | Some p ->
+      match Jigsaw.probe st ~job ~size with
+      | Partition.Infeasible | Exhausted -> ()
+      | Found p ->
           State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
           let n = Partition.node_count p in
           let perm = Sim.Prng.permutation prng n in

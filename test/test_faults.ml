@@ -301,20 +301,19 @@ let run_interleaving ~seed ~steps =
           | _ -> 0.25
         in
         let found =
-          if bw = 1.0 then Jigsaw_core.Jigsaw.get_allocation st ~job:id ~size
+          if bw = 1.0 then Jigsaw_core.Jigsaw.probe st ~job:id ~size
           else
-            Jigsaw_core.Least_constrained.get_allocation ~demand:bw st ~job:id
-              ~size
+            Jigsaw_core.Least_constrained.probe ~demand:bw st ~job:id ~size
         in
         match found with
-        | Some p ->
+        | Jigsaw_core.Partition.Found p ->
             let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
             (* Validated claims: an allocator touching a failed resource
                aborts right here. *)
             State.claim_exn st a;
             State.claim_exn shadow a;
             live := a :: !live
-        | None -> ()));
+        | Infeasible | Exhausted -> ()));
     if id mod 10 = 0 then Test_incremental.check_summaries_consistent st
   done;
   (* Repair everything still broken; st must now equal the shadow. *)

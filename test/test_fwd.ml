@@ -9,9 +9,9 @@ let topo = Topology.of_radix 8
 
 let fixture size =
   let st = State.create topo in
-  match Jigsaw.get_allocation st ~job:0 ~size with
-  | Some p -> p
-  | None -> Alcotest.failf "no allocation for %d" size
+  match Jigsaw.probe st ~job:0 ~size with
+  | Partition.Found p -> p
+  | Infeasible | Exhausted -> Alcotest.failf "no allocation for %d" size
 
 let test_compile_and_walk_two_level () =
   let p = fixture 11 in
@@ -92,13 +92,14 @@ let prop_tables_deliver_everywhere =
       (* Fragment first. *)
       for j = 0 to 4 do
         let s = Sim.Prng.int_in prng ~lo:1 ~hi:10 in
-        match Jigsaw.get_allocation st ~job:(50 + j) ~size:s with
-        | Some q -> State.claim_exn st (Partition.to_alloc topo q ~bw:1.0)
-        | None -> ()
+        match Jigsaw.probe st ~job:(50 + j) ~size:s with
+        | Partition.Found q ->
+            State.claim_exn st (Partition.to_alloc topo q ~bw:1.0)
+        | Infeasible | Exhausted -> ()
       done;
-      match Jigsaw.get_allocation st ~job:0 ~size with
-      | None -> QCheck2.assume_fail ()
-      | Some p -> (
+      match Jigsaw.probe st ~job:0 ~size with
+      | Partition.Infeasible | Exhausted -> QCheck2.assume_fail ()
+      | Found p -> (
           match Fwd.compile topo p with
           | Error _ -> false
           | Ok t -> Fwd.verify_all_pairs topo p t = Ok ()))

@@ -129,17 +129,17 @@ let random_history ~seed ~steps st =
       in
       let found =
         if bw = 1.0 then
-          Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size
+          Jigsaw_core.Jigsaw.probe st ~job:!id ~size
         else
-          Jigsaw_core.Least_constrained.get_allocation ~demand:bw st
+          Jigsaw_core.Least_constrained.probe ~demand:bw st
             ~job:!id ~size
       in
       match found with
-      | Some p ->
+      | Jigsaw_core.Partition.Found p ->
           let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
           State.claim_exn st a;
           live := a :: !live
-      | None -> ()
+      | Infeasible | Exhausted -> ()
     end
   done;
   !live
@@ -168,12 +168,12 @@ let test_summaries_match_after_each_step () =
      end
      else
        let size = Sim.Prng.int_in prng ~lo:1 ~hi:24 in
-       match Jigsaw_core.Jigsaw.get_allocation st ~job:id ~size with
-       | Some p ->
+       match Jigsaw_core.Jigsaw.probe st ~job:id ~size with
+       | Jigsaw_core.Partition.Found p ->
            let a = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
            State.claim_exn st a;
            live := a :: !live
-       | None -> ());
+       | Infeasible | Exhausted -> ());
     check_summaries_consistent st
   done
 
@@ -247,9 +247,10 @@ let test_memo_never_hides_feasible () =
   do
     incr id;
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
-    match Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size with
-    | Some p -> State.claim_exn st (Jigsaw_core.Partition.to_alloc topo p ~bw:1.0)
-    | None -> continue := false
+    match Jigsaw_core.Jigsaw.probe st ~job:!id ~size with
+    | Jigsaw_core.Partition.Found p ->
+        State.claim_exn st (Jigsaw_core.Partition.to_alloc topo p ~bw:1.0)
+    | Infeasible | Exhausted -> continue := false
   done;
   Alcotest.(check bool) "reached a definitive no-fit" true (not !continue || true);
   let rg = State.release_generation st in
@@ -260,8 +261,8 @@ let test_memo_never_hides_feasible () =
   while !going do
     incr id;
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:6 in
-    match Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size with
-    | Some p ->
+    match Jigsaw_core.Jigsaw.probe st ~job:!id ~size with
+    | Jigsaw_core.Partition.Found p ->
         State.claim_exn st (Jigsaw_core.Partition.to_alloc topo p ~bw:1.0);
         incr claims;
         (match Jigsaw_core.Jigsaw.probe st ~job:9999 ~size:target with
@@ -269,7 +270,7 @@ let test_memo_never_hides_feasible () =
             Alcotest.fail
               "claim-only sequence made a definitively-infeasible size fit"
         | Infeasible | Exhausted -> ())
-    | None -> going := false
+    | Infeasible | Exhausted -> going := false
   done;
   Alcotest.(check bool)
     (Printf.sprintf "exercised claims after the no-fit (%d)" !claims)
@@ -325,14 +326,14 @@ let saturated_state ~seed ~radix =
   while !continue do
     incr id;
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:20 in
-    match Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size with
-    | Some p ->
+    match Jigsaw_core.Jigsaw.probe st ~job:!id ~size with
+    | Jigsaw_core.Partition.Found p ->
         let a = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
         State.claim_exn st a;
         (* End times drawn from a small grid so several jobs share one. *)
         let est_end = float_of_int (10 * Sim.Prng.int_in prng ~lo:1 ~hi:8) in
         running := (est_end, a) :: !running
-    | None -> continue := false
+    | Infeasible | Exhausted -> continue := false
   done;
   (st, !running)
 
@@ -455,18 +456,17 @@ let saturated_mixed ~seed =
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:20 in
     let bw = [| 1.0; 0.25; 0.3; 0.5 |].(Sim.Prng.int_in prng ~lo:0 ~hi:3) in
     let found =
-      if bw = 1.0 then Jigsaw_core.Jigsaw.get_allocation st ~job:!id ~size
+      if bw = 1.0 then Jigsaw_core.Jigsaw.probe st ~job:!id ~size
       else
-        Jigsaw_core.Least_constrained.get_allocation ~demand:bw st ~job:!id
-          ~size
+        Jigsaw_core.Least_constrained.probe ~demand:bw st ~job:!id ~size
     in
     match found with
-    | Some p ->
+    | Jigsaw_core.Partition.Found p ->
         let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
         State.claim_exn st a;
         let est_end = float_of_int (10 * Sim.Prng.int_in prng ~lo:1 ~hi:8) in
         running := (est_end, a) :: !running
-    | None -> incr misses
+    | Infeasible | Exhausted -> incr misses
   done;
   (st, !running)
 
@@ -723,16 +723,16 @@ let random_step st prng ~id live faults =
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 4) in
     let bw = demands.(Sim.Prng.int_in prng ~lo:0 ~hi:4) in
     let found =
-      if bw = 1.0 then Jigsaw_core.Jigsaw.get_allocation st ~job:id ~size
+      if bw = 1.0 then Jigsaw_core.Jigsaw.probe st ~job:id ~size
       else
-        Jigsaw_core.Least_constrained.get_allocation ~demand:bw st ~job:id ~size
+        Jigsaw_core.Least_constrained.probe ~demand:bw st ~job:id ~size
     in
     match found with
-    | Some p ->
+    | Jigsaw_core.Partition.Found p ->
         let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
         State.claim_exn st a;
         (a :: live, faults)
-    | None -> (live, faults)
+    | Infeasible | Exhausted -> (live, faults)
   end
   else if r < 0.65 then
     match live with
@@ -908,14 +908,13 @@ let prop_unrelease_inverts_release =
           let demand = [| 0.1; 0.3; 0.7 |].(Sim.Prng.int_in prng ~lo:0 ~hi:2) in
           let size = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
           match
-            Jigsaw_core.Least_constrained.get_allocation ~demand st ~job:id
-              ~size
+            Jigsaw_core.Least_constrained.probe ~demand st ~job:id ~size
           with
-          | Some p ->
+          | Jigsaw_core.Partition.Found p ->
               let a = Jigsaw_core.Partition.to_alloc topo p ~bw:demand in
               State.claim_exn st a;
               live := a :: !live
-          | None -> ()
+          | Infeasible | Exhausted -> ()
         end
       done;
       (* Then stack single-node claims on one leaf cable and one L2

@@ -6,9 +6,10 @@ open Jigsaw_core
 let claim topo st p = State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
 
 let alloc_exn st ~job ~size =
-  match Jigsaw.get_allocation st ~job ~size with
-  | Some p -> p
-  | None -> Alcotest.failf "no allocation for job %d size %d" job size
+  match Jigsaw.probe st ~job ~size with
+  | Partition.Found p -> p
+  | Infeasible | Exhausted ->
+      Alcotest.failf "no allocation for job %d size %d" job size
 
 let test_single_node () =
   let topo = Topology.of_radix 8 in
@@ -30,8 +31,10 @@ let test_oversized_rejected () =
   let topo = Topology.of_radix 8 in
   let st = State.create topo in
   Alcotest.(check bool) "too big" true
-    (Jigsaw.get_allocation st ~job:0 ~size:(Topology.num_nodes topo + 1) = None);
-  Alcotest.(check bool) "zero" true (Jigsaw.get_allocation st ~job:0 ~size:0 = None)
+    (Jigsaw.probe st ~job:0 ~size:(Topology.num_nodes topo + 1)
+    = Partition.Infeasible);
+  Alcotest.(check bool) "zero" true
+    (Jigsaw.probe st ~job:0 ~size:0 = Partition.Infeasible)
 
 let test_prefers_two_level () =
   let topo = Topology.of_radix 8 in
@@ -85,13 +88,17 @@ let test_whole_leaves_mode_pads () =
       Alcotest.(check bool) "legal modulo padding" true
         (Conditions.is_legal ~require_exact_size:false topo p)
 
-let test_two_level_only_flag () =
+(* The single-pod pass on its own, as LaaS runs it before its whole-leaf
+   search (the case keeps the name of the flag that once selected it). *)
+let test_two_level_pass () =
   let topo = Topology.of_radix 8 in
   let st = State.create topo in
+  let two_level size =
+    Search.two_level st ~job:0 ~size ~alloc_size:size ~demand:1.0
+  in
   Alcotest.(check bool) "17 nodes cannot be two-level" true
-    (Jigsaw.get_allocation ~two_level_only:true st ~job:0 ~size:17 = None);
-  Alcotest.(check bool) "16 nodes can" true
-    (Jigsaw.get_allocation ~two_level_only:true st ~job:0 ~size:16 <> None)
+    (two_level 17 = None);
+  Alcotest.(check bool) "16 nodes can" true (two_level 16 <> None)
 
 let test_fragmented_machine () =
   let topo = Topology.of_radix 8 in
@@ -105,9 +112,11 @@ let test_fragmented_machine () =
          [| Topology.leaf_first_node topo leaf |])
   done;
   Alcotest.(check bool) "13-in-pod fits (4 leaves x 3 + 1)" true
-    (Jigsaw.get_allocation st ~job:0 ~size:12 <> None);
+    (match Jigsaw.probe st ~job:0 ~size:12 with
+    | Found _ -> true
+    | Infeasible | Exhausted -> false);
   Alcotest.(check bool) "17 needs full leaves and fails" true
-    (Jigsaw.get_allocation st ~job:0 ~size:17 = None)
+    (Jigsaw.probe st ~job:0 ~size:17 = Partition.Infeasible)
 
 let test_link_contention_blocks () =
   let topo = Topology.of_radix 8 in
@@ -139,9 +148,9 @@ let prop_alloc_legal =
       let ok = ref true in
       for job = 0 to 30 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 3) in
-        match Jigsaw.get_allocation st ~job ~size with
-        | None -> ()
-        | Some p ->
+        match Jigsaw.probe st ~job ~size with
+        | Partition.Infeasible | Exhausted -> ()
+        | Found p ->
             if not (Conditions.is_legal topo p) then ok := false;
             if Partition.node_count p <> size then ok := false;
             (match State.claim st (Partition.to_alloc topo p ~bw:1.0) with
@@ -162,12 +171,12 @@ let prop_churn_conserves =
       let live = ref [] in
       for job = 0 to 60 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:20 in
-        (match Jigsaw.get_allocation st ~job ~size with
-        | Some p ->
+        (match Jigsaw.probe st ~job ~size with
+        | Partition.Found p ->
             let a = Partition.to_alloc topo p ~bw:1.0 in
             State.claim_exn st a;
             live := a :: !live
-        | None -> ());
+        | Infeasible | Exhausted -> ());
         if Sim.Prng.bool prng && !live <> [] then begin
           match !live with
           | a :: rest ->
@@ -190,7 +199,7 @@ let suite =
     Alcotest.test_case "exact size always" `Quick test_exact_size_always;
     Alcotest.test_case "isolation between jobs" `Quick test_isolation_between_jobs;
     Alcotest.test_case "whole-leaf (LaaS) mode pads" `Quick test_whole_leaves_mode_pads;
-    Alcotest.test_case "two_level_only flag" `Quick test_two_level_only_flag;
+    Alcotest.test_case "two_level_only flag" `Quick test_two_level_pass;
     Alcotest.test_case "fragmented machine" `Quick test_fragmented_machine;
     Alcotest.test_case "link contention avoided" `Quick test_link_contention_blocks;
     QCheck_alcotest.to_alcotest prop_alloc_legal;

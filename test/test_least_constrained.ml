@@ -9,9 +9,10 @@ let test_basic_allocations_legal () =
   let st = State.create topo in
   List.iteri
     (fun job size ->
-      match Least_constrained.get_allocation st ~job ~size with
-      | None -> Alcotest.failf "size %d failed on empty machine" size
-      | Some p ->
+      match Least_constrained.probe st ~job ~size with
+      | Partition.Infeasible | Exhausted ->
+          Alcotest.failf "size %d failed on empty machine" size
+      | Found p ->
           (match Conditions.check topo p with
           | Ok () -> ()
           | Error m -> Alcotest.failf "size %d illegal: %s" size m);
@@ -30,10 +31,11 @@ let test_more_permissive_than_jigsaw () =
          [| Topology.leaf_first_node topo leaf |])
   done;
   Alcotest.(check bool) "Jigsaw fails" true
-    (Jigsaw.get_allocation st ~job:0 ~size:17 = None);
-  match Least_constrained.get_allocation st ~job:0 ~size:17 with
-  | None -> Alcotest.fail "LC should succeed with n_l <= 3"
-  | Some p ->
+    (Jigsaw.probe st ~job:0 ~size:17 = Partition.Infeasible);
+  match Least_constrained.probe st ~job:0 ~size:17 with
+  | Partition.Infeasible | Exhausted ->
+      Alcotest.fail "LC should succeed with n_l <= 3"
+  | Found p ->
       Alcotest.(check bool) "legal" true (Conditions.is_legal topo p);
       Alcotest.(check bool) "uses partial leaves" true (Partition.n_l p < 4);
       State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
@@ -44,23 +46,24 @@ let test_fractional_demand_shares_links () =
      (demand 1.0) jobs could not both span pods this way after the
      machine fills.  Just verify both claims succeed at 0.5. *)
   let alloc_one job =
-    match Least_constrained.get_allocation ~demand:0.5 st ~job ~size:20 with
-    | Some p ->
+    match Least_constrained.probe ~demand:0.5 st ~job ~size:20 with
+    | Partition.Found p ->
         State.claim_exn st (Partition.to_alloc topo p ~bw:0.5);
         p
-    | None -> Alcotest.failf "job %d failed" job
+    | Infeasible | Exhausted -> Alcotest.failf "job %d failed" job
   in
   let p1 = alloc_one 1 in
   let p2 = alloc_one 2 in
   Alcotest.(check int) "both sized" 40
     (Partition.node_count p1 + Partition.node_count p2)
 
-let test_budget_exhaustion_returns_none () =
+let test_budget_exhaustion () =
   let st = State.create topo in
   (* Tiny budget: the three-level search cannot finish.  (Two-level
      placements carry no budget, so pick a size that spans pods.) *)
   Alcotest.(check bool) "gives up gracefully" true
-    (Least_constrained.get_allocation ~budget:1 st ~job:0 ~size:100 = None)
+    (Least_constrained.probe ~budget:1 st ~job:0 ~size:100
+    = Partition.Exhausted)
 
 let test_multi_pod_radix48_within_budget () =
   (* 800 nodes span two radix-48 pods; the dense-first shape wants a
@@ -78,7 +81,7 @@ let test_multi_pod_radix48_within_budget () =
 let test_rejects_oversize () =
   let st = State.create topo in
   Alcotest.(check bool) "too big" true
-    (Least_constrained.get_allocation st ~job:0 ~size:129 = None)
+    (Least_constrained.probe st ~job:0 ~size:129 = Partition.Infeasible)
 
 (* Property: LC succeeds whenever Jigsaw does (it searches a superset of
    the shape space), and its partitions are always legal. *)
@@ -91,16 +94,17 @@ let prop_lc_superset_of_jigsaw =
       (* Light random churn first. *)
       for j = 0 to 6 do
         let s = Sim.Prng.int_in prng ~lo:1 ~hi:16 in
-        match Jigsaw.get_allocation st ~job:(500 + j) ~size:s with
-        | Some p -> State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
-        | None -> ()
+        match Jigsaw.probe st ~job:(500 + j) ~size:s with
+        | Partition.Found p ->
+            State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
+        | Infeasible | Exhausted -> ()
       done;
-      match Jigsaw.get_allocation st ~job:0 ~size with
-      | None -> true (* nothing to compare *)
-      | Some _ -> (
-          match Least_constrained.get_allocation st ~job:0 ~size with
-          | Some p -> Conditions.is_legal topo p
-          | None -> false))
+      match Jigsaw.probe st ~job:0 ~size with
+      | Partition.Infeasible | Exhausted -> true (* nothing to compare *)
+      | Found _ -> (
+          match Least_constrained.probe st ~job:0 ~size with
+          | Partition.Found p -> Conditions.is_legal topo p
+          | Infeasible | Exhausted -> false))
 
 (* ------------------------------------------------------------------ *)
 (* The lazy remainder-pod search against the eager one it replaced.    *)
@@ -522,7 +526,7 @@ let suite =
     Alcotest.test_case "legal allocations" `Quick test_basic_allocations_legal;
     Alcotest.test_case "more permissive than Jigsaw" `Quick test_more_permissive_than_jigsaw;
     Alcotest.test_case "fractional demands share links" `Quick test_fractional_demand_shares_links;
-    Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion_returns_none;
+    Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
     Alcotest.test_case "oversize rejected" `Quick test_rejects_oversize;
     Alcotest.test_case "radix-48 multi-pod within 10k steps" `Quick
       test_multi_pod_radix48_within_budget;

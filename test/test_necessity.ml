@@ -119,9 +119,10 @@ let test_legal_partition_supports_full_permutation () =
   (* Sufficiency cross-check through the same max-flow lens: a legal
      Jigsaw partition supports |A| flows for disjoint halves A, B. *)
   let st = State.create topo in
-  match Jigsaw_core.Jigsaw.get_allocation st ~job:0 ~size:24 with
-  | None -> Alcotest.fail "no allocation"
-  | Some p ->
+  match Jigsaw_core.Jigsaw.probe st ~job:0 ~size:24 with
+  | Jigsaw_core.Partition.Infeasible | Exhausted ->
+      Alcotest.fail "no allocation"
+  | Found p ->
       let alloc = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
       let nodes = Jigsaw_core.Partition.nodes p in
       let half = Array.length nodes / 2 in
@@ -139,9 +140,9 @@ let prop_legal_partitions_pass_flow_bound =
     (fun (size, seed) ->
       let st = State.create topo in
       let prng = Sim.Prng.create ~seed in
-      match Jigsaw_core.Jigsaw.get_allocation st ~job:0 ~size with
-      | None -> QCheck2.assume_fail ()
-      | Some p ->
+      match Jigsaw_core.Jigsaw.probe st ~job:0 ~size with
+      | Jigsaw_core.Partition.Infeasible | Exhausted -> QCheck2.assume_fail ()
+      | Found p ->
           let alloc = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
           let nodes = Jigsaw_core.Partition.nodes p in
           Sim.Prng.shuffle prng nodes;

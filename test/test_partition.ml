@@ -6,14 +6,14 @@ open Jigsaw_core
 let topo = Topology.of_radix 8
 
 let two_level_fixture () =
-  match Jigsaw.get_allocation (State.create topo) ~job:7 ~size:5 with
-  | Some p -> p
-  | None -> Alcotest.fail "fixture"
+  match Jigsaw.probe (State.create topo) ~job:7 ~size:5 with
+  | Partition.Found p -> p
+  | Infeasible | Exhausted -> Alcotest.fail "fixture"
 
 let three_level_fixture () =
-  match Jigsaw.get_allocation (State.create topo) ~job:8 ~size:20 with
-  | Some p -> p
-  | None -> Alcotest.fail "fixture"
+  match Jigsaw.probe (State.create topo) ~job:8 ~size:20 with
+  | Partition.Found p -> p
+  | Infeasible | Exhausted -> Alcotest.fail "fixture"
 
 let test_kind () =
   Alcotest.(check bool) "2L" true (Partition.kind (two_level_fixture ()) = Two_level);
@@ -156,16 +156,16 @@ let test_to_alloc_matches_reference () =
           let size = Sim.Prng.int_in prng ~lo:1 ~hi:(n / 6) in
           let found, bw =
             match Sim.Prng.int prng ~bound:4 with
-            | 0 -> (Jigsaw.get_allocation st ~job ~size, 1.0)
+            | 0 -> (Jigsaw.probe st ~job ~size, 1.0)
             | 1 ->
-                (Least_constrained.get_allocation ~demand:0.25 st ~job ~size, 0.25)
+                (Least_constrained.probe ~demand:0.25 st ~job ~size, 0.25)
             | 2 ->
-                (Least_constrained.get_allocation ~demand:0.5 st ~job ~size, 0.5)
-            | _ -> (Baselines.Laas.get_allocation st ~job ~size, 1.0)
+                (Least_constrained.probe ~demand:0.5 st ~job ~size, 0.5)
+            | _ -> (Baselines.Laas.probe st ~job ~size, 1.0)
           in
           match found with
-          | None -> ()
-          | Some p ->
+          | Partition.Infeasible | Exhausted -> ()
+          | Found p ->
               let a = Partition.to_alloc topo p ~bw in
               let r = reference_to_alloc topo p ~bw in
               let what = Printf.sprintf "radix %d job %d" radix job in

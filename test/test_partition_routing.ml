@@ -8,9 +8,10 @@ open Routing
 let topo = Topology.of_radix 8
 
 let alloc_and_claim st ~job ~size =
-  match Jigsaw.get_allocation st ~job ~size with
-  | None -> Alcotest.failf "no allocation for size %d" size
-  | Some p ->
+  match Jigsaw.probe st ~job ~size with
+  | Partition.Infeasible | Exhausted ->
+      Alcotest.failf "no allocation for size %d" size
+  | Found p ->
       State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
       p
 
@@ -99,13 +100,14 @@ let prop_partition_routing_connected =
       (* Fragment the machine a little first. *)
       for j = 0 to 5 do
         let s = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
-        match Jigsaw.get_allocation st ~job:(100 + j) ~size:s with
-        | Some q -> State.claim_exn st (Partition.to_alloc topo q ~bw:1.0)
-        | None -> ()
+        match Jigsaw.probe st ~job:(100 + j) ~size:s with
+        | Partition.Found q ->
+            State.claim_exn st (Partition.to_alloc topo q ~bw:1.0)
+        | Infeasible | Exhausted -> ()
       done;
-      match Jigsaw.get_allocation st ~job:0 ~size with
-      | None -> QCheck2.assume_fail ()
-      | Some p -> Partition_routing.check_connectivity topo p = Ok ())
+      match Jigsaw.probe st ~job:0 ~size with
+      | Partition.Infeasible | Exhausted -> QCheck2.assume_fail ()
+      | Found p -> Partition_routing.check_connectivity topo p = Ok ())
 
 let suite =
   [

@@ -24,13 +24,13 @@ let test_jigsaw_scales_to_radix28 () =
     time (fun () ->
         for job = 0 to 199 do
           let size = Sim.Prng.int_in prng ~lo:1 ~hi:400 in
-          (match Jigsaw.get_allocation st ~job ~size with
-          | Some p ->
+          (match Jigsaw.probe st ~job ~size with
+          | Partition.Found p ->
               incr placed;
               let a = Partition.to_alloc topo p ~bw:1.0 in
               State.claim_exn st a;
               Queue.add a live
-          | None -> ());
+          | Infeasible | Exhausted -> ());
           (* Keep the machine around 70-90% full. *)
           if State.node_utilization st > 0.85 && not (Queue.is_empty live) then
             State.release st (Queue.pop live)
@@ -53,15 +53,16 @@ let test_failing_searches_are_bounded () =
   let id = ref 0 in
   while !continue do
     let size = Sim.Prng.int_in prng ~lo:1 ~hi:60 in
-    (match Jigsaw.get_allocation st ~job:!id ~size with
-    | Some p -> State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
-    | None -> continue := false);
+    (match Jigsaw.probe st ~job:!id ~size with
+    | Partition.Found p ->
+        State.claim_exn st (Partition.to_alloc topo p ~bw:1.0)
+    | Infeasible | Exhausted -> continue := false);
     incr id
   done;
   let (), elapsed =
     time (fun () ->
         for job = 0 to 499 do
-          ignore (Jigsaw.get_allocation st ~job ~size:300)
+          ignore (Jigsaw.probe st ~job ~size:300)
         done)
   in
   Alcotest.(check bool)
@@ -72,9 +73,9 @@ let test_routing_scales () =
   (* Route permutations over a 500-node partition on the big cluster. *)
   let topo = Topology.of_radix 28 in
   let st = State.create topo in
-  match Jigsaw.get_allocation st ~job:0 ~size:500 with
-  | None -> Alcotest.fail "empty machine fits 500"
-  | Some p ->
+  match Jigsaw.probe st ~job:0 ~size:500 with
+  | Partition.Infeasible | Exhausted -> Alcotest.fail "empty machine fits 500"
+  | Found p ->
       let n = Jigsaw_core.Partition.node_count p in
       let (), elapsed =
         time (fun () ->

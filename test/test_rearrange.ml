@@ -11,9 +11,10 @@ let route_ok topo p perm =
   | Error m -> Alcotest.failf "routing failed: %s" m
 
 let alloc_and_claim topo st ~job ~size =
-  match Jigsaw.get_allocation st ~job ~size with
-  | None -> Alcotest.failf "no allocation for size %d" size
-  | Some p ->
+  match Jigsaw.probe st ~job ~size with
+  | Partition.Infeasible | Exhausted ->
+      Alcotest.failf "no allocation for size %d" size
+  | Found p ->
       State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
       p
 
@@ -111,9 +112,9 @@ let prop_jigsaw_partitions_rearrangeable =
       let ok = ref true in
       for job = 0 to 10 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 2) in
-        match Jigsaw.get_allocation st ~job ~size with
-        | None -> ()
-        | Some p ->
+        match Jigsaw.probe st ~job ~size with
+        | Partition.Infeasible | Exhausted -> ()
+        | Found p ->
             State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
             let n = Partition.node_count p in
             for _ = 1 to 3 do
@@ -138,9 +139,9 @@ let prop_lc_partitions_rearrangeable =
       let ok = ref true in
       for job = 0 to 8 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 2) in
-        match Least_constrained.get_allocation st ~job ~size with
-        | None -> ()
-        | Some p ->
+        match Least_constrained.probe st ~job ~size with
+        | Partition.Infeasible | Exhausted -> ()
+        | Found p ->
             State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
             let n = Partition.node_count p in
             let perm = Sim.Prng.permutation prng n in
@@ -163,9 +164,9 @@ let prop_laas_partitions_rearrangeable =
       let ok = ref true in
       for job = 0 to 8 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 2) in
-        match Baselines.Laas.get_allocation st ~job ~size with
-        | None -> ()
-        | Some p ->
+        match Baselines.Laas.probe st ~job ~size with
+        | Partition.Infeasible | Exhausted -> ()
+        | Found p ->
             State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
             let n = Partition.node_count p in
             let perm = Sim.Prng.permutation prng n in
@@ -191,9 +192,9 @@ let prop_custom_topologies_rearrangeable =
       let ok = ref true in
       for job = 0 to 6 do
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo) in
-        match Jigsaw.get_allocation st ~job ~size with
-        | None -> ()
-        | Some p ->
+        match Jigsaw.probe st ~job ~size with
+        | Partition.Infeasible | Exhausted -> ()
+        | Found p ->
             if not (Conditions.is_legal topo p) then ok := false;
             State.claim_exn st (Partition.to_alloc topo p ~bw:1.0);
             let n = Partition.node_count p in
@@ -234,9 +235,9 @@ let test_figure10_tree () =
   (* The paper's Figure 10: XGFT(3; 2,3,2; 1,2,3), 12 nodes. *)
   let topo = Topology.create ~nodes_per_leaf:2 ~leaves_per_pod:3 ~pods:2 in
   let st = State.create topo in
-  match Jigsaw.get_allocation st ~job:0 ~size:9 with
-  | None -> Alcotest.fail "9 of 12 nodes must fit"
-  | Some p ->
+  match Jigsaw.probe st ~job:0 ~size:9 with
+  | Partition.Infeasible | Exhausted -> Alcotest.fail "9 of 12 nodes must fit"
+  | Found p ->
       Alcotest.(check bool) "legal" true (Conditions.is_legal topo p);
       let n = Partition.node_count p in
       for shift = 0 to n - 1 do

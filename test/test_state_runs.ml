@@ -336,14 +336,13 @@ let run_history ~radix ~seed ~steps cov =
         let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes topo / 3) in
         let bw = demands.(Sim.Prng.int_in prng ~lo:0 ~hi:(Array.length demands - 1)) in
         let found =
-          if bw = 1.0 then Jigsaw_core.Jigsaw.get_allocation st ~job:step ~size
+          if bw = 1.0 then Jigsaw_core.Jigsaw.probe st ~job:step ~size
           else
-            Jigsaw_core.Least_constrained.get_allocation ~demand:bw st ~job:step
-              ~size
+            Jigsaw_core.Least_constrained.probe ~demand:bw st ~job:step ~size
         in
         match found with
-        | None -> ("no-op", ignore)
-        | Some p ->
+        | Jigsaw_core.Partition.Infeasible | Exhausted -> ("no-op", ignore)
+        | Found p ->
             let a = Jigsaw_core.Partition.to_alloc topo p ~bw in
             let a =
               {

@@ -1002,6 +1002,61 @@ let test_daemon_rid_dedup () =
         (Obs.Json.num st "seq");
       Unix.close fd)
 
+(* The daemon's [svc/apply] span times [Core.apply] alone, in
+   nanoseconds like every span.  This process serves under its own
+   registry while a forked client submits three jobs and shuts the
+   daemon down; a client that fails stops the daemon with SIGTERM and
+   exits 1. *)
+let test_daemon_apply_span () =
+  let p = params () in
+  with_tmpdir (fun dir ->
+      let sock = Filename.concat dir "s" in
+      match Unix.fork () with
+      | 0 ->
+          let code =
+            try
+              let fd = connect sock in
+              let read = line_reader fd in
+              let ok line =
+                if Obs.Json.num (rpc fd read line) "ok" <> 1.0 then
+                  failwith line
+              in
+              for i = 1 to 3 do
+                ok
+                  (Printf.sprintf
+                     {|{"op":"submit","size":4,"runtime":100,"rid":"a%d"}|} i)
+              done;
+              ok {|{"op":"shutdown"}|};
+              0
+            with _ ->
+              Unix.kill (Unix.getppid ()) Sys.sigterm;
+              1
+          in
+          Unix._exit code
+      | pid ->
+          let prof = Obs.Prof.create () in
+          let r =
+            Svc.Daemon.run ~prof
+              {
+                (Svc.Daemon.default_opts ~socket:sock
+                   ~dir:(Filename.concat dir "state"))
+                with
+                params = Some p;
+              }
+          in
+          if Result.is_error r then (
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          let _, status = Unix.waitpid [] pid in
+          (match r with Ok () -> () | Error m -> Alcotest.fail m);
+          Alcotest.(check bool) "client exited 0" true (status = WEXITED 0);
+          match Obs.Prof.find_span prof "svc/apply" with
+          | None -> Alcotest.fail "no svc/apply span"
+          | Some v ->
+              Alcotest.(check int) "one span per submit" 3 v.sp_count;
+              Alcotest.(check bool)
+                (Printf.sprintf "mean %g ns is in nanoseconds" v.sp_mean_ns)
+                true (v.sp_mean_ns >= 100.0))
+
 (* ------------------------------------------------------------------ *)
 (* Sweep interruption                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1440,6 +1495,7 @@ let suite =
     Alcotest.test_case "daemon rejects oversize line" `Quick
       test_daemon_rejects_oversize_line;
     Alcotest.test_case "daemon rid dedup" `Quick test_daemon_rid_dedup;
+    Alcotest.test_case "daemon svc/apply span" `Quick test_daemon_apply_span;
     Alcotest.test_case "client request bytes pinned" `Quick
       test_client_request_bytes;
     Alcotest.test_case "sweep interrupt + resume" `Quick

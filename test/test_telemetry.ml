@@ -114,9 +114,10 @@ let test_retraction_restores_loads () =
      the sample must return to A-only values exactly. *)
   let st = State.create topo in
   let alloc_of job size =
-    match Jigsaw_core.Jigsaw.get_allocation st ~job ~size with
-    | None -> Alcotest.failf "no allocation for job %d" job
-    | Some p ->
+    match Jigsaw_core.Jigsaw.probe st ~job ~size with
+    | Jigsaw_core.Partition.Infeasible | Exhausted ->
+        Alcotest.failf "no allocation for job %d" job
+    | Found p ->
         let a = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
         State.claim_exn st a;
         a
@@ -344,19 +345,19 @@ let prop_jigsaw_policy_is_fig5_router =
       let held = ref [] in
       for j = 0 to 7 do
         let s = Sim.Prng.int_in prng ~lo:1 ~hi:12 in
-        match Jigsaw.get_allocation st ~job:(100 + j) ~size:s with
-        | Some q ->
+        match Jigsaw.probe st ~job:(100 + j) ~size:s with
+        | Partition.Found q ->
             let a = Partition.to_alloc topo q ~bw:1.0 in
             State.claim_exn st a;
             held := a :: !held
-        | None -> ()
+        | Infeasible | Exhausted -> ()
       done;
       List.iter
         (fun a -> if Sim.Prng.bool prng then State.release st a)
         !held;
       let routed name bw = function
-        | None -> true
-        | Some (p : Partition.t) ->
+        | Partition.Infeasible | Exhausted -> true
+        | Found p ->
             let fail fmt =
               Printf.ksprintf
                 (fun m -> QCheck2.Test.fail_reportf "%s size %d: %s" name size m)
@@ -395,10 +396,10 @@ let prop_jigsaw_policy_is_fig5_router =
                 info.ri_channels channels;
             true
       in
-      routed "Jigsaw" 1.0 (Jigsaw.get_allocation st ~job:0 ~size)
+      routed "Jigsaw" 1.0 (Jigsaw.probe st ~job:0 ~size)
       && routed "LC+S" 0.25
-           (Least_constrained.get_allocation ~demand:0.25 st ~job:0 ~size)
-      && routed "LaaS" 1.0 (Baselines.Laas.get_allocation st ~job:0 ~size))
+           (Least_constrained.probe ~demand:0.25 st ~job:0 ~size)
+      && routed "LaaS" 1.0 (Baselines.Laas.probe st ~job:0 ~size))
 
 (* ------------------------------------------------------------------ *)
 (* Event codec round-trips                                             *)
