@@ -19,8 +19,6 @@ type t = {
 type kind = Two_level | Three_level
 type probe = Found of t | Infeasible | Exhausted
 
-let to_option = function Found p -> Some p | Infeasible | Exhausted -> None
-
 let all_trees p =
   match p.rem_tree with
   | None -> Array.to_list p.full_trees

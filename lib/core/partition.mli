@@ -58,9 +58,6 @@ type probe = Found of t | Infeasible | Exhausted
     budget ran out first, so feasibility is unknown and the result must
     not be memoized. *)
 
-val to_option : probe -> t option
-(** [Found p] as [Some p]; the two failure outcomes as [None]. *)
-
 val kind : t -> kind
 (** [Two_level] iff the partition occupies a single pod and allocates no
     spine cables. *)
