@@ -347,7 +347,8 @@ let load_cluster ~radix ~seed ~target =
   st
 
 (* ------------------------------------------------------------------ *)
-(* Primitives: Fattree.State claim/release, create and copy_into.      *)
+(* Primitives: Fattree.State claim/release, create and copy_into, and  *)
+(* one Jigsaw probe miss.                                               *)
 (* ------------------------------------------------------------------ *)
 
 let primitive_samples = 7
@@ -417,6 +418,31 @@ let checkpoint_encode_rows () =
         ignore (Sched.Checkpoint.encode ~memo:warm ~meta snaps.(!k land 1)));
   ]
 
+(* The probe layer above the state primitives: one Jigsaw probe that
+   finds nothing — a backfill miss — on a radix-18 machine loaded until
+   a request first misses or 95% of it is busy (93% at this seed), at
+   the smallest request size that misses there (every smaller one
+   fits), so both of Algorithm 1's passes try every shape and reject
+   it. *)
+let probe_miss_row () =
+  let radix = 18 in
+  let st = load_cluster ~radix ~seed:77 ~target:0.95 in
+  let probe size = Jigsaw_core.Jigsaw.probe st ~job:0 ~size in
+  let free = Fattree.State.total_free_nodes st in
+  let size = ref 1 in
+  while !size < free && probe !size <> Jigsaw_core.Partition.Infeasible do
+    incr size
+  done;
+  {
+    p_op = "Jigsaw probe miss";
+    p_input =
+      Printf.sprintf "%d%%-loaded"
+        (int_of_float (100.0 *. Fattree.State.node_utilization st));
+    p_radix = radix;
+    p_mean_nodes = !size;
+    p_ns = sample_ns ~iters:5_000 (fun () -> ignore (probe !size));
+  }
+
 (* The live-state layer under the allocator probes: the mean cost of a
    [claim_exn ~validate:false] + [release] pair over Jigsaw partitions of
    a trace's first 50 jobs (each placed on an empty machine, as
@@ -483,11 +509,13 @@ let primitive_rows () =
   @ [
       whole "copy_into (faulted)" ~iters:500 (fun () ->
           Fattree.State.copy_into ~src:loaded ~dst);
+      probe_miss_row ();
     ]
   @ checkpoint_encode_rows ()
 
 let primitives () =
-  section "Primitives: Fattree.State and the daemon checkpoint (ns per call, median of 7 samples)";
+  section
+    "Primitives: Fattree.State, a Jigsaw probe miss and the daemon checkpoint (ns per call, median of 7 samples)";
   List.iter
     (fun r ->
       let med, lo, hi = r.p_ns in
@@ -628,8 +656,9 @@ let micro () =
    Table 3 trace (with live telemetry, so the interference-free
    headline is re-checked under molding) plus a shrink-vs-kill fault
    recovery comparison.  A "primitives" section times the live-state
-   layer under the probes ([State] claim+release, create, copy_into) and
-   the daemon's checkpoint encoding (see [primitive_rows]).  The scale,
+   layer under the probes ([State] claim+release, create, copy_into), one
+   Jigsaw probe miss, and the daemon's checkpoint encoding (see
+   [primitive_rows]).  The scale,
    bitset, net and molding sections each carry a built-in regression
    guard.  Traces are truncated in default mode to
    keep the target in the ~minute range; REPRO_FULL=1 uses paper

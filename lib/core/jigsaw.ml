@@ -158,22 +158,18 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
   let topo = State.topo st in
   let m1 = Topology.m1 topo and m3 = Topology.m3 topo in
   (* Quick necessary-condition filter: enough pods with enough fully-free
-     leaves for the full trees and the remainder tree.  It reads only the
-     cached per-pod counts (each snapshot's [free_leaves] has exactly
-     that length), so a probe with no shape left returns before any pod
-     snapshot is built, and hopeless shapes are skipped before any
-     backtracking. *)
-  let free_leaves =
-    Array.init m3 (fun pod -> State.pod_fully_free_leaves st ~pod)
-  in
-  let pods_with k =
-    Array.fold_left (fun c n -> if n >= k then c + 1 else c) 0 free_leaves
-  in
+     leaves for the full trees and the remainder tree, one read each of
+     the state's machine-wide histogram of its per-pod fully-free counts
+     (each snapshot's [free_leaves] has exactly that length), so a probe
+     with no shape left returns before any pod snapshot is built, and
+     hopeless shapes are skipped before any backtracking. *)
+  let pods_with = State.fully_free_pods st in
+  let free_leaves pod = State.pod_fully_free_leaves st ~pod in
   let shapes =
     List.filter
       (fun (s : Shapes.three_level) ->
-        pods_with s.l_t3 >= s.t
-        && (s.n_rt = 0 || s.l_rt = 0 || pods_with s.l_rt >= s.t + 1))
+        pods_with.(s.l_t3) >= s.t
+        && (s.n_rt = 0 || s.l_rt = 0 || pods_with.(s.l_rt) >= s.t + 1))
       (Shapes.three_level topo ~size:alloc_size ~n_l:m1)
   in
   (* Pod snapshots, built on first use and shared by every shape: a
@@ -193,7 +189,7 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
     | [] -> None
     | ({ Shapes.l_t3 = l_t; t; n_rt; l_rt; n_rl3 = n_rl; _ } : Shapes.three_level)
       :: rest ->
-        let eligible p = free_leaves.(p) >= l_t in
+        let eligible p = free_leaves p >= l_t in
         (* Recursive backtracking over pods (find_L3).  [inter] is the
            per-L2-index intersection of available spine masks. *)
         let chosen = ref [] in
@@ -213,7 +209,7 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
                     (* [try_remainder] rejects a pod with fewer than
                        [l_rt] fully-free leaves before reading anything
                        else, so such a pod needs no snapshot. *)
-                    if (not (in_chosen p)) && free_leaves.(p) >= l_rt then begin
+                    if (not (in_chosen p)) && free_leaves p >= l_rt then begin
                       match
                         try_remainder st (info p) ~l_t ~l_rt ~n_rl ~demand
                           ~inter

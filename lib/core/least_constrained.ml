@@ -104,38 +104,22 @@ let materialize_tree st ~pod ~(sol : Search.pod_solution) ~n_l ~s ~spine_sets =
 
 let try_three_level st ~job ~size ~demand ~budget =
   let topo = State.topo st in
-  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
-  let m3 = Topology.m3 topo in
-  (* Cheap per-shape feasibility precheck from the generation-validated
-     count cache: (State.pod_candidates st ~pod ~demand).(n_l-1) counts
-     the pod's leaves that could carry n_l nodes at this demand.
-     pods_at.(n_l-1).(k) is the number of pods with at least k such
-     leaves, a histogram built on first use per n_l, so each shape is
-     checked in O(1).  A shape needing t full pods of l_t such leaves
-     (plus a remainder pod) is skipped outright when the counts cannot
-     support it, so hopeless shapes burn no search budget and need no
-     spine masks. *)
-  let pods_at = Array.make m1 [||] in
-  let pods_with ~n_l k =
-    if Array.length pods_at.(n_l - 1) = 0 then begin
-      let h = Array.make (m2 + 1) 0 in
-      for pod = 0 to m3 - 1 do
-        let c = (State.pod_candidates st ~pod ~demand).(n_l - 1) in
-        h.(c) <- h.(c) + 1
-      done;
-      for k = m2 - 1 downto 0 do
-        h.(k) <- h.(k) + h.(k + 1)
-      done;
-      pods_at.(n_l - 1) <- h
-    end;
-    if k > m2 then 0 else pods_at.(n_l - 1).(k)
-  in
-  (* Necessary conditions only — the precheck must never reject a
-     feasible shape, so the remainder pod is tested against its full
-     leaves alone (the remainder leaf's needs are weaker than n_l). *)
+  let m1 = Topology.m1 topo and m3 = Topology.m3 topo in
+  (* Cheap per-shape feasibility precheck: [hosts.(n_l-1).(k)] is the
+     number of pods with at least k leaves that could carry n_l nodes at
+     this demand, read from the state's machine-wide histogram of its
+     per-pod candidate counts, so each shape is checked in O(1).  A
+     shape needing t full pods of l_t such leaves (plus a remainder pod)
+     is skipped outright when the counts cannot support it, so hopeless
+     shapes burn no search budget and need no spine masks.  Necessary
+     conditions only — the precheck must never reject a feasible shape,
+     so the remainder pod is tested against its full leaves alone (the
+     remainder leaf's needs are weaker than n_l). *)
+  let hosts = State.candidate_pods st ~demand in
   let shape_feasible (s : Shapes.three_level) =
-    pods_with ~n_l:s.n_l3 s.l_t3 >= s.t
-    && (s.n_rt = 0 || s.l_rt = 0 || pods_with ~n_l:s.n_l3 s.l_rt >= s.t + 1)
+    let pods_with k = hosts.(s.n_l3 - 1).(k) in
+    pods_with s.l_t3 >= s.t
+    && (s.n_rt = 0 || s.l_rt = 0 || pods_with s.l_rt >= s.t + 1)
   in
   let shapes = List.filter shape_feasible (Shapes.three_level_all topo ~size) in
   (* Spine availability per pod and L2 index, read only once a shape

@@ -44,102 +44,117 @@ let candidates_left infos ~n_l =
    Algorithm 1: each recursive level picks the next full leaf strictly
    after the previous one and narrows the running uplink-capability
    intersection.  At the base case we look for the remainder leaf among
-   leaves not already used.  A pod with fewer than [l_t] candidate leaves
-   is rejected from the state's cached counts before its leaf infos are
-   built. *)
-let find_two_level st ~job ~pod ~(shape : Shapes.two_level) ~demand =
+   leaves not already used.  The caller has checked the pod's cached
+   counts: it has at least [l_t] candidate leaves. *)
+let search_pod st ~pod ~(shape : Shapes.two_level) ~demand =
   let { Shapes.n_l; l_t; n_rl } = shape in
-  if (State.pod_candidates st ~pod ~demand).(n_l - 1) < l_t then None
-  else begin
-    let infos = pod_leaf_infos st ~pod ~demand in
-    let m2 = Array.length infos in
-    let left = candidates_left infos ~n_l in
-    let find_remainder chosen cap_mask =
-      (* A remainder leaf needs n_rl free nodes and n_rl available uplinks
-         whose indices can be covered by a choice of S inside cap_mask. *)
-      let rec go l =
-        if l >= m2 then None
+  let infos = pod_leaf_infos st ~pod ~demand in
+  let m2 = Array.length infos in
+  let left = candidates_left infos ~n_l in
+  let find_remainder chosen cap_mask =
+    (* A remainder leaf needs n_rl free nodes and n_rl available uplinks
+       whose indices can be covered by a choice of S inside cap_mask. *)
+    let rec go l =
+      if l >= m2 then None
+      else begin
+        let info = infos.(l) in
+        let overlap = info.up_mask land cap_mask in
+        if
+          (not (Mask.mem chosen l))
+          && info.free >= n_rl
+          && Mask.popcount overlap >= n_rl
+        then Some (l, overlap)
+        else go (l + 1)
+      end
+    in
+    go 0
+  in
+  (* [chosen]: in-pod mask of the full leaves picked so far. *)
+  let rec pick start taken chosen cap_mask =
+    if taken = l_t then begin
+      (* Base case: fix S and, if needed, the remainder leaf. *)
+      if n_rl = 0 then Some (chosen, Mask.take_lowest cap_mask n_l, None)
+      else begin
+        match find_remainder chosen cap_mask with
+        | None -> None
+        | Some (l, overlap) ->
+            (* Choose S within cap_mask preferring indices reachable by
+               the remainder leaf, then Sr inside S ∩ overlap. *)
+            let s = Mask.take_preferring cap_mask ~prefer:overlap n_l in
+            let sr = Mask.take_lowest (s land overlap) n_rl in
+            Some (chosen, s, Some (l, sr))
+      end
+    end
+    else begin
+      let rec try_leaf l =
+        if left.(l) < l_t - taken then None
         else begin
-          let info = infos.(l) in
-          let overlap = info.up_mask land cap_mask in
-          if
-            (not (Mask.mem chosen l))
-            && info.free >= n_rl
-            && Mask.popcount overlap >= n_rl
-          then Some (l, overlap)
-          else go (l + 1)
+          let cap' = cap_mask land infos.(l).up_mask in
+          let found =
+            if left.(l) > left.(l + 1) && Mask.popcount cap' >= n_l then
+              pick (l + 1) (taken + 1) (chosen lor (1 lsl l)) cap'
+            else None
+          in
+          match found with Some _ -> found | None -> try_leaf (l + 1)
         end
       in
-      go 0
-    in
-    (* [chosen]: in-pod mask of the full leaves picked so far. *)
-    let rec pick start taken chosen cap_mask =
-      if taken = l_t then begin
-        (* Base case: fix S and, if needed, the remainder leaf. *)
-        if n_rl = 0 then Some (chosen, Mask.take_lowest cap_mask n_l, None)
-        else begin
-          match find_remainder chosen cap_mask with
-          | None -> None
-          | Some (l, overlap) ->
-              (* Choose S within cap_mask preferring indices reachable by
-                 the remainder leaf, then Sr inside S ∩ overlap. *)
-              let s = Mask.take_preferring cap_mask ~prefer:overlap n_l in
-              let sr = Mask.take_lowest (s land overlap) n_rl in
-              Some (chosen, s, Some (l, sr))
-        end
-      end
-      else begin
-        let rec try_leaf l =
-          if left.(l) < l_t - taken then None
-          else begin
-            let cap' = cap_mask land infos.(l).up_mask in
-            let found =
-              if left.(l) > left.(l + 1) && Mask.popcount cap' >= n_l then
-                pick (l + 1) (taken + 1) (chosen lor (1 lsl l)) cap'
-              else None
-            in
-            match found with Some _ -> found | None -> try_leaf (l + 1)
-          end
-        in
-        try_leaf start
-      end
-    in
-    match pick 0 0 0 (lnot 0) with
-    | None -> None
-    | Some (chosen, s_mask, rem) ->
-        let s = Mask.to_array s_mask in
-        let full_leaves =
-          Array.map
-            (fun l ->
-              materialize_leaf st ~leaf:infos.(l).leaf ~take:n_l
-                ~l2_indices:(Array.copy s))
-            (Mask.to_array chosen)
-        in
-        let rem_leaf =
-          Option.map
-            (fun (l, sr_mask) ->
-              materialize_leaf st ~leaf:infos.(l).leaf ~take:n_rl
-                ~l2_indices:(Mask.to_array sr_mask))
-            rem
-        in
-        ignore job;
-        Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
-  end
+      try_leaf start
+    end
+  in
+  match pick 0 0 0 (lnot 0) with
+  | None -> None
+  | Some (chosen, s_mask, rem) ->
+      let s = Mask.to_array s_mask in
+      let full_leaves =
+        Array.map
+          (fun l ->
+            materialize_leaf st ~leaf:infos.(l).leaf ~take:n_l
+              ~l2_indices:(Array.copy s))
+          (Mask.to_array chosen)
+      in
+      let rem_leaf =
+        Option.map
+          (fun (l, sr_mask) ->
+            materialize_leaf st ~leaf:infos.(l).leaf ~take:n_rl
+              ~l2_indices:(Mask.to_array sr_mask))
+          rem
+      in
+      Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
 
+(* A pod with fewer than [l_t] candidate leaves is rejected from the
+   state's cached counts before its leaf infos are built. *)
+let can_host st ~pod ~(shape : Shapes.two_level) ~demand =
+  (State.pod_candidates st ~pod ~demand).(shape.n_l - 1) >= shape.l_t
+
+let find_two_level st ~job:_ ~pod ~shape ~demand =
+  if can_host st ~pod ~shape ~demand then search_pod st ~pod ~shape ~demand
+  else None
+
+(* [left] starts as the number of pods with at least [l_t] candidate
+   leaves for [n_l] nodes, read from the state's machine-wide histogram:
+   a shape no pod can host costs one read instead of a pass over the
+   pods, and the pass over pods stops once it has tried every pod that
+   can.  The pods searched, and their order, are [find_two_level]'s.  A
+   multi-pod request has no shape and reads nothing. *)
 let two_level st ~job ~size ~alloc_size ~demand =
-  let topo = State.topo st in
-  let m3 = Topology.m3 topo in
-  let rec over_pods shape pod =
-    if pod >= m3 then None
+  let rec over_pods (shape : Shapes.two_level) pod left =
+    if left = 0 then None
+    else if not (can_host st ~pod ~shape ~demand) then
+      over_pods shape (pod + 1) left
     else
-      match find_two_level st ~job ~pod ~shape ~demand with
+      match search_pod st ~pod ~shape ~demand with
       | Some tree ->
           Some { Partition.job; size; full_trees = [| tree |]; rem_tree = None }
-      | None -> over_pods shape (pod + 1)
+      | None -> over_pods shape (pod + 1) (left - 1)
   in
-  List.find_map
-    (fun shape -> over_pods shape 0)
-    (Shapes.two_level topo ~size:alloc_size)
+  match Shapes.two_level (State.topo st) ~size:alloc_size with
+  | [] -> None
+  | shapes ->
+      let hosts = State.candidate_pods st ~demand in
+      List.find_map
+        (fun (shape : Shapes.two_level) ->
+          over_pods shape 0 hosts.(shape.n_l - 1).(shape.l_t))
+        shapes
 
 (* The size guard, Algorithm 1's single-pod pass, then the scheme's own
    budgeted pass over pods.  A search that comes back empty gave up iff

@@ -51,7 +51,12 @@ val two_level :
 (** First single-pod partition of [alloc_size] nodes for a job of [size]
     nodes: {!find_two_level} over {!Shapes.two_level} shapes dense-first,
     and pods in index order within each shape.  The search is exhaustive
-    and carries no budget. *)
+    and carries no budget.  Each shape first reads how many pods have
+    its [l_t] candidate leaves from {!Fattree.State.candidate_pods}: a
+    shape no pod can host is skipped without visiting a pod, and a
+    shape's pass over pods stops once it has searched that many.  Both
+    skip only pods {!find_two_level} would reject, so the result is
+    {!find_two_level}'s over every (shape, pod). *)
 
 val probe :
   Fattree.State.t ->

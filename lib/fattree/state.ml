@@ -11,7 +11,10 @@ let eps = 1e-9
                        at full capacity (remaining >= 1.0 - eps);
    - [l2_full_mask]:   per L2 switch, same for its spine uplinks;
    - [pod_free_leaves]: per pod, count of fully-free leaves (all nodes
-                       free and all uplinks at full capacity).
+                       free and all uplinks at full capacity);
+   - [free_pods_at]:   per k in [0, m2], the number of pods with at least
+                       k fully-free leaves, moved by one entry whenever a
+                       pod's [pod_free_leaves] count moves.
 
    The float capacity arrays remain the source of truth; the masks cache
    exactly the predicate the demand-1.0 queries would recompute, so a
@@ -40,15 +43,22 @@ let eps = 1e-9
    copied with a faulted state); until then every count is 0, and
    neither [create] nor [copy_into] pays for them. *)
 (* Per-demand cached feasibility summaries (see [pod_candidates] /
-   [pod_spine_masks] below).  One record per distinct bandwidth demand;
-   the workload draws demands from a handful of classes, so the list
-   stays tiny.  Staleness is tracked per pod against the pod generation
-   counters: a mutation bumps the touched pod's generation, and the next
-   consultation of that pod recomputes just that pod's row. *)
+   [pod_spine_masks] / [candidate_pods] below).  One record per distinct
+   bandwidth demand; the workload draws demands from a handful of
+   classes, so the list stays tiny.  Staleness is tracked per pod
+   against the pod generation counters: a mutation bumps the touched
+   pod's generation, and the next consultation of that pod recomputes
+   just that pod's row.  [hist] is the machine-wide sum of the cached
+   [cand] rows, moved by each row's delta whenever the row is
+   recomputed, so it always describes exactly the rows as cached. *)
 type feas = {
   f_demand : float;
   cand : int array array; (* pod -> counts over n = 1..m1 *)
   cand_gen : int array; (* pod -> pod_node_gen stamp; -1 = never *)
+  recount : int array; (* a recounted [cand] row, before its delta *)
+  hist : int array array;
+      (* n-1 -> k in [0, m2] -> # pods whose [cand] row has >= k at n *)
+  mutable synced : int; (* [node_epoch] when every row was last current *)
   spine : int array array; (* pod -> per-L2-index spine up-mask *)
   spine_gen : int array; (* pod -> pod_l2_gen stamp; -1 = never *)
 }
@@ -81,9 +91,11 @@ type t = {
   leaf_full_mask : int array; (* leaf -> full-capacity uplink indices *)
   l2_full_mask : int array; (* l2 -> full-capacity spine indices *)
   pod_free_leaves : int array; (* pod -> # fully-free leaves *)
+  free_pods_at : int array; (* k -> # pods with >= k fully-free leaves *)
   mutable overlay : overlay option; (* None: no fault ever, all counts 0 *)
   pod_node_gen : int array; (* pod -> leaf-level availability mutations *)
   pod_l2_gen : int array; (* pod -> L2-spine availability mutations *)
+  mutable node_epoch : int; (* sum of [pod_node_gen]: any pod's moved *)
   mutable failed_nodes : int; (* # nodes with a live fault *)
   mutable failed_claimed : int; (* # failed nodes also claimed *)
   mutable busy : int;
@@ -116,9 +128,11 @@ let create topo =
     leaf_full_mask = Array.make nleaves ((1 lsl m1) - 1);
     l2_full_mask = Array.make (Topology.num_l2 topo) ((1 lsl m2) - 1);
     pod_free_leaves = Array.make (Topology.pods topo) m2;
+    free_pods_at = Array.make (m2 + 1) (Topology.pods topo);
     overlay = None;
     pod_node_gen = Array.make (Topology.pods topo) 0;
     pod_l2_gen = Array.make (Topology.pods topo) 0;
+    node_epoch = 0;
     failed_nodes = 0;
     failed_claimed = 0;
     busy = 0;
@@ -154,9 +168,11 @@ let clone t =
     leaf_full_mask = Array.copy t.leaf_full_mask;
     l2_full_mask = Array.copy t.l2_full_mask;
     pod_free_leaves = Array.copy t.pod_free_leaves;
+    free_pods_at = Array.copy t.free_pods_at;
     overlay = Option.map copy_overlay t.overlay;
     pod_node_gen = Array.copy t.pod_node_gen;
     pod_l2_gen = Array.copy t.pod_l2_gen;
+    node_epoch = t.node_epoch;
     failed_nodes = t.failed_nodes;
     failed_claimed = t.failed_claimed;
     busy = t.busy;
@@ -198,6 +214,7 @@ let copy_into ~src ~dst =
   blit src.leaf_full_mask dst.leaf_full_mask;
   blit src.l2_full_mask dst.l2_full_mask;
   blit src.pod_free_leaves dst.pod_free_leaves;
+  blit src.free_pods_at dst.free_pods_at;
   (match (src.overlay, dst.overlay) with
   | None, _ -> dst.overlay <- None
   | Some s, Some d ->
@@ -207,6 +224,7 @@ let copy_into ~src ~dst =
   | Some s, None -> dst.overlay <- Some (copy_overlay s));
   blit src.pod_node_gen dst.pod_node_gen;
   blit src.pod_l2_gen dst.pod_l2_gen;
+  dst.node_epoch <- src.node_epoch;
   dst.failed_nodes <- src.failed_nodes;
   dst.failed_claimed <- src.failed_claimed;
   dst.busy <- src.busy;
@@ -410,13 +428,25 @@ let describe_l2_cable t c =
 
    [leaf_touched t leaf ~was] closes one update of [leaf]'s words:
    [was] is [leaf_fully_free] before it, so the pod's fully-free count
-   moves by the transition, and the pod's node generation advances. *)
+   moves by the transition, and with it the one entry of [free_pods_at]
+   the pod enters or leaves; the pod's node generation and the state's
+   node epoch advance. *)
 let leaf_touched t leaf ~was =
   let pod = leaf / Topology.m2 t.topo in
   let now = leaf_fully_free t leaf in
-  if was <> now then
-    t.pod_free_leaves.(pod) <- t.pod_free_leaves.(pod) + (if now then 1 else -1);
-  t.pod_node_gen.(pod) <- t.pod_node_gen.(pod) + 1
+  if was <> now then begin
+    let c = t.pod_free_leaves.(pod) in
+    if now then begin
+      t.pod_free_leaves.(pod) <- c + 1;
+      t.free_pods_at.(c + 1) <- t.free_pods_at.(c + 1) + 1
+    end
+    else begin
+      t.pod_free_leaves.(pod) <- c - 1;
+      t.free_pods_at.(c) <- t.free_pods_at.(c) - 1
+    end
+  end;
+  t.pod_node_gen.(pod) <- t.pod_node_gen.(pod) + 1;
+  t.node_epoch <- t.node_epoch + 1
 
 let l2_touched t l2 =
   let pod = l2 / Topology.m1 t.topo in
@@ -833,12 +863,23 @@ let feas_for t demand =
   | Some f -> f
   | None ->
       let pods = Topology.pods t.topo in
-      let m1 = Topology.m1 t.topo in
+      let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
+      (* Every row starts at zero, which the histogram counts at k = 0
+         only. *)
+      let hist =
+        Array.init m1 (fun _ ->
+            let h = Array.make (m2 + 1) 0 in
+            h.(0) <- pods;
+            h)
+      in
       let f =
         {
           f_demand = demand;
           cand = Array.init pods (fun _ -> Array.make m1 0);
           cand_gen = Array.make pods (-1);
+          recount = Array.make m1 0;
+          hist;
+          synced = -1;
           spine = Array.init pods (fun _ -> Array.make m1 0);
           spine_gen = Array.make pods (-1);
         }
@@ -846,32 +887,162 @@ let feas_for t demand =
       t.feas_caches <- f :: t.feas_caches;
       f
 
+(* [into.(n-1)] = number of leaves in [pod] able to carry n nodes at
+   [demand] (free nodes AND uplink-capable indices both >= n).  Built as
+   a histogram over each leaf's capacity followed by a suffix sum —
+   O(m2 + m1) instead of O(m2 * m1).  A leaf's capacity is
+   [min free cap]; a full-capacity uplink carries any demand up to 1.0,
+   so when the leaf has at least [free] of them, its capacity is [free]
+   without the O(m1) float scan a fractional demand's mask takes —
+   which answers every fully-free leaf and every leaf with no free
+   node in O(1). *)
+let count_candidates t ~pod ~demand into =
+  let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
+  Array.fill into 0 m1 0;
+  for l = 0 to m2 - 1 do
+    let leaf = Topology.leaf_of_coords t.topo ~pod ~leaf:l in
+    let free = t.free_per_leaf.(leaf) in
+    let upto =
+      if free = 0 then 0
+      else if demand <= 1.0 && popcount t.leaf_full_mask.(leaf) >= free then
+        free
+      else Stdlib.min free (popcount (leaf_up_mask t ~leaf ~demand))
+    in
+    if upto > 0 then into.(upto - 1) <- into.(upto - 1) + 1
+  done;
+  let acc = ref 0 in
+  for n = m1 - 1 downto 0 do
+    acc := !acc + into.(n);
+    into.(n) <- !acc
+  done
+
+(* Recompute [pod]'s row and move the histogram by its delta: a count
+   going from [a] to [b] at [n] enters (or leaves) the pod in the
+   entries [k] of [min a b + 1 .. max a b]. *)
+let refresh_candidates t f pod =
+  let counts = f.cand.(pod) and recount = f.recount in
+  count_candidates t ~pod ~demand:f.f_demand recount;
+  for n = 0 to Array.length counts - 1 do
+    let a = counts.(n) and b = recount.(n) in
+    if a <> b then begin
+      let h = f.hist.(n) in
+      if b > a then
+        for k = a + 1 to b do
+          h.(k) <- h.(k) + 1
+        done
+      else
+        for k = b + 1 to a do
+          h.(k) <- h.(k) - 1
+        done;
+      counts.(n) <- b
+    end
+  done;
+  f.cand_gen.(pod) <- t.pod_node_gen.(pod)
+
 let pod_candidates t ~pod ~demand =
   let f = feas_for t demand in
-  let gen = t.pod_node_gen.(pod) in
-  let counts = f.cand.(pod) in
-  if f.cand_gen.(pod) <> gen then begin
-    (* counts.(n-1) = number of leaves in the pod able to carry n nodes
-       at this demand (free nodes AND uplink-capable indices both >= n).
-       Built as a histogram over each leaf's capacity followed by a
-       suffix sum — O(m2 + m1) per refresh instead of O(m2 * m1). *)
-    let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
-    Array.fill counts 0 m1 0;
-    for l = 0 to m2 - 1 do
-      let leaf = Topology.leaf_of_coords t.topo ~pod ~leaf:l in
-      let free = t.free_per_leaf.(leaf) in
-      let cap = popcount (leaf_up_mask t ~leaf ~demand) in
-      let upto = Stdlib.min (Stdlib.min free cap) m1 in
-      if upto > 0 then counts.(upto - 1) <- counts.(upto - 1) + 1
-    done;
-    let acc = ref 0 in
-    for n = m1 - 1 downto 0 do
-      acc := !acc + counts.(n);
-      counts.(n) <- !acc
-    done;
-    f.cand_gen.(pod) <- gen
+  if f.cand_gen.(pod) <> t.pod_node_gen.(pod) then refresh_candidates t f pod;
+  f.cand.(pod)
+
+(* [JIGSAW_VALIDATE=1]: every row recounted from the leaves, then the
+   histogram recounted from the rows. *)
+let validate_candidate_pods t f =
+  let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
+  let demand = f.f_demand in
+  let row = Array.make m1 0 in
+  Array.iteri
+    (fun pod counts ->
+      count_candidates t ~pod ~demand row;
+      if row <> counts then
+        failwith
+          (Printf.sprintf
+             "State.candidate_pods: pod %d's row at demand %g is stale" pod
+             demand))
+    f.cand;
+  for n = 0 to m1 - 1 do
+    for k = 0 to m2 do
+      let c =
+        Array.fold_left (fun c counts -> if counts.(n) >= k then c + 1 else c)
+          0 f.cand
+      in
+      if f.hist.(n).(k) <> c then
+        failwith
+          (Printf.sprintf
+             "State.candidate_pods: demand %g counts %d pods with >= %d \
+              candidate leaves for %d nodes, the pods' rows %d"
+             demand f.hist.(n).(k) k (n + 1) c)
+    done
+  done
+
+(* The first read counts the histogram from the rows: O(pods * m1 +
+   m1 * m2), where moving it row by row from zero rows could cost
+   O(pods * m1 * m2). *)
+let count_histogram t f =
+  let m2 = Topology.m2 t.topo in
+  Array.iteri
+    (fun pod counts ->
+      if f.cand_gen.(pod) <> t.pod_node_gen.(pod) then begin
+        count_candidates t ~pod ~demand:f.f_demand counts;
+        f.cand_gen.(pod) <- t.pod_node_gen.(pod)
+      end)
+    f.cand;
+  Array.iteri
+    (fun n h ->
+      Array.fill h 0 (m2 + 1) 0;
+      Array.iter (fun counts -> h.(counts.(n)) <- h.(counts.(n)) + 1) f.cand;
+      for k = m2 - 1 downto 0 do
+        h.(k) <- h.(k) + h.(k + 1)
+      done)
+    f.hist
+
+(* Bring the rows moved since the last read up to date; the node epoch
+   makes a read at an unchanged state O(1). *)
+let candidate_pods t ~demand =
+  let f = feas_for t demand in
+  if f.synced <> t.node_epoch then begin
+    if f.synced < 0 then count_histogram t f
+    else
+      for pod = 0 to Array.length f.cand - 1 do
+        if f.cand_gen.(pod) <> t.pod_node_gen.(pod) then
+          refresh_candidates t f pod
+      done;
+    f.synced <- t.node_epoch
   end;
-  counts
+  if forced_validation then validate_candidate_pods t f;
+  f.hist
+
+let validate_fully_free_pods t =
+  let m2 = Topology.m2 t.topo in
+  Array.iteri
+    (fun pod c ->
+      let fresh = ref 0 in
+      for l = 0 to m2 - 1 do
+        if leaf_fully_free t (Topology.leaf_of_coords t.topo ~pod ~leaf:l) then
+          incr fresh
+      done;
+      if c <> !fresh then
+        failwith
+          (Printf.sprintf
+             "State.fully_free_pods: pod %d counts %d fully-free leaves, its \
+              leaves %d"
+             pod c !fresh))
+    t.pod_free_leaves;
+  for k = 0 to m2 do
+    let c =
+      Array.fold_left (fun c n -> if n >= k then c + 1 else c) 0
+        t.pod_free_leaves
+    in
+    if t.free_pods_at.(k) <> c then
+      failwith
+        (Printf.sprintf
+           "State.fully_free_pods: %d pods with >= %d fully-free leaves, the \
+            pods' counts %d"
+           t.free_pods_at.(k) k c)
+  done
+
+let fully_free_pods t =
+  if forced_validation then validate_fully_free_pods t;
+  t.free_pods_at
 
 let pod_spine_masks t ~pod ~demand =
   let f = feas_for t demand in

@@ -37,8 +37,8 @@ val copy_into : src:t -> dst:t -> unit
 (** [copy_into ~src ~dst] refreshes [dst] to mirror [src] — the
     double-buffered scratch primitive behind zero-clone reservation
     search.  The two states must share topology dimensions.  [dst]'s
-    cached summaries ({!pod_candidates} rows, the {!ext} slot) are
-    dropped, and the operation does {e not} count as a {!clone} in
+    cached summaries ({!pod_candidates} rows and their {!candidate_pods}
+    histograms, the {!ext} slot) are dropped, and the operation does {e not} count as a {!clone} in
     either state's tally.  It allocates only when [src] has had a fault
     and [dst] has not: the per-resource fault counts exist only from a
     state's first fault on, so copying between fault-free states moves
@@ -76,6 +76,15 @@ val leaf_fully_free : t -> int -> bool
 
 val pod_fully_free_leaves : t -> pod:int -> int
 (** Number of fully-free leaves in [pod], maintained incrementally. *)
+
+val fully_free_pods : t -> int array
+(** [(fully_free_pods t).(k)], for [k] in [0 .. m2], is the number of
+    pods with at least [k] fully-free leaves: the machine-wide histogram
+    of {!pod_fully_free_leaves}, kept current in O(1) per leaf update
+    and copied by {!clone} and {!copy_into}.  The array is owned by the
+    state — callers must not mutate it, and it moves with the next
+    mutation.  Under [JIGSAW_VALIDATE=1] every call recounts it from the
+    leaves and fails, naming the pod or the entry, on a mismatch. *)
 
 val total_free_nodes : t -> int
 (** Nodes neither claimed nor failed. *)
@@ -245,9 +254,11 @@ val l2_cable_failed : t -> int -> bool
     Per-pod candidate structures maintained lazily against the pod
     generation counters: a probe consults the cached row; a mutation in
     the pod invalidates (only) that pod's row, which is rebuilt on its
-    next consultation.  Answers are bit-identical to a from-scratch
-    scan — the property tests in test_incremental.ml check this on
-    random claim/release/fail/repair sequences. *)
+    next consultation, and moves the per-demand {!candidate_pods}
+    histogram by the row's delta.  Answers are bit-identical to a
+    from-scratch scan — the property tests in test_incremental.ml check
+    this on random claim/release/unrelease/fail/repair sequences, with
+    clones and copies in between. *)
 
 val pod_candidates : t -> pod:int -> demand:float -> int array
 (** [pod_candidates t ~pod ~demand].(n-1) is the number of leaves in
@@ -255,6 +266,19 @@ val pod_candidates : t -> pod:int -> demand:float -> int array
     at least [n] uplink indices with [demand] capacity remaining.  The
     returned array is owned by the cache — callers must not mutate it,
     and it is valid until the pod's next mutation. *)
+
+val candidate_pods : t -> demand:float -> int array array
+(** [(candidate_pods t ~demand).(n-1).(k)], for [k] in [0 .. m2], is
+    the number of pods with at least [k] candidate leaves for [n] nodes
+    at [demand] — the machine-wide histogram of the {!pod_candidates}
+    rows, so a search can tell in O(1) whether any pod can host [k]
+    such leaves.  It is moved by each row's delta when the row is
+    recomputed; a call brings the rows moved since the previous call up
+    to date (O(pods) stamp checks, or O(1) when no pod has changed) and
+    never rebuilds the histogram whole.  Same ownership rules as
+    {!pod_candidates}.  Under [JIGSAW_VALIDATE=1] every call recounts
+    each row from the leaves and the histogram from the rows, failing
+    with the pod and demand on a mismatch. *)
 
 val pod_spine_masks : t -> pod:int -> demand:float -> int array
 (** [pod_spine_masks t ~pod ~demand].(i) is {!l2_up_mask} of the pod's

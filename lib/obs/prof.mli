@@ -66,10 +66,6 @@ val gauges : t -> (string * gauge_view) list
 
 (** {1 Spans} — wall-clock timings of code regions. *)
 
-val span_boundaries : float array
-(** Histogram bucket edges in nanoseconds: decades from 1 us to 1 s
-    (8 buckets). *)
-
 val record_span : t -> string -> float -> unit
 (** Record an externally measured duration (nanoseconds). *)
 
@@ -87,7 +83,9 @@ type span_view = {
           observed maximum — order-of-magnitude tail estimates. *)
   sp_p90_ns : float;
   sp_p99_ns : float;
-  sp_hist : int array;  (** Per-{!span_boundaries} bucket counts. *)
+  sp_hist : int array;
+      (** Bucket counts over decades of nanoseconds: below 1 us, then one
+          per decade up to 1 s, then 1 s and over (8 buckets). *)
 }
 
 val spans : t -> (string * span_view) list

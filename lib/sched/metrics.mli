@@ -95,12 +95,6 @@ val pp : format:format -> Format.formatter -> t -> unit
     length ([series_points]) — export the series itself with
     {!write_series_csv}. *)
 
-val json_fields : t -> (string * Obs.Json.value) list
-(** The flat key/value view behind the [Json] face and {!fingerprint}:
-    every simulated scalar, the histogram flattened to [inst_hist_<i>]
-    keys, and the series by length only ([series_points]): the
-    fields of {!row}, in the order the fingerprint digests them. *)
-
 val to_json_string : ?extra:(string * Obs.Json.value) list -> t -> string
 (** The [Json] face as a string.  [extra] fields (e.g. [wall_clock_s],
     [jobs]) are appended after the simulated fields so BENCH files are
@@ -129,7 +123,10 @@ val series : (float * float) array Obs.Row.conv
     floats (exact round-trip). *)
 
 val row : (t, (float * float) array -> (t, string) result) Obs.Row.t
-(** The row behind {!json_fields}.  It reads back as a function of the
+(** The row behind the [Json] face and {!fingerprint}: every simulated
+    scalar, the histogram flattened to [inst_hist_<i>] keys, and the
+    series by length only ([series_points]), in the order the
+    fingerprint digests them.  It reads back as a function of the
     decoded series, which must have [series_points] points. *)
 
 val mean_turnaround : per_job list -> large_only:bool -> float * int

@@ -817,6 +817,84 @@ let prop_feasibility_rows_match_fresh_resolve =
         demands;
       true)
 
+(* From-scratch recounts of the two machine-wide histograms, from the
+   capacity summaries only. *)
+let scratch_candidate_pods st ~demand =
+  let topo = State.topo st in
+  let rows =
+    Array.init (Topology.pods topo) (fun pod -> scratch_candidates st ~pod ~demand)
+  in
+  Array.init (Topology.m1 topo) (fun n ->
+      Array.init (Topology.m2 topo + 1) (fun k ->
+          Array.fold_left (fun c row -> if row.(n) >= k then c + 1 else c) 0 rows))
+
+let scratch_fully_free_pods st =
+  let topo = State.topo st in
+  let counts =
+    Array.init (Topology.pods topo) (scratch_pod_fully_free_leaves st)
+  in
+  Array.init (Topology.m2 topo + 1) (fun k ->
+      Array.fold_left (fun c n -> if n >= k then c + 1 else c) 0 counts)
+
+(* Both histograms equal a from-scratch recount after every step of a
+   random history: claims, releases, fails and repairs ([random_step],
+   whose consultations refresh single rows outside a histogram read),
+   releases undone by [unrelease], and the live state replaced by a
+   [clone] or by a [copy_into] over a state whose caches are warm.
+   Each step reads the candidate histogram at a random subset of the
+   demands, so the others go stale over several steps and are brought
+   up to date by a delta over many moved rows. *)
+let prop_histograms_match_recount =
+  QCheck2.Test.make
+    ~name:"candidate_pods/fully_free_pods == from-scratch recount" ~count:30
+    QCheck2.Gen.(pair (oneofl [ 8; 12 ]) (int_range 0 1_000_000))
+    (fun (radix, seed) ->
+      let st = ref (State.create (Topology.of_radix radix)) in
+      let spare = ref (State.create (Topology.of_radix radix)) in
+      let prng = Sim.Prng.create ~seed in
+      let live = ref [] and faults = ref [] in
+      let check ~step ~all =
+        if State.fully_free_pods !st <> scratch_fully_free_pods !st then
+          QCheck2.Test.fail_reportf "fully-free histogram diverges at step %d"
+            step;
+        Array.iter
+          (fun demand ->
+            if
+              (all || Sim.Prng.int_in prng ~lo:0 ~hi:1 = 0)
+              && State.candidate_pods !st ~demand
+                 <> scratch_candidate_pods !st ~demand
+            then
+              QCheck2.Test.fail_reportf
+                "candidate histogram diverges at step %d, demand %g" step demand)
+          demands
+      in
+      for id = 1 to 60 do
+        let r = Sim.Prng.float prng ~bound:1.0 in
+        if r < 0.1 then st := State.clone !st
+        else if r < 0.2 then begin
+          let old = !st in
+          State.copy_into ~src:old ~dst:!spare;
+          st := !spare;
+          spare := old
+        end
+        else if r < 0.3 && !live <> [] then begin
+          let a =
+            List.nth !live (Sim.Prng.int_in prng ~lo:0 ~hi:(List.length !live - 1))
+          in
+          State.release !st a;
+          check ~step:id ~all:false;
+          State.unrelease !st a
+        end
+        else begin
+          let l, f = random_step !st prng ~id !live !faults in
+          live := l;
+          faults := f
+        end;
+        check ~step:id ~all:false
+      done;
+      check ~step:61 ~all:true;
+      true)
+
 (* The LC solution memo (budget-replaying, generation-stamped) must be
    invisible: probing a state whose caches are warm returns exactly what
    probing a cold fresh copy does, verdict for verdict — including
@@ -1011,5 +1089,6 @@ let suite =
       test_unrelease_lifo;
     QCheck_alcotest.to_alcotest prop_unrelease_inverts_release;
     QCheck_alcotest.to_alcotest prop_feasibility_rows_match_fresh_resolve;
+    QCheck_alcotest.to_alcotest prop_histograms_match_recount;
     QCheck_alcotest.to_alcotest prop_lc_cached_probe_matches_fresh;
   ]
