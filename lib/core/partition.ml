@@ -39,31 +39,40 @@ let leaves p =
   in
   Array.of_list (List.concat_map of_tree (all_trees p))
 
-(* Every tree in order (the full trees, then the remainder tree), and
-   every leaf in tree order (each tree's full leaves, then its remainder
-   leaf): the order [leaves] lists them in. *)
-let iter_trees p f =
-  Array.iter f p.full_trees;
-  Option.iter f p.rem_tree
+(* Flattening in one ordered pass.  Ids are row-major — node =
+   leaf*m1 + slot, leaf cable = leaf*m1 + l2 index, L2 cable =
+   (pod*m1 + l2 index)*m2 + spine index — so visiting trees by pod,
+   each tree's leaves by leaf id, and every inner array in order emits
+   each id array already ascending.  Producers list full trees and full
+   leaves ascending; the remainder tree (leaf) may belong anywhere among
+   them, so it is merged into place. *)
+let iter_merged (key : _ -> int) full rem f =
+  let rem = ref rem in
+  Array.iter
+    (fun x ->
+      (match !rem with
+      | Some r when key r < key x ->
+          f r;
+          rem := None
+      | _ -> ());
+      f x)
+    full;
+  Option.iter f !rem
 
-let iter_leaves p f =
-  iter_trees p (fun tr ->
-      Array.iter f tr.full_leaves;
-      Option.iter f tr.rem_leaf)
+(* [leaf] on each leaf of a tree in leaf order, then [tree] on the tree;
+   trees in pod order. *)
+let iter_ordered p ~leaf ~tree =
+  iter_merged
+    (fun tr -> tr.pod)
+    p.full_trees p.rem_tree
+    (fun tr ->
+      iter_merged (fun la -> la.leaf) tr.full_leaves tr.rem_leaf leaf;
+      tree tr)
 
 let node_count p =
   let n = ref 0 in
-  iter_leaves p (fun la -> n := !n + Array.length la.nodes);
+  iter_ordered p ~tree:ignore ~leaf:(fun la -> n := !n + Array.length la.nodes);
   !n
-
-let nodes p =
-  let all = Array.make (node_count p) 0 in
-  let k = ref 0 in
-  iter_leaves p (fun la ->
-      Array.blit la.nodes 0 all !k (Array.length la.nodes);
-      k := !k + Array.length la.nodes);
-  Sim.Intsort.sort all;
-  all
 
 let pods_used p =
   List.sort_uniq compare (List.map (fun tr -> tr.pod) (all_trees p))
@@ -87,48 +96,74 @@ let l2_index_set p =
   | Some la -> Array.copy la.l2_indices
   | None -> invalid_arg "Partition.l2_index_set: no full leaf"
 
+let unordered fn what id =
+  invalid_arg
+    (Printf.sprintf "%s: %s %d breaks the ascending id order" fn what id)
+
+(* Writes [base + src.(i)] to [dst] from [k] on, checking each against
+   the id written before it; returns the next free slot.  [what] and
+   [id] name the leaf or L2 switch [src] belongs to. *)
+let fill ~fn ~what ~id dst k base src =
+  let prev = ref (if k = 0 then -1 else Array.unsafe_get dst (k - 1)) in
+  for i = 0 to Array.length src - 1 do
+    let v = base + Array.unsafe_get src i in
+    if v <= !prev then unordered fn what id;
+    Array.unsafe_set dst (k + i) v;
+    prev := v
+  done;
+  k + Array.length src
+
+(* The index arrays are offsets from one base id: they must lie in
+   [0, bound), which for an ascending array its ends decide. *)
+let check_range ~fn ~what ~id ~bound src =
+  let n = Array.length src in
+  if n > 0 && (src.(0) < 0 || src.(n - 1) >= bound) then
+    invalid_arg
+      (Printf.sprintf "%s: %s %d has an index outside [0, %d)" fn what id
+         bound)
+
+let nodes p =
+  let all = Array.make (node_count p) 0 in
+  let k = ref 0 in
+  let fn = "Partition.nodes" in
+  iter_ordered p ~tree:ignore ~leaf:(fun la ->
+      k := fill ~fn ~what:"leaf" ~id:la.leaf all !k 0 la.nodes);
+  all
+
 let to_alloc topo p ~bw =
-  let n_leaf = ref 0 and n_l2 = ref 0 in
-  iter_leaves p (fun la -> n_leaf := !n_leaf + Array.length la.l2_indices);
-  iter_trees p (fun tr ->
+  let fn = "Partition.to_alloc" in
+  let n_nodes = ref 0 and n_leaf = ref 0 and n_l2 = ref 0 in
+  iter_ordered p
+    ~leaf:(fun la ->
+      n_nodes := !n_nodes + Array.length la.nodes;
+      n_leaf := !n_leaf + Array.length la.l2_indices)
+    ~tree:(fun tr ->
       Array.iter
         (fun (_, spines) -> n_l2 := !n_l2 + Array.length spines)
         tr.spine_sets);
+  let nodes = Array.make !n_nodes 0 in
   let leaf_cables = Array.make !n_leaf 0 in
   let l2_cables = Array.make !n_l2 0 in
-  let k = ref 0 in
-  iter_leaves p (fun la ->
-      Array.iter
-        (fun i ->
-          leaf_cables.(!k) <-
-            Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:i;
-          incr k)
-        la.l2_indices);
-  let k = ref 0 in
-  iter_trees p (fun tr ->
-      Array.iter
-        (fun (i, spines) ->
-          let l2 = Topology.l2_of_coords topo ~pod:tr.pod ~index:i in
-          Array.iter
-            (fun j ->
-              l2_cables.(!k) <-
-                Topology.l2_spine_cable topo ~l2 ~spine_index:j;
-              incr k)
-            spines)
-        tr.spine_sets);
-  (* Monomorphic sort: these arrays reach a few hundred entries on
-     machine-scale partitions and a closure-calling sort dominates the
-     whole materialization otherwise. *)
-  Sim.Intsort.sort leaf_cables;
-  Sim.Intsort.sort l2_cables;
-  {
-    Alloc.job = p.job;
-    size = p.size;
-    nodes = nodes p;
-    leaf_cables;
-    l2_cables;
-    bw;
-  }
+  let kn = ref 0 and kl = ref 0 and ks = ref 0 in
+  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
+  let fill_leaf la =
+    let id = la.leaf in
+    kn := fill ~fn ~what:"leaf" ~id nodes !kn 0 la.nodes;
+    check_range ~fn ~what:"leaf" ~id ~bound:m1 la.l2_indices;
+    let base = Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:0 in
+    kl := fill ~fn ~what:"leaf" ~id leaf_cables !kl base la.l2_indices
+  in
+  let fill_spines tr =
+    Array.iter
+      (fun (i, spines) ->
+        let l2 = Topology.l2_of_coords topo ~pod:tr.pod ~index:i in
+        check_range ~fn ~what:"L2 switch" ~id:l2 ~bound:m2 spines;
+        let base = Topology.l2_spine_cable topo ~l2 ~spine_index:0 in
+        ks := fill ~fn ~what:"L2 switch" ~id:l2 l2_cables !ks base spines)
+      tr.spine_sets
+  in
+  iter_ordered p ~leaf:fill_leaf ~tree:fill_spines;
+  { Alloc.job = p.job; size = p.size; nodes; leaf_cables; l2_cables; bw }
 
 let pp_int_array ppf a =
   Format.fprintf ppf "[%s]"

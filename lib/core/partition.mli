@@ -20,7 +20,19 @@
       [Sr ⊂ S].
 
     A {e two-level} partition occupies a single pod and allocates no
-    spine cables (single-pod traffic never crosses spines). *)
+    spine cables (single-pod traffic never crosses spines).
+
+    {b Ordering.}  Every array is strictly ascending: [full_trees] by
+    pod, each tree's [full_leaves] by leaf id and [spine_sets] by L2
+    index, and within a leaf [nodes] and [l2_indices], and each spine
+    array.  The remainder tree may lie in any pod not taken by a full
+    tree (below, between or above them), and a remainder leaf on any
+    leaf of its pod not taken by a full leaf.  Ids are row-major, so
+    {!nodes} and {!to_alloc} build sorted arrays in one pass under this
+    ordering, with no sort; they raise [Invalid_argument] naming the
+    leaf (or, for a spine array, the L2 switch) where an input breaks
+    it.  Every allocator in this repository builds partitions this
+    way. *)
 
 type leaf_alloc = {
   leaf : int;  (** Global leaf id. *)
@@ -66,7 +78,8 @@ val node_count : t -> int
 (** Total nodes held (counting padding, if any). *)
 
 val nodes : t -> int array
-(** All node ids, sorted ascending. *)
+(** All node ids, sorted ascending.  Raises [Invalid_argument] if the
+    nodes break the ordering above. *)
 
 val leaves : t -> leaf_alloc array
 (** Every leaf allocation (full and remainder), in tree order. *)
@@ -84,7 +97,11 @@ val l2_index_set : t -> int array
 val to_alloc : Fattree.Topology.t -> t -> bw:float -> Fattree.Alloc.t
 (** Flatten to the resource-level allocation: all nodes, one leaf–L2 cable
     per (leaf, l2-index) pair, one L2–spine cable per (L2, spine-index)
-    pair, each demanding [bw]. *)
+    pair, each demanding [bw].  The three id arrays are strictly
+    ascending.  One pass, with one compare per id; raises
+    [Invalid_argument] naming the leaf or L2 switch if the partition
+    breaks the ordering above or an L2 or spine index lies outside the
+    topology. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump. *)

@@ -9,7 +9,14 @@
 
     Structured, condition-checkable allocations live in
     [Jigsaw.Partition]; they flatten to this type for claiming and
-    releasing resources in {!State}. *)
+    releasing resources in {!State}.
+
+    Ordering is not part of this type's contract.  Allocations built by
+    [Partition.to_alloc] hold each id array strictly ascending, and so
+    do the Baseline and TA allocators' flat ones; an allocation grown in
+    place by a moldable resize ([Allocator]'s grow within the job's own
+    leaves) appends its new nodes after the old ones, so its [nodes] are
+    not ascending.  Code that needs sorted ids sorts them itself. *)
 
 type t = {
   job : int;  (** Job identifier (caller-chosen; not interpreted). *)

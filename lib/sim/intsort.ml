@@ -1,12 +1,15 @@
 (* Monomorphic in-place sort for int arrays.
 
-   [Array.sort] calls its comparator through a closure, which for the
-   id arrays materialized on every successful allocation (nodes, cable
-   lists — a few hundred entries at machine scale) costs more than the
-   whole partition search.  A hand-specialized quicksort compiles the
-   comparisons to direct register operations.  Output order is the same
-   ascending order as [Array.sort Int.compare] (duplicates are
-   indistinguishable), so swapping the two is behavior-preserving. *)
+   [Array.sort] calls its comparator through a closure, which on id
+   arrays of a few hundred entries costs more than the work around it.
+   A hand-specialized quicksort compiles the comparisons to direct
+   register operations.  Its callers sort the id arrays built from
+   lists or hash tables: TA's allocations, the simulator's job-id sets
+   and a routed partition's node order.  (Partition-built allocations
+   need no sort: [Partition.to_alloc] fills them in ascending order.)
+   Output order is the same ascending order as [Array.sort Int.compare]
+   (duplicates are indistinguishable), so swapping the two is
+   behavior-preserving. *)
 
 let insertion (a : int array) lo hi =
   for i = lo + 1 to hi do

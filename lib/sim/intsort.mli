@@ -1,8 +1,8 @@
 (** In-place ascending sort specialized to [int array].
 
     Same result as [Array.sort Int.compare] but with the comparison
-    compiled monomorphically — an order of magnitude faster on the
-    few-hundred-entry id arrays built for every allocation. *)
+    compiled monomorphically — an order of magnitude faster on
+    few-hundred-entry id arrays. *)
 
 val sort : int array -> unit
 (** Sort ascending, in place. *)
