@@ -25,10 +25,6 @@ let remove t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
 let fill t =
   let full_words = t.n / bits_per_word in
   Array.fill t.words 0 full_words (lnot 0 land ((1 lsl bits_per_word) - 1));
@@ -65,32 +61,6 @@ let ntz_lsb lsb =
   end;
   if !v land 0x1 = 0 then bit := !bit + 1;
   !bit
-
-(* Dense words flip the cost balance: the lsb-isolation walk pays a
-   branchy ntz per set bit, so on a nearly-full word it does ~63 of
-   them and loses to a straight bit loop whose test is one [land].
-   Each word picks its strategy from its own popcount (O(set bits),
-   negligible on sparse words where the walk wins anyway). *)
-let dense_word_bits = 40
-
-let iter_set t ~f =
-  let words = t.words in
-  for w = 0 to Array.length words - 1 do
-    let word = ref (Array.unsafe_get words w) in
-    if !word <> 0 then begin
-      let base = w * bits_per_word in
-      if popcount !word >= dense_word_bits then
-        for b = 0 to bits_per_word - 1 do
-          if !word land (1 lsl b) <> 0 then f (base + b)
-        done
-      else
-        while !word <> 0 do
-          let lsb = !word land - !word in
-          f (base + ntz_lsb lsb);
-          word := !word land (!word - 1)
-        done
-    end
-  done
 
 let intersects_array t arr =
   let words = t.words in

@@ -29,15 +29,6 @@ val blit : src:t -> dst:t -> unit
     allocating; capacities must match.  The refresh primitive behind
     reusable scratch states. *)
 
-val iter_set : t -> f:(int -> unit) -> unit
-(** [iter_set t ~f] applies [f] to every set bit in increasing order.
-    Skips empty words and isolates each set bit with word-level
-    arithmetic — O(words + set bits) rather than O(universe), which is
-    what the hot backfill/fault paths need on mostly-empty maps.
-    Nearly-full words switch to a straight bit loop, so dense sets pay
-    one cheap test per bit instead of a branchy isolation per set
-    bit. *)
-
 val intersects_array : t -> int array -> bool
 (** [intersects_array t arr] is true iff some element of [arr] is a
     member of [t]; short-circuits on the first hit.  Bounds-checked.

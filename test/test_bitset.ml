@@ -2,11 +2,14 @@
 
 open Sim
 
-(* Members in increasing order, through [iter_set]. *)
+(* Members in increasing order, walked with [next_set_from]. *)
 let members b =
-  let acc = ref [] in
-  Bitset.iter_set b ~f:(fun i -> acc := i :: !acc);
-  List.rev !acc
+  let rec walk i acc =
+    match Bitset.next_set_from b i with
+    | Some j -> walk (j + 1) (j :: acc)
+    | None -> List.rev acc
+  in
+  walk 0 []
 
 let test_basic () =
   let b = Bitset.create 100 in
@@ -52,18 +55,21 @@ let test_copy_equal () =
   Bitset.add b 11;
   Alcotest.(check (list int)) "copy independent" [ 5; 10 ] (members a)
 
-let test_iter_set () =
-  (* iter_set must agree with a mem loop, including across word
+let test_next_set_from_walk () =
+  (* The walk must agree with a mem loop, including across word
      boundaries (62/63/64) and in the ragged last word. *)
   let xs = [ 0; 62; 63; 64; 126; 127; 199 ] in
   let b = Bitset.of_array 200 (Array.of_list xs) in
   Alcotest.(check (list int))
-    "iter_set = mem loop"
+    "walk = mem loop"
     (List.filter (Bitset.mem b) (List.init 200 Fun.id))
     (members b);
-  Alcotest.(check (list int)) "iter_set = members" xs (members b);
-  let empty = Bitset.create 100 in
-  Bitset.iter_set empty ~f:(fun _ -> Alcotest.fail "iter on empty set")
+  Alcotest.(check (list int)) "walk = members" xs (members b);
+  Alcotest.(check (option int)) "from inside a run" (Some 64)
+    (Bitset.next_set_from b 64);
+  Alcotest.(check (option int)) "past the last member" None
+    (Bitset.next_set_from b 200);
+  Alcotest.(check (list int)) "empty set" [] (members (Bitset.create 100))
 
 let test_intersects_array () =
   let b = Bitset.of_array 200 [| 63; 64; 199 |] in
@@ -80,8 +86,8 @@ let test_of_array () =
 
 let gen_members = QCheck2.Gen.(array (int_range 0 199))
 
-let prop_iter_set_matches_mem =
-  QCheck2.Test.make ~name:"iter_set visits exactly the members, ascending"
+let prop_walk_matches_members =
+  QCheck2.Test.make ~name:"next_set_from walks members"
     ~count:200 gen_members (fun xs ->
       let b = Bitset.of_array 200 xs in
       members b = List.sort_uniq compare (Array.to_list xs))
@@ -99,9 +105,9 @@ let suite =
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "fill and clear" `Quick test_fill_clear;
     Alcotest.test_case "copy and equal" `Quick test_copy_equal;
-    Alcotest.test_case "iter_set" `Quick test_iter_set;
+    Alcotest.test_case "next_set_from walk" `Quick test_next_set_from_walk;
     Alcotest.test_case "intersects_array" `Quick test_intersects_array;
     Alcotest.test_case "of_array" `Quick test_of_array;
-    QCheck_alcotest.to_alcotest prop_iter_set_matches_mem;
+    QCheck_alcotest.to_alcotest prop_walk_matches_members;
     QCheck_alcotest.to_alcotest prop_intersects_array_matches_exists;
   ]
