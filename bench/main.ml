@@ -348,7 +348,7 @@ let load_cluster ~radix ~seed ~target =
 
 (* ------------------------------------------------------------------ *)
 (* Primitives: Fattree.State claim/release, create and copy_into,      *)
-(* Partition.to_alloc, and one Jigsaw probe miss.                       *)
+(* Partition.to_alloc, one Jigsaw probe hit and one probe miss.         *)
 (* ------------------------------------------------------------------ *)
 
 let primitive_samples = 7
@@ -370,12 +370,32 @@ let sample_ns ~iters f =
   Array.sort Float.compare ts;
   (ts.(primitive_samples / 2), ts.(0), ts.(primitive_samples - 1))
 
+(* Words allocated per call of [f] on the minor heap, and directly on
+   the major heap (blocks over [Max_young_wosize], 256 words, such as a
+   large partition's id arrays), over [calls] calls after one warm-up
+   call: deterministic counts for a given build, where the timings are
+   not. *)
+let words_per_call ~calls f =
+  f ();
+  (* [Gc.minor_words] counts the live minor heap; [Gc.counters]'s minor
+     figure lags it, but its major one, less the promoted words, is the
+     direct allocations. *)
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let per w = w /. float_of_int calls in
+  (per (minor1 -. minor0), per (major1 -. major0 -. (promoted1 -. promoted0)))
+
 type primitive = {
   p_op : string;
   p_input : string;
   p_radix : int;
   p_mean_nodes : int; (* nodes per allocation; 0 for whole-state ops *)
   p_ns : float * float * float; (* median, min, max *)
+  p_words : (float * float) option;
+      (* minor and direct major words per call, where counted *)
 }
 
 (* The daemon's checkpoint layer: [Checkpoint.encode] of a daemon-shaped
@@ -407,7 +427,7 @@ let checkpoint_encode_rows () =
   let snaps = [| Svc.Core.snapshot core; Svc.Core.snapshot core |] in
   let row memo ~iters f =
     { p_op = "checkpoint encode"; p_input = Printf.sprintf "%d-job daemon, %s memo" n_jobs memo;
-      p_radix = radix; p_mean_nodes = 0; p_ns = sample_ns ~iters f }
+      p_radix = radix; p_mean_nodes = 0; p_ns = sample_ns ~iters f; p_words = None }
   in
   let warm = Sched.Checkpoint.memo () in
   let k = ref 0 in
@@ -441,6 +461,7 @@ let probe_miss_row () =
     p_radix = radix;
     p_mean_nodes = !size;
     p_ns = sample_ns ~iters:5_000 (fun () -> ignore (probe !size));
+    p_words = None;
   }
 
 (* The live-state layer under the allocator probes: the mean cost of a
@@ -448,7 +469,9 @@ let probe_miss_row () =
    a trace's first 50 jobs (each placed on an empty machine, as
    [Partition.to_alloc] hands them to the simulator), cycling through
    them on one state; the mean cost of [Partition.to_alloc] over the
-   same Synth-16@48 partitions; [State.create]; and [copy_into] from an
+   same Synth-16@48 partitions, and of the Jigsaw probe that finds each
+   of them on the empty machine plus its [to_alloc] (both with the words
+   they allocate per call); [State.create]; and [copy_into] from an
    ~80%-loaded state, fault-free and with one failed node on both
    sides (the fault overlay's blit). *)
 let primitive_rows () =
@@ -469,19 +492,26 @@ let primitive_rows () =
     in
     (topo, parts)
   in
-  (* One [op] row: the mean cost of [f] over each of [xs] in turn. *)
-  let cycling op (e : Trace.Presets.entry) ~mean_nodes ~iters f xs =
+  (* One [op] row: the mean cost of [f] over each of [xs] in turn; with
+     [words], also its minor words per call over whole cycles. *)
+  let cycling ?(words = false) op (e : Trace.Presets.entry) ~mean_nodes
+      ~iters f xs =
     let k = ref 0 in
+    let next () =
+      let x = xs.(!k) in
+      k := (!k + 1) mod Array.length xs;
+      f x
+    in
     {
       p_op = op;
       p_input = e.workload.Trace.Workload.name ^ " Jigsaw";
       p_radix = e.cluster_radix;
       p_mean_nodes = mean_nodes;
-      p_ns =
-        sample_ns ~iters (fun () ->
-            let x = xs.(!k) in
-            k := (!k + 1) mod Array.length xs;
-            f x);
+      p_ns = sample_ns ~iters next;
+      p_words =
+        (if words then
+           Some (words_per_call ~calls:(4 * Array.length xs) next)
+         else None);
     }
   in
   let flatten topo p = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
@@ -498,8 +528,20 @@ let primitive_rows () =
       allocs
   in
   let to_alloc e (topo, parts) ~mean_nodes ~iters =
-    cycling "to_alloc" e ~mean_nodes ~iters
+    cycling ~words:true "to_alloc" e ~mean_nodes ~iters
       (fun p -> ignore (flatten topo p))
+      parts
+  in
+  (* The probe that found each partition, run again on the empty
+     machine it was found on, and the flattening the simulator applies
+     to what it returns. *)
+  let probe_hit e (topo, parts) ~mean_nodes ~iters =
+    let st = Fattree.State.create topo in
+    cycling ~words:true "Jigsaw probe hit" e ~mean_nodes ~iters
+      (fun (p : Jigsaw_core.Partition.t) ->
+        match Jigsaw_core.Jigsaw.probe st ~job:p.job ~size:p.size with
+        | Jigsaw_core.Partition.Found q -> ignore (flatten topo q)
+        | Infeasible | Exhausted -> failwith "probe hit: no partition")
       parts
   in
   let synth48 =
@@ -510,7 +552,7 @@ let primitive_rows () =
   let synth48_row = claim_release synth48 synth48_parts ~iters:2_000 in
   let whole op ~iters f =
     { p_op = op; p_input = "radix-48"; p_radix = scale_radix; p_mean_nodes = 0;
-      p_ns = sample_ns ~iters f }
+      p_ns = sample_ns ~iters f; p_words = None }
   in
   let topo = Fattree.Topology.of_radix scale_radix in
   let loaded = load_cluster ~radix:scale_radix ~seed:77 ~target:0.8 in
@@ -519,6 +561,7 @@ let primitive_rows () =
     [
       synth48_row;
       to_alloc synth48 synth48_parts ~mean_nodes:synth48_row.p_mean_nodes ~iters:5_000;
+      probe_hit synth48 synth48_parts ~mean_nodes:synth48_row.p_mean_nodes ~iters:2_000;
       claim_release thunder (partitions thunder) ~iters:20_000;
       whole "create" ~iters:200 (fun () -> ignore (Fattree.State.create topo));
       whole "copy_into" ~iters:500 (fun () ->
@@ -537,12 +580,15 @@ let primitive_rows () =
 
 let primitives () =
   section
-    "Primitives: Fattree.State, Partition.to_alloc, a Jigsaw probe miss and the daemon checkpoint (ns per call, median of 7 samples)";
+    "Primitives: Fattree.State, Partition.to_alloc, Jigsaw probes and the daemon checkpoint (ns per call, median of 7 samples; words allocated per call, minor + major, where counted)";
   List.iter
     (fun r ->
       let med, lo, hi = r.p_ns in
-      Format.printf "  %-20s %-28s r%-3d %5d nodes  median %11.0f ns  [%.0f, %.0f]@."
-        r.p_op r.p_input r.p_radix r.p_mean_nodes med lo hi)
+      Format.printf "  %-20s %-28s r%-3d %5d nodes  median %11.0f ns  [%.0f, %.0f]%s@."
+        r.p_op r.p_input r.p_radix r.p_mean_nodes med lo hi
+        (match r.p_words with
+        | Some (minor, major) -> Printf.sprintf "  %.1f + %.1f words" minor major
+        | None -> ""))
     (primitive_rows ())
 
 let micro () =
@@ -642,7 +688,7 @@ let micro () =
    headline is re-checked under molding) plus a shrink-vs-kill fault
    recovery comparison.  A "primitives" section times the live-state
    layer under the probes ([State] claim+release, create, copy_into),
-   [Partition.to_alloc], one Jigsaw probe miss, and the daemon's
+   [Partition.to_alloc], one Jigsaw probe hit and one miss, and the daemon's
    checkpoint encoding (see [primitive_rows]).  The scale, net and
    molding sections each carry a built-in regression guard.  Traces
    are truncated in default mode to keep the target in the ~minute
@@ -1115,9 +1161,14 @@ let bench_json () =
                      (fun r ->
                        let med, lo, hi = r.p_ns in
                        Obj
-                         [ ("op", str r.p_op); ("input", str r.p_input); ("radix", Int r.p_radix);
-                           ("mean_nodes", Int r.p_mean_nodes); ("median_ns", fixed 0 med);
-                           ("min_ns", fixed 0 lo); ("max_ns", fixed 0 hi) ])
+                         ([ ("op", str r.p_op); ("input", str r.p_input); ("radix", Int r.p_radix);
+                            ("mean_nodes", Int r.p_mean_nodes); ("median_ns", fixed 0 med);
+                            ("min_ns", fixed 0 lo); ("max_ns", fixed 0 hi) ]
+                         @
+                         match r.p_words with
+                         | Some (minor, major) ->
+                             [ ("minor_words", fixed 1 minor); ("major_words", fixed 1 major) ]
+                         | None -> []))
                      primitive_rows) ) ] );
         ( "sweep",
           Obj

@@ -3,47 +3,22 @@ open Fattree
 let ( let* ) = Result.bind
 let fail fmt = Format.kasprintf (fun m -> Error m) fmt
 
-let sorted_unique arr =
-  let ok = ref true in
-  for i = 1 to Array.length arr - 1 do
-    if arr.(i) <= arr.(i - 1) then ok := false
-  done;
-  !ok
-
-let int_set arr = List.sort_uniq compare (Array.to_list arr)
-
-let subset a b =
-  let sb = int_set b in
-  List.for_all (fun x -> List.mem x sb) (int_set a)
-
-let arrays_equal_as_sets a b = int_set a = int_set b
-
-(* Structural sanity of a single leaf allocation. *)
+(* Structural sanity of a single leaf allocation.  Its node and uplink
+   sets are masks, so they cannot repeat an id or list one out of order;
+   a node off its leaf, the one id error a hand-built array could hold,
+   is rejected by [Partition.leaf_of_arrays]. *)
 let check_leaf topo ~pod (la : Partition.leaf_alloc) =
   let m1 = Topology.m1 topo in
   if la.leaf < 0 || la.leaf >= Topology.num_leaves topo then
     fail "leaf id %d out of range" la.leaf
   else if Topology.leaf_pod topo la.leaf <> pod then
     fail "leaf %d is not in pod %d" la.leaf pod
-  else if Array.length la.nodes = 0 then fail "leaf %d allocates no nodes" la.leaf
-  else if not (sorted_unique la.nodes) then
-    fail "leaf %d: nodes not sorted/unique" la.leaf
-  else if not (sorted_unique la.l2_indices) then
-    fail "leaf %d: l2 indices not sorted/unique" la.leaf
-  else if Array.exists (fun i -> i < 0 || i >= m1) la.l2_indices then
-    fail "leaf %d: l2 index out of range" la.leaf
-  else if Array.length la.l2_indices <> Array.length la.nodes then
+  else if la.slots = 0 then fail "leaf %d allocates no nodes" la.leaf
+  else if la.slots lsr m1 <> 0 then fail "leaf %d: slot out of range" la.leaf
+  else if la.l2 lsr m1 <> 0 then fail "leaf %d: l2 index out of range" la.leaf
+  else if Mask.popcount la.l2 <> Mask.popcount la.slots then
     fail "leaf %d: unbalanced links (%d nodes, %d uplinks)" la.leaf
-      (Array.length la.nodes)
-      (Array.length la.l2_indices)
-  else if
-    Array.exists
-      (fun n ->
-        n < 0
-        || n >= Topology.num_nodes topo
-        || Topology.node_leaf topo n <> la.leaf)
-      la.nodes
-  then fail "leaf %d: node not on this leaf" la.leaf
+      (Mask.popcount la.slots) (Mask.popcount la.l2)
   else Ok ()
 
 let check_tree topo (tr : Partition.tree_alloc) =
@@ -68,34 +43,29 @@ let check_tree topo (tr : Partition.tree_alloc) =
   end
 
 (* Conditions 1-4 within one tree: full leaves share node count and the
-   same L2 set; the remainder leaf is smaller and uses a strict subset. *)
-let check_tree_shape topo (tr : Partition.tree_alloc) ~n_l ~s =
-  ignore topo;
-  let bad = ref None in
-  Array.iter
-    (fun (la : Partition.leaf_alloc) ->
-      if !bad = None then begin
-        if Array.length la.nodes <> n_l then
-          bad :=
-            Some
-              (Printf.sprintf "condition 2: leaf %d has %d nodes, expected %d"
-                 la.leaf (Array.length la.nodes) n_l)
-        else if not (arrays_equal_as_sets la.l2_indices s) then
-          bad :=
-            Some
-              (Printf.sprintf "condition 4: leaf %d L2 set differs from S"
-                 la.leaf)
-      end)
-    tr.full_leaves;
-  match !bad with
+   same L2 set; the remainder leaf is smaller and uses a subset. *)
+let check_tree_shape (tr : Partition.tree_alloc) ~n_l ~s =
+  match
+    Array.find_map
+      (fun (la : Partition.leaf_alloc) ->
+        let n = Mask.popcount la.slots in
+        if n <> n_l then
+          Some
+            (Printf.sprintf "condition 2: leaf %d has %d nodes, expected %d"
+               la.leaf n n_l)
+        else if la.l2 <> s then
+          Some (Printf.sprintf "condition 4: leaf %d L2 set differs from S" la.leaf)
+        else None)
+      tr.full_leaves
+  with
   | Some m -> Error m
   | None -> (
       match tr.rem_leaf with
       | None -> Ok ()
       | Some la ->
-          if Array.length la.nodes >= n_l then
+          if Mask.popcount la.slots >= n_l then
             fail "condition 2: remainder leaf %d has >= n_l nodes" la.leaf
-          else if not (subset la.l2_indices s) then
+          else if not (Mask.subset la.l2 ~of_:s) then
             fail "condition 4: remainder leaf %d L2 set not a subset of S"
               la.leaf
           else Ok ())
@@ -103,47 +73,40 @@ let check_tree_shape topo (tr : Partition.tree_alloc) ~n_l ~s =
 (* Condition 6 for one tree: every allocated L2 switch i has a spine set
    sized to its downlink count. *)
 let check_tree_spines topo (tr : Partition.tree_alloc) ~s =
-  let m2 = Topology.m2 topo in
+  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
   let downlinks i =
-    let from_full = Array.length tr.full_leaves in
     let from_rem =
-      match tr.rem_leaf with
-      | Some la when Array.exists (fun x -> x = i) la.l2_indices -> 1
-      | _ -> 0
+      match tr.rem_leaf with Some la when Mask.mem la.l2 i -> 1 | _ -> 0
     in
-    from_full + from_rem
+    Array.length tr.full_leaves + from_rem
   in
-  let spine_idx = tr.spine_sets in
-  let declared = Array.map fst spine_idx in
-  (* Spine sets must be declared for exactly the L2 indices with nonzero
-     downlinks. *)
-  let used = List.filter (fun i -> downlinks i > 0) (int_set s) in
-  if not (arrays_equal_as_sets declared (Array.of_list used)) then
+  (* Spine sets must be declared, once each, for exactly the L2 indices
+     of S with nonzero downlinks. *)
+  let used = List.filter (fun i -> downlinks i > 0) (Mask.to_list s) in
+  let declared = List.sort compare (Array.to_list (Array.map fst tr.spine_sets)) in
+  if declared <> used then
     fail "condition 6: pod %d declares spine sets for wrong L2 indices" tr.pod
-  else begin
-    let bad = ref None in
-    Array.iter
-      (fun (i, spines) ->
-        if !bad = None then begin
-          if not (sorted_unique spines) then
-            bad := Some (Printf.sprintf "pod %d L2[%d]: spine set not sorted" tr.pod i)
-          else if Array.exists (fun j -> j < 0 || j >= m2) spines then
-            bad := Some (Printf.sprintf "pod %d L2[%d]: spine index out of range" tr.pod i)
-          else if Array.length spines <> downlinks i then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "condition 6: pod %d L2[%d] has %d uplinks but %d downlinks"
-                   tr.pod i (Array.length spines) (downlinks i))
-        end)
-      spine_idx;
-    match !bad with Some m -> Error m | None -> Ok ()
-  end
+  else
+    match
+      Array.find_map
+        (fun (i, spines) ->
+          if i < 0 || i >= m1 || spines lsr m2 <> 0 then
+            Some (Printf.sprintf "pod %d L2[%d]: spine index out of range" tr.pod i)
+          else if Mask.popcount spines <> downlinks i then
+            Some
+              (Printf.sprintf
+                 "condition 6: pod %d L2[%d] has %d uplinks but %d downlinks"
+                 tr.pod i (Mask.popcount spines) (downlinks i))
+          else None)
+        tr.spine_sets
+    with
+    | Some m -> Error m
+    | None -> Ok ()
 
 let find_spine_set (tr : Partition.tree_alloc) i =
-  let found = ref None in
-  Array.iter (fun (j, s) -> if i = j then found := Some s) tr.spine_sets;
-  !found
+  Array.fold_left
+    (fun found (j, m) -> if i = j then Some m else found)
+    None tr.spine_sets
 
 let check ?(require_exact_size = true) topo (p : Partition.t) =
   let trees =
@@ -187,7 +150,7 @@ let check ?(require_exact_size = true) topo (p : Partition.t) =
       in
       let* n_l, s =
         match first_leaf with
-        | Some la -> Ok (Array.length la.nodes, la.l2_indices)
+        | Some la -> Ok (Mask.popcount la.slots, la.l2)
         | None -> (
             (* A partition consisting of only a remainder leaf: legal only
                as a single-leaf two-level allocation, in which case that
@@ -201,17 +164,17 @@ let check ?(require_exact_size = true) topo (p : Partition.t) =
       let rec shapes_ok = function
         | [] -> Ok ()
         | tr :: rest ->
-            let* () = check_tree_shape topo tr ~n_l ~s in
+            let* () = check_tree_shape tr ~n_l ~s in
             shapes_ok rest
       in
       let* () = shapes_ok trees in
       (* Condition 1: full trees carry equal node counts; remainder fewer. *)
       let tree_nodes (tr : Partition.tree_alloc) =
         Array.fold_left
-          (fun acc (la : Partition.leaf_alloc) -> acc + Array.length la.nodes)
+          (fun acc (la : Partition.leaf_alloc) -> acc + Mask.popcount la.slots)
           (match tr.rem_leaf with
           | None -> 0
-          | Some la -> Array.length la.nodes)
+          | Some la -> Mask.popcount la.slots)
           tr.full_leaves
       in
       let* n_t =
@@ -274,17 +237,17 @@ let check ?(require_exact_size = true) topo (p : Partition.t) =
                       match find_spine_set tr0 i with
                       | None -> fail "condition 6: missing spine set for L2[%d]" i
                       | Some s0 ->
-                          if Array.length s0 <> l_t then
+                          if Mask.popcount s0 <> l_t then
                             fail
                               "condition 6: |S*_%d| = %d but l_t = %d" i
-                              (Array.length s0) l_t
+                              (Mask.popcount s0) l_t
                           else begin
                             let mismatch =
                               List.exists
                                 (fun tr' ->
                                   match find_spine_set tr' i with
                                   | None -> true
-                                  | Some s' -> not (arrays_equal_as_sets s0 s'))
+                                  | Some s' -> s0 <> s')
                                 rest
                             in
                             if mismatch then
@@ -297,7 +260,7 @@ let check ?(require_exact_size = true) topo (p : Partition.t) =
                                 | Some tr -> (
                                     match find_spine_set tr i with
                                     | None -> true (* unused in remainder *)
-                                    | Some sr -> subset sr s0)
+                                    | Some sr -> Mask.subset sr ~of_:s0)
                               in
                               if rem_ok then per_index more
                               else
@@ -307,7 +270,7 @@ let check ?(require_exact_size = true) topo (p : Partition.t) =
                             end
                           end)
                 in
-                per_index (int_set s)
+                per_index (Mask.to_list s)
           in
           Ok ()
         end

@@ -3,8 +3,11 @@
 
     [check] validates a {!Partition.t} against:
 
-    - {b structural sanity}: ids in range, nodes on their stated leaves,
-      leaves in their stated pods, no duplicates, sorted index arrays;
+    - {b structural sanity}: ids and mask bits in range, leaves in their
+      stated pods, no leaf, pod or spine set listed twice.  Node, uplink
+      and spine sets are masks, which can neither repeat nor misorder an
+      id; {!Partition.leaf_of_arrays} rejects the node arrays that
+      could;
     - {b balanced links}: every leaf uplinks to exactly as many L2
       switches as it has allocated nodes (condition for both full
       bandwidth and minimal link use);

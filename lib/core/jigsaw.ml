@@ -42,15 +42,12 @@ let pod_info st ~demand pod =
   { pod; free_leaves; spine_masks = State.pod_spine_masks st ~pod ~demand }
 
 (* Materialize one full tree: its first l_t fully-free leaves, all nodes,
-   uplinks to every L2 index, and the chosen spine sets.  Spine sets come
-   from [Mask.to_array], which fills a presized array, and the caller
-   flattens the partition with [Partition.to_alloc], which fills
-   presized arrays too. *)
+   uplinks to every L2 index of [s] (a mask, shared by every leaf), and
+   the chosen spine sets. *)
 let materialize_full_tree st info ~l_t ~s ~spine_sets =
   let leaves =
     Array.init l_t (fun k ->
-        Search.materialize_leaf st ~leaf:info.free_leaves.(k)
-          ~take:(Array.length s) ~l2_indices:(Array.copy s))
+        Search.materialize_leaf st ~leaf:info.free_leaves.(k) ~l2:s)
   in
   { Partition.pod = info.pod; full_leaves = leaves; rem_leaf = None; spine_sets }
 
@@ -76,13 +73,12 @@ let try_remainder st info ~l_t ~l_rt ~n_rl ~demand ~inter =
     else if n_rl = 0 then begin
       let spine_sets =
         if l_rt = 0 then [||]
-        else Array.init m1 (fun i -> (i, Mask.to_array (Mask.take_lowest avail.(i) l_rt)))
+        else Array.init m1 (fun i -> (i, Mask.take_lowest avail.(i) l_rt))
       in
-      let s = Array.init m1 (fun i -> i) in
+      let s = Mask.full m1 in
       let leaves =
         Array.init l_rt (fun k ->
-            Search.materialize_leaf st ~leaf:info.free_leaves.(k) ~take:m1
-              ~l2_indices:(Array.copy s))
+            Search.materialize_leaf st ~leaf:info.free_leaves.(k) ~l2:s)
       in
       Some
         ( { Partition.pod = info.pod; full_leaves = leaves; rem_leaf = None; spine_sets },
@@ -123,22 +119,18 @@ let try_remainder st info ~l_t ~l_rt ~n_rl ~demand ~inter =
       match find_leaf 0 with
       | None -> None
       | Some (leaf, sr_mask) ->
-          let s = Array.init m1 (fun i -> i) in
+          let s = Mask.full m1 in
           let leaves =
             Array.init l_rt (fun k ->
-                Search.materialize_leaf st ~leaf:info.free_leaves.(k) ~take:m1
-                  ~l2_indices:(Array.copy s))
+                Search.materialize_leaf st ~leaf:info.free_leaves.(k) ~l2:s)
           in
-          let rem_leaf =
-            Search.materialize_leaf st ~leaf ~take:n_rl
-              ~l2_indices:(Mask.to_array sr_mask)
-          in
+          let rem_leaf = Search.materialize_leaf st ~leaf ~l2:sr_mask in
           let spine_sets =
             let sets = ref [] in
             for i = m1 - 1 downto 0 do
               let need = l_rt + if Mask.mem sr_mask i then 1 else 0 in
               if need > 0 then
-                sets := (i, Mask.to_array (Mask.take_lowest avail.(i) need)) :: !sets
+                sets := (i, Mask.take_lowest avail.(i) need) :: !sets
             done;
             Array.of_list !sets
           in
@@ -255,13 +247,12 @@ let try_three_level st ~job ~size ~alloc_size ~demand ~budget =
                   | None -> 0
                   | Some sets ->
                       Array.fold_left
-                        (fun acc (j, s) ->
-                          if i = j then acc lor Mask.of_array s else acc)
+                        (fun acc (j, s) -> if i = j then acc lor s else acc)
                         0 sets
                 in
-                (i, Mask.to_array (Mask.take_preferring inter.(i) ~prefer l_t)))
+                (i, Mask.take_preferring inter.(i) ~prefer l_t))
           in
-          let s = Array.init m1 (fun i -> i) in
+          let s = Mask.full m1 in
           let full_trees =
             List.rev !chosen
             |> List.map (fun p ->

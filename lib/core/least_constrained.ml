@@ -86,18 +86,17 @@ let cached_find_all st ~pod ~l_t ~n_l ~demand ~budget =
   List.rev !sols
 
 (* Materialize a full tree from a pod solution: every leaf carries n_l
-   nodes uplinked to the common set [s]; spine sets attach to the indices
-   of [s].  Leaf ids come straight from the solution's bitmask through
-   [Mask.to_array] (a presized array), and [Partition.to_alloc] flattens
-   the committed partition into presized arrays as well. *)
-let materialize_tree st ~pod ~(sol : Search.pod_solution) ~n_l ~s ~spine_sets =
+   nodes uplinked to the common set [s] (a mask); spine sets attach to
+   the indices of [s].  Leaf ids come straight from the solution's
+   bitmask through [Mask.to_array] (a presized array). *)
+let materialize_tree st ~pod ~(sol : Search.pod_solution) ~s ~spine_sets =
   let topo = State.topo st in
   let leaves =
     Array.map
       (fun l ->
         Search.materialize_leaf st
           ~leaf:(Topology.leaf_of_coords topo ~pod ~leaf:l)
-          ~take:n_l ~l2_indices:(Array.copy s))
+          ~l2:s)
       (Mask.to_array sol.leaf_mask)
   in
   { Partition.pod; full_leaves = leaves; rem_leaf = None; spine_sets }
@@ -171,18 +170,16 @@ let try_three_level st ~job ~size ~demand ~budget =
                 then ok := !ok lor (1 lsl i)
               done;
               if Mask.popcount !ok >= n_l then begin
-                let s_mask = Mask.take_lowest !ok n_l in
-                let s = Mask.to_array s_mask in
+                let s = Mask.take_lowest !ok n_l in
                 let spine_sets =
                   Array.map
-                    (fun i ->
-                      (i, Mask.to_array (Mask.take_lowest spine_inter.(i) l_t)))
-                    s
+                    (fun i -> (i, Mask.take_lowest spine_inter.(i) l_t))
+                    (Mask.to_array s)
                 in
                 let full_trees =
                   List.rev chosen
                   |> List.map (fun (p, sol) ->
-                         materialize_tree st ~pod:p ~sol ~n_l ~s ~spine_sets)
+                         materialize_tree st ~pod:p ~sol ~s ~spine_sets)
                   |> Array.of_list
                 in
                 result := Some { Partition.job; size; full_trees; rem_tree = None }
@@ -266,8 +263,8 @@ let try_three_level st ~job ~size ~demand ~budget =
                   in
                   if Mask.popcount !idx_base >= n_l then find_leaf 0
                 end
-              and commit q qsol rem s_mask =
-                let s = Mask.to_array s_mask in
+              and commit q qsol rem s =
+                let s_indices = Mask.to_array s in
                 let aq i = spine_inter.(i) land spines.(q).(i) in
                 (* Remainder spine sets first, then common sets preferring
                    them. *)
@@ -275,10 +272,7 @@ let try_three_level st ~job ~size ~demand ~budget =
                   match rem with
                   | None -> (None, 0)
                   | Some (leaf, sr) ->
-                      ( Some
-                          (Search.materialize_leaf st ~leaf ~take:n_rl
-                             ~l2_indices:(Mask.to_array sr)),
-                        sr )
+                      (Some (Search.materialize_leaf st ~leaf ~l2:sr), sr)
                 in
                 let rem_spine_sets =
                   let sets = ref [] in
@@ -286,8 +280,8 @@ let try_three_level st ~job ~size ~demand ~budget =
                     (fun i ->
                       let need = l_rt + if Mask.mem sr_mask i then 1 else 0 in
                       if need > 0 then
-                        sets := (i, Mask.to_array (Mask.take_lowest (aq i) need)) :: !sets)
-                    s;
+                        sets := (i, Mask.take_lowest (aq i) need) :: !sets)
+                    s_indices;
                   Array.of_list (List.rev !sets)
                 in
                 let spine_sets =
@@ -295,24 +289,21 @@ let try_three_level st ~job ~size ~demand ~budget =
                     (fun i ->
                       let prefer =
                         Array.fold_left
-                          (fun acc (j, arr) ->
-                            if i = j then acc lor Mask.of_array arr else acc)
+                          (fun acc (j, m) -> if i = j then acc lor m else acc)
                           0 rem_spine_sets
                       in
-                      ( i,
-                        Mask.to_array
-                          (Mask.take_preferring spine_inter.(i) ~prefer l_t) ))
-                    s
+                      (i, Mask.take_preferring spine_inter.(i) ~prefer l_t))
+                    s_indices
                 in
                 let full_trees =
                   List.rev chosen
                   |> List.map (fun (p, sol) ->
-                         materialize_tree st ~pod:p ~sol ~n_l ~s ~spine_sets)
+                         materialize_tree st ~pod:p ~sol ~s ~spine_sets)
                   |> Array.of_list
                 in
                 let rem_tree =
                   {
-                    (materialize_tree st ~pod:q ~sol:qsol ~n_l ~s
+                    (materialize_tree st ~pod:q ~sol:qsol ~s
                        ~spine_sets:rem_spine_sets)
                     with
                     rem_leaf = rem_leaf_alloc;

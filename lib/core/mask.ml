@@ -1,6 +1,13 @@
+(* Bit-parallel count over bits 0 .. 61 (the constants are the usual
+   64-bit ones cut to 62 bits; the byte sums never exceed 62, so the
+   multiply's wrap at 63 bits keeps the top byte exact), plus the sign
+   bit 62. *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
+  let y = x land 0x3FFF_FFFF_FFFF_FFFF in
+  let y = y - ((y lsr 1) land 0x1555_5555_5555_5555) in
+  let y = (y land 0x3333_3333_3333_3333) + ((y lsr 2) land 0x3333_3333_3333_3333) in
+  let y = (y + (y lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  ((y * 0x0101_0101_0101_0101) lsr 56) + (if x < 0 then 1 else 0)
 
 let full n = (1 lsl n) - 1
 let mem mask i = mask land (1 lsl i) <> 0
@@ -17,7 +24,6 @@ let to_list mask =
   go mask []
 
 let of_list l = List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 l
-let of_array a = Array.fold_left (fun acc i -> acc lor (1 lsl i)) 0 a
 (* Fills a presized array, shifting the mask right past each set bit
    ([lsr], so negative masks terminate too). *)
 let to_array mask =
@@ -35,7 +41,10 @@ let to_array mask =
   a
 
 let take_lowest mask k =
-  if popcount mask < k then invalid_arg "Mask.take_lowest: not enough bits";
+  let n = popcount mask in
+  if n < k then invalid_arg "Mask.take_lowest: not enough bits";
+  if n = k then mask
+  else
   let rec go m taken acc =
     if taken = k then acc
     else begin

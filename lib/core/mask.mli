@@ -16,7 +16,6 @@ val to_list : int -> int list
 (** Set bit indices, ascending. *)
 
 val of_list : int list -> int
-val of_array : int array -> int
 val to_array : int -> int array
 (** Set bit indices, ascending: [Array.of_list (to_list m)], filled
     into a presized array.  Bit 62 and negative masks such as [lnot 0]

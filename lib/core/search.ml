@@ -15,15 +15,12 @@ let pod_leaf_infos st ~pod ~demand =
 
 type pod_solution = { leaf_mask : int; cap_mask : int }
 
-let materialize_leaf st ~leaf ~take ~l2_indices =
-  if Array.length l2_indices <> take then
-    invalid_arg "Search.materialize_leaf: l2_indices length mismatch";
-  let topo = State.topo st in
-  let first = Topology.leaf_first_node topo leaf in
-  let slots = State.free_slot_mask st leaf in
-  let chosen = Mask.take_lowest slots take in
-  let nodes = Array.map (fun s -> first + s) (Mask.to_array chosen) in
-  { Partition.leaf = leaf; nodes; l2_indices }
+let materialize_leaf st ~leaf ~l2 =
+  {
+    Partition.leaf;
+    slots = Mask.take_lowest (State.free_slot_mask st leaf) (Mask.popcount l2);
+    l2;
+  }
 
 (* [left.(l)] counts the candidate leaves among [l .. m2-1] (so leaf [l]
    is a candidate iff [left.(l) > left.(l+1)]).  A search still needing
@@ -104,19 +101,14 @@ let search_pod st ~pod ~(shape : Shapes.two_level) ~demand =
   match pick 0 0 0 (lnot 0) with
   | None -> None
   | Some (chosen, s_mask, rem) ->
-      let s = Mask.to_array s_mask in
       let full_leaves =
         Array.map
-          (fun l ->
-            materialize_leaf st ~leaf:infos.(l).leaf ~take:n_l
-              ~l2_indices:(Array.copy s))
+          (fun l -> materialize_leaf st ~leaf:infos.(l).leaf ~l2:s_mask)
           (Mask.to_array chosen)
       in
       let rem_leaf =
         Option.map
-          (fun (l, sr_mask) ->
-            materialize_leaf st ~leaf:infos.(l).leaf ~take:n_rl
-              ~l2_indices:(Mask.to_array sr_mask))
+          (fun (l, sr_mask) -> materialize_leaf st ~leaf:infos.(l).leaf ~l2:sr_mask)
           rem
       in
       Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }

@@ -107,11 +107,8 @@ val iter_all :
     remain to reach [l_t]. *)
 
 val materialize_leaf :
-  Fattree.State.t ->
-  leaf:int ->
-  take:int ->
-  l2_indices:int array ->
-  Partition.leaf_alloc
-(** [materialize_leaf st ~leaf ~take ~l2_indices] picks the [take] lowest
-    free nodes of [leaf] and pairs them with the given uplink index set
-    (which must have length [take]). *)
+  Fattree.State.t -> leaf:int -> l2:int -> Partition.leaf_alloc
+(** [materialize_leaf st ~leaf ~l2] holds the [Mask.popcount l2] lowest
+    free nodes of [leaf] (as many nodes as uplinks, so the links
+    balance) and uplinks them to the L2 index mask [l2].  Raises
+    [Invalid_argument] if [leaf] has fewer free nodes. *)

@@ -69,7 +69,7 @@ let compile topo (p : Partition.t) =
   let tbl = Hashtbl.create 256 in
   let v = Partition_routing.(view topo (Partition.to_alloc topo p ~bw:1.0)) in
   let* () =
-    Partition_routing.each_pair (Partition.nodes p) (fun ~src ~dst ->
+    Partition_routing.each_pair (Partition.nodes topo p) (fun ~src ~dst ->
         let* path = Partition_routing.route v ~src ~dst in
         entries_of_path topo tbl path)
   in

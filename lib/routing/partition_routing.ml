@@ -189,7 +189,7 @@ let all_pairs topo p =
   let v = of_partition topo p in
   let acc = ref [] in
   match
-    each_pair (Partition.nodes p) (fun ~src ~dst ->
+    each_pair (Partition.nodes topo p) (fun ~src ~dst ->
         let+ pa = route v ~src ~dst in
         acc := pa :: !acc)
   with

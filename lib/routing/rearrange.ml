@@ -119,11 +119,6 @@ let sorted_diff a b =
   Array.of_list
     (List.filter (fun x -> not (Array.exists (fun y -> y = x) b)) (Array.to_list a))
 
-let find_spine_set (tr : Partition.tree_alloc) i =
-  let r = ref None in
-  Array.iter (fun (j, s) -> if i = j then r := Some s) tr.spine_sets;
-  !r
-
 let build_view topo (p : Partition.t) : (aview, string) result =
   let* () = Conditions.check ~require_exact_size:false topo p in
   let trees =
@@ -154,10 +149,12 @@ let build_view topo (p : Partition.t) : (aview, string) result =
      partition it occupies one of the remainder tree's l_t slots. *)
   let lpt = if two_level && rem_leaf_phys <> None then l_t + 1 else l_t in
   let n_rl =
-    match rem_leaf_phys with None -> 0 | Some la -> Array.length la.nodes
+    match rem_leaf_phys with None -> 0 | Some la -> Mask.popcount la.slots
   in
   let sr =
-    match rem_leaf_phys with None -> [||] | Some la -> la.l2_indices
+    match rem_leaf_phys with
+    | None -> [||]
+    | Some la -> Partition.leaf_l2_indices la
   in
   let s_ord = Array.append sr (sorted_diff s sr) in
   (* Spine orders per center position (three-level only). *)
@@ -171,7 +168,7 @@ let build_view topo (p : Partition.t) : (aview, string) result =
       Array.iteri
         (fun c i ->
           let s_star =
-            match find_spine_set full0 i with
+            match Partition.spine_indices full0 i with
             | Some arr -> arr
             | None -> [||]
           in
@@ -179,7 +176,9 @@ let build_view topo (p : Partition.t) : (aview, string) result =
             match p.rem_tree with
             | None -> [||]
             | Some tr -> (
-                match find_spine_set tr i with Some arr -> arr | None -> [||])
+                match Partition.spine_indices tr i with
+                | Some arr -> arr
+                | None -> [||])
           in
           ord.(c) <- Array.append s_star_r (sorted_diff s_star s_star_r);
           real.(c) <-
@@ -202,13 +201,13 @@ let build_view topo (p : Partition.t) : (aview, string) result =
         @ (match tr.rem_leaf with None -> [] | Some la -> [ la ])
       in
       List.iteri
-        (fun li la ->
+        (fun li (la : Partition.leaf_alloc) ->
           if tr.rem_leaf <> None && li = Array.length tr.full_leaves then
             rem_leaf_a := Some ((k * lpt) + li);
+          let la_nodes = Partition.leaf_nodes topo la in
           for slot = 0 to n_l - 1 do
             let node =
-              if slot < Array.length la.Partition.nodes then la.nodes.(slot)
-              else -1
+              if slot < Array.length la_nodes then la_nodes.(slot) else -1
             in
             anodes.(((k * lpt) + li) * n_l + slot) <-
               {
@@ -291,7 +290,7 @@ let build_flows view nodes perm =
   Array.of_list (real_flows @ !virtual_flows)
 
 let route_permutation topo (p : Partition.t) ~perm =
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   let n = Array.length nodes in
   if Array.length perm <> n then fail "perm length %d <> %d nodes" (Array.length perm) n
   else if not (is_permutation perm) then fail "not a permutation"
@@ -393,7 +392,7 @@ let route_permutation topo (p : Partition.t) ~perm =
     Ok (List.rev !paths)
 
 let route_traffic topo (p : Partition.t) ~flows =
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   let n = Array.length nodes in
   let index_of = Hashtbl.create 64 in
   Array.iteri (fun i x -> Hashtbl.add index_of x i) nodes;

@@ -120,7 +120,7 @@ let test_laas_two_level_no_padding () =
       Alcotest.(check int) "exact within a pod" 11
         (Jigsaw_core.Partition.node_count p);
       Alcotest.(check bool) "single pod" true
-        (List.length (Jigsaw_core.Partition.pods_used p) = 1)
+        (Array.length p.full_trees = 1 && p.rem_tree = None)
   | Infeasible | Exhausted -> Alcotest.fail "alloc failed"
 
 let test_laas_three_level_pads () =

@@ -9,11 +9,12 @@ let topo = Topology.of_radix 8 (* m1 = m2 = 4, m3 = 8 *)
 let leaf_alloc ~pod ~leaf ~slots ~l2 =
   let gleaf = Topology.leaf_of_coords topo ~pod ~leaf in
   let first = Topology.leaf_first_node topo gleaf in
-  {
-    Partition.leaf = gleaf;
-    nodes = Array.map (fun s -> first + s) (Array.of_list slots);
-    l2_indices = Array.of_list l2;
-  }
+  Partition.leaf_of_arrays topo ~leaf:gleaf
+    ~nodes:(Array.map (fun s -> first + s) (Array.of_list slots))
+    ~l2_indices:(Array.of_list l2)
+
+(* A spine set: L2 index [i] uplinks to spine indices [spines]. *)
+let sp i spines = (i, Mask.of_list spines)
 
 (* A legal two-level partition: 2 full leaves of 2 nodes + remainder leaf
    of 1 node, S = {0,1}, Sr = {0}. *)
@@ -46,7 +47,7 @@ let legal_three_level () =
       Partition.pod;
       full_leaves = [| leaf_alloc ~pod ~leaf:0 ~slots:[ 0; 1; 2; 3 ] ~l2:[ 0; 1; 2; 3 ] |];
       rem_leaf = None;
-      spine_sets = [| (0, [| 0 |]); (1, [| 0 |]); (2, [| 0 |]); (3, [| 0 |]) |];
+      spine_sets = [| sp 0 [ 0 ]; sp 1 [ 0 ]; sp 2 [ 0 ]; sp 3 [ 0 ] |];
     }
   in
   {
@@ -59,7 +60,7 @@ let legal_three_level () =
           Partition.pod = 2;
           full_leaves = [||];
           rem_leaf = Some (leaf_alloc ~pod:2 ~leaf:0 ~slots:[ 0; 1 ] ~l2:[ 0; 1 ]);
-          spine_sets = [| (0, [| 0 |]); (1, [| 0 |]) |];
+          spine_sets = [| sp 0 [ 0 ]; sp 1 [ 0 ] |];
         };
   }
 
@@ -80,7 +81,7 @@ let test_unbalanced_links_rejected () =
   (* Figure 1 (left): more nodes than uplinks tapers the tree. *)
   let p = legal_two_level () in
   let tree = p.full_trees.(0) in
-  let bad = { tree.full_leaves.(0) with l2_indices = [| 0 |] } in
+  let bad = { tree.full_leaves.(0) with l2 = 0b1 } in
   let p = { p with full_trees = [| { tree with full_leaves = [| bad; tree.full_leaves.(1) |] } |] } in
   check_rejected "unbalanced links" p
 
@@ -126,7 +127,7 @@ let test_unequal_trees_rejected () =
       Partition.pod = 1;
       full_leaves = [| leaf_alloc ~pod:1 ~leaf:0 ~slots:[ 0; 1 ] ~l2:[ 0; 1 ] |];
       rem_leaf = None;
-      spine_sets = [| (0, [| 0 |]); (1, [| 0 |]) |];
+      spine_sets = [| sp 0 [ 0 ]; sp 1 [ 0 ] |];
     }
   in
   let p = { p with full_trees = [| p.full_trees.(0); small_tree |] } in
@@ -138,7 +139,7 @@ let test_spine_sets_differ_rejected () =
   let tree1 = p.full_trees.(1) in
   let bad =
     { tree1 with
-      spine_sets = [| (0, [| 1 |]); (1, [| 0 |]); (2, [| 0 |]); (3, [| 0 |]) |] }
+      spine_sets = [| sp 0 [ 1 ]; sp 1 [ 0 ]; sp 2 [ 0 ]; sp 3 [ 0 ] |] }
   in
   let p = { p with full_trees = [| p.full_trees.(0); bad |] } in
   check_rejected "inconsistent spine sets" p
@@ -148,7 +149,7 @@ let test_rem_spines_not_subset_rejected () =
   match p.rem_tree with
   | None -> Alcotest.fail "fixture"
   | Some rt ->
-      let bad = { rt with spine_sets = [| (0, [| 1 |]); (1, [| 0 |]) |] } in
+      let bad = { rt with spine_sets = [| sp 0 [ 1 ]; sp 1 [ 0 ] |] } in
       check_rejected "S*r not subset" { p with rem_tree = Some bad }
 
 let test_spine_size_mismatch_rejected () =
@@ -157,7 +158,7 @@ let test_spine_size_mismatch_rejected () =
   let tree0 = p.full_trees.(0) in
   let bad =
     { tree0 with
-      spine_sets = [| (0, [| 0; 1 |]); (1, [| 0 |]); (2, [| 0 |]); (3, [| 0 |]) |] }
+      spine_sets = [| sp 0 [ 0; 1 ]; sp 1 [ 0 ]; sp 2 [ 0 ]; sp 3 [ 0 ] |] }
   in
   check_rejected "oversized spine set" { p with full_trees = [| bad; p.full_trees.(1) |] }
 
@@ -177,7 +178,7 @@ let test_two_level_with_spines_is_three_level_checked () =
      or inconsistency rather than ignore the cables. *)
   let p = legal_two_level () in
   let tree = p.full_trees.(0) in
-  let with_spines = { tree with spine_sets = [| (0, [| 0; 1 |]) |] } in
+  let with_spines = { tree with spine_sets = [| sp 0 [ 0; 1 ] |] } in
   check_rejected "single pod with spine cables" { p with full_trees = [| with_spines |] }
 
 let test_exact_size_enforced () =
@@ -191,12 +192,33 @@ let test_duplicate_pod_rejected () =
   let dup = { p.full_trees.(1) with pod = 0 } in
   check_rejected "duplicate pod" { p with full_trees = [| p.full_trees.(0); dup |] }
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* Ids that masks cannot hold — a node off its leaf, a repeated node —
+   are rejected when a leaf is built from arrays, before any partition
+   exists for [check] to see. *)
 let test_foreign_node_rejected () =
-  let p = legal_two_level () in
-  let tree = p.full_trees.(0) in
-  let bad = { tree.full_leaves.(0) with nodes = [| 0; 999 |] } in
-  check_rejected "node off leaf"
-    { p with full_trees = [| { tree with full_leaves = [| bad; tree.full_leaves.(1) |] } |] }
+  let rejects what ~nodes ~l2 =
+    match
+      Partition.leaf_of_arrays topo ~leaf:0 ~nodes ~l2_indices:l2
+    with
+    | _ -> Alcotest.failf "%s: leaf_of_arrays accepted it" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names leaf 0" what msg)
+          true (contains ~needle:"leaf 0:" msg)
+  in
+  rejects "node off leaf" ~nodes:[| 0; 999 |] ~l2:[| 0; 1 |];
+  rejects "node of the next leaf" ~nodes:[| 0; 4 |] ~l2:[| 0; 1 |];
+  rejects "repeated node" ~nodes:[| 1; 1 |] ~l2:[| 0; 1 |];
+  rejects "repeated L2 index" ~nodes:[| 0; 1 |] ~l2:[| 1; 1 |];
+  (* Order is not an error: a leaf is the set of its ids. *)
+  Alcotest.(check bool) "unsorted arrays build the sorted leaf" true
+    (Partition.leaf_of_arrays topo ~leaf:0 ~nodes:[| 1; 0 |] ~l2_indices:[| 1; 0 |]
+    = Partition.leaf_of_arrays topo ~leaf:0 ~nodes:[| 0; 1 |] ~l2_indices:[| 0; 1 |])
 
 let suite =
   [

@@ -34,7 +34,7 @@ let test_compile_and_walk_three_level () =
 let test_walk_matches_path_function () =
   let p = fixture 20 in
   let t = Result.get_ok (Fwd.compile topo p) in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   Array.iter
     (fun src ->
       Array.iter
@@ -65,14 +65,14 @@ let test_missing_entry_detected () =
   let t = Result.get_ok (Fwd.compile topo p) in
   (* A node outside the partition has no entries. *)
   let foreign = Topology.num_nodes topo - 1 in
-  match Fwd.walk topo t ~src:(Partition.nodes p).(0) ~dst:foreign with
+  match Fwd.walk topo t ~src:(Partition.nodes topo p).(0) ~dst:foreign with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign destination walked"
 
 let test_lookup_api () =
   let p = fixture 8 in
   let t = Result.get_ok (Fwd.compile topo p) in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   let dst = nodes.(Array.length nodes - 1) in
   let src = nodes.(0) in
   let src_leaf = Topology.node_leaf topo src in

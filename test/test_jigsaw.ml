@@ -42,7 +42,8 @@ let test_prefers_two_level () =
   (* Pod capacity is 16; a 16-node job must stay in one pod. *)
   let p = alloc_exn st ~job:0 ~size:16 in
   Alcotest.(check bool) "two-level" true (Partition.kind p = Two_level);
-  Alcotest.(check int) "one pod" 1 (List.length (Partition.pods_used p))
+  Alcotest.(check bool) "one pod" true
+    (Array.length p.full_trees = 1 && p.rem_tree = None)
 
 let test_three_level_when_needed () =
   let topo = Topology.of_radix 8 in
@@ -131,9 +132,16 @@ let test_link_contention_blocks () =
   State.claim_exn st
     { Alloc.job = 99; size = 0; nodes = [||]; leaf_cables = cables; l2_cables = [||]; bw = 1.0 };
   let p = alloc_exn st ~job:0 ~size:16 in
+  let on_leaf_0 (tr : Partition.tree_alloc) =
+    Array.exists (fun (la : Partition.leaf_alloc) -> la.leaf = 0) tr.full_leaves
+    || Option.fold ~none:false
+         ~some:(fun (la : Partition.leaf_alloc) -> la.leaf = 0)
+         tr.rem_leaf
+  in
   Alcotest.(check bool) "avoids pod 0 or leaf 0" true
-    (not (List.mem 0 (List.map (fun (la : Partition.leaf_alloc) -> la.leaf)
-                        (Array.to_list (Partition.leaves p)))))
+    (not
+       (Array.exists on_leaf_0 p.full_trees
+       || Option.fold ~none:false ~some:on_leaf_0 p.rem_tree))
 
 (* Property: random job sequences on random radices always produce legal,
    claimable, exactly-sized partitions. *)

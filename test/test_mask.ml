@@ -5,7 +5,11 @@ open Jigsaw_core
 let test_popcount () =
   Alcotest.(check int) "zero" 0 (Mask.popcount 0);
   Alcotest.(check int) "0b1011" 3 (Mask.popcount 0b1011);
-  Alcotest.(check int) "full 14" 14 (Mask.popcount (Mask.full 14))
+  Alcotest.(check int) "full 14" 14 (Mask.popcount (Mask.full 14));
+  Alcotest.(check int) "full 62" 62 (Mask.popcount (Mask.full 62));
+  Alcotest.(check int) "max_int" 62 (Mask.popcount max_int);
+  Alcotest.(check int) "sign bit" 1 (Mask.popcount min_int);
+  Alcotest.(check int) "lnot 0" 63 (Mask.popcount (lnot 0))
 
 let test_full () =
   Alcotest.(check int) "full 0" 0 (Mask.full 0);
@@ -18,8 +22,7 @@ let test_mem () =
 let test_list_roundtrip () =
   Alcotest.(check (list int)) "to_list" [ 0; 2; 5 ] (Mask.to_list 0b100101);
   Alcotest.(check int) "of_list" 0b100101 (Mask.of_list [ 5; 0; 2 ]);
-  Alcotest.(check (array int)) "to_array" [| 1; 3 |] (Mask.to_array 0b1010);
-  Alcotest.(check int) "of_array" 0b1010 (Mask.of_array [| 3; 1 |])
+  Alcotest.(check (array int)) "to_array" [| 1; 3 |] (Mask.to_array 0b1010)
 
 let test_take_lowest () =
   Alcotest.(check int) "take 2 of 0b1101" 0b0101 (Mask.take_lowest 0b1101 2);
@@ -80,6 +83,15 @@ let prop_to_array_matches_to_list =
         ])
     (fun m -> Mask.to_array m = Array.of_list (Mask.to_list m))
 
+(* The bit-parallel count against clearing the lowest bit until none
+   is left, over every 63-bit int, negative ones included. *)
+let prop_popcount_matches_loop =
+  QCheck2.Test.make ~name:"popcount counts every bit" ~count:1000
+    QCheck2.Gen.(oneof [ int; map (fun k -> Mask.full (k mod 63)) nat ])
+    (fun x ->
+      let rec loop x acc = if x = 0 then acc else loop (x land (x - 1)) (acc + 1) in
+      Mask.popcount x = loop x 0)
+
 let suite =
   [
     Alcotest.test_case "popcount" `Quick test_popcount;
@@ -89,6 +101,7 @@ let suite =
     Alcotest.test_case "take_lowest" `Quick test_take_lowest;
     Alcotest.test_case "take_preferring" `Quick test_take_preferring;
     Alcotest.test_case "subset" `Quick test_subset;
+    QCheck_alcotest.to_alcotest prop_popcount_matches_loop;
     QCheck_alcotest.to_alcotest prop_take_lowest_is_subset;
     QCheck_alcotest.to_alcotest prop_take_preferring_takes_preferred;
     QCheck_alcotest.to_alcotest prop_to_array_matches_to_list;

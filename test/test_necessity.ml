@@ -124,7 +124,7 @@ let test_legal_partition_supports_full_permutation () =
       Alcotest.fail "no allocation"
   | Found p ->
       let alloc = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
-      let nodes = Jigsaw_core.Partition.nodes p in
+      let nodes = Jigsaw_core.Partition.nodes topo p in
       let half = Array.length nodes / 2 in
       let srcs = Array.sub nodes 0 half in
       let dsts = Array.sub nodes half half in
@@ -144,7 +144,7 @@ let prop_legal_partitions_pass_flow_bound =
       | Jigsaw_core.Partition.Infeasible | Exhausted -> QCheck2.assume_fail ()
       | Found p ->
           let alloc = Jigsaw_core.Partition.to_alloc topo p ~bw:1.0 in
-          let nodes = Jigsaw_core.Partition.nodes p in
+          let nodes = Jigsaw_core.Partition.nodes topo p in
           Sim.Prng.shuffle prng nodes;
           let k = max 1 (Array.length nodes / 2) in
           let srcs = Array.sub nodes 0 k in

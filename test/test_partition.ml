@@ -22,7 +22,7 @@ let test_kind () =
 
 let test_nodes_sorted_unique () =
   let p = three_level_fixture () in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   Alcotest.(check int) "count" 20 (Array.length nodes);
   for i = 1 to Array.length nodes - 1 do
     Alcotest.(check bool) "ascending" true (nodes.(i) > nodes.(i - 1))
@@ -32,7 +32,8 @@ let test_pods_used () =
   let p = three_level_fixture () in
   (* 20 nodes on radix 8 (pod = 16) spans exactly 2 pods under the
      dense-first shape (16 + 4). *)
-  Alcotest.(check int) "pods" 2 (List.length (Partition.pods_used p))
+  Alcotest.(check int) "pods" 2
+    (Array.length p.full_trees + Option.fold ~none:0 ~some:(fun _ -> 1) p.rem_tree)
 
 let test_n_l_and_s () =
   let p = three_level_fixture () in
@@ -62,14 +63,28 @@ let test_to_alloc_two_level_no_spines () =
 
 let test_leaves_accessor () =
   let p = three_level_fixture () in
-  let leaves = Partition.leaves p in
+  let trees = Array.to_list p.full_trees @ Option.to_list p.rem_tree in
+  let leaves =
+    List.concat_map
+      (fun (tr : Partition.tree_alloc) ->
+        Array.to_list tr.full_leaves @ Option.to_list tr.rem_leaf)
+      trees
+  in
   Alcotest.(check int) "five leaves (4 full + 1 rem-tree leaf)" 5
-    (Array.length leaves)
+    (List.length leaves);
+  (* The array views of the first full leaf: every slot and uplink. *)
+  let la = List.hd leaves in
+  let first = Topology.leaf_first_node topo la.leaf in
+  Alcotest.(check (array int)) "leaf_nodes"
+    [| first; first + 1; first + 2; first + 3 |]
+    (Partition.leaf_nodes topo la);
+  Alcotest.(check (array int)) "leaf_l2_indices" [| 0; 1; 2; 3 |]
+    (Partition.leaf_l2_indices la)
 
 let test_node_count_matches () =
   let p = two_level_fixture () in
   Alcotest.(check int) "node_count" 5 (Partition.node_count p);
-  Alcotest.(check int) "nodes array" 5 (Array.length (Partition.nodes p))
+  Alcotest.(check int) "nodes array" 5 (Array.length (Partition.nodes topo p))
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -83,8 +98,8 @@ let test_pp_runs () =
   Alcotest.(check bool) "mentions level" true (contains ~needle:"three-level" s)
 
 (* The list-and-sort flattening [Partition.to_alloc] used before it
-   became one ordered pass, kept as the oracle that pass must match
-   element for element. *)
+   became one ordered pass, over the array views, kept as the oracle
+   that pass must match element for element. *)
 let reference_to_alloc topo (p : Partition.t) ~bw =
   let trees = Array.to_list p.full_trees @ Option.to_list p.rem_tree in
   let leaves =
@@ -101,7 +116,7 @@ let reference_to_alloc topo (p : Partition.t) ~bw =
   let nodes =
     sorted
       (List.concat_map
-         (fun (la : Partition.leaf_alloc) -> Array.to_list la.nodes)
+         (fun la -> Array.to_list (Partition.leaf_nodes topo la))
          leaves)
   in
   let leaf_cables =
@@ -109,18 +124,18 @@ let reference_to_alloc topo (p : Partition.t) ~bw =
       (fun (la : Partition.leaf_alloc) ->
         List.map
           (fun i -> Topology.leaf_l2_cable topo ~leaf:la.leaf ~l2_index:i)
-          (Array.to_list la.l2_indices))
+          (Array.to_list (Partition.leaf_l2_indices la)))
       leaves
   in
   let l2_cables =
     List.concat_map
       (fun (tr : Partition.tree_alloc) ->
         List.concat_map
-          (fun (i, spines) ->
+          (fun (i, _) ->
             let l2 = Topology.l2_of_coords topo ~pod:tr.pod ~index:i in
             List.map
               (fun j -> Topology.l2_spine_cable topo ~l2 ~spine_index:j)
-              (Array.to_list spines))
+              (Array.to_list (Option.get (Partition.spine_indices tr i))))
           (Array.to_list tr.spine_sets))
       trees
   in
@@ -138,7 +153,7 @@ let check_matches_reference what topo p ~bw =
   let r = reference_to_alloc topo p ~bw in
   Alcotest.(check (array int)) (what ^ " nodes") r.nodes a.nodes;
   Alcotest.(check (array int)) (what ^ " Partition.nodes") r.nodes
-    (Partition.nodes p);
+    (Partition.nodes topo p);
   Alcotest.(check (array int)) (what ^ " leaf cables") r.leaf_cables
     a.leaf_cables;
   Alcotest.(check (array int)) (what ^ " l2 cables") r.l2_cables a.l2_cables;
@@ -204,14 +219,13 @@ let test_to_alloc_matches_reference () =
 (* Hand-built radix-8 partitions (m1 = m2 = 4): leaf [idx] of [pod]
    holding [slots] on L2 indices [l2]. *)
 let leaf_at ~pod ~idx ~slots ~l2 =
-  {
-    Partition.leaf = Topology.leaf_of_coords topo ~pod ~leaf:idx;
-    nodes =
-      Array.map
-        (fun slot -> Topology.node_of_coords topo ~pod ~leaf:idx ~slot)
-        slots;
-    l2_indices = l2;
-  }
+  Partition.leaf_of_arrays topo
+    ~leaf:(Topology.leaf_of_coords topo ~pod ~leaf:idx)
+    ~nodes:
+      (Array.map
+         (fun slot -> Topology.node_of_coords topo ~pod ~leaf:idx ~slot)
+         slots)
+    ~l2_indices:l2
 
 let full_leaf ~pod idx =
   leaf_at ~pod ~idx ~slots:[| 0; 1; 2; 3 |] ~l2:[| 0; 1; 2; 3 |]
@@ -221,7 +235,7 @@ let tree ~pod ~full ?rem ~spines () =
     Partition.pod;
     full_leaves = Array.map (full_leaf ~pod) full;
     rem_leaf = rem;
-    spine_sets = Array.init 4 (fun i -> (i, spines i));
+    spine_sets = Array.init 4 (fun i -> (i, Mask.of_list (Array.to_list (spines i))));
   }
 
 let partition ?rem_tree full_trees =
@@ -259,42 +273,179 @@ let test_to_alloc_merges_remainders () =
            topo p ~bw:1.0))
     [ 0; 4; 7 ]
 
-(* An inner array out of order is rejected, naming the leaf (or the L2
-   switch, for a spine array); [Partition.nodes] too when the nodes are
-   out of order. *)
+let raises what ~needle f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s names %s in %S" what needle msg)
+        true (contains ~needle msg)
+
+(* Leaves or spine sets out of order, and masks or ids outside the
+   topology, are rejected, naming the leaf (or the L2 switch, for a
+   spine set); [Partition.nodes] too when the leaves are at fault. *)
 let test_to_alloc_rejects_unordered () =
   let rejects ?(nodes_too = false) what ~needle p =
-    let check name f =
-      match f () with
-      | _ -> Alcotest.failf "%s: %s accepted an unordered partition" what name
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: %s names %s in %S" what name needle msg)
-            true (contains ~needle msg)
-    in
-    check "to_alloc" (fun () -> ignore (Partition.to_alloc topo p ~bw:1.0));
-    if nodes_too then check "nodes" (fun () -> ignore (Partition.nodes p))
+    raises (what ^ ": to_alloc") ~needle (fun () ->
+        Partition.to_alloc topo p ~bw:1.0);
+    if nodes_too then
+      raises (what ^ ": nodes") ~needle (fun () -> Partition.nodes topo p)
   in
   let one_leaf la =
     partition
       [| { Partition.pod = 1; full_leaves = [| la |]; rem_leaf = None;
            spine_sets = [||] } |]
   in
-  rejects ~nodes_too:true "descending nodes" ~needle:"leaf 5"
-    (one_leaf (leaf_at ~pod:1 ~idx:1 ~slots:[| 2; 1 |] ~l2:[| 0; 1 |]));
-  rejects ~nodes_too:true "repeated node" ~needle:"leaf 5"
-    (one_leaf (leaf_at ~pod:1 ~idx:1 ~slots:[| 1; 1 |] ~l2:[| 0; 1 |]));
-  rejects "descending L2 indices" ~needle:"leaf 5"
-    (one_leaf (leaf_at ~pod:1 ~idx:1 ~slots:[| 1; 2 |] ~l2:[| 1; 0 |]));
+  let leaf5 = Topology.leaf_of_coords topo ~pod:1 ~leaf:1 in
+  rejects ~nodes_too:true "slot outside the leaf" ~needle:"leaf 5"
+    (one_leaf { Partition.leaf = leaf5; slots = 0b10001; l2 = 0b11 });
   rejects "L2 index out of range" ~needle:"leaf 5"
-    (one_leaf (leaf_at ~pod:1 ~idx:1 ~slots:[| 1; 2 |] ~l2:[| 0; 4 |]));
+    (one_leaf { Partition.leaf = leaf5; slots = 0b110; l2 = 0b10001 });
+  rejects ~nodes_too:true "leaf outside the topology" ~needle:"leaf 32"
+    (partition
+       [| { Partition.pod = 8;
+            full_leaves = [| { Partition.leaf = 32; slots = 1; l2 = 1 } |];
+            rem_leaf = None; spine_sets = [||] } |]);
   rejects ~nodes_too:true "full leaves out of order" ~needle:"leaf 5"
     (partition [| tree ~pod:1 ~full:[| 2; 1 |] ~spines:(fun _ -> [||]) () |]);
-  rejects "descending spines" ~needle:"L2 switch 9"
+  rejects ~nodes_too:true "full trees out of order" ~needle:"leaf 4"
+    (partition
+       [| tree ~pod:2 ~full:[| 0 |] ~spines:(fun _ -> [||]) ();
+          tree ~pod:1 ~full:[| 0 |] ~spines:(fun _ -> [||]) () |]);
+  let pod2 spine_sets =
+    { (tree ~pod:2 ~full:[| 0 |] ~spines:(fun _ -> [| 0 |]) ()) with spine_sets }
+  in
+  rejects "spine sets out of order" ~needle:"L2 switch 9"
     (partition
        [| tree ~pod:1 ~full:[| 0 |] ~spines:(fun _ -> [| 0 |]) ();
-          tree ~pod:2 ~full:[| 0 |]
-            ~spines:(fun i -> if i = 1 then [| 1; 0 |] else [| 0 |]) () |])
+          pod2 [| (0, 1); (2, 1); (1, 1); (3, 1) |] |]);
+  rejects "spine index out of range" ~needle:"L2 switch 9"
+    (partition [| pod2 [| (0, 1); (1, 0b10010); (2, 1); (3, 1) |] |]);
+  rejects "L2 index out of range" ~needle:"pod 2"
+    (partition [| pod2 [| (0, 1); (4, 1) |] |])
+
+(* [leaf_of_arrays] rejects what a mask cannot hold, naming the leaf:
+   a repeated id, a node off the leaf, an index outside the topology. *)
+let test_leaf_of_arrays_rejects () =
+  let leaf = Topology.leaf_of_coords topo ~pod:1 ~leaf:1 in
+  let first = Topology.leaf_first_node topo leaf in
+  let build ~nodes ~l2 () =
+    Partition.leaf_of_arrays topo ~leaf ~nodes ~l2_indices:l2
+  in
+  raises "repeated node" ~needle:"leaf 5: node 21 repeats"
+    (build ~nodes:[| first + 1; first + 1 |] ~l2:[| 0; 1 |]);
+  raises "repeated L2 index" ~needle:"leaf 5: L2 index 1 repeats"
+    (build ~nodes:[| first; first + 1 |] ~l2:[| 1; 1 |]);
+  raises "node of another leaf" ~needle:"leaf 5: node 24 is not on this leaf"
+    (build ~nodes:[| first; first + 4 |] ~l2:[| 0; 1 |]);
+  raises "node below the leaf" ~needle:"leaf 5: node 19 is not on this leaf"
+    (build ~nodes:[| first - 1 |] ~l2:[| 0 |]);
+  raises "L2 index out of range" ~needle:"leaf 5: L2 index 4 is outside"
+    (build ~nodes:[| first |] ~l2:[| 4 |]);
+  raises "negative L2 index" ~needle:"leaf 5: L2 index -1 is outside"
+    (build ~nodes:[| first |] ~l2:[| -1 |]);
+  raises "leaf outside the topology" ~needle:"leaf 32: not a leaf"
+    (fun () ->
+      Partition.leaf_of_arrays topo ~leaf:32 ~nodes:[||] ~l2_indices:[||]);
+  let la = build ~nodes:[| first + 3; first |] ~l2:[| 2; 0 |] () in
+  Alcotest.(check (array int)) "nodes, ascending" [| first; first + 3 |]
+    (Partition.leaf_nodes topo la);
+  Alcotest.(check (array int)) "L2 indices, ascending" [| 0; 2 |]
+    (Partition.leaf_l2_indices la)
+
+(* Random partitions at radix 8, 12 and 48, built through
+   [leaf_of_arrays] from shuffled id arrays: up to three full trees and
+   a remainder tree in distinct pods, the remainder tree at a random rank
+   among them, each tree's full leaves and remainder leaf likewise, and
+   random node, uplink and spine sets.  The flattening must match the
+   sort-based reference, whatever the legality of the partition. *)
+let random_partition ~radix ~seed =
+  let topo = Topology.of_radix radix in
+  let m1 = Topology.m1 topo and m2 = Topology.m2 topo in
+  let prng = Sim.Prng.create ~seed in
+  let distinct n k =
+    let a = Sim.Prng.permutation prng n in
+    let s = Array.sub a 0 k in
+    Array.sort compare s;
+    s
+  in
+  let random_mask width =
+    let m = ref 0 in
+    while !m = 0 do
+      m := Sim.Prng.int prng ~bound:(1 lsl width)
+    done;
+    if Sim.Prng.int prng ~bound:3 = 0 then Mask.full width else !m
+  in
+  let shuffled a =
+    let a = Array.copy a in
+    Sim.Prng.shuffle prng a;
+    a
+  in
+  let leaf ~pod idx =
+    let leaf = Topology.leaf_of_coords topo ~pod ~leaf:idx in
+    let first = Topology.leaf_first_node topo leaf in
+    let slots = Mask.to_array (random_mask m1) in
+    Partition.leaf_of_arrays topo ~leaf
+      ~nodes:(shuffled (Array.map (fun s -> first + s) slots))
+      ~l2_indices:(shuffled (Mask.to_array (random_mask m1)))
+  in
+  (* [n] items at sorted distinct ranks of [0, bound), plus maybe one
+     more at a random rank among them: the full ones and the
+     remainder. *)
+  let split ~bound ~n ~rem =
+    let n = min n (bound - if rem then 1 else 0) in
+    let ids = distinct bound (n + if rem then 1 else 0) in
+    if rem then begin
+      let r = Sim.Prng.int prng ~bound:(n + 1) in
+      ( Array.of_list (List.filteri (fun i _ -> i <> r) (Array.to_list ids)),
+        Some ids.(r) )
+    end
+    else (ids, None)
+  in
+  let tree pod =
+    let full, rem =
+      split ~bound:(Topology.m2 topo)
+        ~n:(1 + Sim.Prng.int prng ~bound:3)
+        ~rem:(Sim.Prng.bool prng)
+    in
+    let spine_sets =
+      if Sim.Prng.bool prng then [||]
+      else
+        Array.map
+          (fun i -> (i, random_mask m2))
+          (distinct m1 (1 + Sim.Prng.int prng ~bound:m1))
+    in
+    {
+      Partition.pod;
+      full_leaves = Array.map (leaf ~pod) full;
+      rem_leaf = Option.map (leaf ~pod) rem;
+      spine_sets;
+    }
+  in
+  let full, rem =
+    split ~bound:(Topology.m3 topo)
+      ~n:(Sim.Prng.int prng ~bound:4)
+      ~rem:(Sim.Prng.bool prng)
+  in
+  let p =
+    {
+      Partition.job = seed;
+      size = 0;
+      full_trees = Array.map tree full;
+      rem_tree = Option.map tree rem;
+    }
+  in
+  (topo, { p with size = Partition.node_count p })
+
+let prop_to_alloc_matches_reference =
+  QCheck2.Test.make ~name:"to_alloc of random partitions = reference"
+    ~count:600
+    QCheck2.Gen.(pair (oneofl [ 8; 12; 48 ]) int)
+    (fun (radix, seed) ->
+      let topo, p = random_partition ~radix ~seed in
+      let what = Printf.sprintf "radix %d seed %d" radix seed in
+      ignore (check_matches_reference what topo p ~bw:0.5);
+      true)
 
 let suite =
   [
@@ -313,4 +464,7 @@ let suite =
       test_to_alloc_merges_remainders;
     Alcotest.test_case "to_alloc rejects unordered input" `Quick
       test_to_alloc_rejects_unordered;
+    Alcotest.test_case "leaf_of_arrays rejects bad ids" `Quick
+      test_leaf_of_arrays_rejects;
+    QCheck_alcotest.to_alcotest prop_to_alloc_matches_reference;
   ]

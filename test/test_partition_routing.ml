@@ -40,14 +40,14 @@ let test_foreign_node_rejected () =
   let st = State.create topo in
   let p = alloc_and_claim st ~job:0 ~size:4 in
   let foreign = Topology.num_nodes topo - 1 in
-  match Partition_routing.path topo p ~src:foreign ~dst:(Partition.nodes p).(0) with
+  match Partition_routing.path topo p ~src:foreign ~dst:(Partition.nodes topo p).(0) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "foreign source accepted"
 
 let test_deterministic () =
   let st = State.create topo in
   let p = alloc_and_claim st ~job:0 ~size:20 in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   let a = nodes.(0) and b = nodes.(15) in
   let p1 = Partition_routing.path topo p ~src:a ~dst:b in
   let p2 = Partition_routing.path topo p ~src:a ~dst:b in

@@ -39,36 +39,38 @@ let add_ints buf a =
     a;
   Buffer.add_char buf ';'
 
-let add_leaf buf (la : Partition.leaf_alloc) =
+(* A leaf and a spine set are digested as the id arrays they expand
+   to, so the digest reads the same under any representation. *)
+let add_leaf topo buf (la : Partition.leaf_alloc) =
   Buffer.add_string buf (Printf.sprintf "L%d:" la.leaf);
-  add_ints buf la.nodes;
-  add_ints buf la.l2_indices
+  add_ints buf (Partition.leaf_nodes topo la);
+  add_ints buf (Partition.leaf_l2_indices la)
 
-let add_tree buf (tr : Partition.tree_alloc) =
+let add_tree topo buf (tr : Partition.tree_alloc) =
   Buffer.add_string buf (Printf.sprintf "T%d{" tr.pod);
-  Array.iter (add_leaf buf) tr.full_leaves;
+  Array.iter (add_leaf topo buf) tr.full_leaves;
   (match tr.rem_leaf with
   | Some la ->
       Buffer.add_char buf 'r';
-      add_leaf buf la
+      add_leaf topo buf la
   | None -> ());
   Array.iter
-    (fun (i, s) ->
+    (fun (i, _) ->
       Buffer.add_string buf (Printf.sprintf "S%d:" i);
-      add_ints buf s)
+      add_ints buf (Option.get (Partition.spine_indices tr i)))
     tr.spine_sets;
   Buffer.add_char buf '}'
 
-let add_probe buf = function
+let add_probe topo buf = function
   | Partition.Infeasible -> Buffer.add_string buf "I\n"
   | Partition.Exhausted -> Buffer.add_string buf "E\n"
   | Partition.Found p ->
       Buffer.add_string buf (Printf.sprintf "F%d/%d" p.job p.size);
-      Array.iter (add_tree buf) p.full_trees;
+      Array.iter (add_tree topo buf) p.full_trees;
       (match p.rem_tree with
       | Some tr ->
           Buffer.add_char buf 'R';
-          add_tree buf tr
+          add_tree topo buf tr
       | None -> ());
       Buffer.add_char buf '\n'
 
@@ -128,7 +130,7 @@ let run ~radix ~seed ~steps ?sizes ?(flatten = false) ~place ~probes () =
             trees
         then Hashtbl.replace seen (alloc, `Rem_leaf_first) ()
     | _ -> ());
-    add_probe buf r;
+    add_probe topo buf r;
     (match r with
     | Partition.Found p when flatten ->
         add_alloc buf (Partition.to_alloc topo p ~bw:1.0)

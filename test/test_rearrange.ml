@@ -69,7 +69,7 @@ let test_rejects_illegal_partition () =
           {
             Partition.pod = 0;
             full_leaves =
-              [| { Partition.leaf = 0; nodes = [| 0; 1 |]; l2_indices = [| 0 |] } |];
+              [| { Partition.leaf = 0; slots = 0b11; l2 = 0b1 } |];
             rem_leaf = None;
             spine_sets = [||];
           };
@@ -85,7 +85,7 @@ let test_paths_have_node_endpoints () =
   let topo = Topology.of_radix 8 in
   let st = State.create topo in
   let p = alloc_and_claim topo st ~job:0 ~size:9 in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   let n = Array.length nodes in
   let perm = Rearrange.demo_permutation ~n ~shift:3 in
   let paths = route_ok topo p perm in
@@ -209,7 +209,7 @@ let test_route_traffic_partial () =
   let topo = Topology.of_radix 8 in
   let st = State.create topo in
   let p = alloc_and_claim topo st ~job:0 ~size:12 in
-  let nodes = Partition.nodes p in
+  let nodes = Partition.nodes topo p in
   (* Three flows of a gather pattern. *)
   let flows =
     [ (nodes.(0), nodes.(5)); (nodes.(1), nodes.(7)); (nodes.(2), nodes.(11)) ]

@@ -147,10 +147,12 @@ let test_fractional_demand_search () =
 let test_materialize_leaf () =
   let st = State.create topo in
   State.claim_exn st (Alloc.nodes_only ~job:0 ~size:1 [| 1 |]);
-  let la = Search.materialize_leaf st ~leaf:0 ~take:2 ~l2_indices:[| 0; 2 |] in
+  let la = Search.materialize_leaf st ~leaf:0 ~l2:0b101 in
   (* lowest free slots on leaf 0 are 0 and 2. *)
-  Alcotest.(check (array int)) "skips busy slot" [| 0; 2 |] la.nodes;
-  Alcotest.(check (array int)) "uplinks recorded" [| 0; 2 |] la.l2_indices
+  Alcotest.(check (array int)) "skips busy slot" [| 0; 2 |]
+    (Partition.leaf_nodes topo la);
+  Alcotest.(check (array int)) "uplinks recorded" [| 0; 2 |]
+    (Partition.leaf_l2_indices la)
 
 (* ------------------------------------------------------------------ *)
 (* The remaining-candidates bound: the pruned searches must agree with
@@ -223,15 +225,11 @@ let ref_find_two_level st ~pod ~(shape : Shapes.two_level) ~demand =
   in
   Option.map
     (fun (chosen, s_mask, rem) ->
-      let s = Mask.to_array s_mask in
-      let leaf l take l2_indices =
-        Search.materialize_leaf st ~leaf:infos.(l).leaf ~take ~l2_indices
-      in
+      let leaf l l2 = Search.materialize_leaf st ~leaf:infos.(l).leaf ~l2 in
       {
         Partition.pod;
-        full_leaves =
-          Array.map (fun l -> leaf l n_l (Array.copy s)) (Mask.to_array chosen);
-        rem_leaf = Option.map (fun (l, sr) -> leaf l n_rl (Mask.to_array sr)) rem;
+        full_leaves = Array.map (fun l -> leaf l s_mask) (Mask.to_array chosen);
+        rem_leaf = Option.map (fun (l, sr) -> leaf l sr) rem;
         spine_sets = [||];
       })
     (pick 0 0 0 (lnot 0))

@@ -373,7 +373,7 @@ let prop_jigsaw_policy_is_fig5_router =
             | Error m -> fail "router: %s" m
             | Ok () -> ());
             let alloc = Partition.to_alloc topo p ~bw in
-            let comm = Array.sub (Partition.nodes p) 0 p.size in
+            let comm = Array.sub (Partition.nodes topo p) 0 p.size in
             let paths =
               Array.to_list comm
               |> List.concat_map (fun src ->
