@@ -493,7 +493,7 @@ let primitive_rows () =
     (topo, parts)
   in
   (* One [op] row: the mean cost of [f] over each of [xs] in turn; with
-     [words], also its minor words per call over whole cycles. *)
+     [words], also the words it allocates per call over whole cycles. *)
   let cycling ?(words = false) op (e : Trace.Presets.entry) ~mean_nodes
       ~iters f xs =
     let k = ref 0 in
