@@ -348,7 +348,7 @@ let load_cluster ~radix ~seed ~target =
 
 (* ------------------------------------------------------------------ *)
 (* Primitives: Fattree.State claim/release, create and copy_into,      *)
-(* Partition.to_alloc, one Jigsaw probe hit and one probe miss.         *)
+(* Partition.to_alloc, Jigsaw and LC+S probe hits, one probe miss.      *)
 (* ------------------------------------------------------------------ *)
 
 let primitive_samples = 7
@@ -372,11 +372,15 @@ let sample_ns ~iters f =
 
 (* Words allocated per call of [f] on the minor heap, and directly on
    the major heap (blocks over [Max_young_wosize], 256 words, such as a
-   large partition's id arrays), over [calls] calls after one warm-up
-   call: deterministic counts for a given build, where the timings are
-   not. *)
+   large partition's id arrays), over [calls] calls after as many
+   warm-up calls (so a cycling row's one-time allocations, such as a
+   state's first summary record at each demand, fall outside the
+   count): deterministic counts for a given build, where the timings
+   are not. *)
 let words_per_call ~calls f =
-  f ();
+  for _ = 1 to calls do
+    f ()
+  done;
   (* [Gc.minor_words] counts the live minor heap; [Gc.counters]'s minor
      figure lags it, but its major one, less the promoted words, is the
      direct allocations. *)
@@ -469,9 +473,11 @@ let probe_miss_row () =
    a trace's first 50 jobs (each placed on an empty machine, as
    [Partition.to_alloc] hands them to the simulator), cycling through
    them on one state; the mean cost of [Partition.to_alloc] over the
-   same Synth-16@48 partitions, and of the Jigsaw probe that finds each
-   of them on the empty machine plus its [to_alloc] (both with the words
-   they allocate per call); [State.create]; and [copy_into] from an
+   same Synth-16@48 partitions, of the Jigsaw probe that finds each of
+   them on the empty machine plus its [to_alloc], and of the LC+S probe
+   of the same job at its bandwidth class there plus its [to_alloc]
+   (the three with the words they allocate per call); [State.create];
+   and [copy_into] from an
    ~80%-loaded state, fault-free and with one failed node on both
    sides (the fault overlay's blit). *)
 let primitive_rows () =
@@ -544,6 +550,26 @@ let primitive_rows () =
         | Infeasible | Exhausted -> failwith "probe hit: no partition")
       parts
   in
+  (* The LC+S probe of each of those jobs at its bandwidth class, on one
+     empty machine whose summaries and LC memo stay warm across calls,
+     as a scheduler's live state does. *)
+  let lcs_probe_hit (e : Trace.Presets.entry) (topo, parts) ~mean_nodes ~iters =
+    let st = Fattree.State.create topo in
+    let jobs = e.workload.Trace.Workload.jobs in
+    let demand (p : Jigsaw_core.Partition.t) =
+      (Option.get (Array.find_opt (fun (j : Trace.Job.t) -> j.id = p.job) jobs))
+        .bw_class
+    in
+    cycling ~words:true "LC+S probe hit" e ~mean_nodes ~iters
+      (fun ((p : Jigsaw_core.Partition.t), demand) ->
+        match
+          Jigsaw_core.Least_constrained.probe ~demand st ~job:p.job ~size:p.size
+        with
+        | Jigsaw_core.Partition.Found q ->
+            ignore (Jigsaw_core.Partition.to_alloc topo q ~bw:demand)
+        | Infeasible | Exhausted -> failwith "LC+S probe hit: no partition")
+      (Array.map (fun p -> (p, demand p)) parts)
+  in
   let synth48 =
     Option.get (Trace.Presets.by_name ~full:false "Synth-16@48")
   in
@@ -562,6 +588,8 @@ let primitive_rows () =
       synth48_row;
       to_alloc synth48 synth48_parts ~mean_nodes:synth48_row.p_mean_nodes ~iters:5_000;
       probe_hit synth48 synth48_parts ~mean_nodes:synth48_row.p_mean_nodes ~iters:2_000;
+      lcs_probe_hit synth48 synth48_parts ~mean_nodes:synth48_row.p_mean_nodes
+        ~iters:2_000;
       claim_release thunder (partitions thunder) ~iters:20_000;
       whole "create" ~iters:200 (fun () -> ignore (Fattree.State.create topo));
       whole "copy_into" ~iters:500 (fun () ->
@@ -580,7 +608,7 @@ let primitive_rows () =
 
 let primitives () =
   section
-    "Primitives: Fattree.State, Partition.to_alloc, Jigsaw probes and the daemon checkpoint (ns per call, median of 7 samples; words allocated per call, minor + major, where counted)";
+    "Primitives: Fattree.State, Partition.to_alloc, Jigsaw and LC+S probes and the daemon checkpoint (ns per call, median of 7 samples; words allocated per call, minor + major, where counted)";
   List.iter
     (fun r ->
       let med, lo, hi = r.p_ns in
@@ -688,8 +716,8 @@ let micro () =
    headline is re-checked under molding) plus a shrink-vs-kill fault
    recovery comparison.  A "primitives" section times the live-state
    layer under the probes ([State] claim+release, create, copy_into),
-   [Partition.to_alloc], one Jigsaw probe hit and one miss, and the daemon's
-   checkpoint encoding (see [primitive_rows]).  The scale, net and
+   [Partition.to_alloc], a Jigsaw and an LC+S probe hit, one Jigsaw
+   miss, and the daemon's checkpoint encoding (see [primitive_rows]).  The scale, net and
    molding sections each carry a built-in regression guard.  Traces
    are truncated in default mode to keep the target in the ~minute
    range; REPRO_FULL=1 uses paper scale.  BENCH_SCALE=N overrides the scale section's large radix. *)

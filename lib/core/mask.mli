@@ -6,6 +6,8 @@
     fits the 63-bit int. *)
 
 val popcount : int -> int
+(** {!Sim.Bits.popcount}. *)
+
 val full : int -> int
 (** [full n] is the mask with bits [0 .. n-1] set. *)
 

@@ -1,18 +1,5 @@
 open Fattree
 
-type leaf_info = { leaf : int; free : int; up_mask : int }
-
-let pod_leaf_infos st ~pod ~demand =
-  let topo = State.topo st in
-  let m2 = Topology.m2 topo in
-  Array.init m2 (fun l ->
-      let leaf = Topology.leaf_of_coords topo ~pod ~leaf:l in
-      {
-        leaf;
-        free = State.free_nodes_on_leaf st leaf;
-        up_mask = State.leaf_up_mask st ~leaf ~demand;
-      })
-
 type pod_solution = { leaf_mask : int; cap_mask : int }
 
 let materialize_leaf st ~leaf ~l2 =
@@ -27,17 +14,24 @@ let materialize_leaf st ~leaf ~l2 =
    [k] leaves never descends into leaf [l] once [left.(l) < k]: no
    completion exists there, so the bound changes neither the order of
    the search nor what it finds, only how many steps it takes. *)
-let candidates_left infos ~n_l =
-  let m2 = Array.length infos in
+let candidates_left st ~first ~m2 ups ~n_l =
   let left = Array.make (m2 + 1) 0 in
   for l = m2 - 1 downto 0 do
-    let info = infos.(l) in
-    let c = if info.free >= n_l && Mask.popcount info.up_mask >= n_l then 1 else 0 in
+    let leaf = first + l in
+    let c =
+      if State.free_nodes_on_leaf st leaf >= n_l && Mask.popcount ups.(leaf) >= n_l
+      then 1
+      else 0
+    in
     left.(l) <- left.(l + 1) + c
   done;
   left
 
-(* Backtracking over the pod's leaves in index order, mirroring find_L2 of
+(* The searches read each leaf of the pod in place: its free count, and
+   its uplink mask from the state's per-demand row [ups], indexed by
+   global leaf id (the pod's leaves are [first .. first + m2 - 1]).
+
+   Backtracking over the pod's leaves in index order, mirroring find_L2 of
    Algorithm 1: each recursive level picks the next full leaf strictly
    after the previous one and narrows the running uplink-capability
    intersection.  At the base case we look for the remainder leaf among
@@ -45,20 +39,20 @@ let candidates_left infos ~n_l =
    counts: it has at least [l_t] candidate leaves. *)
 let search_pod st ~pod ~(shape : Shapes.two_level) ~demand =
   let { Shapes.n_l; l_t; n_rl } = shape in
-  let infos = pod_leaf_infos st ~pod ~demand in
-  let m2 = Array.length infos in
-  let left = candidates_left infos ~n_l in
+  let topo = State.topo st in
+  let first = Topology.leaf_of_coords topo ~pod ~leaf:0 and m2 = Topology.m2 topo in
+  let ups = State.leaf_up_masks st ~pod ~demand in
+  let left = candidates_left st ~first ~m2 ups ~n_l in
   let find_remainder chosen cap_mask =
     (* A remainder leaf needs n_rl free nodes and n_rl available uplinks
        whose indices can be covered by a choice of S inside cap_mask. *)
     let rec go l =
       if l >= m2 then None
       else begin
-        let info = infos.(l) in
-        let overlap = info.up_mask land cap_mask in
+        let overlap = ups.(first + l) land cap_mask in
         if
           (not (Mask.mem chosen l))
-          && info.free >= n_rl
+          && State.free_nodes_on_leaf st (first + l) >= n_rl
           && Mask.popcount overlap >= n_rl
         then Some (l, overlap)
         else go (l + 1)
@@ -86,7 +80,7 @@ let search_pod st ~pod ~(shape : Shapes.two_level) ~demand =
       let rec try_leaf l =
         if left.(l) < l_t - taken then None
         else begin
-          let cap' = cap_mask land infos.(l).up_mask in
+          let cap' = cap_mask land ups.(first + l) in
           let found =
             if left.(l) > left.(l + 1) && Mask.popcount cap' >= n_l then
               pick (l + 1) (taken + 1) (chosen lor (1 lsl l)) cap'
@@ -103,18 +97,18 @@ let search_pod st ~pod ~(shape : Shapes.two_level) ~demand =
   | Some (chosen, s_mask, rem) ->
       let full_leaves =
         Array.map
-          (fun l -> materialize_leaf st ~leaf:infos.(l).leaf ~l2:s_mask)
+          (fun l -> materialize_leaf st ~leaf:(first + l) ~l2:s_mask)
           (Mask.to_array chosen)
       in
       let rem_leaf =
         Option.map
-          (fun (l, sr_mask) -> materialize_leaf st ~leaf:infos.(l).leaf ~l2:sr_mask)
+          (fun (l, sr_mask) -> materialize_leaf st ~leaf:(first + l) ~l2:sr_mask)
           rem
       in
       Some { Partition.pod; full_leaves; rem_leaf; spine_sets = [||] }
 
 (* A pod with fewer than [l_t] candidate leaves is rejected from the
-   state's cached counts before its leaf infos are built. *)
+   state's cached counts before its leaves are read. *)
 let can_host st ~pod ~(shape : Shapes.two_level) ~demand =
   (State.pod_candidates st ~pod ~demand).(shape.n_l - 1) >= shape.l_t
 
@@ -174,8 +168,10 @@ type walk = Complete of int | Cut | Stopped
 exception Halt of walk
 
 let iter_all st ~pod ~l_t ~n_l ~demand ~budget f =
-  let infos = pod_leaf_infos st ~pod ~demand in
-  let left = candidates_left infos ~n_l in
+  let topo = State.topo st in
+  let first = Topology.leaf_of_coords topo ~pod ~leaf:0 and m2 = Topology.m2 topo in
+  let ups = State.leaf_up_masks st ~pod ~demand in
+  let left = candidates_left st ~first ~m2 ups ~n_l in
   (* Steps charged since the previous solution (or the start). *)
   let since = ref 0 in
   let rec pick start taken leaf_mask cap_mask =
@@ -190,7 +186,7 @@ let iter_all st ~pod ~l_t ~n_l ~demand ~budget f =
     else begin
       let l = ref start in
       while left.(!l) >= l_t - taken do
-        let cap' = cap_mask land infos.(!l).up_mask in
+        let cap' = cap_mask land ups.(first + !l) in
         if left.(!l) > left.(!l + 1) && Mask.popcount cap' >= n_l then
           pick (!l + 1) (taken + 1) (leaf_mask lor (1 lsl !l)) cap';
         incr l

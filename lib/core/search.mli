@@ -9,17 +9,13 @@
     capacity >= [d].  A {e pod solution} for [l_t] leaves of [n_l] nodes
     is a set of candidate leaves whose uplink-availability masks intersect
     in at least [n_l] L2 indices; the intersection is the solution's
-    capability mask, from which the common set [S] is later drawn. *)
+    capability mask, from which the common set [S] is later drawn.
 
-type leaf_info = {
-  leaf : int;  (** Global leaf id. *)
-  free : int;  (** Free node count. *)
-  up_mask : int;  (** L2 indices (bitmask over [0..m1)) with capacity. *)
-}
-
-val pod_leaf_infos :
-  Fattree.State.t -> pod:int -> demand:float -> leaf_info array
-(** Per-leaf availability for every leaf of [pod], in leaf order. *)
+    The searches read each leaf in place: its free count from
+    {!Fattree.State.free_nodes_on_leaf} and its uplink mask from the
+    state's cached per-demand row, {!Fattree.State.leaf_up_masks}, so a
+    pod's leaves cost no allocation and a leaf no float read unless its
+    cables moved since the row was last refreshed. *)
 
 type pod_solution = {
   leaf_mask : int;  (** In-pod leaf indices (bitmask over [0..m2)). *)

@@ -28,36 +28,44 @@ let two_level topo ~size =
     !shapes
   end
 
-let three_level topo ~size ~n_l =
+(* Calls [f] on the three-level shapes with [n_l] nodes per full leaf,
+   largest [l_t] first (dense-first: fewest pods touched), until [f]
+   returns [true]; returns whether it did. *)
+let iter_three_level topo ~size ~n_l f =
   let m2 = Topology.m2 topo and m3 = Topology.m3 topo in
-  if size <= 0 || n_l < 1 || n_l > Topology.m1 topo then []
-  else begin
-    let shapes = ref [] in
-    for l_t = 1 to min m2 (size / n_l) do
-      let n_t = l_t * n_l in
-      let t = size / n_t in
-      let n_rt = size mod n_t in
-      let pods_needed = t + if n_rt > 0 then 1 else 0 in
-      let single_pod = t = 1 && n_rt = 0 in
-      (* The remainder tree itself must fit in a pod: it has l_rt full
-         leaves plus possibly a remainder leaf; l_rt < l_t <= m2 always
-         holds, so it fits whenever full trees do. *)
-      if t >= 1 && pods_needed <= m3 && not single_pod then begin
-        let l_rt = n_rt / n_l in
-        let n_rl3 = n_rt mod n_l in
-        shapes := { n_l3 = n_l; l_t3 = l_t; t; n_rt; l_rt; n_rl3 } :: !shapes
-      end
-    done;
-    (* Prepending while ascending in l_t leaves the largest l_t first:
-       dense-first (fewest pods touched). *)
-    !shapes
-  end
+  let rec from l_t =
+    l_t >= 1
+    &&
+    let n_t = l_t * n_l in
+    let t = size / n_t in
+    let n_rt = size mod n_t in
+    let pods_needed = t + if n_rt > 0 then 1 else 0 in
+    let single_pod = t = 1 && n_rt = 0 in
+    (* The remainder tree itself must fit in a pod: it has l_rt full
+       leaves plus possibly a remainder leaf; l_rt < l_t <= m2 always
+       holds, so it fits whenever full trees do. *)
+    (t >= 1 && pods_needed <= m3 && (not single_pod)
+    && f
+         {
+           n_l3 = n_l;
+           l_t3 = l_t;
+           t;
+           n_rt;
+           l_rt = n_rt / n_l;
+           n_rl3 = n_rt mod n_l;
+         })
+    || from (l_t - 1)
+  in
+  size > 0 && n_l >= 1 && n_l <= Topology.m1 topo && from (min m2 (size / n_l))
 
-let three_level_all topo ~size =
-  let m1 = Topology.m1 topo in
-  let acc = ref [] in
-  for n_l = 1 to m1 do
-    acc := three_level topo ~size ~n_l @ !acc
-  done;
-  (* [acc] now lists n_l = m1 first (dense-first). *)
-  !acc
+let three_level topo ~size ~n_l =
+  let shapes = ref [] in
+  ignore
+    (iter_three_level topo ~size ~n_l (fun s ->
+         shapes := s :: !shapes;
+         false));
+  List.rev !shapes
+
+let three_level_all topo ~size f =
+  let rec from n_l = n_l >= 1 && (iter_three_level topo ~size ~n_l f || from (n_l - 1)) in
+  ignore (from (Topology.m1 topo))

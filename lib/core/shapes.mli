@@ -39,6 +39,11 @@ val three_level :
     shapes ([t = 1], no remainder) are omitted — they are two-level
     shapes and are searched first.  Empty if no shape fits. *)
 
-val three_level_all : Fattree.Topology.t -> size:int -> three_level list
-(** Union of {!three_level} over [n_l = m1 .. 1] (dense-first) — the full
-    least-constrained shape space. *)
+val three_level_all :
+  Fattree.Topology.t -> size:int -> (three_level -> bool) -> unit
+(** [three_level_all topo ~size f] walks the full least-constrained
+    shape space lazily: {!three_level} for [n_l = m1], then [m1 - 1],
+    down to 1 (dense-first), each in its own order, calling [f] on one
+    shape at a time and stopping as soon as [f] returns [true].  Shapes
+    past that point are never built, so a search that takes one of the
+    first shapes costs nothing for the rest. *)

@@ -43,14 +43,17 @@ let eps = 1e-9
    copied with a faulted state); until then every count is 0, and
    neither [create] nor [copy_into] pays for them. *)
 (* Per-demand cached feasibility summaries (see [pod_candidates] /
-   [pod_spine_masks] / [candidate_pods] below).  One record per distinct
-   bandwidth demand; the workload draws demands from a handful of
-   classes, so the list stays tiny.  Staleness is tracked per pod
-   against the pod generation counters: a mutation bumps the touched
-   pod's generation, and the next consultation of that pod recomputes
-   just that pod's row.  [hist] is the machine-wide sum of the cached
-   [cand] rows, moved by each row's delta whenever the row is
-   recomputed, so it always describes exactly the rows as cached. *)
+   [pod_spine_masks] / [candidate_pods] / [leaf_up_masks] below).  One
+   record per distinct bandwidth demand; the workload draws demands from
+   a handful of classes, so the list stays tiny.  Staleness is tracked
+   per pod against the pod generation counters: a mutation bumps the
+   touched pod's generation, and the next consultation of that pod
+   recomputes just that pod's row.  [hist] is the machine-wide sum of
+   the cached [cand] rows, moved by each row's delta whenever the row is
+   recomputed, so it always describes exactly the rows as cached.
+   [copy_into] blits a source's records, stamps included, into the
+   destination's: the stamps are checked against the generation
+   counters it copies alongside. *)
 type feas = {
   f_demand : float;
   cand : int array array; (* pod -> counts over n = 1..m1 *)
@@ -61,6 +64,8 @@ type feas = {
   mutable synced : int; (* [node_epoch] when every row was last current *)
   spine : int array array; (* pod -> per-L2-index spine up-mask *)
   spine_gen : int array; (* pod -> pod_l2_gen stamp; -1 = never *)
+  up : int array; (* leaf -> uplink mask at [f_demand] *)
+  up_gen : int array; (* pod -> pod_node_gen stamp of its [up] words *)
 }
 
 type ext = ..
@@ -188,15 +193,72 @@ let clone t =
     undo = [];
   }
 
+(* Copies an int array word by word: a plain store each, where
+   [Array.blit] into a major-heap array runs the write barrier on every
+   element. *)
+let blit (a : int array) (b : int array) =
+  for i = 0 to Array.length a - 1 do
+    b.(i) <- a.(i)
+  done
+
+let blit_feas ~src ~dst =
+  Array.iteri (fun pod row -> blit row dst.cand.(pod)) src.cand;
+  blit src.cand_gen dst.cand_gen;
+  Array.iteri (fun n h -> blit h dst.hist.(n)) src.hist;
+  dst.synced <- src.synced;
+  Array.iteri (fun pod row -> blit row dst.spine.(pod)) src.spine;
+  blit src.spine_gen dst.spine_gen;
+  blit src.up dst.up;
+  blit src.up_gen dst.up_gen
+
+let copy_feas f =
+  {
+    f with
+    cand = Array.map Array.copy f.cand;
+    cand_gen = Array.copy f.cand_gen;
+    recount = Array.copy f.recount;
+    hist = Array.map Array.copy f.hist;
+    spine = Array.map Array.copy f.spine;
+    spine_gen = Array.copy f.spine_gen;
+    up = Array.copy f.up;
+    up_gen = Array.copy f.up_gen;
+  }
+
+(* [dst]'s per-demand records become [src]'s, blitted into [dst]'s own
+   record for each demand both have (in place, without allocating, when
+   both lists hold the same demands in the same order), copied for a
+   demand only [src] has, and dropped for one only [dst] has. *)
+let copy_feas_caches ~src ~dst =
+  let rec same_demands a b =
+    match (a, b) with
+    | f :: a, g :: b -> f.f_demand = g.f_demand && same_demands a b
+    | [], [] -> true
+    | _ -> false
+  in
+  if same_demands src.feas_caches dst.feas_caches then
+    List.iter2 (fun f g -> blit_feas ~src:f ~dst:g) src.feas_caches
+      dst.feas_caches
+  else
+    dst.feas_caches <-
+      List.map
+        (fun f ->
+          match List.find_opt (fun g -> g.f_demand = f.f_demand) dst.feas_caches with
+          | Some g ->
+              blit_feas ~src:f ~dst:g;
+              g
+          | None -> copy_feas f)
+        src.feas_caches
+
 (* Refresh [dst] to mirror [src]: the double-buffered scratch primitive
    behind zero-clone reservation search.  Blits every array, copies
-   every scalar, and drops [dst]'s caches (their stamps would otherwise
-   validate against [src]'s copied generation counters while the cached
-   rows still describe [dst]'s previous contents).  The fault overlay
-   follows [src]: dropped when [src] never had a fault, blitted when
-   both have one, and copied (the one allocation) when only [src] has.
-   Deliberately does NOT count as a clone: the clone counter measures
-   per-probe state duplication, which is exactly what this avoids. *)
+   every scalar, takes [src]'s per-demand feasibility records (rows and
+   stamps alike: the stamps are checked against the generation counters
+   copied with them, so a row current in [src] is current in [dst]), and
+   drops [dst]'s allocator slot.  The fault overlay follows [src]:
+   dropped when [src] never had a fault, blitted when both have one, and
+   copied (an allocation) when only [src] has.  Deliberately does NOT
+   count as a clone: the clone counter measures per-probe state
+   duplication, which is exactly what this avoids. *)
 let copy_into ~src ~dst =
   if
     src.topo != dst.topo
@@ -205,12 +267,11 @@ let copy_into ~src ~dst =
        || Topology.m3 src.topo <> Topology.m3 dst.topo)
   then invalid_arg "State.copy_into: topology mismatch";
   Sim.Bitset.blit ~src:src.nonempty_leaves ~dst:dst.nonempty_leaves;
-  let blit a b = Array.blit a 0 b 0 (Array.length a) in
   blit src.free_per_leaf dst.free_per_leaf;
   blit src.slot_mask dst.slot_mask;
   blit src.claimed_mask dst.claimed_mask;
-  blit src.leaf_up dst.leaf_up;
-  blit src.l2_up dst.l2_up;
+  Array.blit src.leaf_up 0 dst.leaf_up 0 (Array.length src.leaf_up);
+  Array.blit src.l2_up 0 dst.l2_up 0 (Array.length src.l2_up);
   blit src.leaf_full_mask dst.leaf_full_mask;
   blit src.l2_full_mask dst.l2_full_mask;
   blit src.pod_free_leaves dst.pod_free_leaves;
@@ -232,7 +293,7 @@ let copy_into ~src ~dst =
   dst.releases <- src.releases;
   dst.failures <- src.failures;
   dst.repairs <- src.repairs;
-  dst.feas_caches <- [];
+  copy_feas_caches ~src ~dst;
   dst.ext_cache <- None;
   dst.undo <- []
 
@@ -850,10 +911,6 @@ let repair_l2_cable t c =
 
 let pod_node_generation t ~pod = t.pod_node_gen.(pod)
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
 let feas_for t demand =
   let rec find = function
     | f :: rest -> if f.f_demand = demand then Some f else find rest
@@ -882,10 +939,38 @@ let feas_for t demand =
           synced = -1;
           spine = Array.init pods (fun _ -> Array.make m1 0);
           spine_gen = Array.make pods (-1);
+          (* Demand 1.0 reads [leaf_full_mask] in place of a row. *)
+          up =
+            (if demand = 1.0 then [||]
+             else Array.make (Topology.num_leaves t.topo) 0);
+          up_gen = Array.make pods (-1);
         }
       in
       t.feas_caches <- f :: t.feas_caches;
       f
+
+(* [leaf_up_mask t ~leaf ~demand], reading the floats of only the
+   cables missing from [leaf]'s full-capacity mask: a full-capacity
+   cable carries any demand up to 1.0, so those bits stand as they are,
+   and a leaf whose uplinks are all at full capacity reads no float. *)
+let leaf_up_bits t ~leaf ~demand =
+  let m1 = Topology.m1 t.topo in
+  let full = if demand <= 1.0 then t.leaf_full_mask.(leaf) else 0 in
+  let missing = ((1 lsl m1) - 1) land lnot full in
+  if missing = 0 then full
+  else begin
+    let fails = leaf_fails t and first = leaf * m1 in
+    let mask = ref full in
+    for i = 0 to m1 - 1 do
+      let c = first + i in
+      if
+        missing land (1 lsl i) <> 0
+        && (Array.length fails = 0 || fails.(c) = 0)
+        && t.leaf_up.(c) >= demand -. eps
+      then mask := !mask lor (1 lsl i)
+    done;
+    !mask
+  end
 
 (* [into.(n-1)] = number of leaves in [pod] able to carry n nodes at
    [demand] (free nodes AND uplink-capable indices both >= n).  Built as
@@ -893,9 +978,9 @@ let feas_for t demand =
    O(m2 + m1) instead of O(m2 * m1).  A leaf's capacity is
    [min free cap]; a full-capacity uplink carries any demand up to 1.0,
    so when the leaf has at least [free] of them, its capacity is [free]
-   without the O(m1) float scan a fractional demand's mask takes —
-   which answers every fully-free leaf and every leaf with no free
-   node in O(1). *)
+   without reading a float — which answers every fully-free leaf and
+   every leaf with no free node in O(1) — and otherwise only the cables
+   below full capacity are read. *)
 let count_candidates t ~pod ~demand into =
   let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
   Array.fill into 0 m1 0;
@@ -904,9 +989,9 @@ let count_candidates t ~pod ~demand into =
     let free = t.free_per_leaf.(leaf) in
     let upto =
       if free = 0 then 0
-      else if demand <= 1.0 && popcount t.leaf_full_mask.(leaf) >= free then
-        free
-      else Stdlib.min free (popcount (leaf_up_mask t ~leaf ~demand))
+      else if demand <= 1.0 && Sim.Bits.popcount t.leaf_full_mask.(leaf) >= free
+      then free
+      else Stdlib.min free (Sim.Bits.popcount (leaf_up_bits t ~leaf ~demand))
     in
     if upto > 0 then into.(upto - 1) <- into.(upto - 1) + 1
   done;
@@ -1056,6 +1141,44 @@ let pod_spine_masks t ~pod ~demand =
     done;
     f.spine_gen.(pod) <- gen
   end;
+  masks
+
+(* [JIGSAW_VALIDATE=1]: every leaf of [pod] re-derived from its
+   floats. *)
+let validate_up_masks t ~pod ~demand masks =
+  let m1 = Topology.m1 t.topo and m2 = Topology.m2 t.topo in
+  for leaf = pod * m2 to ((pod + 1) * m2) - 1 do
+    let fresh =
+      up_mask t.leaf_up (leaf_fails t) ~first:(leaf * m1) ~width:m1 ~demand
+    in
+    if masks.(leaf) <> fresh then
+      failwith
+        (Printf.sprintf
+           "State.leaf_up_masks: pod %d leaf %d at demand %g reads %#x, its \
+            cables %#x"
+           pod leaf demand masks.(leaf) fresh)
+  done
+
+(* Demand 1.0 reads the maintained full-capacity words; any other
+   demand refreshes [pod]'s words of its record when the pod's node
+   generation moved. *)
+let leaf_up_masks t ~pod ~demand =
+  let masks =
+    if demand = 1.0 then t.leaf_full_mask
+    else begin
+      let f = feas_for t demand in
+      let gen = t.pod_node_gen.(pod) in
+      if f.up_gen.(pod) <> gen then begin
+        let m2 = Topology.m2 t.topo in
+        for leaf = pod * m2 to ((pod + 1) * m2) - 1 do
+          f.up.(leaf) <- leaf_up_bits t ~leaf ~demand
+        done;
+        f.up_gen.(pod) <- gen
+      end;
+      f.up
+    end
+  in
+  if forced_validation then validate_up_masks t ~pod ~demand masks;
   masks
 
 let get_ext t = t.ext_cache

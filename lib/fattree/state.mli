@@ -36,13 +36,18 @@ val clone : t -> t
 val copy_into : src:t -> dst:t -> unit
 (** [copy_into ~src ~dst] refreshes [dst] to mirror [src] — the
     double-buffered scratch primitive behind zero-clone reservation
-    search.  The two states must share topology dimensions.  [dst]'s
-    cached summaries ({!pod_candidates} rows and their {!candidate_pods}
-    histograms, the {!ext} slot) are dropped, and the operation does {e not} count as a {!clone} in
-    either state's tally.  It allocates only when [src] has had a fault
-    and [dst] has not: the per-resource fault counts exist only from a
-    state's first fault on, so copying between fault-free states moves
-    the claim accounting alone. *)
+    search.  The two states must share topology dimensions.  [dst]
+    takes [src]'s per-demand summaries ({!pod_candidates} rows and their
+    {!candidate_pods} histograms, {!pod_spine_masks} and
+    {!leaf_up_masks} rows), stamps included, so a row current in [src]
+    is current in [dst]: they are blitted into [dst]'s own records for
+    the demands both have, and [dst]'s records for demands [src] lacks
+    are dropped.  [dst]'s {!ext} slot is dropped, and the operation does
+    {e not} count as a {!clone} in either state's tally.  It allocates
+    only when [src] has had a fault and [dst] has not (the per-resource
+    fault counts exist only from a state's first fault on), or when
+    [src] has summaries at a demand [dst] has none for, or its demands
+    in another order.  {!clone} starts its copy with no summaries. *)
 
 (** {1 Nodes} *)
 
@@ -178,7 +183,9 @@ val leaf_cable_claimed : t -> int -> bool
 val l2_cable_claimed : t -> int -> bool
 
 val leaf_up_mask : t -> leaf:int -> demand:float -> int
-(** Bitmask over L2 indices [0 .. m1-1]. *)
+(** Bitmask over L2 indices [0 .. m1-1], from the cables' capacities
+    (the maintained full-capacity word at demand 1.0).  Searches read
+    the cached rows of {!leaf_up_masks} instead. *)
 
 val l2_up_mask : t -> l2:int -> demand:float -> int
 (** Bitmask over spine indices [0 .. m2-1]. *)
@@ -258,7 +265,8 @@ val l2_cable_failed : t -> int -> bool
     histogram by the row's delta.  Answers are bit-identical to a
     from-scratch scan — the property tests in test_incremental.ml check
     this on random claim/release/unrelease/fail/repair sequences, with
-    clones and copies in between. *)
+    clones and copies in between.  {!copy_into} carries the rows to its
+    destination. *)
 
 val pod_candidates : t -> pod:int -> demand:float -> int array
 (** [pod_candidates t ~pod ~demand].(n-1) is the number of leaves in
@@ -284,6 +292,19 @@ val pod_spine_masks : t -> pod:int -> demand:float -> int array
 (** [pod_spine_masks t ~pod ~demand].(i) is {!l2_up_mask} of the pod's
     [i]-th L2 switch at [demand].  Same ownership rules as
     {!pod_candidates}. *)
+
+val leaf_up_masks : t -> pod:int -> demand:float -> int array
+(** [(leaf_up_masks t ~pod ~demand).(leaf)], for every global leaf id
+    [leaf] of [pod], is {!leaf_up_mask} of [leaf] at [demand]: one flat
+    per-leaf array, in which the entries of other pods may be stale.
+    Demand 1.0 returns the maintained full-capacity words.  Any other
+    demand reads its record's row, refreshed for [pod] when the pod's
+    {!pod_node_generation} moved; the refresh reads the floats of only
+    the cables below full capacity, so a leaf with every uplink at full
+    capacity costs O(1).  Same ownership rules as {!pod_candidates}.
+    Under [JIGSAW_VALIDATE=1] every call re-derives each of [pod]'s
+    leaves from its cables and fails, naming the pod, the leaf and the
+    demand, on a mismatch. *)
 
 (** {1 Allocator cache slot}
 

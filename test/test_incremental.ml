@@ -836,63 +836,109 @@ let scratch_fully_free_pods st =
   Array.init (Topology.m2 topo + 1) (fun k ->
       Array.fold_left (fun c n -> if n >= k then c + 1 else c) 0 counts)
 
+(* A random 60-step history on a radix-[radix] state: [random_step]'s
+   claims, releases, fails, repairs and single-row consultations, LC+S
+   claims at the non-dyadic demand 0.3, releases undone by [unrelease]
+   (with a check while released), and the live state replaced by a
+   [clone] (whose summaries start cold) or by a [copy_into] over a state
+   whose summaries are warm — possibly at other demands, or in another
+   order, after a clone.  [check st ~step ~all] runs after every step,
+   and with [~all:true] once at the end. *)
+let random_history ~radix ~seed check =
+  let st = ref (State.create (Topology.of_radix radix)) in
+  let spare = ref (State.create (Topology.of_radix radix)) in
+  let prng = Sim.Prng.create ~seed in
+  let live = ref [] and faults = ref [] in
+  for id = 1 to 60 do
+    let r = Sim.Prng.float prng ~bound:1.0 in
+    if r < 0.1 then st := State.clone !st
+    else if r < 0.2 then begin
+      let old = !st in
+      State.copy_into ~src:old ~dst:!spare;
+      st := !spare;
+      spare := old
+    end
+    else if r < 0.3 && !live <> [] then begin
+      let a =
+        List.nth !live (Sim.Prng.int_in prng ~lo:0 ~hi:(List.length !live - 1))
+      in
+      State.release !st a;
+      check !st prng ~step:id ~all:false;
+      State.unrelease !st a
+    end
+    else if r < 0.38 then begin
+      let size = Sim.Prng.int_in prng ~lo:1 ~hi:(Topology.num_nodes (State.topo !st) / 4) in
+      match Jigsaw_core.Least_constrained.probe ~demand:0.3 !st ~job:id ~size with
+      | Jigsaw_core.Partition.Found p ->
+          let a = Jigsaw_core.Partition.to_alloc (State.topo !st) p ~bw:0.3 in
+          State.claim_exn !st a;
+          live := a :: !live
+      | Infeasible | Exhausted -> ()
+    end
+    else begin
+      let l, f = random_step !st prng ~id !live !faults in
+      live := l;
+      faults := f
+    end;
+    check !st prng ~step:id ~all:false
+  done;
+  check !st prng ~step:61 ~all:true
+
 (* Both histograms equal a from-scratch recount after every step of a
-   random history: claims, releases, fails and repairs ([random_step],
-   whose consultations refresh single rows outside a histogram read),
-   releases undone by [unrelease], and the live state replaced by a
-   [clone] or by a [copy_into] over a state whose caches are warm.
-   Each step reads the candidate histogram at a random subset of the
-   demands, so the others go stale over several steps and are brought
-   up to date by a delta over many moved rows. *)
+   [random_history].  Each step reads the candidate histogram at a
+   random subset of the demands, so the others go stale over several
+   steps and are brought up to date by a delta over many moved rows. *)
 let prop_histograms_match_recount =
   QCheck2.Test.make
     ~name:"candidate_pods/fully_free_pods == from-scratch recount" ~count:30
     QCheck2.Gen.(pair (oneofl [ 8; 12 ]) (int_range 0 1_000_000))
     (fun (radix, seed) ->
-      let st = ref (State.create (Topology.of_radix radix)) in
-      let spare = ref (State.create (Topology.of_radix radix)) in
-      let prng = Sim.Prng.create ~seed in
-      let live = ref [] and faults = ref [] in
-      let check ~step ~all =
-        if State.fully_free_pods !st <> scratch_fully_free_pods !st then
-          QCheck2.Test.fail_reportf "fully-free histogram diverges at step %d"
-            step;
-        Array.iter
-          (fun demand ->
-            if
-              (all || Sim.Prng.int_in prng ~lo:0 ~hi:1 = 0)
-              && State.candidate_pods !st ~demand
-                 <> scratch_candidate_pods !st ~demand
-            then
-              QCheck2.Test.fail_reportf
-                "candidate histogram diverges at step %d, demand %g" step demand)
-          demands
-      in
-      for id = 1 to 60 do
-        let r = Sim.Prng.float prng ~bound:1.0 in
-        if r < 0.1 then st := State.clone !st
-        else if r < 0.2 then begin
-          let old = !st in
-          State.copy_into ~src:old ~dst:!spare;
-          st := !spare;
-          spare := old
-        end
-        else if r < 0.3 && !live <> [] then begin
-          let a =
-            List.nth !live (Sim.Prng.int_in prng ~lo:0 ~hi:(List.length !live - 1))
-          in
-          State.release !st a;
-          check ~step:id ~all:false;
-          State.unrelease !st a
-        end
-        else begin
-          let l, f = random_step !st prng ~id !live !faults in
-          live := l;
-          faults := f
-        end;
-        check ~step:id ~all:false
-      done;
-      check ~step:61 ~all:true;
+      random_history ~radix ~seed (fun st prng ~step ~all ->
+          if State.fully_free_pods st <> scratch_fully_free_pods st then
+            QCheck2.Test.fail_reportf "fully-free histogram diverges at step %d"
+              step;
+          Array.iter
+            (fun demand ->
+              if
+                (all || Sim.Prng.int_in prng ~lo:0 ~hi:1 = 0)
+                && State.candidate_pods st ~demand
+                   <> scratch_candidate_pods st ~demand
+              then
+                QCheck2.Test.fail_reportf
+                  "candidate histogram diverges at step %d, demand %g" step
+                  demand)
+            demands);
+      true)
+
+(* Every read of a pod's uplink-mask row equals each leaf's mask scanned
+   from its cables, after every step of a [random_history]: at three
+   dyadic demands, the non-dyadic 0.3 the history also claims at, and
+   1.0.  Each step reads a random subset of (pod, demand) rows, so rows
+   go stale over several steps, across clones and copies, before they
+   are read again. *)
+let prop_leaf_up_masks_match_scan =
+  QCheck2.Test.make ~name:"leaf_up_masks == from-scratch leaf scan" ~count:30
+    QCheck2.Gen.(pair (oneofl [ 8; 12 ]) (int_range 0 1_000_000))
+    (fun (radix, seed) ->
+      random_history ~radix ~seed (fun st prng ~step ~all ->
+          let topo = State.topo st in
+          for pod = 0 to Topology.pods topo - 1 do
+            List.iter
+              (fun demand ->
+                if all || Sim.Prng.int_in prng ~lo:0 ~hi:3 = 0 then begin
+                  let ups = State.leaf_up_masks st ~pod ~demand in
+                  for l = 0 to Topology.m2 topo - 1 do
+                    let leaf = Topology.leaf_of_coords topo ~pod ~leaf:l in
+                    let want = scratch_leaf_up_mask st leaf ~demand in
+                    if ups.(leaf) <> want then
+                      QCheck2.Test.fail_reportf
+                        "step %d: pod %d leaf %d at demand %g reads %#x, its \
+                         cables %#x"
+                        step pod leaf demand ups.(leaf) want
+                  done
+                end)
+              [ 0.125; 0.25; 0.375; 0.3; 1.0 ]
+          done);
       true)
 
 (* The LC solution memo (budget-replaying, generation-stamped) must be
@@ -1090,5 +1136,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_unrelease_inverts_release;
     QCheck_alcotest.to_alcotest prop_feasibility_rows_match_fresh_resolve;
     QCheck_alcotest.to_alcotest prop_histograms_match_recount;
+    QCheck_alcotest.to_alcotest prop_leaf_up_masks_match_scan;
     QCheck_alcotest.to_alcotest prop_lc_cached_probe_matches_fresh;
   ]

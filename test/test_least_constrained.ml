@@ -135,7 +135,11 @@ module Eager = struct
        incrementally maintained cache — a pod untouched since the last
        probe costs one generation compare instead of an m1 x m2 rescan. *)
     let spines = Array.init m3 (fun pod -> State.pod_spine_masks st ~pod ~demand) in
-    let shapes = Shapes.three_level_all topo ~size in
+    let shapes = ref [] in
+    Shapes.three_level_all topo ~size (fun s ->
+        shapes := s :: !shapes;
+        false);
+    let shapes = List.rev !shapes in
     (* Cheap per-shape feasibility precheck: candidate_leaves.(pod).(n_l-1)
        counts leaves that could carry n_l nodes at this demand.  A shape
        needing t full pods of l_t such leaves (plus a remainder pod) is

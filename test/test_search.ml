@@ -15,25 +15,40 @@ let find_all st ~pod ~l_t ~n_l ~demand ~budget =
          false));
   List.rev !sols
 
-let test_pod_leaf_infos_fresh () =
+(* What the searches read of a pod's leaves: free counts and the
+   state's uplink-mask rows, at the exclusive and a fractional demand. *)
+let test_pod_rows_fresh () =
   let st = State.create topo in
-  let infos = Search.pod_leaf_infos st ~pod:0 ~demand:1.0 in
-  Alcotest.(check int) "m2 entries" 4 (Array.length infos);
-  Array.iter
-    (fun (i : Search.leaf_info) ->
-      Alcotest.(check int) "all free" 4 i.free;
-      Alcotest.(check int) "full mask" 0b1111 i.up_mask)
-    infos
+  List.iter
+    (fun demand ->
+      let ups = State.leaf_up_masks st ~pod:1 ~demand in
+      Alcotest.(check int) "one word per leaf" (Topology.num_leaves topo)
+        (Array.length ups);
+      for l = 0 to 3 do
+        let leaf = Topology.leaf_of_coords topo ~pod:1 ~leaf:l in
+        Alcotest.(check int) "all free" 4 (State.free_nodes_on_leaf st leaf);
+        Alcotest.(check int) "full mask" 0b1111 ups.(leaf)
+      done)
+    [ 1.0; 0.25 ]
 
-let test_pod_leaf_infos_after_claims () =
+(* A row read before the claims (so cached) follows them. *)
+let test_pod_rows_after_claims () =
   let st = State.create topo in
+  ignore (State.leaf_up_masks st ~pod:0 ~demand:0.25);
   State.claim_exn st (Alloc.nodes_only ~job:0 ~size:2 [| 0; 1 |]);
   let c = Topology.leaf_l2_cable topo ~leaf:1 ~l2_index:3 in
   State.claim_exn st
     { Alloc.job = 1; size = 0; nodes = [||]; leaf_cables = [| c |]; l2_cables = [||]; bw = 1.0 };
-  let infos = Search.pod_leaf_infos st ~pod:0 ~demand:1.0 in
-  Alcotest.(check int) "leaf 0 free" 2 infos.(0).free;
-  Alcotest.(check int) "leaf 1 mask" 0b0111 infos.(1).up_mask
+  let c = Topology.leaf_l2_cable topo ~leaf:2 ~l2_index:0 in
+  State.claim_exn st
+    { Alloc.job = 2; size = 0; nodes = [||]; leaf_cables = [| c |]; l2_cables = [||]; bw = 0.5 };
+  Alcotest.(check int) "leaf 0 free" 2 (State.free_nodes_on_leaf st 0);
+  let full = State.leaf_up_masks st ~pod:0 ~demand:1.0 in
+  Alcotest.(check int) "leaf 1 mask" 0b0111 full.(1);
+  Alcotest.(check int) "leaf 2 mask" 0b1110 full.(2);
+  let quarter = State.leaf_up_masks st ~pod:0 ~demand:0.25 in
+  Alcotest.(check int) "leaf 1 mask at 0.25" 0b0111 quarter.(1);
+  Alcotest.(check int) "leaf 2 mask at 0.25" 0b1111 quarter.(2)
 
 let test_find_two_level_simple () =
   let st = State.create topo in
@@ -160,11 +175,23 @@ let test_materialize_leaf () =
    never spend more budget.                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ref_candidate ~n_l (i : Search.leaf_info) =
-  i.free >= n_l && Mask.popcount i.up_mask >= n_l
+(* Each leaf of a pod read from scratch: its free count and its uplink
+   mask scanned from the cables, not the state's cached rows. *)
+type ref_leaf = { leaf : int; free : int; up_mask : int }
+
+let ref_leaves st ~pod ~demand =
+  Array.init (Topology.m2 (State.topo st)) (fun l ->
+      let leaf = Topology.leaf_of_coords (State.topo st) ~pod ~leaf:l in
+      {
+        leaf;
+        free = State.free_nodes_on_leaf st leaf;
+        up_mask = State.leaf_up_mask st ~leaf ~demand;
+      })
+
+let ref_candidate ~n_l i = i.free >= n_l && Mask.popcount i.up_mask >= n_l
 
 let ref_find_all st ~pod ~l_t ~n_l ~demand ~budget =
-  let infos = Search.pod_leaf_infos st ~pod ~demand in
+  let infos = ref_leaves st ~pod ~demand in
   let m2 = Array.length infos in
   let sols = ref [] in
   let rec pick start taken leaf_mask cap_mask =
@@ -184,7 +211,7 @@ let ref_find_all st ~pod ~l_t ~n_l ~demand ~budget =
 
 let ref_find_two_level st ~pod ~(shape : Shapes.two_level) ~demand =
   let { Shapes.n_l; l_t; n_rl } = shape in
-  let infos = Search.pod_leaf_infos st ~pod ~demand in
+  let infos = ref_leaves st ~pod ~demand in
   let m2 = Array.length infos in
   let rec find_rem chosen cap l =
     if l >= m2 then None
@@ -412,8 +439,8 @@ let test_iter_all_radix48_first_fit () =
 
 let suite =
   [
-    Alcotest.test_case "fresh pod infos" `Quick test_pod_leaf_infos_fresh;
-    Alcotest.test_case "pod infos track claims" `Quick test_pod_leaf_infos_after_claims;
+    Alcotest.test_case "fresh pod mask rows" `Quick test_pod_rows_fresh;
+    Alcotest.test_case "pod mask rows track claims" `Quick test_pod_rows_after_claims;
     Alcotest.test_case "two-level with remainder" `Quick test_find_two_level_simple;
     Alcotest.test_case "two-level backtracks over leaves" `Quick test_find_two_level_backtracks;
     Alcotest.test_case "two-level infeasible" `Quick test_find_two_level_infeasible;
