@@ -551,7 +551,7 @@ let primitive_rows () =
       parts
   in
   (* The LC+S probe of each of those jobs at its bandwidth class, on one
-     empty machine whose summaries and LC memo stay warm across calls,
+     empty machine whose per-demand records stay warm across calls,
      as a scheduler's live state does. *)
   let lcs_probe_hit (e : Trace.Presets.entry) (topo, parts) ~mean_nodes ~iters =
     let st = Fattree.State.create topo in

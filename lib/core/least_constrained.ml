@@ -2,89 +2,6 @@ open Fattree
 
 let default_budget = 150_000
 
-(* Per-state memo of [Search.iter_all] walks, living in the state's
-   extension slot so it dies with the state (never shared across clones
-   or sweep domains).  Entries are keyed by the full argument tuple,
-   stamped with the pod's node generation, and record what the walk
-   charged: the steps before each solution and the tail after the last.
-   Only complete walks are recorded — one cut by the budget or stopped
-   by its consumer never saw the rest of the pod.  A hit is replayed
-   solution by solution, charging each its recorded steps while the
-   budget covers them and stopping where a fresh walk with the same
-   budget would be cut or stopped, so budget accounting — and therefore
-   every Exhausted verdict and fingerprint — is bit-identical with or
-   without the memo. *)
-type sols_entry = {
-  se_sols : Search.pod_solution list;
-  se_steps : int list;  (** Steps before each of [se_sols]. *)
-  se_tail : int;  (** Steps after the last solution. *)
-  se_gen : int;
-}
-
-type lc_cache = (int * int * int * float, sols_entry) Hashtbl.t
-
-type State.ext += Lc_cache of lc_cache
-
-let cache_of st : lc_cache =
-  match State.get_ext st with
-  | Some (Lc_cache c) -> c
-  | _ ->
-      let c = Hashtbl.create 64 in
-      State.set_ext st (Some (Lc_cache c));
-      c
-
-(* Run the walk live, offering each solution to [f]; record the entry
-   if the walk completes. *)
-let walk_and_record st ~pod ~l_t ~n_l ~demand ~budget f =
-  let sols = ref [] and steps = ref [] in
-  let walk =
-    Search.iter_all st ~pod ~l_t ~n_l ~demand ~budget (fun sol ~steps:d ->
-        sols := sol :: !sols;
-        steps := d :: !steps;
-        f sol)
-  in
-  match walk with
-  | Search.Complete se_tail ->
-      Hashtbl.replace (cache_of st) (pod, l_t, n_l, demand)
-        {
-          se_sols = List.rev !sols;
-          se_steps = List.rev !steps;
-          se_tail;
-          se_gen = State.pod_node_generation st ~pod;
-        }
-  | Cut | Stopped -> ()
-
-let cached_iter_all st ~pod ~l_t ~n_l ~demand ~budget f =
-  match Hashtbl.find_opt (cache_of st) (pod, l_t, n_l, demand) with
-  | Some e when e.se_gen = State.pod_node_generation st ~pod ->
-      (* A live walk with budget [b] charges [d] steps to reach the next
-         solution if [b >= d]; otherwise it is cut, leaving [min b 0]. *)
-      let charge d =
-        if !budget >= d then begin
-          budget := !budget - d;
-          true
-        end
-        else begin
-          budget := min !budget 0;
-          false
-        end
-      in
-      let rec replay sols steps =
-        match (sols, steps) with
-        | sol :: sols, d :: steps ->
-            if charge d && not (f sol) then replay sols steps
-        | _ -> ignore (charge e.se_tail)
-      in
-      replay e.se_sols e.se_steps
-  | _ -> walk_and_record st ~pod ~l_t ~n_l ~demand ~budget f
-
-let cached_find_all st ~pod ~l_t ~n_l ~demand ~budget =
-  let sols = ref [] in
-  cached_iter_all st ~pod ~l_t ~n_l ~demand ~budget (fun sol ->
-      sols := sol :: !sols;
-      false);
-  List.rev !sols
-
 (* Materialize a full tree from a pod solution: every leaf carries n_l
    nodes uplinked to the common set [s] (a mask); spine sets attach to
    the indices of [s].  Leaf ids come straight from the solution's
@@ -135,7 +52,8 @@ let try_three_level st ~job ~size ~demand ~budget =
         Shapes.three_level) =
     let spines = Lazy.force spines in
     (* Enumerate per-pod solutions for full trees (l_t leaves of n_l
-       nodes) lazily, pod by pod, caching results. *)
+       nodes) lazily, pod by pod, keeping each pod's list for the
+       backtracking to revisit. *)
     let sol_cache : Search.pod_solution list option array =
       Array.make m3 None
     in
@@ -143,7 +61,11 @@ let try_three_level st ~job ~size ~demand ~budget =
       match sol_cache.(p) with
       | Some s -> s
       | None ->
-          let s = cached_find_all st ~pod:p ~l_t ~n_l ~demand ~budget in
+          let acc = ref [] in
+          Search.iter_all st ~pod:p ~l_t ~n_l ~demand ~budget (fun sol ->
+              acc := sol :: !acc;
+              false);
+          let s = List.rev !acc in
           sol_cache.(p) <- Some s;
           s
     in
@@ -197,7 +119,7 @@ let try_three_level st ~job ~size ~demand ~budget =
                 (* First fit: try each solution as the walk finds
                    it, instead of listing the pod's solutions
                    before trying the first. *)
-                cached_iter_all st ~pod:q ~l_t:l_rt ~n_l ~demand ~budget
+                Search.iter_all st ~pod:q ~l_t:l_rt ~n_l ~demand ~budget
                   (fun qsol ->
                     attempt q qsol;
                     !result <> None || !budget <= 0)

@@ -163,25 +163,18 @@ let probe st ~job ~size ~alloc_size ~demand ~budget three_level =
         | None ->
             if !budget <= 0 then Partition.Exhausted else Partition.Infeasible)
 
-type walk = Complete of int | Cut | Stopped
-
-exception Halt of walk
+exception Halt
 
 let iter_all st ~pod ~l_t ~n_l ~demand ~budget f =
   let topo = State.topo st in
   let first = Topology.leaf_of_coords topo ~pod ~leaf:0 and m2 = Topology.m2 topo in
   let ups = State.leaf_up_masks st ~pod ~demand in
   let left = candidates_left st ~first ~m2 ups ~n_l in
-  (* Steps charged since the previous solution (or the start). *)
-  let since = ref 0 in
   let rec pick start taken leaf_mask cap_mask =
-    if !budget <= 0 then raise_notrace (Halt Cut);
+    if !budget <= 0 then raise_notrace Halt;
     decr budget;
-    incr since;
     if taken = l_t then begin
-      let steps = !since in
-      since := 0;
-      if f { leaf_mask; cap_mask } ~steps then raise_notrace (Halt Stopped)
+      if f { leaf_mask; cap_mask } then raise_notrace Halt
     end
     else begin
       let l = ref start in
@@ -193,6 +186,4 @@ let iter_all st ~pod ~l_t ~n_l ~demand ~budget f =
       done
     end
   in
-  match pick 0 0 0 (lnot 0) with
-  | () -> Complete !since
-  | exception Halt w -> w
+  try pick 0 0 0 (lnot 0) with Halt -> ()

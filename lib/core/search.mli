@@ -73,13 +73,6 @@ val probe :
     three-level search must cover its whole space whenever it leaves
     budget unspent. *)
 
-type walk =
-  | Complete of int
-      (** The walk visited every solution; the steps it charged after
-          the last one (or in all, if there was none). *)
-  | Cut  (** The budget ran out before the walk finished. *)
-  | Stopped  (** The callback asked the walk to stop. *)
-
 val iter_all :
   Fattree.State.t ->
   pod:int ->
@@ -87,20 +80,16 @@ val iter_all :
   n_l:int ->
   demand:float ->
   budget:int ref ->
-  (pod_solution -> steps:int -> bool) ->
-  walk
+  (pod_solution -> bool) ->
+  unit
 (** Walks every set of [l_t] candidate leaves (for [n_l] nodes each)
     whose masks intersect in >= [n_l] indices, in lexicographic leaf
-    order, calling [f sol ~steps] on each as soon as it is found.  One
-    search step is charged to [budget] per node of the walk, and only
-    while [budget] is positive: a walk that meets a non-positive budget
-    stops there and returns [Cut].  [steps] counts the steps charged
-    since the previous solution (or the start), including the one that
-    reached [sol], so emitting solution [i] costs exactly its [steps]
-    whatever [f] does to [budget] in between.  The walk stops with
-    [Stopped] as soon as [f] returns [true].  Like {!find_two_level} it
-    never descends into a leaf from which too few candidate leaves
-    remain to reach [l_t]. *)
+    order, calling [f sol] on each as soon as it is found.  One search
+    step is charged to [budget] per node of the walk, and only while
+    [budget] is positive: a walk that meets a non-positive budget stops
+    there.  The walk also stops as soon as [f] returns [true].  Like
+    {!find_two_level} it never descends into a leaf from which too few
+    candidate leaves remain to reach [l_t]. *)
 
 val materialize_leaf :
   Fattree.State.t -> leaf:int -> l2:int -> Partition.leaf_alloc

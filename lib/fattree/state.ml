@@ -68,8 +68,6 @@ type feas = {
   up_gen : int array; (* pod -> pod_node_gen stamp of its [up] words *)
 }
 
-type ext = ..
-
 type counters = {
   claims : int;
   releases : int;
@@ -110,7 +108,6 @@ type t = {
   mutable repairs : int; (* # repair operations since creation *)
   mutable clones : int; (* # clones taken of this state *)
   mutable feas_caches : feas list; (* per-demand candidate summaries *)
-  mutable ext_cache : ext option; (* allocator-owned cache slot *)
   (* Releases [unrelease] may still undo, newest first, each with the
      claim-accounting capacities it overwrote (leaf cables, then L2
      cables).  A claim clears it: it may have reused those cables. *)
@@ -147,7 +144,6 @@ let create topo =
     repairs = 0;
     clones = 0;
     feas_caches = [];
-    ext_cache = None;
     undo = [];
   }
 
@@ -186,10 +182,10 @@ let clone t =
     failures = t.failures;
     repairs = t.repairs;
     clones = 0;
-    (* Caches stay with their state: the copy starts cold, so stamped
-       entries can never validate against another state's counters. *)
+    (* The copy starts with no per-demand records, rebuilt on first
+       read: a cold state that warm records can be checked against
+       ([copy_into] carries them). *)
     feas_caches = [];
-    ext_cache = None;
     undo = [];
   }
 
@@ -253,12 +249,12 @@ let copy_feas_caches ~src ~dst =
    behind zero-clone reservation search.  Blits every array, copies
    every scalar, takes [src]'s per-demand feasibility records (rows and
    stamps alike: the stamps are checked against the generation counters
-   copied with them, so a row current in [src] is current in [dst]), and
-   drops [dst]'s allocator slot.  The fault overlay follows [src]:
-   dropped when [src] never had a fault, blitted when both have one, and
-   copied (an allocation) when only [src] has.  Deliberately does NOT
-   count as a clone: the clone counter measures per-probe state
-   duplication, which is exactly what this avoids. *)
+   copied with them, so a row current in [src] is current in [dst]).
+   The fault overlay follows [src]: dropped when [src] never had a
+   fault, blitted when both have one, and copied (an allocation) when
+   only [src] has.  Deliberately does NOT count as a clone: the clone
+   counter measures per-probe state duplication, which is exactly what
+   this avoids. *)
 let copy_into ~src ~dst =
   if
     src.topo != dst.topo
@@ -294,7 +290,6 @@ let copy_into ~src ~dst =
   dst.failures <- src.failures;
   dst.repairs <- src.repairs;
   copy_feas_caches ~src ~dst;
-  dst.ext_cache <- None;
   dst.undo <- []
 
 let check what i bound =
@@ -1180,6 +1175,3 @@ let leaf_up_masks t ~pod ~demand =
   in
   if forced_validation then validate_up_masks t ~pod ~demand masks;
   masks
-
-let get_ext t = t.ext_cache
-let set_ext t e = t.ext_cache <- e

@@ -42,12 +42,12 @@ val copy_into : src:t -> dst:t -> unit
     {!leaf_up_masks} rows), stamps included, so a row current in [src]
     is current in [dst]: they are blitted into [dst]'s own records for
     the demands both have, and [dst]'s records for demands [src] lacks
-    are dropped.  [dst]'s {!ext} slot is dropped, and the operation does
-    {e not} count as a {!clone} in either state's tally.  It allocates
-    only when [src] has had a fault and [dst] has not (the per-resource
-    fault counts exist only from a state's first fault on), or when
-    [src] has summaries at a demand [dst] has none for, or its demands
-    in another order.  {!clone} starts its copy with no summaries. *)
+    are dropped.  The operation does {e not} count as a {!clone} in
+    either state's tally.  It allocates only when [src] has had a fault
+    and [dst] has not (the per-resource fault counts exist only from a
+    state's first fault on), or when [src] has summaries at a demand
+    [dst] has none for, or its demands in another order.  {!clone}
+    starts its copy with no summaries. *)
 
 (** {1 Nodes} *)
 
@@ -305,15 +305,3 @@ val leaf_up_masks : t -> pod:int -> demand:float -> int array
     Under [JIGSAW_VALIDATE=1] every call re-derives each of [pod]'s
     leaves from its cables and fails, naming the pod, the leaf and the
     demand, on a mismatch. *)
-
-(** {1 Allocator cache slot}
-
-    An extensible slot for allocator-owned caches that live and die
-    with one state (per-pod solution memos, etc.).  The slot travels
-    with the state — never across states: {!clone} starts the copy
-    empty and {!copy_into} drops the destination's slot. *)
-
-type ext = ..
-
-val get_ext : t -> ext option
-val set_ext : t -> ext option -> unit

@@ -941,43 +941,57 @@ let prop_leaf_up_masks_match_scan =
           done);
       true)
 
-(* The LC solution memo (budget-replaying, generation-stamped) must be
-   invisible: probing a state whose caches are warm returns exactly what
-   probing a cold fresh copy does, verdict for verdict — including
-   [Exhausted] cut-offs, because cache hits re-charge their original
-   search cost. *)
-let prop_lc_cached_probe_matches_fresh =
-  QCheck2.Test.make ~name:"LC probe on warm caches == on cold clone" ~count:20
+(* A state's per-demand records (candidate rows and histograms, spine
+   and uplink-mask rows, generation-stamped) must be invisible to the LC
+   search: probing a state whose records are warm returns exactly what
+   probing a cold [clone] does, verdict for verdict — including
+   [Exhausted] cut-offs, which a stale row would move.  A third input is
+   a [copy_into] destination that held records for other demands, of
+   another history, before taking the live state's: what a reservation
+   scratch arena receives. *)
+let prop_lc_warm_records_match_cold =
+  QCheck2.Test.make ~name:"LC probe on warm per-demand records == on cold clone"
+    ~count:20
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let st = State.create (Topology.of_radix 8) in
       let prng = Sim.Prng.create ~seed in
       let live = ref [] and faults = ref [] in
+      let lc_probe ?budget ~demand st ~size =
+        Jigsaw_core.Least_constrained.probe ?budget ~demand st ~job:9000 ~size
+      in
       for id = 1 to 40 do
         let l, f = random_step st prng ~id !live !faults in
         live := l;
         faults := f;
-        (* Warm the LC memo on the live state as a scheduler would. *)
+        (* Warm the records on the live state as a scheduler would. *)
         if id mod 4 = 0 then
           ignore
-            (Jigsaw_core.Least_constrained.probe ~demand:0.25 st ~job:7000
+            (lc_probe ~demand:0.25 st
                ~size:(Sim.Prng.int_in prng ~lo:1 ~hi:48))
       done;
+      let dst = State.create (Topology.of_radix 8) in
+      let dlive = ref [] and dfaults = ref [] in
+      for id = 1 to 10 do
+        let l, f = random_step dst prng ~id !dlive !dfaults in
+        dlive := l;
+        dfaults := f
+      done;
+      List.iter
+        (fun demand -> ignore (lc_probe ~demand dst ~size:20))
+        [ 0.125; 0.5; 0.375 ];
+      State.copy_into ~src:st ~dst;
       List.iter
         (fun (demand, budget) ->
           for size = 1 to 24 do
-            let warm =
-              Jigsaw_core.Least_constrained.probe ~demand ~budget st ~job:9000
-                ~size
-            in
-            let cold =
-              Jigsaw_core.Least_constrained.probe ~demand ~budget
-                (State.clone st) ~job:9000 ~size
-            in
-            if warm <> cold then
+            let warm = lc_probe ~demand ~budget st ~size in
+            let copied = lc_probe ~demand ~budget dst ~size in
+            let cold = lc_probe ~demand ~budget (State.clone st) ~size in
+            if warm <> cold || copied <> cold then
               QCheck2.Test.fail_reportf
-                "LC probe diverges: size %d demand %g budget %d" size demand
-                budget
+                "LC probe diverges (%s): size %d demand %g budget %d"
+                (if warm <> cold then "warm" else "copied")
+                size demand budget
           done)
         [ (1.0, 5_000); (0.25, 5_000); (0.5, 200); (0.25, 60) ];
       true)
@@ -1137,5 +1151,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_feasibility_rows_match_fresh_resolve;
     QCheck_alcotest.to_alcotest prop_histograms_match_recount;
     QCheck_alcotest.to_alcotest prop_leaf_up_masks_match_scan;
-    QCheck_alcotest.to_alcotest prop_lc_cached_probe_matches_fresh;
+    QCheck_alcotest.to_alcotest prop_lc_warm_records_match_cold;
   ]

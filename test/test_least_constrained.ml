@@ -479,16 +479,17 @@ let deciding_budget st ~demand ~size ~hi =
     Some !hi
   end
 
-let prop_warm_memo_matches_cold =
-  QCheck2.Test.make ~name:"probe on a warm memo == on a cold clone" ~count:150
+let prop_warm_records_match_cold =
+  QCheck2.Test.make ~name:"probe on warm per-demand records == on a cold clone"
+    ~count:150
     ~print:print_probe_case gen_probe_case
     (fun (radix, demand, budget, seed) ->
       let st, prng = random_state ~radix ~seed in
       let size = multi_pod_size st prng in
       let probe st b = Least_constrained.probe ~demand ~budget:b st ~job:0 ~size in
       (* The drawn budget, and the two around the point where the cold
-         search first decides: a replay that charges one step too many
-         or too few moves that point. *)
+         search first decides: a stale record that hides or invents a
+         candidate moves that point. *)
       let budgets =
         budget
         ::
@@ -496,8 +497,8 @@ let prop_warm_memo_matches_cold =
         | Some b when b > 1 -> [ b - 1; b ]
         | _ -> [])
       in
-      (* Fill the memo with earlier probes, cut short and complete, of
-         this request and of others. *)
+      (* Warm the state's per-demand records with earlier probes, cut
+         short and complete, of this request and of others. *)
       for _ = 1 to 3 do
         ignore (probe st (Sim.Prng.int_in prng ~lo:1 ~hi:5_000));
         let size = multi_pod_size st prng in
@@ -527,6 +528,6 @@ let suite =
     Alcotest.test_case "radix-48 multi-pod within 10k steps" `Quick
       test_multi_pod_radix48_within_budget;
     QCheck_alcotest.to_alcotest prop_lc_superset_of_jigsaw;
-    QCheck_alcotest.to_alcotest prop_warm_memo_matches_cold;
+    QCheck_alcotest.to_alcotest prop_warm_records_match_cold;
     QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
   ]

@@ -9,10 +9,9 @@ let topo = Topology.of_radix 8 (* m1 = m2 = 4 *)
    when the walk completes, the ones found before the budget cut it. *)
 let find_all st ~pod ~l_t ~n_l ~demand ~budget =
   let sols = ref [] in
-  ignore
-    (Search.iter_all st ~pod ~l_t ~n_l ~demand ~budget (fun sol ~steps:_ ->
-         sols := sol :: !sols;
-         false));
+  Search.iter_all st ~pod ~l_t ~n_l ~demand ~budget (fun sol ->
+      sols := sol :: !sols;
+      false);
   List.rev !sols
 
 (* What the searches read of a pod's leaves: free counts and the
@@ -363,30 +362,35 @@ let rec is_prefix xs ys =
   | x :: xs, y :: ys -> x = y && is_prefix xs ys
   | _ :: _, [] -> false
 
+(* Each solution a walk with budget [b] emits, paired with the steps
+   charged up to it, read from the budget inside the callback; [stop]
+   sees the solution's index (from 1). *)
+let walk_charges ?(stop = fun _ -> false) st ~l_t ~n_l ~demand ~budget:b =
+  let budget = ref b and seen = ref [] and n = ref 0 in
+  Search.iter_all st ~pod:0 ~l_t ~n_l ~demand ~budget (fun s ->
+      seen := (s, b - !budget) :: !seen;
+      incr n;
+      stop !n);
+  (List.rev !seen, !budget)
+
 let prop_iter_all_matches_reference =
   QCheck2.Test.make ~name:"iter_all never stopping == unpruned, per-step charged"
     ~count:200 ~print:print_walk_case gen_walk_case
     (fun (((radix, demand, seed) as case), b) ->
       let st, prng = random_pod_state ~radix ~seed in
       let n_l, l_t = walk_shape case prng in
-      let budget = ref b in
-      let sols = ref [] and charged = ref 0 in
-      let walk =
-        Search.iter_all st ~pod:0 ~l_t ~n_l ~demand ~budget (fun s ~steps ->
-            sols := s :: !sols;
-            charged := !charged + steps;
-            false)
-      in
+      let seen, left = walk_charges st ~l_t ~n_l ~demand ~budget:b in
       let ref_budget = ref 1_000_000 in
       let want = ref_find_all st ~pod:0 ~l_t ~n_l ~demand ~budget:ref_budget in
-      let got = List.rev !sols in
-      match walk with
-      | Search.Complete tail ->
-          got = want
-          && !charged + tail = b - !budget
-          && b - !budget <= 1_000_000 - !ref_budget
-      | Cut -> !budget = 0 && is_prefix got want
-      | Stopped -> false)
+      (* A solution costs the steps an ample budget spends reaching it,
+         whatever the budget: the walk charges one step per node. *)
+      let ample, _ = walk_charges st ~l_t ~n_l ~demand ~budget:1_000_000 in
+      let got = List.map fst seen in
+      is_prefix seen ample
+      &&
+      if left > 0 then
+        got = want && b - left <= 1_000_000 - !ref_budget
+      else left = 0 && is_prefix got want)
 
 let prop_iter_all_stop_charges_prefix =
   QCheck2.Test.make ~name:"iter_all stopped after k solutions charges their steps"
@@ -397,44 +401,38 @@ let prop_iter_all_stop_charges_prefix =
       let st, prng = random_pod_state ~radix ~seed in
       let n_l, l_t = walk_shape case prng in
       let b = 1_000_000 in
-      let budget = ref b and seen = ref 0 and charged = ref 0 in
-      let walk =
-        Search.iter_all st ~pod:0 ~l_t ~n_l ~demand ~budget (fun _ ~steps ->
-            incr seen;
-            charged := !charged + steps;
-            !seen = k)
+      let seen, left =
+        walk_charges ~stop:(fun i -> i = k) st ~l_t ~n_l ~demand ~budget:b
       in
-      match walk with
-      | Stopped -> !seen = k && b - !budget = !charged
-      | Complete tail -> !seen < k && b - !budget = !charged + tail
-      | Cut -> false)
+      let all, all_left = walk_charges st ~l_t ~n_l ~demand ~budget:b in
+      if List.length seen = k then
+        (* Stopped at the k-th: exactly the steps to it, as the walk
+           that never stops had charged when it got there. *)
+        b - left = snd (List.nth all (k - 1)) && is_prefix seen all
+      else seen = all && left = all_left)
 
 let test_iter_all_radix48_first_fit () =
   (* 8 of the 24 fully free leaves of a radix-48 pod: the first set is
      found one step per level down the walk, but there are C(24,8) =
      735471 sets to list. *)
   let st = State.create (Topology.of_radix 48) in
-  let budget = ref Least_constrained.default_budget in
+  let b = Least_constrained.default_budget in
+  let budget = ref b in
   let first = ref None in
-  let walk =
-    Search.iter_all st ~pod:0 ~l_t:8 ~n_l:24 ~demand:1.0 ~budget
-      (fun s ~steps ->
-        first := Some (s, steps);
-        true)
-  in
-  Alcotest.(check bool) "stopped" true (walk = Search.Stopped);
+  Search.iter_all st ~pod:0 ~l_t:8 ~n_l:24 ~demand:1.0 ~budget (fun s ->
+      first := Some (s, b - !budget);
+      true);
   (match !first with
   | Some (s, steps) ->
       Alcotest.(check int) "steps to the first set" 9 steps;
       Alcotest.(check int) "lowest eight leaves" (Mask.full 8) s.leaf_mask
   | None -> Alcotest.fail "no solution");
-  Alcotest.(check int) "charged" (Least_constrained.default_budget - 9) !budget;
-  let budget = ref Least_constrained.default_budget in
-  let walk =
-    Search.iter_all st ~pod:0 ~l_t:8 ~n_l:24 ~demand:1.0 ~budget
-      (fun _ ~steps:_ -> false)
-  in
-  Alcotest.(check bool) "listing every set is cut" true (walk = Search.Cut);
+  Alcotest.(check int) "charged" (b - 9) !budget;
+  let budget = ref b and listed = ref 0 in
+  Search.iter_all st ~pod:0 ~l_t:8 ~n_l:24 ~demand:1.0 ~budget (fun _ ->
+      incr listed;
+      false);
+  Alcotest.(check bool) "listing every set is cut" true (!listed < 735471);
   Alcotest.(check int) "budget spent" 0 !budget
 
 let suite =
